@@ -52,7 +52,7 @@ print(f"\ncodeword for message (1, 2): {word}")
 for i in (0, 3):
     for j in (1, 2):
         got = repair(code, ErasurePattern(word, i, j))
-        print(f"  erase coordinate {i}, repair via set {j} -> {got.value} "
+        print(f"  erase coordinate {i}, repair via set {j} -> {got} "
               f"(truth {word[i]})")
 
 print("\nlocality report passes:", verify_definition1(code).passed)

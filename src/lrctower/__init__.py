@@ -18,13 +18,11 @@ from .construct import (
     LrcCode,
     construct_lrc,
     evaluation_matrix,
-    rowspace_intersection,
     spanning_set,
 )
 from .descriptor import code_from_descriptor, code_to_descriptor, load_code, write_descriptor
 from .errors import LrcError
 from .field import (
-    FieldElement,
     FiniteField,
     artin_schreier_kernel,
     make_field,
@@ -53,8 +51,6 @@ from .tower import (
     Place,
     TowerSpec,
     check_place,
-    enumerate_places,
-    evaluate,
     genus,
     pole_degree,
 )
@@ -64,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Automorphism",
     "ErasurePattern",
-    "FieldElement",
     "FiniteField",
     "FunctionSpace",
     "LocalityReport",
@@ -87,8 +82,6 @@ __all__ = [
     "combine",
     "construct_lrc",
     "dimension_report",
-    "enumerate_places",
-    "evaluate",
     "evaluation_matrix",
     "genus",
     "gs_line",
@@ -100,7 +93,6 @@ __all__ = [
     "pole_degree",
     "regimes",
     "repair",
-    "rowspace_intersection",
     "rpdv_bound",
     "singleton_lrc",
     "spanning_set",

@@ -35,6 +35,38 @@ THM34 = "thm34"
 THM35 = "thm35"
 
 
+def _additive_pair(ell: int, a: int, b: int) -> bool:
+    return ell % a == 0 and ell % b == 0 and a * b <= ell
+
+
+# The admissible regimes: token -> (condition on l, a = r1 + 1, b = r2 + 1;
+# its wording).  Under btv, (r1+1) | l+1 and (r2+1) | l already make the two
+# orders coprime.
+REGIME_TABLE = {
+    BTV: (lambda ell, a, b: (ell + 1) % a == 0 and ell % b == 0,
+          "(r1+1) | l+1 and (r2+1) | l"),
+    THM33: (lambda ell, a, b: ell % a == 0 and gcd(a - 1, ell - 1) % b == 0,
+            "(r1+1) | l and (r2+1) | gcd(r1, l-1)"),
+    f"{THM34}.1": (lambda ell, a, b: (ell - 1) % a == 0 and (ell - 1) % b == 0 and gcd(a, b) == 1,
+                   "(r_i+1) | l-1 with coprime orders"),
+    f"{THM34}.2": (_additive_pair, "(r_i+1) | l with (r1+1)(r2+1) <= l"),
+    f"{THM35}.1": (lambda ell, a, b: (ell + 1) % a == 0 and (ell + 1) % b == 0 and gcd(a, b) == 1,
+                   "(r_i+1) | l+1 with coprime orders"),
+    f"{THM35}.2": (_additive_pair, "(r_i+1) | l with (r1+1)(r2+1) <= l"),
+}
+
+
+def check_regime(family: str, ell: int, r1: int, r2: int) -> None:
+    """Raise RegimeViolation unless (l, r1, r2) meets the regime ``family``,
+    a token of REGIME_TABLE or a theorem name (thm34) admitting any case."""
+    cases = [t for t in REGIME_TABLE if family in (t, t.partition(".")[0])]
+    if not cases:
+        raise ValueError(f"unknown regime {family!r}")
+    if not any(REGIME_TABLE[t][0](ell, r1 + 1, r2 + 1) for t in cases):
+        need = " or ".join(REGIME_TABLE[t][1] for t in cases)
+        raise RegimeViolation(f"{family}: need {need} (l={ell}, r1={r1}, r2={r2})")
+
+
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -147,45 +179,11 @@ def btv_line(ell: int, r1: int, r2: int, check: bool = True) -> TradeoffLine:
     """Direct-product line on the xz-tower: slope (r1+1)(r2+1)/(r1 r2),
     intercept (l-2)/(l-1) - (r1+r2-2)/(q-1)."""
     if check:
-        if (ell + 1) % (r1 + 1) != 0:
-            raise RegimeViolation(f"(r1+1)={r1 + 1} must divide l+1={ell + 1}")
-        if ell % (r2 + 1) != 0:
-            raise RegimeViolation(f"(r2+1)={r2 + 1} must divide l={ell}")
+        check_regime(BTV, ell, r1, r2)
     q = ell * ell
     slope = Fraction((r1 + 1) * (r2 + 1), r1 * r2)
     intercept = Fraction(ell - 2, ell - 1) - Fraction(r1 + r2 - 2, q - 1)
     return TradeoffLine(ell, r1, r2, BTV, slope, intercept, intercept <= 0)
-
-
-def _gs_conditions(ell: int, r1: int, r2: int, family: str) -> None:
-    a, b = r1 + 1, r2 + 1
-    if family == THM33:
-        if ell % a != 0:
-            raise RegimeViolation(f"{family}: (r1+1)={a} must divide l={ell}")
-        if gcd(r1, ell - 1) % b != 0:
-            raise RegimeViolation(
-                f"{family}: (r2+1)={b} must divide gcd(r1, l-1)={gcd(r1, ell - 1)}"
-            )
-        return
-    if family == THM34:
-        case1 = (ell - 1) % a == 0 and (ell - 1) % b == 0 and gcd(a, b) == 1
-        case2 = ell % a == 0 and ell % b == 0 and a * b <= ell
-        if not (case1 or case2):
-            raise RegimeViolation(
-                f"{family}: need either (r_i+1) | l-1 with coprime orders, "
-                f"or (r_i+1) | l with (r1+1)(r2+1) <= l"
-            )
-        return
-    if family == THM35:
-        case1 = (ell + 1) % a == 0 and (ell + 1) % b == 0 and gcd(a, b) == 1
-        case2 = ell % a == 0 and ell % b == 0 and a * b <= ell
-        if not (case1 or case2):
-            raise RegimeViolation(
-                f"{family}: need either (r_i+1) | l+1 with coprime orders, "
-                f"or (r_i+1) | l with (r1+1)(r2+1) <= l"
-            )
-        return
-    raise ValueError(f"unknown line family {family!r}")
 
 
 def gs_line(ell: int, r1: int, r2: int, family: str, check: bool = True) -> TradeoffLine:
@@ -195,7 +193,9 @@ def gs_line(ell: int, r1: int, r2: int, family: str, check: bool = True) -> Trad
     if r1 * r2 == 1:
         raise DenominatorZero("trade-off line undefined at r1 = r2 = 1")
     if check:
-        _gs_conditions(ell, r1, r2, family)
+        if family not in (THM33, THM34, THM35):
+            raise ValueError(f"unknown line family {family!r}")
+        check_regime(family, ell, r1, r2)
     c = 1 if family == THM35 else ell
     q = ell * ell
     slope = Fraction((r1 + 1) * (r2 + 1), r1 * r2 - 1)
@@ -223,30 +223,19 @@ def regimes(ell: int) -> list[RegimeRow]:
     """All admissible locality pairs per family, for one l.
 
     Rows where the trade-off line is undefined (r1 = r2 = 1) are kept and
-    footnoted via ``line_defined``.
+    footnoted via ``line_defined``; btv never admits r1 = r2 = 1.
     """
     if is_prime_power(ell) is None:
         raise NotAPrimePower(f"{ell} is not a prime power")
     if ell > REGIME_CAP:
         raise ValueError(f"l capped at {REGIME_CAP}")
-    rows = []
-    for r1 in range(1, ell + 1):
-        for r2 in range(1, ell + 1):
-            a, b = r1 + 1, r2 + 1
-            defined = r1 * r2 > 1
-            if (ell + 1) % a == 0 and ell % b == 0 and gcd(a, b) == 1:
-                rows.append(RegimeRow(ell, r1, r2, BTV, True))
-            if ell % a == 0 and b >= 2 and gcd(r1, ell - 1) % b == 0:
-                rows.append(RegimeRow(ell, r1, r2, f"{THM33}", defined))
-            if (ell - 1) % a == 0 and (ell - 1) % b == 0 and gcd(a, b) == 1:
-                rows.append(RegimeRow(ell, r1, r2, f"{THM34}.1", defined))
-            if ell % a == 0 and ell % b == 0 and a * b <= ell:
-                rows.append(RegimeRow(ell, r1, r2, f"{THM34}.2", defined))
-            if (ell + 1) % a == 0 and (ell + 1) % b == 0 and gcd(a, b) == 1:
-                rows.append(RegimeRow(ell, r1, r2, f"{THM35}.1", defined))
-            if ell % a == 0 and ell % b == 0 and a * b <= ell:
-                rows.append(RegimeRow(ell, r1, r2, f"{THM35}.2", defined))
-    return rows
+    return [
+        RegimeRow(ell, r1, r2, token, r1 * r2 > 1)
+        for r1 in range(1, ell + 1)
+        for r2 in range(1, ell + 1)
+        for token, (holds, _) in REGIME_TABLE.items()
+        if holds(ell, r1 + 1, r2 + 1)
+    ]
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from math import gcd
 from pathlib import Path
 
 from . import bounds as bnd
@@ -19,7 +18,9 @@ from .descriptor import load_code, write_descriptor
 from .errors import LrcError, NotAPrimePower, RegimeViolation, VariantMismatch
 from .field import make_field
 from .groups import ADDITIVE, MULTIPLICATIVE, RecoveryGroup, build_recovery_group
-from .repair import DEFAULT_ENUM_CAP, ErasurePattern, random_codewords, repair, verify_code
+from .repair import (
+    DEFAULT_ENUM_CAP, ErasurePattern, check_coord, random_codewords, repair, verify_code,
+)
 from .tower import GS95, GS96, TowerSpec
 
 
@@ -53,38 +54,22 @@ def parse_group_spec(spec: TowerSpec, text: str) -> RecoveryGroup:
 
 
 def validate_regime(spec: TowerSpec, g1: RecoveryGroup, g2: RecoveryGroup) -> str:
-    """Map the group pair onto its admissible regime; name the condition
-    that fails otherwise.  Returns the regime token."""
-    ell = spec.ell
-    kinds = (g1.kind, g2.kind)
-    if spec.variant == GS96:
-        if ADDITIVE in kinds and MULTIPLICATIVE in kinds:
-            add = g1 if g1.kind == ADDITIVE else g2
-            mul = g1 if g1.kind == MULTIPLICATIVE else g2
-            u, pv = mul.order, add.order
-            if (pv - 1) % u != 0 or (ell - 1) % u != 0:
-                raise RegimeViolation(
-                    f"thm33: scalar order {u} must divide gcd({pv} - 1, l - 1)"
-                )
-            return "thm33"
-        if kinds == (MULTIPLICATIVE, MULTIPLICATIVE):
-            if gcd(g1.order, g2.order) != 1:
-                raise RegimeViolation("thm34.1: gcd(r1+1, r2+1) = 1 violated")
-            return "thm34.1"
-        if g1.order * g2.order > ell:
-            raise RegimeViolation("thm34.2: (r1+1)(r2+1) <= l violated")
-        return "thm34.2"
-    if kinds == (MULTIPLICATIVE, MULTIPLICATIVE):
-        if gcd(g1.order, g2.order) != 1:
-            raise RegimeViolation("thm35.1: gcd(r1+1, r2+1) = 1 violated")
-        return "thm35.1"
-    if kinds == (ADDITIVE, ADDITIVE):
-        if g1.order * g2.order > ell:
-            raise RegimeViolation("thm35.2: (r1+1)(r2+1) <= l violated")
-        return "thm35.2"
-    raise RegimeViolation(
-        "xz-tower pairs must be norm1/norm1 or add/add (no mixed regime)"
-    )
+    """Map the group pair onto its regime token and check that regime's
+    conditions (RegimeViolation names the token otherwise)."""
+    kinds = {g1.kind, g2.kind}
+    family = bnd.THM34 if spec.variant == GS96 else bnd.THM35
+    if kinds == {ADDITIVE, MULTIPLICATIVE}:
+        if spec.variant != GS96:
+            raise RegimeViolation(
+                "xz-tower pairs must be norm1/norm1 or add/add (no mixed regime)"
+            )
+        token = bnd.THM33
+        if g1.kind == MULTIPLICATIVE:  # the additive group carries r1
+            g1, g2 = g2, g1
+    else:
+        token = f"{family}.1" if kinds == {MULTIPLICATIVE} else f"{family}.2"
+    bnd.check_regime(token, spec.ell, g1.r, g2.r)
+    return token
 
 
 def _enum_cap() -> int:
@@ -136,6 +121,7 @@ def cmd_repair_demo(args) -> int:
     code = load_code(args.path)
     word = [int(x) for x in random_codewords(code, 1, seed=args.seed)[0]]
     i = args.coord if args.coord is not None else args.seed % code.params.n
+    check_coord(code, i)
     truth = word[i]
     print(f"codeword: {word}")
     print(f"erasing coordinate {i} (symbol {truth})")
@@ -143,7 +129,7 @@ def cmd_repair_demo(args) -> int:
         if args.set and j != args.set:
             continue
         idx = code.recovery_sets[i][j - 1]
-        got = repair(code, ErasurePattern(tuple(word), i, j)).value
+        got = repair(code, ErasurePattern(tuple(word), i, j))
         status = "ok" if got == truth else "MISMATCH"
         print(f"set {j} {list(idx)} -> repaired symbol {got} [{status}]")
         if got != truth:

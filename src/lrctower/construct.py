@@ -134,11 +134,6 @@ def evaluation_matrix(space: FunctionSpace | list, places: list[Place], fld: Fin
     return np.vstack(rows)
 
 
-def rowspace_intersection(fld: FiniteField, mat_a, mat_b) -> np.ndarray:
-    """Canonical basis of the intersection of two row spaces."""
-    return gflinalg.rowspace_intersection(fld, mat_a, mat_b)
-
-
 @dataclass(frozen=True)
 class CodeParams:
     n: int
@@ -229,7 +224,7 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
         v2 = spanning_set(spec, h2, budget, caps)
         m1 = evaluation_matrix(v1, places, fld)
         m2 = evaluation_matrix(v2, places, fld)
-        basis = rowspace_intersection(fld, m1, m2)
+        basis = gflinalg.rowspace_intersection(fld, m1, m2)
         if best is None or basis.shape[0] > best[0].shape[0]:
             best = (basis, m1, m2, caps)
     basis, m1, m2, caps = best
@@ -237,9 +232,8 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
     if k == 0:
         raise EmptyCode("the two evaluation spaces only meet in zero")
 
-    for row in basis:
-        if not (gflinalg.in_rowspace(fld, m1, row) and gflinalg.in_rowspace(fld, m2, row)):
-            raise AssertionError("intersection row escaped a factor space")
+    if not (gflinalg.in_span(fld, m1, basis) and gflinalg.in_span(fld, m2, basis)):
+        raise AssertionError("intersection basis escaped a factor space")
 
     recovery = []
     for p in places:

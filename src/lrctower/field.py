@@ -13,9 +13,6 @@ used by the linear-algebra and enumeration layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from .errors import FieldTooLarge, NonPrimeCharacteristic, NotASquareField
@@ -120,56 +117,6 @@ def _first_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Element of a FiniteField, wrapping its canonical integer code."""
-
-    value: int
-    field: "FiniteField"
-
-    def __add__(self, other):
-        return FieldElement(self.field.add(self.value, _code(other, self.field)), self.field)
-
-    def __sub__(self, other):
-        return FieldElement(self.field.sub(self.value, _code(other, self.field)), self.field)
-
-    def __mul__(self, other):
-        return FieldElement(self.field.mul(self.value, _code(other, self.field)), self.field)
-
-    def __truediv__(self, other):
-        return FieldElement(self.field.mul(self.value, self.field.inv(_code(other, self.field))), self.field)
-
-    def __neg__(self):
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field.pow(self.value, e), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.value == other.value and self.field == other.field
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.field.p, self.field.k))
-
-    def __repr__(self):
-        return f"F{self.field.q}({self.value})"
-
-
-def _code(x, field) -> int:
-    if isinstance(x, FieldElement):
-        if x.field != field:
-            raise ValueError("elements belong to different fields")
-        return x.value
-    return int(x) % field.q
 
 
 class FiniteField:
@@ -358,19 +305,6 @@ class FiniteField:
 
     # -- misc ---------------------------------------------------------------
 
-    def element(self, v) -> FieldElement:
-        return FieldElement(_code(v, self), self)
-
-    def zero(self) -> FieldElement:
-        return FieldElement(0, self)
-
-    def one(self) -> FieldElement:
-        return FieldElement(1, self)
-
-    def elements(self) -> Iterator[FieldElement]:
-        for v in range(self.q):
-            yield FieldElement(v, self)
-
     def require_square(self):
         if self.ell is None:
             raise NotASquareField(f"GF({self.q}) is not of the form GF(l^2)")
@@ -404,22 +338,22 @@ def make_field(p: int, k: int) -> FiniteField:
     return FiniteField(p, k)
 
 
-def _square_scan(field: FiniteField, predicate) -> list[FieldElement]:
+def _square_scan(field: FiniteField, predicate) -> list[int]:
     field.require_square()
-    return [field.element(v) for v in range(field.q) if predicate(v)]
+    return [v for v in range(field.q) if predicate(v)]
 
 
-def artin_schreier_kernel(field: FiniteField) -> list[FieldElement]:
+def artin_schreier_kernel(field: FiniteField) -> list[int]:
     """{a in GF(l^2) : a^l + a = 0}; additive group of exactly l shifts."""
     return _square_scan(field, lambda v: field.add(field.pow(v, field.ell), v) == 0)
 
 
-def subfield_units(field: FiniteField) -> list[FieldElement]:
+def subfield_units(field: FiniteField) -> list[int]:
     """Nonzero elements of the subfield GF(l) inside GF(l^2)."""
     return _square_scan(field, lambda v: v != 0 and field.pow(v, field.ell) == v)
 
 
-def norm_one_group(field: FiniteField) -> list[FieldElement]:
+def norm_one_group(field: FiniteField) -> list[int]:
     """{a in GF(l^2)* : a^(l+1) = 1}; cyclic of order l + 1."""
     return _square_scan(field, lambda v: v != 0 and field.pow(v, field.ell + 1) == 1)
 

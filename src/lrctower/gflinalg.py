@@ -59,10 +59,10 @@ def row_basis(field: FiniteField, mat) -> np.ndarray:
     return r[: len(pivots)]
 
 
-def in_rowspace(field: FiniteField, mat, vec) -> bool:
+def in_span(field: FiniteField, mat, rows) -> bool:
+    """True iff every row of ``rows`` lies in the row space of ``mat``."""
     m = as_matrix(field, mat)
-    v = as_matrix(field, vec)
-    return rank(field, m) == rank(field, np.vstack([m, v]))
+    return rank(field, m) == rank(field, np.vstack([m, as_matrix(field, rows)]))
 
 
 def rowspace_intersection(field: FiniteField, mat_a, mat_b) -> np.ndarray:
@@ -99,9 +99,3 @@ def matmul(field: FiniteField, a, b) -> np.ndarray:
         out = field.vec_add(out, field.vec_mul(a[:, h][:, None], b[h][None, :]))
     return out
 
-
-def solve_consistent(field: FiniteField, a, rhs) -> bool:
-    """True iff the linear system a @ x = rhs has a solution."""
-    a = as_matrix(field, a)
-    v = as_matrix(field, rhs).reshape(-1, 1)
-    return rank(field, a) == rank(field, np.hstack([a, v]))

@@ -146,7 +146,7 @@ def build_recovery_group(spec: TowerSpec, kind: str, *, shifts=None, order: int 
                     (xz-tower).
     """
     f = spec.field
-    kernel = {e.value for e in artin_schreier_kernel(f)}
+    kernel = set(artin_schreier_kernel(f))
     if kind == ADDITIVE:
         if spec.variant == GS95 and spec.m < 2:
             raise UnsupportedDepth("additive recovery groups need level m >= 2 on the xz-tower")
@@ -166,10 +166,10 @@ def build_recovery_group(spec: TowerSpec, kind: str, *, shifts=None, order: int 
         if order is None or order < 1:
             raise IllegalOrder("multiplicative group needs a positive order")
         if spec.variant == GS96:
-            pool = [e.value for e in subfield_units(f)]
+            pool = subfield_units(f)
             ambient = f.ell - 1
         else:
-            pool = [e.value for e in norm_one_group(f)]
+            pool = norm_one_group(f)
             ambient = f.ell + 1
         if ambient % order != 0:
             raise IllegalOrder(f"order {order} does not divide {ambient}")

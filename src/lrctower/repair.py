@@ -23,7 +23,6 @@ import numpy as np
 from . import gflinalg
 from .construct import LrcCode
 from .errors import DuplicateWValues, NotACodeword, TooLarge
-from .field import FieldElement, FiniteField
 
 DEFAULT_ENUM_CAP = 10**7
 EXHAUSTIVE_REPAIR_CAP = 10**4
@@ -42,50 +41,41 @@ class ErasurePattern:
             raise ValueError("set_choice must be 1 or 2")
 
 
-def lagrange_eval(fld: FiniteField, xs, ys, x0) -> int:
-    """Evaluate at x0 the unique degree < len(xs) polynomial through (xs, ys)."""
-    out = 0
-    for h, (xh, yh) in enumerate(zip(xs, ys)):
-        lam = 1
-        for h2, x2 in enumerate(xs):
-            if h2 == h:
-                continue
-            num = fld.sub(x0, x2)
-            den = fld.sub(xh, x2)
-            lam = fld.mul(lam, fld.mul(num, fld.inv(den)))
-        out = fld.add(out, fld.mul(lam, yh))
-    return out
+def check_coord(code: LrcCode, i: int) -> None:
+    """Reject a coordinate outside [0, n) rather than letting it wrap."""
+    if not 0 <= i < code.params.n:
+        raise ValueError(f"coordinate {i} out of range for n={code.params.n}")
 
 
-def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> FieldElement:
+def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> int:
     """Recover the erased symbol through the chosen recovery set."""
     fld = code.field
     i = pattern.coord
-    idx = code.recovery_sets[i][pattern.set_choice - 1]
-    wv = code.w_values(pattern.set_choice)
-    xs = [int(wv[h]) for h in idx]
-    x0 = int(wv[i])
-    nodes = xs + [x0]
-    if len(set(nodes)) != len(nodes):
-        raise DuplicateWValues(f"repair nodes for coordinate {i} collide: {nodes}")
-    ys = [int(pattern.codeword[h]) for h in idx]
+    check_coord(code, i)
+    idx, lam = _repair_weights(code, i, pattern.set_choice)
     if strict:
         known = [h for h in range(code.params.n) if h != i]
-        cols = code.generator_matrix[:, known]
         rhs = np.array([pattern.codeword[h] for h in known], dtype=np.int64)
-        if not gflinalg.solve_consistent(fld, cols.T, rhs):
+        if not gflinalg.in_span(fld, code.generator_matrix[:, known], rhs):
             raise NotACodeword("unerased symbols are not consistent with the code")
-    return FieldElement(lagrange_eval(fld, xs, ys, x0), fld)
+    out = 0
+    for h, l in zip(idx, lam):
+        out = fld.add(out, fld.mul(l, int(pattern.codeword[h])))
+    return out
 
 
-def _repair_weights(code: LrcCode, i: int, set_choice: int) -> tuple[tuple[int, ...], np.ndarray]:
+def _repair_weights(code: LrcCode, i: int, set_choice: int) -> tuple[tuple[int, ...], list[int]]:
     """Recovery-set indices and the Lagrange coefficients lambda_h such that
-    the erased symbol equals sum_h lambda_h * c_h."""
+    the erased symbol equals sum_h lambda_h * c_h, for the unique polynomial
+    of degree < |set| through the (repair-variable, symbol) pairs."""
     fld = code.field
     idx = code.recovery_sets[i][set_choice - 1]
     wv = code.w_values(set_choice)
     xs = [int(wv[h]) for h in idx]
     x0 = int(wv[i])
+    nodes = xs + [x0]
+    if len(set(nodes)) != len(nodes):
+        raise DuplicateWValues(f"repair nodes for coordinate {i} collide: {nodes}")
     lam = []
     for h, xh in enumerate(xs):
         v = 1
@@ -93,7 +83,7 @@ def _repair_weights(code: LrcCode, i: int, set_choice: int) -> tuple[tuple[int, 
             if h2 != h:
                 v = fld.mul(v, fld.mul(fld.sub(x0, x2), fld.inv(fld.sub(xh, x2))))
         lam.append(v)
-    return idx, np.array(lam, dtype=np.int64)
+    return idx, lam
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +182,7 @@ def verify_definition1(code: LrcCode, slow: bool = False) -> LocalityReport:
                         ok = False
                         break
             else:
-                cols = g[:, list(idx)]
-                target = g[:, [i]]
-                ok = gflinalg.rank(fld, cols.T) == gflinalg.rank(
-                    fld, np.vstack([cols.T, target.T])
-                )
+                ok = gflinalg.in_span(fld, g[:, list(idx)].T, g[:, i])
             verdicts.append(ok)
             if not ok:
                 report.failures.append(
@@ -207,15 +193,23 @@ def verify_definition1(code: LrcCode, slow: bool = False) -> LocalityReport:
 
 
 def repair_roundtrip_counts(code: LrcCode, codewords: np.ndarray) -> int:
-    """Number of (codeword, coordinate, set) repair mismatches; 0 when exact."""
+    """Number of (codeword, coordinate, set) repair mismatches; 0 when exact.
+
+    A (coordinate, set) whose interpolation nodes collide cannot repair at
+    all, so it counts as a mismatch for every codeword.
+    """
     fld = code.field
     mism = 0
     for i in range(code.params.n):
         for j in (1, 2):
-            idx, lam = _repair_weights(code, i, j)
+            try:
+                idx, lam = _repair_weights(code, i, j)
+            except DuplicateWValues:
+                mism += codewords.shape[0]
+                continue
             acc = np.zeros(codewords.shape[0], dtype=np.int64)
             for h, l in zip(idx, lam):
-                acc = fld.vec_add(acc, fld.vec_mul(codewords[:, h], int(l)))
+                acc = fld.vec_add(acc, fld.vec_mul(codewords[:, h], l))
             mism += int(np.count_nonzero(acc != codewords[:, i]))
     return mism
 

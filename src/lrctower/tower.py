@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import UnsupportedDepth, VariantMismatch
-from .field import FieldElement, FiniteField
+from .field import FiniteField
 
 GS96 = "gs96"
 GS95 = "gs95"
@@ -66,6 +66,11 @@ class TowerSpec:
         return (self.ell, self.ell + 1)
 
     def places(self) -> list["Place"]:
+        """All completely-splitting places in canonical (lexicographic) order.
+
+        Counts: (q - l) * l^(m-1) for the y-tower, (q - 1) * l^(m-1) for the
+        xz-tower.
+        """
         if self._places is None:
             self._places = _enumerate(self)
             self._index = {p.coords: p.index for p in self._places}
@@ -128,15 +133,6 @@ def _enumerate(spec: TowerSpec) -> list[Place]:
             nxt.extend(t + (s,) for s in sorted(sols))
         tuples = nxt
     return [Place(coords=t, spec=spec, index=i) for i, t in enumerate(tuples)]
-
-
-def enumerate_places(spec: TowerSpec) -> list[Place]:
-    """All completely-splitting places in canonical (lexicographic) order.
-
-    Counts: (q - l) * l^(m-1) for the y-tower, (q - 1) * l^(m-1) for the
-    xz-tower.
-    """
-    return spec.places()
 
 
 def check_place(spec: TowerSpec, coords) -> tuple[bool, str]:
@@ -203,26 +199,9 @@ def pole_degree(f: MonomialFunction, spec: TowerSpec) -> int:
     return sum(w * t for w, t in zip(weights, f.total_exponents()))
 
 
-def evaluate(f: MonomialFunction, place: Place) -> FieldElement:
-    """Value of the monomial at a place (g-factors expanded numerically)."""
-    fld = place.spec.field
-    acc = 1
-    for e, a in zip(f.exponents, place.coords):
-        if e:
-            acc = fld.mul(acc, fld.pow(a, e))
-    w = place.coords[f.w_index]
-    if f.g_power:
-        g = 1
-        for root in f.g_roots:
-            g = fld.mul(g, fld.sub(w, root))
-        acc = fld.mul(acc, fld.pow(g, f.g_power))
-    if f.w_power:
-        acc = fld.mul(acc, fld.pow(w, f.w_power))
-    return FieldElement(acc, fld)
-
-
 def evaluate_vec(f: MonomialFunction, coords: np.ndarray, fld: FiniteField) -> np.ndarray:
-    """Vectorized evaluate over a (n, m) matrix of place coordinates."""
+    """Values of the monomial at a (n, m) matrix of place coordinates
+    (g-factors expanded numerically)."""
     acc = np.ones(coords.shape[0], dtype=np.int64)
     for i, e in enumerate(f.exponents):
         if e:

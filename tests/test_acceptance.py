@@ -18,7 +18,6 @@ from lrctower import (
     build_recovery_group,
     combine,
     construct_lrc,
-    enumerate_places,
     genus,
     gs_line,
     make_field,
@@ -129,7 +128,7 @@ def test_c4_group_structure_suite():
                     assert conj.scalar == 1
                     assert conj.shift == fld.mul(t.scalar, s.shift)
                     checked_pairs += 1
-            for p in enumerate_places(spec):
+            for p in spec.places():
                 images = {apply(x, p).coords for x in g.elements}
                 assert len(images) == g.order
                 checked_orbits += 1
@@ -146,9 +145,9 @@ def test_c5_counting_and_genus_suite():
     for ell, fld in fields.items():
         q = fld.q
         for m in (1, 2, 3):
-            assert len(enumerate_places(TowerSpec("gs96", fld, m))) == (q - ell) * ell ** (m - 1)
+            assert len(TowerSpec("gs96", fld, m).places()) == (q - ell) * ell ** (m - 1)
         for m in (1, 2):
-            assert len(enumerate_places(TowerSpec("gs95", fld, m))) == (q - 1) * ell ** (m - 1)
+            assert len(TowerSpec("gs95", fld, m).places()) == (q - 1) * ell ** (m - 1)
     genus_table = {
         (2, 1): 0, (2, 2): 1, (2, 3): 3,
         (3, 1): 0, (3, 2): 4, (3, 3): 16,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -59,6 +60,40 @@ def test_verify_fails_on_corrupted_recovery_index(tmp_path, capsys):
     bad.write_text(json.dumps(desc))
     assert main(["verify", "--in", str(bad)]) == 1
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_verify_fails_on_repeated_recovery_index(tmp_path, capsys):
+    # the repeated index makes two Lagrange nodes coincide
+    out = tmp_path / "code.json"
+    main(GOLDEN_ARGS + ["--out", str(out)])
+    desc = json.loads(out.read_text())
+    desc["recovery_sets"][0]["set1"] = [2, 2]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    assert main(["verify", "--in", str(bad)]) == 1
+    assert capsys.readouterr().out.strip().endswith("FAILED")
+
+
+# descriptor sha256 of the ladder codes; any change to descriptor bytes is a
+# behaviour change and must show up here
+DESCRIPTOR_PINS = {
+    "golden": (GOLDEN_ARGS[1:],
+               "4800ea8df2acd17e7881fa13e6afb29992ba984bea319b9c7be0c570c89819d6"),
+    "ytower18": (["--variant", "gs96", "--ell", "3", "--m", "2", "--group1", "add:kernel",
+                  "--group2", "mul:2", "--distance", "6"],
+                 "b5cff435b55a13546a516cb0bc6ae7c84bdd78d740323f6ef46f227380d521b8"),
+    "hermitian": (["--variant", "gs95", "--ell", "5", "--m", "2", "--group1", "norm1:2",
+                   "--group2", "norm1:3", "--distance", "100"],
+                  "a2989475ea971eca78d7a5d4d6caf5d2e5a319752757b723bda63b4314166f08"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESCRIPTOR_PINS))
+def test_descriptor_bytes_pinned(name, tmp_path):
+    args, digest = DESCRIPTOR_PINS[name]
+    out = tmp_path / f"{name}.json"
+    assert main(["construct", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_conflicting_groups_error(tmp_path, capsys):
@@ -140,3 +175,11 @@ def test_tradeoff_denominator_zero(capsys):
     assert main(["tradeoff", "--ell", "4", "--r1", "1", "--r2", "1",
                  "--variant", "thm34"]) == 1
     assert "undefined" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coord", ["-1", "6"])
+def test_repair_demo_rejects_out_of_range_coord(tmp_path, capsys, coord):
+    out = tmp_path / "code.json"
+    main(GOLDEN_ARGS + ["--out", str(out)])
+    assert main(["repair-demo", "--in", str(out), "--coord", coord]) == 1
+    assert f"error: coordinate {coord} out of range for n=6" in capsys.readouterr().err

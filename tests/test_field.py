@@ -71,25 +71,25 @@ def test_field_axioms_on_random_triples(p, k):
 
 def test_element_wrapper_operations():
     f = make_field(3, 2)
-    t = f.element(3)
-    assert (t * t).value == 2  # t^2 = -1
-    assert (t + t).value == 6
-    assert (-t).value == 6
-    assert (t / t).value == 1
-    assert t**4 == f.one()
+    t = 3
+    assert f.mul(t, t) == 2  # t^2 = -1
+    assert f.add(t, t) == 6
+    assert f.neg(t) == 6
+    assert f.mul(t, f.inv(t)) == 1
+    assert f.pow(t, 4) == 1
 
 
 def test_kernel_gf9_and_gf4():
     f9 = make_field(3, 2)
-    assert [e.value for e in artin_schreier_kernel(f9)] == [0, 3, 6]
+    assert artin_schreier_kernel(f9) == [0, 3, 6]
     f4 = make_field(2, 2)
-    assert [e.value for e in artin_schreier_kernel(f4)] == [0, 1]
+    assert artin_schreier_kernel(f4) == [0, 1]
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 4), (5, 2)])
 def test_kernel_is_additive_group_of_size_ell(p, k):
     f = make_field(p, k)
-    ker = {e.value for e in artin_schreier_kernel(f)}
+    ker = set(artin_schreier_kernel(f))
     assert len(ker) == f.ell
     for a in ker:
         for b in ker:
@@ -97,14 +97,14 @@ def test_kernel_is_additive_group_of_size_ell(p, k):
     # stable under scaling by the subfield
     for c in subfield_units(f):
         for a in ker:
-            assert f.mul(c.value, a) in ker
+            assert f.mul(c, a) in ker
 
 
 def test_subfield_units():
-    assert [e.value for e in subfield_units(make_field(3, 2))] == [1, 2]
-    assert [e.value for e in subfield_units(make_field(2, 2))] == [1]
+    assert subfield_units(make_field(3, 2)) == [1, 2]
+    assert subfield_units(make_field(2, 2)) == [1]
     f25 = make_field(5, 2)
-    units = {e.value for e in subfield_units(f25)}
+    units = set(subfield_units(f25))
     assert len(units) == 4
     for a in units:
         for b in units:
@@ -114,7 +114,7 @@ def test_subfield_units():
 @pytest.mark.parametrize("p,k,size", [(3, 2, 4), (5, 2, 6), (2, 4, 5)])
 def test_norm_one_group(p, k, size):
     f = make_field(p, k)
-    grp = {e.value for e in norm_one_group(f)}
+    grp = set(norm_one_group(f))
     assert len(grp) == f.ell + 1 == size
     assert 1 in grp
     for a in grp:

@@ -5,7 +5,6 @@ from lrctower import (
     artin_schreier_kernel,
     build_recovery_group,
     combine,
-    enumerate_places,
     make_field,
     orbit,
     orbits_disjoint,
@@ -47,7 +46,7 @@ def test_builder_errors(gf9, gf25):
 
 def test_additive_closure_from_generators(gf16):
     spec = TowerSpec("gs96", gf16, 2)
-    ker = [e.value for e in artin_schreier_kernel(gf16)]
+    ker = artin_schreier_kernel(gf16)
     nz = [a for a in ker if a]
     h = build_recovery_group(spec, "additive", shifts=nz[:1])
     assert h.order == 2 and 0 in h.shifts
@@ -57,7 +56,7 @@ def test_additive_closure_from_generators(gf16):
 
 def test_apply_worked_example(gf9):
     spec = TowerSpec("gs96", gf9, 2)
-    places = enumerate_places(spec)
+    places = spec.places()
     p = next(x for x in places if x.coords[0] == 1)
     sigma = Automorphism("gs96", 2, 3, gf9)
     img = apply(sigma, p)
@@ -69,7 +68,7 @@ def test_apply_preserves_membership(gf9, gf25):
     spec = TowerSpec("gs96", gf9, 2)
     h1 = build_recovery_group(spec, "additive", shifts="kernel")
     h2 = build_recovery_group(spec, "multiplicative", order=2)
-    for p in enumerate_places(spec):
+    for p in spec.places():
         for g in h1.elements + h2.elements:
             apply(g, p)  # place_index lookup raises if the image left the set
 
@@ -115,7 +114,7 @@ def test_combine_rejects_overlap(gf9):
 def test_combine_rejects_non_normalizing_scalars(gf16):
     # {0, a} is not stable under the order-3 scalar group (c*a leaves the set)
     spec = TowerSpec("gs96", gf16, 1)
-    ker = [e.value for e in artin_schreier_kernel(gf16) if e.value]
+    ker = [a for a in artin_schreier_kernel(gf16) if a]
     h1 = build_recovery_group(spec, "additive", shifts=ker[:1])
     h2 = build_recovery_group(spec, "multiplicative", order=3)
     with pytest.raises(NotASubgroup):
@@ -125,7 +124,7 @@ def test_combine_rejects_non_normalizing_scalars(gf16):
 def test_combine_direct_product_gf64_additive_pair():
     f64 = make_field(2, 6)
     spec = TowerSpec("gs95", f64, 2)
-    ker = [e.value for e in artin_schreier_kernel(f64) if e.value]
+    ker = [a for a in artin_schreier_kernel(f64) if a]
     w1 = build_recovery_group(spec, "additive", shifts=ker[:2])
     leftover = [a for a in ker if a not in w1.shifts]
     w2 = build_recovery_group(spec, "additive", shifts=leftover[:1])
@@ -137,7 +136,7 @@ def test_orbit_sizes_and_w_separation(gf9):
     spec = TowerSpec("gs96", gf9, 2)
     h1 = build_recovery_group(spec, "additive", shifts="kernel")
     h2 = build_recovery_group(spec, "multiplicative", order=2)
-    for p in enumerate_places(spec):
+    for p in spec.places():
         for h in (h1, h2):
             orb = orbit(h, p)
             assert len({x.coords for x in orb}) == h.order
@@ -151,14 +150,14 @@ def test_orbits_disjoint_hermitian(gf25):
     h1 = build_recovery_group(spec, "multiplicative", order=2)
     h2 = build_recovery_group(spec, "multiplicative", order=3)
     assert combine(h1, h2).structure == "direct"
-    for p in enumerate_places(spec):
+    for p in spec.places():
         assert orbits_disjoint(h1, h2, p)
 
 
 def test_orbit_worked_example(gf9):
     spec = TowerSpec("gs96", gf9, 2)
     h1 = build_recovery_group(spec, "additive", shifts="kernel")
-    p = next(x for x in enumerate_places(spec) if x.coords[0] == 4)  # 1 + t
+    p = next(x for x in spec.places() if x.coords[0] == 4)  # 1 + t
     orb = {x.coords for x in orbit(h1, p)}
     a2 = p.coords[1]
     assert orb == {(4, a2), (4, gf9.add(a2, 3)), (4, gf9.add(a2, 6))}

@@ -55,16 +55,16 @@ def test_repair_worked_example(gf9, golden_code):
     )
     assert word == (2, 2, 8, 5, 5, 8)
     got = repair(golden_code, ErasurePattern(word, 0, 2))
-    assert got.value == 2
+    assert got == 2
     got = repair(golden_code, ErasurePattern(word, 0, 1))
-    assert got.value == 2
+    assert got == 2
 
 
 def test_repair_all_zero_codeword(golden_code):
     zero = (0,) * 6
     for i in range(6):
         for j in (1, 2):
-            assert repair(golden_code, ErasurePattern(zero, i, j)).value == 0
+            assert repair(golden_code, ErasurePattern(zero, i, j)) == 0
 
 
 def test_repair_random_codewords_both_sets(golden_code, tower_code):
@@ -74,7 +74,7 @@ def test_repair_random_codewords_both_sets(golden_code, tower_code):
             word = tuple(int(x) for x in w)
             for i in range(code.params.n):
                 for j in (1, 2):
-                    assert repair(code, ErasurePattern(word, i, j)).value == word[i]
+                    assert repair(code, ErasurePattern(word, i, j)) == word[i]
 
 
 def test_repair_strict_mode(golden_code):
@@ -85,9 +85,8 @@ def test_repair_strict_mode(golden_code):
         repair(golden_code, ErasurePattern(tuple(word), 0, 1), strict=True)
 
 
-def test_repair_duplicate_w_values_detected(tower_code):
-    # tamper: point a recovery set at two places sharing the repair value
-    code = tower_code
+def _duplicate_w_code(code):
+    """Tamper: point a recovery set at two places sharing the repair value."""
     widx = code.group1.w_index
     by_w = {}
     for p in code.places:
@@ -101,9 +100,27 @@ def test_repair_duplicate_w_values_detected(tower_code):
         generator_matrix=code.generator_matrix, recovery_sets=bad_sets,
         params=code.params, dims=code.dims,
     )
-    zero = (0,) * code.params.n
+    return tampered
+
+
+def test_repair_duplicate_w_values_detected(tower_code):
+    zero = (0,) * tower_code.params.n
     with pytest.raises(DuplicateWValues):
-        repair(tampered, ErasurePattern(zero, 0, 1))
+        repair(_duplicate_w_code(tower_code), ErasurePattern(zero, 0, 1))
+
+
+def test_verify_reports_duplicate_w_values(tower_code):
+    # colliding nodes fail every round trip of that (coordinate, set)
+    rep = verify_code(_duplicate_w_code(tower_code))
+    assert rep.ok is False
+    assert rep.repair_mismatches >= rep.repair_words
+
+
+def test_repair_rejects_out_of_range_coord(golden_code):
+    zero = (0,) * 6
+    for i in (-1, 6):
+        with pytest.raises(ValueError, match=f"coordinate {i} out of range for n=6"):
+            repair(golden_code, ErasurePattern(zero, i, 1))
 
 
 def test_definition1_passes_and_slow_mode_agrees(golden_code):
