@@ -1,8 +1,9 @@
 """Hermitian-level code over GF(25): 120 places, norm-one scalar groups of
 orders 2 and 3 acting on x, localities (1, 2).
 
-Pass --exact to also enumerate all 25^5 codewords for the true minimum
-distance (about ten seconds).
+Pass --exact to also find the true minimum distance. Weight does not change
+under nonzero scaling, so the search visits one codeword per scalar class:
+406,901 of the 25^5 (well under a second).
 """
 
 import sys
@@ -33,7 +34,7 @@ print("locality + repair checks:", "OK" if report.ok else "FAILED")
 
 if "--exact" in sys.argv:
     d = brute_force_distance(code)
-    print(f"exact minimum distance over all 25^5 codewords: {d}")
+    print(f"exact minimum distance over the 25^5 codewords: {d}")
     print("(x^4 - c vanishes on 20 places, so weight 100 is attained)")
 else:
-    print("run with --exact to enumerate all 9.7M codewords")
+    print("run with --exact for the exact minimum distance")

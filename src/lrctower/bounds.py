@@ -180,6 +180,8 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
 def btv_line(ell: int, r1: int, r2: int, check: bool = True) -> TradeoffLine:
     """Direct-product line on the xz-tower: slope (r1+1)(r2+1)/(r1 r2),
     intercept (l-2)/(l-1) - (r1+r2-2)/(q-1)."""
+    if r1 * r2 == 0:
+        raise DenominatorZero("trade-off line undefined at r1 = 0 or r2 = 0")
     if check:
         check_regime(BTV, ell, r1, r2)
     q = ell * ell

@@ -91,11 +91,21 @@ def code_from_descriptor(desc: dict) -> LrcCode:
     gen = np.array(desc["generator_matrix"], dtype=np.int64)
     if gen.ndim != 2:
         raise ValueError("generator matrix must be two-dimensional")
-    recovery = [(tuple(), tuple())] * len(places)
-    for entry in desc["recovery_sets"]:
-        i = int(entry["coord"])
-        recovery[i] = (tuple(int(x) for x in entry["set1"]),
-                       tuple(int(x) for x in entry["set2"]))
+    n = len(places)
+
+    def index(path: str, value) -> int:
+        i = int(value)
+        if not 0 <= i < n:
+            raise ValueError(f"{path} = {i} out of range for n={n}")
+        return i
+
+    recovery = [(tuple(), tuple())] * n
+    for e, entry in enumerate(desc["recovery_sets"]):
+        i = index(f"recovery_sets[{e}].coord", entry["coord"])
+        recovery[i] = tuple(
+            tuple(index(f"recovery_sets[{e}].{key}[{h}]", x) for h, x in enumerate(entry[key]))
+            for key in ("set1", "set2")
+        )
     p = desc["params"]
     params = CodeParams(
         n=int(p["n"]), k=int(p["k"]), d_designed=int(p["d_designed"]),

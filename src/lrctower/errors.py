@@ -74,7 +74,9 @@ class NotAPrimePower(LrcError):
 
 
 class DenominatorZero(LrcError):
-    """Trade-off line undefined: r1*r2 - 1 vanishes at r1 = r2 = 1."""
+    """Trade-off line undefined: its slope denominator vanishes (r1*r2 - 1
+    at r1 = r2 = 1 on the tower lines, r1*r2 at r1 = 0 or r2 = 0 on the
+    direct-product line)."""
 
 
 class RegimeViolation(LrcError):

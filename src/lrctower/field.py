@@ -8,7 +8,10 @@ encoding is reproducible everywhere.
 
 Multiplication runs on dense log/antilog tables.  For small fields
 (q <= TABLE_CAP) full q x q add/mul tables back the vectorized numpy paths
-used by the linear-algebra and enumeration layers.
+used by the linear-algebra and enumeration layers.  Every table of element
+codes, and so every vectorized result, is stored in ``FiniteField.dtype``:
+the narrowest unsigned type that holds q - 1 (uint8 up to q = 256, uint16
+above).
 """
 
 from __future__ import annotations
@@ -143,6 +146,7 @@ class FiniteField:
         if k > 1 and not _is_irreducible(modulus, p):
             raise ValueError("modulus is reducible")
         self.modulus = modulus
+        self.dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
         self._build_tables()
         self._as_preimages: dict[int, list[int]] | None = None
 
@@ -206,7 +210,7 @@ class FiniteField:
             exp[i] = x
             log[x] = i
             x = self._mul_poly(x, g)
-        self.exp_table = exp
+        self.exp_table = exp.astype(self.dtype)
         self.log_table = log
         # negation: digitwise p-complement
         codes = np.arange(q, dtype=np.int64)
@@ -214,17 +218,17 @@ class FiniteField:
         for i in range(self.k):
             d = (codes // self.p**i) % self.p
             neg += ((self.p - d) % self.p) * self.p**i
-        self.neg_table = neg
+        self.neg_table = neg.astype(self.dtype)
         if q <= TABLE_CAP:
             add = np.zeros((q, q), dtype=np.int64)
             for i in range(self.k):
                 da = (codes // self.p**i) % self.p
                 add += ((da[:, None] + da[None, :]) % self.p) * self.p**i
-            self.add_table = add.astype(np.uint16)
+            self.add_table = add.astype(self.dtype)
             lg = np.where(log < 0, 0, log)
             mul = exp[(lg[:, None] + lg[None, :]) % (q - 1)] if q > 2 else np.array([[0, 0], [0, 1]])
             mul = np.where((codes[:, None] == 0) | (codes[None, :] == 0), 0, mul)
-            self.mul_table = mul.astype(np.uint16)
+            self.mul_table = mul.astype(self.dtype)
         else:
             self.add_table = None
             self.mul_table = None
@@ -276,10 +280,10 @@ class FiniteField:
         for i in range(self.k):
             pi = self.p**i
             out += ((a // pi + b // pi) % self.p) * pi
-        return out
+        return out.astype(self.dtype)
 
     def vec_neg(self, a):
-        return self.neg_table[np.asarray(a, dtype=np.int64)]
+        return self.neg_table[np.asarray(a)]
 
     def vec_sub(self, a, b):
         return self.vec_add(a, self.vec_neg(b))
@@ -299,7 +303,7 @@ class FiniteField:
     def vec_pow(self, a, e: int):
         a = np.asarray(a, dtype=np.int64)
         if e == 0:
-            return np.ones_like(a)
+            return np.ones(a.shape, dtype=self.dtype)
         out = self.exp_table[(np.maximum(self.log_table[a], 0) * e) % (self.q - 1)]
         return np.where(a == 0, 0, out)
 

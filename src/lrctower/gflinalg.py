@@ -42,8 +42,9 @@ def rref(field: FiniteField, mat) -> tuple[np.ndarray, list[int]]:
         m[r] = field.vec_mul(m[r], field.inv(int(m[r, c])))
         others = [i for i in range(rows) if i != r and m[i, c] != 0]
         if others:
-            factors = m[others, c]
-            m[others] = field.vec_sub(m[others], field.vec_mul(factors[:, None], m[r][None, :]))
+            # -(f * x) = (-f) * x: negate the factors, not the product
+            neg_factors = field.vec_neg(m[others, c])
+            m[others] = field.vec_add(m[others], field.vec_mul(neg_factors[:, None], m[r][None, :]))
         pivots.append(c)
         r += 1
     return m, pivots

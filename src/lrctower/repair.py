@@ -10,6 +10,12 @@ Locality is checked by the linear determination criterion: coordinate i is
 a function of the coordinates in I iff generator column g_i lies in the
 span of the columns indexed by I.  An exponential projection check over
 all codewords is kept as a slow mode to certify the fast one on tiny codes.
+
+Exact minimum distance enumerates one codeword per scalar class: Hamming
+weight does not change under multiplication by a nonzero scalar, so the
+messages whose leading nonzero symbol is 1 reach every weight, and the
+sweep costs (q^k - 1)/(q - 1) codewords instead of q^k.  The enumeration
+cap is still compared with q^k.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .construct import LrcCode
 from .errors import DuplicateWValues, NotACodeword, TooLarge
 
 DEFAULT_ENUM_CAP = 10**7
+BLOCK_ROWS = 1 << 14  # rows per enumeration block; bounds its memory, not its result
 EXHAUSTIVE_REPAIR_CAP = 10**4
 
 
@@ -90,37 +97,45 @@ def _repair_weights(code: LrcCode, i: int, set_choice: int) -> tuple[tuple[int, 
 # codeword enumeration and sampling
 # ---------------------------------------------------------------------------
 
-def iter_codeword_blocks(code: LrcCode, block_rows: int = 400_000):
-    """Yield all q^k codewords as stacked blocks (message order is the
-    odometer over message symbols, all-zero message first)."""
-    fld = code.field
-    g = code.generator_matrix
-    k, n = g.shape
+def span_blocks(fld, rows, offset=None, block_rows: int = BLOCK_ROWS):
+    """Yield ``offset`` plus every GF(q)-combination of ``rows`` (q^len(rows)
+    words, offset alone first; zero offset by default) as stacked blocks in
+    ``fld.dtype``.
+
+    The first j rows, with q^j <= block_rows, form one prefix block; the
+    odometer over the coefficients of the remaining rows shifts it, one
+    block per coefficient tuple.
+    """
+    rows = np.asarray(rows)
+    k, n = rows.shape
     q = fld.q
     j = 0
     while j < k and q ** (j + 1) <= block_rows:
         j += 1
     j = max(j, 1) if k >= 1 else 0
-    prefix = np.zeros((1, n), dtype=np.int64)
-    for lvl in range(j):
-        row_scaled = fld.vec_mul(np.arange(q)[:, None], g[lvl][None, :])
-        prefix = fld.vec_add(prefix[:, None, :], row_scaled[None, :, :]).reshape(-1, n)
+    zero = np.zeros(n, dtype=fld.dtype)
+    prefix = (zero if offset is None else fld.vec_add(zero, offset))[None, :]
+    scalars = np.arange(q, dtype=fld.dtype)[:, None]
+    for row in rows[:j]:
+        scaled = fld.vec_mul(scalars, row[None, :])
+        prefix = fld.vec_add(prefix[:, None, :], scaled[None, :, :]).reshape(-1, n)
     if j == k:
         yield prefix
         return
     for tail in itertools.product(range(q), repeat=k - j):
-        suffix = np.zeros(n, dtype=np.int64)
-        for lvl, c in enumerate(tail):
+        suffix = np.zeros(n, dtype=fld.dtype)
+        for c, row in zip(tail, rows[j:]):
             if c:
-                suffix = fld.vec_add(suffix, fld.vec_mul(np.full(n, c), g[j + lvl]))
+                suffix = fld.vec_add(suffix, fld.vec_mul(c, row))
         yield fld.vec_add(prefix, suffix[None, :])
 
 
 def all_codewords(code: LrcCode, cap: int = EXHAUSTIVE_REPAIR_CAP) -> np.ndarray:
+    """Every codeword, the all-zero one first."""
     q, k = code.field.q, code.params.k
     if q**k > cap:
         raise TooLarge(f"q^k = {q**k} exceeds cap {cap}")
-    return np.vstack(list(iter_codeword_blocks(code)))
+    return np.vstack(list(span_blocks(code.field, code.generator_matrix)))
 
 
 def random_codewords(code: LrcCode, count: int, seed: int = 0) -> np.ndarray:
@@ -217,22 +232,23 @@ def repair_roundtrip_counts(code: LrcCode, codewords: np.ndarray) -> int:
 def brute_force_distance(code: LrcCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Exact minimum Hamming weight over all nonzero codewords.
 
-    Enumerates the message space in vectorized blocks; raises TooLarge when
-    q^k exceeds the cap.
+    Weight is invariant under nonzero scaling, so one message per scalar
+    class is enough: the one whose leading nonzero symbol is 1.  For each
+    lead row g[l] that is g[l] + span(g[l+1:]), (q^k - 1)/(q - 1) codewords
+    in all, and the minimum over them is the minimum over all q^k - 1
+    nonzero messages (a rank-deficient generator still yields its zero
+    words, at weight 0).  The cap still applies to q^k, so exactly the same
+    codes are enumerated or raise TooLarge.
     """
     q, k = code.field.q, code.params.k
     total = q**k
     if total > cap:
         raise TooLarge(f"q^k = {total} exceeds enumeration cap {cap}")
+    g = code.generator_matrix
     best = code.params.n
-    first = True
-    for block in iter_codeword_blocks(code):
-        weights = np.count_nonzero(block, axis=1)
-        if first:
-            weights = weights[1:]  # drop the all-zero message
-            first = False
-        if weights.size:
-            best = min(best, int(weights.min()))
+    for lead in range(g.shape[0]):
+        for block in span_blocks(code.field, g[lead + 1:], offset=g[lead]):
+            best = min(best, int(np.count_nonzero(block, axis=1).min()))
     return best
 
 

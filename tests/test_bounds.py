@@ -122,6 +122,10 @@ def test_tradeoff_errors():
         gs_line(4, 1, 1, "thm34")
     with pytest.raises(DenominatorZero):
         gs_line(4, 1, 1, "thm35")
+    for r1, r2 in ((0, 3), (3, 0), (0, 0)):
+        for check in (True, False):
+            with pytest.raises(DenominatorZero, match="r1 = 0 or r2 = 0"):
+                btv_line(8, r1, r2, check=check)
     with pytest.raises(RegimeViolation):
         btv_line(8, 3, 1)  # 4 does not divide 9
     with pytest.raises(RegimeViolation):

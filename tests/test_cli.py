@@ -4,7 +4,12 @@ import json
 import pytest
 
 from lrctower.cli import main
-from lrctower.descriptor import code_to_descriptor, descriptor_bytes, load_code
+from lrctower.descriptor import (
+    code_from_descriptor,
+    code_to_descriptor,
+    descriptor_bytes,
+    load_code,
+)
 
 
 GOLDEN_ARGS = [
@@ -72,6 +77,22 @@ def test_verify_fails_on_repeated_recovery_index(tmp_path, capsys):
     bad.write_text(json.dumps(desc))
     assert main(["verify", "--in", str(bad)]) == 1
     assert capsys.readouterr().out.strip().endswith("FAILED")
+
+
+@pytest.mark.parametrize("field, value", [("k", 3), ("k", 1), ("rows", 1)])
+def test_verify_fails_on_dimension_mismatch(tmp_path, capsys, field, value):
+    # params.k disagrees with the generator's row count: FAILED, not a traceback
+    out = tmp_path / "code.json"
+    main(GOLDEN_ARGS + ["--out", str(out)])
+    desc = json.loads(out.read_text())
+    if field == "k":
+        desc["params"]["k"] = value
+    else:
+        desc["generator_matrix"] = desc["generator_matrix"][:value]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    assert main(["verify", "--in", str(bad)]) == 1
+    assert "parameter block inconsistent with matrix shape" in capsys.readouterr().out
 
 
 # descriptor sha256 of the ladder codes; any change to descriptor bytes is a
@@ -177,6 +198,50 @@ def test_tradeoff_denominator_zero(capsys):
     assert main(["tradeoff", "--ell", "4", "--r1", "1", "--r2", "1",
                  "--variant", "thm34"]) == 1
     assert "undefined" in capsys.readouterr().err
+
+
+def test_tradeoff_btv_zero_locality(capsys):
+    assert main(["tradeoff", "--ell", "8", "--r1", "0", "--r2", "3",
+                 "--variant", "btv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "r1 = 0 or r2 = 0" in err
+
+
+# (entry, field, position in the set or None, bad value) for the golden n=6 code
+BAD_RECOVERY_INDICES = [
+    (3, "coord", None, -1), (3, "coord", None, 6),
+    (0, "set1", 0, -1), (5, "set1", 0, 6),
+    (2, "set2", 0, -1), (3, "set2", 0, 6),
+]
+
+
+def _with_bad_index(desc, entry, key, pos, value):
+    desc = json.loads(json.dumps(desc))
+    if pos is None:
+        desc["recovery_sets"][entry][key] = value
+        path = f"recovery_sets[{entry}].{key}"
+    else:
+        desc["recovery_sets"][entry][key][pos] = value
+        path = f"recovery_sets[{entry}].{key}[{pos}]"
+    return desc, f"{path} = {value} out of range for n=6"
+
+
+@pytest.mark.parametrize("entry, key, pos, value", BAD_RECOVERY_INDICES)
+def test_descriptor_rejects_out_of_range_recovery_index(golden_code, entry, key, pos, value):
+    desc, message = _with_bad_index(code_to_descriptor(golden_code), entry, key, pos, value)
+    with pytest.raises(ValueError) as exc:
+        code_from_descriptor(desc)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entry, key, pos, value", BAD_RECOVERY_INDICES)
+def test_verify_rejects_out_of_range_recovery_index(tmp_path, capsys, golden_code,
+                                                    entry, key, pos, value):
+    desc, message = _with_bad_index(code_to_descriptor(golden_code), entry, key, pos, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    assert main(["verify", "--in", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("coord", ["-1", "6"])

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from lrctower import artin_schreier_kernel, make_field, norm_one_group, subfield_units
@@ -164,3 +165,22 @@ def test_vectorized_paths_match_scalar():
         assert (f.vec_add(a, b) == va).all()
     finally:
         f.add_table = table
+
+
+@pytest.mark.parametrize("p, k, dtype", [(3, 2, np.uint8), (2, 8, np.uint8),
+                                         (257, 1, np.uint16), (1031, 1, np.uint16)])
+def test_vector_results_use_narrowest_dtype(p, k, dtype):
+    # q <= 1024 goes through the add/mul tables, q = 1031 through the digit loop
+    f = make_field(p, k)
+    assert f.dtype == dtype
+    assert (f.add_table is None) == (f.q > 1024)
+    rng = np.random.default_rng(p)
+    a = rng.integers(0, f.q, 200)
+    b = rng.integers(0, f.q, 200)
+    va, vm = f.vec_add(a, b), f.vec_mul(a, b)
+    for out in (va, vm, f.vec_neg(a), f.vec_sub(a, b), f.vec_pow(a, 0), f.vec_pow(a, 5)):
+        assert out.dtype == dtype
+    for i in range(200):
+        x, y = int(a[i]), int(b[i])
+        assert int(va[i]) == f.add(x, y)
+        assert int(vm[i]) == f.mul(x, y)

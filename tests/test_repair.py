@@ -1,10 +1,12 @@
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lrctower import (
     ErasurePattern,
+    FiniteField,
     TowerSpec,
     brute_force_distance,
     build_recovery_group,
@@ -17,7 +19,8 @@ from lrctower import (
 )
 from lrctower.construct import CodeDims, CodeParams, LrcCode
 from lrctower.errors import DuplicateWValues, NotACodeword, TooLarge
-from lrctower.repair import all_codewords, random_codewords
+from lrctower.gflinalg import matmul, rank
+from lrctower.repair import all_codewords, random_codewords, span_blocks
 
 
 def scalar_min_distance(code):
@@ -45,6 +48,67 @@ def test_golden_distance_exactly_four(golden_code):
 
 def test_block_enumeration_matches_scalar_oracle(tower_code):
     assert brute_force_distance(tower_code) == scalar_min_distance(tower_code)
+
+
+def _bare_code(fld, gen):
+    """Just what the distance routines read: field, generator and (n, k)."""
+    gen = np.asarray(gen, dtype=np.int64)
+    return SimpleNamespace(field=fld, generator_matrix=gen,
+                           params=SimpleNamespace(k=gen.shape[0], n=gen.shape[1]))
+
+
+def _reed_solomon(fld, n, k):
+    """Rows x^0 .. x^(k-1) evaluated at the points 0 .. n-1; d = n - k + 1."""
+    pts = np.arange(n)
+    return np.array([fld.vec_pow(pts, i) for i in range(k)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("p, e, k, n", [(2, 2, 5, 9), (3, 2, 4, 8), (5, 2, 3, 7)])
+def test_projective_enumeration_matches_scalar_oracle_on_random_codes(p, e, k, n):
+    fld = make_field(p, e)
+    rng = np.random.default_rng(1000 * p + e)
+    for _ in range(3):
+        gen = rng.integers(0, fld.q, size=(k, n))
+        while rank(fld, gen) < k:
+            gen = rng.integers(0, fld.q, size=(k, n))
+        code = _bare_code(fld, gen)
+        assert brute_force_distance(code) == scalar_min_distance(code)
+
+
+@pytest.mark.parametrize("block_rows", [1, 10, 100, 10**6])
+def test_span_blocks_cover_offset_plus_span(gf9, block_rows):
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 9, size=(3, 7))
+    offset = rng.integers(0, 9, size=7)
+    got = np.vstack(list(span_blocks(gf9, rows, offset, block_rows=block_rows)))
+    assert got.dtype == gf9.dtype == np.uint8
+    msgs = np.array(list(product(range(9), repeat=3)), dtype=np.int64)
+    want = gf9.vec_add(matmul(gf9, msgs, rows), offset[None, :])
+    assert got[0].tolist() == offset.tolist()
+    assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
+
+
+def test_distance_uint16_tables_reed_solomon():
+    fld = make_field(257, 1)
+    assert fld.dtype == np.uint16 and fld.add_table is not None
+    n, k = 16, 3
+    code = _bare_code(fld, _reed_solomon(fld, n, k))
+    assert brute_force_distance(code, cap=fld.q**k) == n - k + 1
+
+
+def test_distance_digit_loop_path():
+    fld = FiniteField(1031, 1)
+    assert fld.add_table is None and fld.dtype == np.uint16
+    n = 12
+    code = _bare_code(fld, _reed_solomon(fld, n, 2))
+    assert brute_force_distance(code) == n - 1
+    # plant a weight-2 word w as the last row, then as g0 - 3 * g1 with
+    # g0 = w + 3u and g1 = u; every other class has weight >= n - 2
+    u = np.ones(n, dtype=np.int64)
+    w = np.zeros(n, dtype=np.int64)
+    w[[2, 7]] = [5, 1030]
+    for gen in ([u, w], [fld.vec_add(w, fld.vec_mul(3, u)), u]):
+        assert brute_force_distance(_bare_code(fld, gen)) == 2
 
 
 def test_repair_worked_example(gf9, golden_code):
