@@ -15,7 +15,8 @@ intersection code has designed distance d_target.  On the y-tower at level
 m >= 2 the generators have poles at different places, so a single budget is
 not enough: per-generator degree caps with cap-sum <= budget / l^(m-1) keep
 the joint pole divisor of all spanning functions below the budget.  The
-construction searches all cap splits and keeps the best dimension.
+construction scores each cap split by dim V1 + dim V2 - dim(V1 + V2), keeps
+the first best one and runs the Zassenhaus intersection on that split alone.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import gflinalg
 from .errors import BudgetTooSmall, EmptyCode, IllegalOrder
 from .field import FiniteField
-from .groups import ADDITIVE, MULTIPLICATIVE, CombinedGroup, RecoveryGroup, combine, orbit
+from .groups import ADDITIVE, MULTIPLICATIVE, RecoveryGroup, combine, orbit
 from .tower import GS95, GS96, MonomialFunction, Place, TowerSpec, evaluate_vec, pole_degree
 
 
@@ -163,7 +164,6 @@ class LrcCode:
     spec: TowerSpec
     group1: RecoveryGroup
     group2: RecoveryGroup
-    combined: CombinedGroup
     places: list[Place]
     generator_matrix: np.ndarray
     recovery_sets: list[tuple[tuple[int, ...], tuple[int, ...]]]
@@ -201,7 +201,7 @@ def _cap_profiles(spec: TowerSpec, budget: int) -> list[tuple[int, ...] | None]:
 def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_target: int) -> LrcCode:
     """Build the two invariant spaces, intersect their evaluation images and
     assemble the finished code with per-coordinate recovery sets."""
-    combined = combine(h1, h2)
+    combine(h1, h2)  # validates the pair: trivial intersection and closure
     if h1.order < 2 or h2.order < 2:
         raise IllegalOrder("recovery groups must have order >= 2")
     places = spec.places()
@@ -220,19 +220,20 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
     fld = spec.field
     best = None
     for caps in _cap_profiles(spec, budget):
-        v1 = spanning_set(spec, h1, budget, caps)
-        v2 = spanning_set(spec, h2, budget, caps)
-        m1 = evaluation_matrix(v1, places, fld)
-        m2 = evaluation_matrix(v2, places, fld)
-        basis = gflinalg.rowspace_intersection(fld, m1, m2)
-        if best is None or basis.shape[0] > best[0].shape[0]:
-            best = (basis, m1, m2, caps)
-    basis, m1, m2, caps = best
-    k = basis.shape[0]
+        spaces = (spanning_set(spec, h, budget, caps) for h in (h1, h2))
+        b1, b2 = (gflinalg.row_basis(fld, evaluation_matrix(v, places, fld)) for v in spaces)
+        dim_sum = gflinalg.rank(fld, np.vstack([b1, b2]))
+        score = len(b1) + len(b2) - dim_sum
+        if best is None or score > best[0]:
+            best = (score, b1, b2, dim_sum, caps)
+    k, b1, b2, dim_sum, caps = best
+    basis = gflinalg.rowspace_intersection(fld, b1, b2)
+    if basis.shape[0] != k:
+        raise AssertionError("Zassenhaus intersection disagrees with the rank identity")
     if k == 0:
         raise EmptyCode("the two evaluation spaces only meet in zero")
 
-    if not (gflinalg.in_span(fld, m1, basis) and gflinalg.in_span(fld, m2, basis)):
+    if not (gflinalg.in_span(fld, b1, basis) and gflinalg.in_span(fld, b2, basis)):
         raise AssertionError("intersection basis escaped a factor space")
 
     recovery = []
@@ -247,15 +248,12 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
             raise AssertionError("recovery sets overlap")
         recovery.append((sets[0], sets[1]))
 
-    dim1 = gflinalg.rank(fld, m1)
-    dim2 = gflinalg.rank(fld, m2)
-    dim_sum = gflinalg.rank(fld, np.vstack([m1, m2]))
     params = CodeParams(
         n=n, k=k, d_designed=d_target, r1=h1.r, r2=h2.r,
         q=fld.q, ell=fld.ell, m=spec.m, variant=spec.variant,
     )
-    dims = CodeDims(dim_v1=dim1, dim_v2=dim2, dim_sum=dim_sum, budget=budget, caps=caps)
+    dims = CodeDims(dim_v1=len(b1), dim_v2=len(b2), dim_sum=dim_sum, budget=budget, caps=caps)
     return LrcCode(
-        spec=spec, group1=h1, group2=h2, combined=combined, places=places,
+        spec=spec, group1=h1, group2=h2, places=places,
         generator_matrix=basis, recovery_sets=recovery, params=params, dims=dims,
     )

@@ -107,6 +107,9 @@ def code_from_descriptor(desc: dict) -> LrcCode:
             for key in ("set1", "set2")
         )
     p = desc["params"]
+    for key in ("n", "k", "d_designed", "r1", "r2"):
+        if key not in p:
+            raise ValueError(f"descriptor has no params.{key}")
     params = CodeParams(
         n=int(p["n"]), k=int(p["k"]), d_designed=int(p["d_designed"]),
         r1=int(p["r1"]), r2=int(p["r2"]),
@@ -118,10 +121,10 @@ def code_from_descriptor(desc: dict) -> LrcCode:
         dim_sum=int(d.get("dim_sum", 0)), budget=int(d.get("budget", 0)),
         caps=tuple(d["caps"]) if d.get("caps") is not None else None,
     )
+    combine(g1, g2)  # validates the pair: trivial intersection and closure
     return LrcCode(
-        spec=spec, group1=g1, group2=g2, combined=combine(g1, g2),
-        places=places, generator_matrix=gen, recovery_sets=recovery,
-        params=params, dims=dims,
+        spec=spec, group1=g1, group2=g2, places=places,
+        generator_matrix=gen, recovery_sets=recovery, params=params, dims=dims,
     )
 
 

@@ -69,9 +69,9 @@ def in_span(field: FiniteField, mat, rows) -> bool:
 def rowspace_intersection(field: FiniteField, mat_a, mat_b) -> np.ndarray:
     """Basis of rowspace(A) ∩ rowspace(B) via the doubled-block elimination.
 
-    Stack [[A A], [B 0]] and row-reduce; rows whose left half vanished carry
-    intersection vectors in their right half.  Output is in RREF, so the
-    basis is canonical.
+    Stack [[A A], [B 0]] and row-reduce.  The rows pivoting right of column n
+    have a zero left half, and their right halves already are the RREF basis
+    of the intersection, so the basis is canonical.
     """
     a = as_matrix(field, mat_a)
     b = as_matrix(field, mat_b)
@@ -80,13 +80,9 @@ def rowspace_intersection(field: FiniteField, mat_a, mat_b) -> np.ndarray:
     n = a.shape[1]
     top = np.hstack([a, a])
     bot = np.hstack([b, np.zeros_like(b)])
-    reduced, _ = rref(field, np.vstack([top, bot]))
-    left_zero = ~reduced[:, :n].any(axis=1)
-    nonzero_right = reduced[:, n:].any(axis=1)
-    cand = reduced[left_zero & nonzero_right, n:]
-    if cand.size == 0:
-        return np.zeros((0, n), dtype=np.int64)
-    return row_basis(field, cand)
+    reduced, pivots = rref(field, np.vstack([top, bot]))
+    split = sum(c < n for c in pivots)
+    return reduced[split:len(pivots), n:].copy()
 
 
 def matmul(field: FiniteField, a, b) -> np.ndarray:

@@ -132,7 +132,7 @@ def span_blocks(fld, rows, offset=None, block_rows: int = BLOCK_ROWS):
 
 def all_codewords(code: LrcCode, cap: int = EXHAUSTIVE_REPAIR_CAP) -> np.ndarray:
     """Every codeword, the all-zero one first."""
-    q, k = code.field.q, code.params.k
+    q, k = code.field.q, code.generator_matrix.shape[0]
     if q**k > cap:
         raise TooLarge(f"q^k = {q**k} exceeds cap {cap}")
     return np.vstack(list(span_blocks(code.field, code.generator_matrix)))
@@ -140,7 +140,7 @@ def all_codewords(code: LrcCode, cap: int = EXHAUSTIVE_REPAIR_CAP) -> np.ndarray
 
 def random_codewords(code: LrcCode, count: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    msgs = rng.integers(0, code.field.q, size=(count, code.params.k))
+    msgs = rng.integers(0, code.field.q, size=(count, code.generator_matrix.shape[0]))
     return gflinalg.matmul(code.field, msgs.astype(np.int64), code.generator_matrix)
 
 
@@ -240,13 +240,13 @@ def brute_force_distance(code: LrcCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     words, at weight 0).  The cap still applies to q^k, so exactly the same
     codes are enumerated or raise TooLarge.
     """
-    q, k = code.field.q, code.params.k
+    g = code.generator_matrix
+    q, k = code.field.q, g.shape[0]
     total = q**k
     if total > cap:
         raise TooLarge(f"q^k = {total} exceeds enumeration cap {cap}")
-    g = code.generator_matrix
     best = code.params.n
-    for lead in range(g.shape[0]):
+    for lead in range(k):
         for block in span_blocks(code.field, g[lead + 1:], offset=g[lead]):
             best = min(best, int(np.count_nonzero(block, axis=1).min()))
     return best
@@ -325,17 +325,17 @@ def verify_code(
     Repair uses every codeword when q^k <= 10^4, otherwise ``rounds`` seeded
     random ones.  Distance is enumerated exactly when q^k <= distance_cap;
     ``exact_distance=True`` forces the attempt (raising TooLarge beyond the
-    cap), ``False`` skips it.
+    cap), ``False`` skips it.  k counts the generator's rows, not ``params.k``.
     """
     runtimes = {}
     failures = []
-    q, k = code.field.q, code.params.k
+    q, k = code.field.q, code.generator_matrix.shape[0]
 
     t0 = time.perf_counter()
     canonical = [p.coords for p in code.spec.places()]
     if [p.coords for p in code.places] != canonical:
         failures.append("place list differs from the canonical enumeration")
-    if code.params.n != len(code.places) or code.generator_matrix.shape != (k, code.params.n):
+    if code.params.n != len(code.places) or code.generator_matrix.shape != (code.params.k, code.params.n):
         failures.append("parameter block inconsistent with matrix shape")
     elif gflinalg.rank(code.field, code.generator_matrix) != k:
         failures.append("generator matrix is not full row rank")

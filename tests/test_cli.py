@@ -106,6 +106,13 @@ DESCRIPTOR_PINS = {
     "hermitian": (["--variant", "gs95", "--ell", "5", "--m", "2", "--group1", "norm1:2",
                    "--group2", "norm1:3", "--distance", "100"],
                   "a2989475ea971eca78d7a5d4d6caf5d2e5a319752757b723bda63b4314166f08"),
+    # the two codes whose cap-profile search chooses among 21 and 66 splits
+    "gs96-294": (["--variant", "gs96", "--ell", "7", "--m", "2", "--group1", "add:kernel",
+                  "--group2", "mul:6", "--distance", "150"],
+                 "4f0beb2d5ad61eef4f12555d0263c426534ea1a0c097749bd5080eda8c9c528a"),
+    "gs96-500": (["--variant", "gs96", "--ell", "5", "--m", "3", "--group1", "add:kernel",
+                  "--group2", "mul:4", "--distance", "250"],
+                 "3b235c49afa9f008e6572f5d87d62fc7bf262f3a6cb956acd20040845c2aa137"),
 }
 
 
@@ -115,6 +122,34 @@ def test_descriptor_bytes_pinned(name, tmp_path):
     out = tmp_path / f"{name}.json"
     assert main(["construct", *args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_verify_caps_count_generator_rows(tmp_path, capsys, monkeypatch):
+    # params.k = 1 understates the 4 rows of the 18-place code: 9^4 > 100 is
+    # what the distance cap must see, not 9^1
+    out = tmp_path / "code.json"
+    main(["construct", *DESCRIPTOR_PINS["ytower18"][0], "--out", str(out)])
+    desc = json.loads(out.read_text())
+    desc["params"]["k"] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    capsys.readouterr()
+    monkeypatch.setenv("LRC_MAX_ENUM", "100")
+    assert main(["verify", "--in", str(bad)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "distance skipped" in lines
+    assert "failure: parameter block inconsistent with matrix shape" in lines
+    assert lines[-1] == "FAILED"
+
+
+@pytest.mark.parametrize("key", ["n", "k", "d_designed", "r1", "r2"])
+def test_verify_rejects_missing_params_key(tmp_path, capsys, golden_code, key):
+    desc = code_to_descriptor(golden_code)
+    del desc["params"][key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    assert main(["verify", "--in", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: descriptor has no params.{key}\n"
 
 
 def test_conflicting_groups_error(tmp_path, capsys):

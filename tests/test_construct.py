@@ -10,6 +10,7 @@ from lrctower import (
     make_field,
     spanning_set,
 )
+from lrctower.construct import _cap_profiles
 from lrctower.errors import BudgetTooSmall, IllegalOrder
 from lrctower import gflinalg
 
@@ -84,6 +85,65 @@ def test_rowspace_intersection_trivial_cases(gf9):
     a = np.array([[1, 0, 0]])
     b = np.array([[0, 1, 0]])
     assert gflinalg.rowspace_intersection(gf9, a, b).shape == (0, 3)
+
+
+def _doubled_block_intersection(fld, a, b):
+    """The doubled-block elimination written out with no shortcut: keep the
+    rows whose left half vanished and whose right half did not, then reduce
+    those candidates to their RREF basis."""
+    n = a.shape[1]
+    reduced, _ = gflinalg.rref(fld, np.vstack([np.hstack([a, a]), np.hstack([b, np.zeros_like(b)])]))
+    cand = reduced[~reduced[:, :n].any(axis=1) & reduced[:, n:].any(axis=1), n:]
+    if cand.size == 0:
+        return np.zeros((0, n), dtype=np.int64)
+    return gflinalg.row_basis(fld, cand)
+
+
+@pytest.mark.parametrize("p, e", [(2, 2), (3, 2), (5, 2), (1031, 1)])
+def test_rowspace_intersection_matches_candidate_oracle(p, e):
+    """Random pairs sharing a planted subspace, full rank and rank-deficient,
+    over GF(4), GF(9), GF(25) (table path) and GF(1031) (digit loop)."""
+    fld = make_field(p, e)
+    rng = np.random.default_rng(p * 100 + e)
+    n = 9
+    for shared, extra_a, extra_b, rows_a, rows_b in [
+        (0, 3, 3, 3, 3), (2, 2, 3, 4, 5), (3, 1, 1, 6, 4), (1, 4, 4, 5, 5), (0, 5, 5, 5, 5),
+    ]:
+        common = rng.integers(0, fld.q, size=(shared, n))
+        gens_a = np.vstack([common, rng.integers(0, fld.q, size=(extra_a, n))])
+        gens_b = np.vstack([common, rng.integers(0, fld.q, size=(extra_b, n))])
+        a = gflinalg.matmul(fld, rng.integers(0, fld.q, size=(rows_a, len(gens_a))), gens_a)
+        b = gflinalg.matmul(fld, rng.integers(0, fld.q, size=(rows_b, len(gens_b))), gens_b)
+        out = gflinalg.rowspace_intersection(fld, a, b)
+        expect = _doubled_block_intersection(fld, a, b)
+        assert out.shape == expect.shape and (out == expect).all()
+        assert (out == gflinalg.row_basis(fld, out)).all()
+        dim = gflinalg.rank(fld, a) + gflinalg.rank(fld, b) - gflinalg.rank(fld, np.vstack([a, b]))
+        assert out.shape == (dim, n)
+        assert out.base is None  # a copy, not a view into the doubled block
+
+
+def test_cap_profile_choice_matches_per_profile_zassenhaus(tower_code):
+    """Rerun the full intersection on every cap split of the 18-place code:
+    the chosen caps are the first split of largest intersection, and the
+    recorded dims are the ranks of that split's evaluation matrices."""
+    spec, fld, budget = tower_code.spec, tower_code.field, tower_code.dims.budget
+    places = spec.places()
+
+    def matrices(caps):
+        return [evaluation_matrix(spanning_set(spec, h, budget, caps), places, fld)
+                for h in (tower_code.group1, tower_code.group2)]
+
+    profiles = _cap_profiles(spec, budget)
+    sizes = [_doubled_block_intersection(fld, *matrices(caps)).shape[0] for caps in profiles]
+    assert sizes == [2, 3, 3, 4, 3]
+    assert tower_code.dims.caps == profiles[sizes.index(max(sizes))] == (3, 1)
+    m1, m2 = matrices(tower_code.dims.caps)
+    assert (tower_code.generator_matrix == _doubled_block_intersection(fld, m1, m2)).all()
+    d = tower_code.dims
+    ranks = (gflinalg.rank(fld, m1), gflinalg.rank(fld, m2), gflinalg.rank(fld, np.vstack([m1, m2])))
+    assert (d.dim_v1, d.dim_v2, d.dim_sum) == ranks == (8, 4, 8)
+    assert tower_code.params.k == max(sizes) == 4
 
 
 def test_golden_intersection_matches_coefficient_model(gf9, golden_code):

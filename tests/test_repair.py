@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product
 from types import SimpleNamespace
 
@@ -160,7 +161,7 @@ def _duplicate_w_code(code):
     bad_sets[0] = (tuple(dup[:2]), bad_sets[0][1])
     tampered = LrcCode(
         spec=code.spec, group1=code.group1, group2=code.group2,
-        combined=code.combined, places=code.places,
+        places=code.places,
         generator_matrix=code.generator_matrix, recovery_sets=bad_sets,
         params=code.params, dims=code.dims,
     )
@@ -199,7 +200,7 @@ def test_definition1_repetition_code(gf9):
     # length-3 repetition code, each coordinate recoverable from one other
     spec = TowerSpec("gs96", gf9, 1)
     code = LrcCode(
-        spec=spec, group1=None, group2=None, combined=None,
+        spec=spec, group1=None, group2=None,
         places=spec.places()[:3],
         generator_matrix=np.array([[1, 1, 1]], dtype=np.int64),
         recovery_sets=[((1,), (2,)), ((0,), (2,)), ((0,), (1,))],
@@ -216,7 +217,7 @@ def test_definition1_fails_for_unstructured_code(gf9, golden_code):
         gen = rng.integers(0, 9, size=(2, 6))
         code = LrcCode(
             spec=golden_code.spec, group1=golden_code.group1,
-            group2=golden_code.group2, combined=golden_code.combined,
+            group2=golden_code.group2,
             places=golden_code.places,
             generator_matrix=gen.astype(np.int64),
             recovery_sets=golden_code.recovery_sets,
@@ -231,6 +232,16 @@ def test_definition1_fails_for_unstructured_code(gf9, golden_code):
 def test_brute_force_cap(golden_code):
     with pytest.raises(TooLarge):
         brute_force_distance(golden_code, cap=80)
+
+
+def test_enumeration_caps_count_generator_rows(tower_code):
+    # params.k understates the four generator rows: the caps must still see 9^4
+    code = dataclasses.replace(tower_code, params=dataclasses.replace(tower_code.params, k=1))
+    with pytest.raises(TooLarge):
+        brute_force_distance(code, cap=9**3)
+    with pytest.raises(TooLarge):
+        all_codewords(code, cap=9**3)
+    assert random_codewords(code, 5).shape == (5, 18)
 
 
 def test_dimension_report_golden(golden_code):
@@ -265,7 +276,7 @@ def test_verify_code_flags_bad_recovery_set(golden_code):
     bad_sets[0] = (s1, ((s2[0] + 1) % 6,))
     tampered = LrcCode(
         spec=golden_code.spec, group1=golden_code.group1,
-        group2=golden_code.group2, combined=golden_code.combined,
+        group2=golden_code.group2,
         places=golden_code.places, generator_matrix=golden_code.generator_matrix,
         recovery_sets=bad_sets, params=golden_code.params, dims=golden_code.dims,
     )
