@@ -17,6 +17,16 @@ not enough: per-generator degree caps with cap-sum <= budget / l^(m-1) keep
 the joint pole divisor of all spanning functions below the budget.  The
 construction scores each cap split by dim V1 + dim V2 - dim(V1 + V2), keeps
 the first best one and runs the Zassenhaus intersection on that split alone.
+
+The cap splits share most of their monomials, so every distinct spanning
+monomial of every split and both groups is evaluated once, into one union
+matrix E, and E is reduced once to R with pivot columns P.  Every space
+searched lies in rowspace(E), whose RREF pivots are P: a subspace's pivots
+are a subset of P, and v -> v[P] is an isomorphism on rowspace(E) that keeps
+leading positions.  So each split's bases, ranks, score and the winner's
+intersection are computed on the |P| columns E[:, P], and the winner's
+projected RREF basis W is lifted once, as W * R[:|P|], which already is the
+full-width RREF basis.
 """
 
 from __future__ import annotations
@@ -124,15 +134,15 @@ def spanning_set(
 
 
 def evaluation_matrix(space: FunctionSpace | list, places: list[Place], fld: FiniteField | None = None) -> np.ndarray:
-    """Row per spanning function, column per place."""
+    """Row per spanning function, column per place, in ``fld.dtype``."""
     functions = space.functions if isinstance(space, FunctionSpace) else space
     if fld is None:
         fld = places[0].spec.field
     coords = np.array([p.coords for p in places], dtype=np.int64)
-    rows = [evaluate_vec(f, coords, fld) for f in functions]
-    if not rows:
-        return np.zeros((0, len(places)), dtype=np.int64)
-    return np.vstack(rows)
+    out = np.empty((len(functions), len(places)), dtype=fld.dtype)
+    for row, f in zip(out, functions):
+        row[:] = evaluate_vec(f, coords, fld)
+    return out
 
 
 @dataclass(frozen=True)
@@ -198,6 +208,29 @@ def _cap_profiles(spec: TowerSpec, budget: int) -> list[tuple[int, ...] | None]:
     return [None]
 
 
+def _union_rows(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, budget: int, places: list[Place]):
+    """Every cap split's spanning monomials for both groups, evaluated once.
+
+    Returns (splits, E): E has one row per distinct monomial, in order of
+    first appearance, and each split is (caps, (rows1, rows2)), the rows of
+    E that span V1 and V2 under those caps.
+    """
+    splits = [
+        (caps, [spanning_set(spec, h, budget, caps).functions for h in (h1, h2)])
+        for caps in _cap_profiles(spec, budget)
+    ]
+    union = list(dict.fromkeys(f for _, spaces in splits for fs in spaces for f in fs))
+    row_of = {f: i for i, f in enumerate(union)}
+    splits = [(caps, tuple([row_of[f] for f in fs] for fs in spaces)) for caps, spaces in splits]
+    return splits, evaluation_matrix(union, places, spec.field)
+
+
+def _split_bases(fld: FiniteField, projected: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray, int]:
+    """RREF bases of one split's two spaces and dim(V1 + V2), on E[:, P]."""
+    b1, b2 = (gflinalg.row_basis(fld, projected[r]) for r in rows)
+    return b1, b2, gflinalg.rank(fld, np.vstack([b1, b2]))
+
+
 def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_target: int) -> LrcCode:
     """Build the two invariant spaces, intersect their evaluation images and
     assemble the finished code with per-coordinate recovery sets."""
@@ -218,23 +251,29 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
             )
 
     fld = spec.field
+    splits, evals = _union_rows(spec, h1, h2, budget, places)
+    reduced, pivots = gflinalg.rref(fld, evals)
+    projected = evals[:, pivots]
     best = None
-    for caps in _cap_profiles(spec, budget):
-        spaces = (spanning_set(spec, h, budget, caps) for h in (h1, h2))
-        b1, b2 = (gflinalg.row_basis(fld, evaluation_matrix(v, places, fld)) for v in spaces)
-        dim_sum = gflinalg.rank(fld, np.vstack([b1, b2]))
+    for caps, rows in splits:
+        b1, b2, dim_sum = _split_bases(fld, projected, rows)
         score = len(b1) + len(b2) - dim_sum
         if best is None or score > best[0]:
-            best = (score, b1, b2, dim_sum, caps)
-    k, b1, b2, dim_sum, caps = best
+            best = (score, b1, b2, dim_sum, caps, rows)
+    k, b1, b2, dim_sum, caps, rows = best
     basis = gflinalg.rowspace_intersection(fld, b1, b2)
     if basis.shape[0] != k:
         raise AssertionError("Zassenhaus intersection disagrees with the rank identity")
     if k == 0:
         raise EmptyCode("the two evaluation spaces only meet in zero")
+    basis = gflinalg.matmul(fld, basis, reduced[: len(pivots)])
 
-    if not (gflinalg.in_span(fld, b1, basis) and gflinalg.in_span(fld, b2, basis)):
-        raise AssertionError("intersection basis escaped a factor space")
+    # Stacked on a factor space's raw full-width rows, the basis must keep
+    # the rank at the projected dimension: so the basis lies in the space,
+    # and the projection lost no dimension of it.
+    for r, b in zip(rows, (b1, b2)):
+        if gflinalg.rank(fld, np.vstack([evals[r], basis])) != len(b):
+            raise AssertionError("intersection basis escaped a factor space")
 
     recovery = []
     for p in places:

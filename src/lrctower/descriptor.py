@@ -74,21 +74,30 @@ def write_descriptor(code: LrcCode, path, seed: int = 0) -> None:
     Path(path).write_bytes(descriptor_bytes(code_to_descriptor(code, seed)))
 
 
+def _required(obj: dict, key: str, path: str):
+    """``obj[key]``, or a ValueError naming the JSON path of the missing key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"descriptor has no {path}")
+    return obj[key]
+
+
 def code_from_descriptor(desc: dict) -> LrcCode:
     if desc.get("format") != FORMAT:
         raise ValueError(f"unknown descriptor format {desc.get('format')!r}")
-    fld = field_from_json(desc["field"])
-    tw = desc["tower"]
-    spec = TowerSpec(tw["variant"], fld, int(tw["m"]))
-    if int(tw["ell"]) != fld.ell:
+    fld = field_from_json(_required(desc, "field", "field"))
+    tw = _required(desc, "tower", "tower")
+    tower = {key: _required(tw, key, f"tower.{key}") for key in ("variant", "ell", "m")}
+    spec = TowerSpec(tower["variant"], fld, int(tower["m"]))
+    if int(tower["ell"]) != fld.ell:
         raise ValueError("tower ell does not match the field")
-    g1 = group_from_json(spec, desc["groups"][0])
-    g2 = group_from_json(spec, desc["groups"][1])
+    groups = _required(desc, "groups", "groups")
+    g1 = group_from_json(spec, groups[0])
+    g2 = group_from_json(spec, groups[1])
     places = [
         Place(coords=tuple(int(c) for c in co), spec=spec, index=i)
-        for i, co in enumerate(desc["places"])
+        for i, co in enumerate(_required(desc, "places", "places"))
     ]
-    gen = np.array(desc["generator_matrix"], dtype=np.int64)
+    gen = np.array(_required(desc, "generator_matrix", "generator_matrix"), dtype=np.int64)
     if gen.ndim != 2:
         raise ValueError("generator matrix must be two-dimensional")
     n = len(places)
@@ -100,21 +109,17 @@ def code_from_descriptor(desc: dict) -> LrcCode:
         return i
 
     recovery = [(tuple(), tuple())] * n
-    for e, entry in enumerate(desc["recovery_sets"]):
-        i = index(f"recovery_sets[{e}].coord", entry["coord"])
+    for e, entry in enumerate(_required(desc, "recovery_sets", "recovery_sets")):
+        path = f"recovery_sets[{e}]"
+        i = index(f"{path}.coord", _required(entry, "coord", f"{path}.coord"))
         recovery[i] = tuple(
-            tuple(index(f"recovery_sets[{e}].{key}[{h}]", x) for h, x in enumerate(entry[key]))
+            tuple(index(f"{path}.{key}[{h}]", x)
+                  for h, x in enumerate(_required(entry, key, f"{path}.{key}")))
             for key in ("set1", "set2")
         )
-    p = desc["params"]
-    for key in ("n", "k", "d_designed", "r1", "r2"):
-        if key not in p:
-            raise ValueError(f"descriptor has no params.{key}")
-    params = CodeParams(
-        n=int(p["n"]), k=int(p["k"]), d_designed=int(p["d_designed"]),
-        r1=int(p["r1"]), r2=int(p["r2"]),
-        q=fld.q, ell=fld.ell, m=spec.m, variant=spec.variant,
-    )
+    p = _required(desc, "params", "params")
+    p = {key: int(_required(p, key, f"params.{key}")) for key in ("n", "k", "d_designed", "r1", "r2")}
+    params = CodeParams(**p, q=fld.q, ell=fld.ell, m=spec.m, variant=spec.variant)
     d = desc.get("dims") or {}
     dims = CodeDims(
         dim_v1=int(d.get("dim_v1", 0)), dim_v2=int(d.get("dim_v2", 0)),

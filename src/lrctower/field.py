@@ -11,7 +11,9 @@ Multiplication runs on dense log/antilog tables.  For small fields
 used by the linear-algebra and enumeration layers.  Every table of element
 codes, and so every vectorized result, is stored in ``FiniteField.dtype``:
 the narrowest unsigned type that holds q - 1 (uint8 up to q = 256, uint16
-above).
+above).  The fused row update ``vec_axpy`` reads the same two tables raveled,
+through a flat index a*q + b held in the narrowest unsigned type that holds
+q^2 - 1 (uint16 up to q = 256, uint32 above).
 """
 
 from __future__ import annotations
@@ -229,6 +231,11 @@ class FiniteField:
             mul = exp[(lg[:, None] + lg[None, :]) % (q - 1)] if q > 2 else np.array([[0, 0], [0, 1]])
             mul = np.where((codes[:, None] == 0) | (codes[None, :] == 0), 0, mul)
             self.mul_table = mul.astype(self.dtype)
+            self._add_flat = self.add_table.ravel()
+            self._mul_flat = self.mul_table.ravel()
+            self._flat_index = np.dtype(np.uint16 if q <= 256 else np.uint32)
+            # q as an index-typed numpy scalar: a Python int costs every call a scalar conversion
+            self._flat_q = self._flat_index.type(q)
         else:
             self.add_table = None
             self.mul_table = None
@@ -299,6 +306,23 @@ class FiniteField:
         lb = self.log_table[b]
         out = self.exp_table[(np.maximum(la, 0) + np.maximum(lb, 0)) % (self.q - 1)]
         return np.where((a == 0) | (b == 0), 0, out)
+
+    def vec_axpy(self, y, a, x):
+        """y + a*x elementwise, in ``dtype``; a*x broadcasts to y's shape.
+
+        On the table path this is two gathers on the raveled q x q tables,
+        indexed by a*q + x and then y*q + (a*x) in a narrow unsigned type,
+        the second index built in place; for q > TABLE_CAP it is
+        ``vec_add(y, vec_mul(a, x))``.
+        """
+        if self.mul_table is None:
+            return self.vec_add(y, self.vec_mul(a, x))
+        idx, q = self._flat_index, self._flat_q
+        prod = self._mul_flat.take(np.asarray(a).astype(idx) * q + x)
+        flat = np.asarray(y).astype(idx)
+        flat *= q
+        flat += prod
+        return self._add_flat.take(flat)
 
     def vec_pow(self, a, e: int):
         a = np.asarray(a, dtype=np.int64)

@@ -1,7 +1,10 @@
 """Dense linear algebra over GF(q) on integer-coded numpy matrices.
 
 Gaussian elimination uses first-nonzero pivoting, so echelon forms, ranks
-and intersection bases are identical across runs and platforms.
+and intersection bases are identical across runs and platforms.  ``rref``
+works on a copy in ``field.dtype`` and returns that dtype; each pivot step
+updates the other rows from the pivot column rightward with one fused
+``FiniteField.vec_axpy``.
 """
 
 from __future__ import annotations
@@ -10,9 +13,17 @@ import numpy as np
 
 from .field import FiniteField
 
+# Rows per fused row update in rref: bounds the gather-index temporaries
+# (numpy widens each index to intp), not the result.
+ROW_BLOCK = 128
+
 
 def as_matrix(field: FiniteField, rows) -> np.ndarray:
-    m = np.asarray(rows, dtype=np.int64)
+    """Two-dimensional array of element codes: ``field.dtype`` input is kept,
+    anything else becomes int64; entries are range-checked."""
+    m = np.asarray(rows)
+    if m.dtype != field.dtype:
+        m = np.asarray(m, dtype=np.int64)
     if m.ndim == 1:
         m = m.reshape(1, -1)
     if m.size and (m.min() < 0 or m.max() >= field.q):
@@ -21,30 +32,37 @@ def as_matrix(field: FiniteField, rows) -> np.ndarray:
 
 
 def rref(field: FiniteField, mat) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form.
+    """Reduced row-echelon form, in ``field.dtype``.
 
     Returns (R, pivot_cols). Pivot search scans columns left to right and
-    takes the first nonzero entry at or below the current row.
+    takes the first nonzero entry at or below the current row.  The pivot
+    row is zero left of its pivot column, so every row update runs from
+    that column rightward.
     """
-    m = as_matrix(field, mat).copy()
+    m = np.array(as_matrix(field, mat), dtype=field.dtype)
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-        m[r] = field.vec_mul(m[r], field.inv(int(m[r, c])))
-        others = [i for i in range(rows) if i != r and m[i, c] != 0]
-        if others:
+        pivot = m[r, c:]
+        pivot[:] = field.vec_mul(pivot, field.inv(int(pivot[0])))
+        pivot[0] = 0  # hide the pivot row from the row search
+        others = m[:, c].nonzero()[0]
+        pivot[0] = 1
+        if others.size:
             # -(f * x) = (-f) * x: negate the factors, not the product
-            neg_factors = field.vec_neg(m[others, c])
-            m[others] = field.vec_add(m[others], field.vec_mul(neg_factors[:, None], m[r][None, :]))
+            neg_factors = field.vec_neg(m[others, c])[:, None]
+            for lo in range(0, others.size, ROW_BLOCK):
+                block = others[lo:lo + ROW_BLOCK]
+                m[block, c:] = field.vec_axpy(m[block, c:], neg_factors[lo:lo + ROW_BLOCK], pivot)
         pivots.append(c)
         r += 1
     return m, pivots

@@ -8,8 +8,7 @@ round trip is exact.
 
 Locality is checked by the linear determination criterion: coordinate i is
 a function of the coordinates in I iff generator column g_i lies in the
-span of the columns indexed by I.  An exponential projection check over
-all codewords is kept as a slow mode to certify the fast one on tiny codes.
+span of the columns indexed by I.
 
 Exact minimum distance enumerates one codeword per scalar class: Hamming
 weight does not change under multiplication by a nonzero scalar, so the
@@ -162,17 +161,12 @@ class LocalityReport:
         return self.geometry_ok and all(a and b for a, b in self.set_checks)
 
 
-def verify_definition1(code: LrcCode, slow: bool = False) -> LocalityReport:
-    """Check that each coordinate is determined by each of its two sets.
-
-    ``slow=True`` replaces the column-span criterion with the exhaustive
-    projection check over all codewords (only for tiny codes).
-    """
+def verify_definition1(code: LrcCode) -> LocalityReport:
+    """Check that each coordinate is determined by each of its two sets."""
     fld = code.field
     g = code.generator_matrix
     n = code.params.n
     report = LocalityReport(n=n)
-    words = all_codewords(code) if slow else None
     for i, (i1, i2) in enumerate(code.recovery_sets):
         if i in i1 or i in i2:
             report.geometry_ok = False
@@ -185,19 +179,7 @@ def verify_definition1(code: LrcCode, slow: bool = False) -> LocalityReport:
             report.failures.append(f"recovery set of coordinate {i} too large")
         verdicts = []
         for idx in (i1, i2):
-            if slow:
-                seen: dict[bytes, int] = {}
-                ok = True
-                for w in words:
-                    key = w[list(idx)].tobytes()
-                    prev = seen.get(key)
-                    if prev is None:
-                        seen[key] = int(w[i])
-                    elif prev != int(w[i]):
-                        ok = False
-                        break
-            else:
-                ok = gflinalg.in_span(fld, g[:, list(idx)].T, g[:, i])
+            ok = gflinalg.in_span(fld, g[:, list(idx)].T, g[:, i])
             verdicts.append(ok)
             if not ok:
                 report.failures.append(

@@ -152,6 +152,25 @@ def test_verify_rejects_missing_params_key(tmp_path, capsys, golden_code, key):
     assert capsys.readouterr().err == f"error: descriptor has no params.{key}\n"
 
 
+@pytest.mark.parametrize("path", [
+    "field", "tower", "groups", "places", "generator_matrix", "params",
+    "recovery_sets", "recovery_sets[3].coord", "recovery_sets[3].set1",
+    "recovery_sets[3].set2",
+])
+def test_verify_rejects_missing_descriptor_key(tmp_path, capsys, golden_code, path):
+    desc = code_to_descriptor(golden_code)
+    if path.startswith("recovery_sets["):
+        del desc["recovery_sets"][3][path.rpartition(".")[2]]
+    else:
+        del desc[path]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    assert main(["verify", "--in", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: descriptor has no {path}\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_conflicting_groups_error(tmp_path, capsys):
     # identical shift groups pass the size restriction but overlap
     args = ["construct", "--variant", "gs96", "--ell", "4", "--m", "1",

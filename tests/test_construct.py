@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from lrctower import (
     make_field,
     spanning_set,
 )
-from lrctower.construct import _cap_profiles
+from lrctower.construct import _cap_profiles, _split_bases, _union_rows
 from lrctower.errors import BudgetTooSmall, IllegalOrder
 from lrctower import gflinalg
 
@@ -121,6 +123,85 @@ def test_rowspace_intersection_matches_candidate_oracle(p, e):
         dim = gflinalg.rank(fld, a) + gflinalg.rank(fld, b) - gflinalg.rank(fld, np.vstack([a, b]))
         assert out.shape == (dim, n)
         assert out.base is None  # a copy, not a view into the doubled block
+
+
+def _rref_oracle(fld, mat):
+    """Gauss-Jordan as written before the fused kernel: an int64 copy,
+    full-width row updates, and a Python scan for the rows to clear."""
+    m = np.array(mat, dtype=np.int64)
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = fld.vec_mul(m[r], fld.inv(int(m[r, c])))
+        others = [i for i in range(rows) if i != r and m[i, c] != 0]
+        if others:
+            neg_factors = fld.vec_neg(m[others, c])
+            m[others] = fld.vec_add(m[others], fld.vec_mul(neg_factors[:, None], m[r][None, :]))
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@pytest.mark.parametrize("p, e", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 8), (1031, 1)])
+def test_rref_matches_unfused_oracle(p, e, monkeypatch):
+    """Cell for cell, with the same pivots and in field.dtype: seeded random
+    matrices over GF(4), GF(9), GF(25), GF(49), GF(256) (table path) and
+    GF(1031) (digit loop), with zero columns, repeated and dependent rows,
+    and 0-row, tall, square and wide shapes; row updates in one block and
+    in blocks of 3 rows."""
+    fld = make_field(p, e)
+    rng = np.random.default_rng(p * 100 + e)
+    mats = [np.zeros((0, 6), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+            np.zeros((4, 5), dtype=np.int64)]
+    for rows, cols in [(1, 7), (3, 10), (6, 6), (12, 5), (9, 14), (20, 8)]:
+        m = rng.integers(0, fld.q, size=(rows, cols))
+        m[:, rng.integers(0, cols)] = 0
+        mats.append(m)
+        rep = m.copy()
+        rep[-1] = rep[0]
+        mats.append(rep)
+        low = gflinalg.matmul(fld, rng.integers(0, fld.q, size=(rows, 2)),
+                              rng.integers(0, fld.q, size=(2, cols)))
+        mats.append(np.hstack([np.zeros((rows, 1), dtype=np.int64), low]))
+    for m, block in product(mats, (gflinalg.ROW_BLOCK, 3)):
+        monkeypatch.setattr(gflinalg, "ROW_BLOCK", block)
+        expect, expect_pivots = _rref_oracle(fld, m)
+        for given in (m, m.astype(fld.dtype)):
+            got, pivots = gflinalg.rref(fld, given)
+            assert got.dtype == fld.dtype
+            assert got.shape == expect.shape and (got == expect).all()
+            assert pivots == expect_pivots
+            assert (given == m).all()  # the input is not reduced in place
+
+
+@pytest.mark.parametrize("fixture", ["golden_code", "tower_code", "hermitian_code"])
+def test_projected_split_dims_equal_full_width_ranks(fixture, request):
+    """Every cap split's (dim V1, dim V2, dim sum) computed on the pivot
+    columns of the union matrix equals the full-width rank of the split's
+    own evaluation matrices, whose rows the union matrix holds."""
+    code = request.getfixturevalue(fixture)
+    spec, fld, budget = code.spec, code.field, code.dims.budget
+    places = spec.places()
+    splits, evals = _union_rows(spec, code.group1, code.group2, budget, places)
+    assert [caps for caps, _ in splits] == _cap_profiles(spec, budget)
+    _, pivots = gflinalg.rref(fld, evals)
+    assert len(pivots) < evals.shape[1]  # the projection drops columns
+    for caps, rows in splits:
+        m1, m2 = (evaluation_matrix(spanning_set(spec, h, budget, caps), places, fld)
+                  for h in (code.group1, code.group2))
+        assert (evals[rows[0]] == m1).all() and (evals[rows[1]] == m2).all()
+        b1, b2, dim_sum = _split_bases(fld, evals[:, pivots], rows)
+        ranks = (gflinalg.rank(fld, m1), gflinalg.rank(fld, m2), gflinalg.rank(fld, np.vstack([m1, m2])))
+        assert (len(b1), len(b2), dim_sum) == ranks
 
 
 def test_cap_profile_choice_matches_per_profile_zassenhaus(tower_code):

@@ -184,3 +184,28 @@ def test_vector_results_use_narrowest_dtype(p, k, dtype):
         x, y = int(a[i]), int(b[i])
         assert int(va[i]) == f.add(x, y)
         assert int(vm[i]) == f.mul(x, y)
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (7, 2), (2, 8), (257, 1), (1031, 1)])
+def test_vec_axpy_matches_add_of_mul(p, k):
+    """y + a*x against vec_add(y, vec_mul(a, x)) and the scalar ops, with
+    a*x broadcast to y's shape: GF(4), GF(49), GF(256) index the flat tables
+    in uint16, GF(257) in uint32, GF(1031) takes the digit loop."""
+    f = make_field(p, k)
+    rng = np.random.default_rng(p * 10 + k)
+    shapes = [((5, 7), (5, 1), (7,)), ((5, 7), (5, 1), (1, 7)), ((5, 7), (1, 7), (5, 1)),
+              ((5, 7), (5, 7), (5, 7)), ((5, 7), (), (7,)), ((7,), (), ()), ((1, 1), (1,), (1,))]
+    for ys, as_, xs in shapes:
+        y, a, x = (rng.integers(0, f.q, s) for s in (ys, as_, xs))
+        y.flat[0], x.flat[-1] = f.q - 1, f.q - 1  # the largest flat index
+        a = np.asarray(a)
+        a.flat[0] = f.q - 1
+        for cast in (np.int64, f.dtype):
+            out = f.vec_axpy(y.astype(cast), a.astype(cast), x.astype(cast))
+            expect = f.vec_add(y, f.vec_mul(a, x))
+            assert out.dtype == f.dtype
+            assert out.shape == expect.shape == np.broadcast_shapes(ys, as_, xs)
+            assert (out == expect).all()
+        yb, ab, xb = np.broadcast_arrays(y, a, x)
+        for idx in np.ndindex(out.shape):
+            assert int(out[idx]) == f.add(int(yb[idx]), f.mul(int(ab[idx]), int(xb[idx])))

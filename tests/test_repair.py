@@ -189,10 +189,21 @@ def test_repair_rejects_out_of_range_coord(golden_code):
 
 
 def test_definition1_passes_and_slow_mode_agrees(golden_code):
+    """Oracle: the exhaustive projection check over all codewords, where a
+    set determines coordinate i iff no two codewords agree on the set and
+    differ at i."""
     fast = verify_definition1(golden_code)
-    slow = verify_definition1(golden_code, slow=True)
-    assert fast.passed and slow.passed
-    assert fast.set_checks == slow.set_checks
+    words = all_codewords(golden_code)
+    slow = []
+    for i, sets in enumerate(golden_code.recovery_sets):
+        verdicts = []
+        for idx in sets:
+            seen = {}
+            verdicts.append(all(seen.setdefault(w[list(idx)].tobytes(), int(w[i])) == int(w[i])
+                                for w in words))
+        slow.append(tuple(verdicts))
+    assert fast.passed and all(a and b for a, b in slow)
+    assert fast.set_checks == slow
     assert len(fast.set_checks) == 6
 
 
