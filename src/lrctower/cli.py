@@ -99,9 +99,13 @@ def cmd_verify(args) -> int:
         code, seed=args.seed, rounds=args.rounds,
         distance_cap=_enum_cap(), exact_distance=exact,
     )
-    print(f"locality {'pass' if report.locality_passed else 'FAIL'}")
-    print(f"repair {'pass' if report.repair_mismatches == 0 else 'FAIL'} "
-          f"({report.repair_words} codewords)")
+    if report.locality_passed is None:
+        print("locality skipped")
+        print("repair skipped")
+    else:
+        print(f"locality {'pass' if report.locality_passed else 'FAIL'}")
+        print(f"repair {'pass' if report.repair_mismatches == 0 else 'FAIL'} "
+              f"({report.repair_words} codewords)")
     if report.distance is None:
         print("distance skipped")
     else:

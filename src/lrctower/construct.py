@@ -32,6 +32,7 @@ full-width RREF basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -184,10 +185,13 @@ class LrcCode:
     def field(self) -> FiniteField:
         return self.spec.field
 
-    def w_values(self, set_choice: int) -> np.ndarray:
-        """Repair-variable value of every place, for the chosen set's group."""
-        g = self.group1 if set_choice == 1 else self.group2
-        return np.array([p.coords[g.w_index] for p in self.places], dtype=np.int64)
+    @cached_property
+    def repair_plan(self):
+        """Lagrange repair weights of every (coordinate, set), built on first
+        use and kept; see ``repair.RepairPlan``."""
+        from .repair import build_repair_plan  # repair imports this module
+
+        return build_repair_plan(self)
 
     def encode(self, message) -> np.ndarray:
         msg = np.asarray(message, dtype=np.int64).reshape(1, -1)

@@ -27,11 +27,26 @@ def group_to_json(group: RecoveryGroup) -> dict:
     return {"kind": MULTIPLICATIVE, "scalars": [int(c) for c in group.scalars]}
 
 
-def group_from_json(spec: TowerSpec, obj: dict) -> RecoveryGroup:
-    if obj["kind"] == ADDITIVE:
-        return build_recovery_group(spec, ADDITIVE, shifts=[int(a) for a in obj["shifts"]])
-    g = build_recovery_group(spec, MULTIPLICATIVE, order=len(obj["scalars"]))
-    if list(g.scalars) != sorted(int(c) for c in obj["scalars"]):
+def _required(obj, key, path: str):
+    """``obj[key]`` for a dict key or a list index, or a ValueError naming
+    the JSON path of the missing entry."""
+    if isinstance(obj, dict):
+        present = key in obj
+    else:
+        present = isinstance(obj, list) and isinstance(key, int) and 0 <= key < len(obj)
+    if not present:
+        raise ValueError(f"descriptor has no {path}")
+    return obj[key]
+
+
+def group_from_json(spec: TowerSpec, obj: dict, path: str) -> RecoveryGroup:
+    """The group of one ``groups[e]`` entry; ``path`` names it in errors."""
+    if _required(obj, "kind", f"{path}.kind") == ADDITIVE:
+        shifts = _required(obj, "shifts", f"{path}.shifts")
+        return build_recovery_group(spec, ADDITIVE, shifts=[int(a) for a in shifts])
+    scalars = _required(obj, "scalars", f"{path}.scalars")
+    g = build_recovery_group(spec, MULTIPLICATIVE, order=len(scalars))
+    if list(g.scalars) != sorted(int(c) for c in scalars):
         raise ValueError("scalar list does not match the canonical subgroup")
     return g
 
@@ -74,25 +89,19 @@ def write_descriptor(code: LrcCode, path, seed: int = 0) -> None:
     Path(path).write_bytes(descriptor_bytes(code_to_descriptor(code, seed)))
 
 
-def _required(obj: dict, key: str, path: str):
-    """``obj[key]``, or a ValueError naming the JSON path of the missing key."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"descriptor has no {path}")
-    return obj[key]
-
-
 def code_from_descriptor(desc: dict) -> LrcCode:
     if desc.get("format") != FORMAT:
         raise ValueError(f"unknown descriptor format {desc.get('format')!r}")
-    fld = field_from_json(_required(desc, "field", "field"))
+    fd = _required(desc, "field", "field")
+    fld = field_from_json({key: _required(fd, key, f"field.{key}") for key in ("p", "k", "modulus")})
     tw = _required(desc, "tower", "tower")
     tower = {key: _required(tw, key, f"tower.{key}") for key in ("variant", "ell", "m")}
     spec = TowerSpec(tower["variant"], fld, int(tower["m"]))
     if int(tower["ell"]) != fld.ell:
         raise ValueError("tower ell does not match the field")
     groups = _required(desc, "groups", "groups")
-    g1 = group_from_json(spec, groups[0])
-    g2 = group_from_json(spec, groups[1])
+    g1, g2 = (group_from_json(spec, _required(groups, e, f"groups[{e}]"), f"groups[{e}]")
+              for e in (0, 1))
     places = [
         Place(coords=tuple(int(c) for c in co), spec=spec, index=i)
         for i, co in enumerate(_required(desc, "places", "places"))

@@ -307,6 +307,14 @@ class FiniteField:
         out = self.exp_table[(np.maximum(la, 0) + np.maximum(lb, 0)) % (self.q - 1)]
         return np.where((a == 0) | (b == 0), 0, out)
 
+    def vec_inv(self, a):
+        """Elementwise inverse, in ``dtype``; a zero anywhere raises
+        ZeroDivisionError, as ``inv`` does."""
+        a = np.asarray(a)
+        if not a.all():
+            raise ZeroDivisionError("zero has no inverse")
+        return self.exp_table[(-self.log_table[a]) % (self.q - 1)]
+
     def vec_axpy(self, y, a, x):
         """y + a*x elementwise, in ``dtype``; a*x broadcasts to y's shape.
 

@@ -6,6 +6,16 @@ and evaluates it at the erased place's repair-variable value.  Codeword
 functions restrict to exactly such polynomials on every orbit, so the
 round trip is exact.
 
+The erased symbol is therefore a fixed linear combination sum_h lambda_h c_h
+of the set's symbols, whose Lagrange weights depend on the code alone.
+``build_repair_plan`` computes them for every (coordinate, set) at once,
+and ``LrcCode.repair_plan`` builds that plan on first use and keeps it on
+the code, so construction and loading never pay for it.  A code is treated
+as immutable after construction: its plan is not rebuilt if its places,
+groups or recovery sets are changed in place.  ``repair`` is then r
+products summed, and a bulk rebuild is one gather and one reduction per
+set for all coordinates and codewords at once.
+
 Locality is checked by the linear determination criterion: coordinate i is
 a function of the coordinates in I iff generator column g_i lies in the
 span of the columns indexed by I.
@@ -53,43 +63,74 @@ def check_coord(code: LrcCode, i: int) -> None:
         raise ValueError(f"coordinate {i} out of range for n={code.params.n}")
 
 
+@dataclass(frozen=True)
+class RepairPlan:
+    """Lagrange repair of every coordinate through one of its recovery sets.
+
+    Row i holds the set's indices, padded to the longest set, and weights
+    with symbol i = sum_h weights[i, h] * c[index[i, h]]; padding has index
+    0 and weight 0.  ``collide[i]`` flags a row whose interpolation nodes
+    are not distinct, where no repair exists.
+    """
+
+    index: np.ndarray    # (n, r_max) intp
+    weights: np.ndarray  # (n, r_max) field.dtype
+    collide: np.ndarray  # (n,) bool
+
+
+def build_repair_plan(code: LrcCode) -> tuple[RepairPlan, RepairPlan]:
+    """The plans of set 1 and set 2, vectorized over the coordinates.
+
+    With nodes x_h (the set's repair-variable values) and x0 (the erased
+    place's), lambda_h = prod_{h' != h} (x0 - x_h') / (x_h - x_h'): one
+    (n, r) array of numerators, one (n, r, r) array of denominators, one
+    batched inverse and r products.
+    """
+    fld = code.field
+    coords = np.array([p.coords for p in code.places], dtype=np.int64)
+    plans = []
+    for s, group in enumerate((code.group1, code.group2)):
+        sets = [pair[s] for pair in code.recovery_sets]
+        n, r = len(sets), max(map(len, sets), default=0)
+        index = np.zeros((n, r), dtype=np.intp)
+        real = np.zeros((n, r), dtype=bool)
+        for i, idx in enumerate(sets):
+            index[i, :len(idx)] = idx
+            real[i, :len(idx)] = True
+        w = coords[:, group.w_index]
+        xs = w[index]
+        num = fld.vec_sub(w[:, None], xs)                   # [i, h'] = x0 - x_h'
+        den = fld.vec_sub(xs[:, :, None], xs[:, None, :])  # [i, h, h'] = x_h - x_h'
+        pair = real[:, :, None] & real[:, None, :] & ~np.eye(r, dtype=bool)
+        collide = (real & (num == 0)).any(axis=1) | (pair & (den == 0)).any(axis=(1, 2))
+        used = pair & (den != 0)
+        factor = np.where(used, fld.vec_mul(num[:, None, :], fld.vec_inv(np.where(used, den, 1))), 1)
+        weights = real.astype(fld.dtype)
+        for h in range(r):
+            weights = fld.vec_mul(weights, factor[:, :, h])
+        plans.append(RepairPlan(index, weights, collide))
+    return tuple(plans)
+
+
 def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> int:
     """Recover the erased symbol through the chosen recovery set."""
     fld = code.field
-    i = pattern.coord
+    i, s = pattern.coord, pattern.set_choice
     check_coord(code, i)
-    idx, lam = _repair_weights(code, i, pattern.set_choice)
+    plan = code.repair_plan[s - 1]
+    if plan.collide[i]:
+        widx = (code.group1, code.group2)[s - 1].w_index
+        nodes = [int(code.places[h].coords[widx]) for h in (*code.recovery_sets[i][s - 1], i)]
+        raise DuplicateWValues(f"repair nodes for coordinate {i} collide: {nodes}")
     if strict:
         known = [h for h in range(code.params.n) if h != i]
         rhs = np.array([pattern.codeword[h] for h in known], dtype=np.int64)
         if not gflinalg.in_span(fld, code.generator_matrix[:, known], rhs):
             raise NotACodeword("unerased symbols are not consistent with the code")
     out = 0
-    for h, l in zip(idx, lam):
+    for h, l in zip(plan.index[i].tolist(), plan.weights[i].tolist()):
         out = fld.add(out, fld.mul(l, int(pattern.codeword[h])))
     return out
-
-
-def _repair_weights(code: LrcCode, i: int, set_choice: int) -> tuple[tuple[int, ...], list[int]]:
-    """Recovery-set indices and the Lagrange coefficients lambda_h such that
-    the erased symbol equals sum_h lambda_h * c_h, for the unique polynomial
-    of degree < |set| through the (repair-variable, symbol) pairs."""
-    fld = code.field
-    idx = code.recovery_sets[i][set_choice - 1]
-    wv = code.w_values(set_choice)
-    xs = [int(wv[h]) for h in idx]
-    x0 = int(wv[i])
-    nodes = xs + [x0]
-    if len(set(nodes)) != len(nodes):
-        raise DuplicateWValues(f"repair nodes for coordinate {i} collide: {nodes}")
-    lam = []
-    for h, xh in enumerate(xs):
-        v = 1
-        for h2, x2 in enumerate(xs):
-            if h2 != h:
-                v = fld.mul(v, fld.mul(fld.sub(x0, x2), fld.inv(fld.sub(xh, x2))))
-        lam.append(v)
-    return idx, lam
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +233,24 @@ def verify_definition1(code: LrcCode) -> LocalityReport:
 def repair_roundtrip_counts(code: LrcCode, codewords: np.ndarray) -> int:
     """Number of (codeword, coordinate, set) repair mismatches; 0 when exact.
 
+    Per set, every coordinate of every codeword is rebuilt at once, in
+    ``field.dtype``: for each of the r columns of the plan, one (B, n) gather
+    of the symbols and one ``vec_axpy`` with that column's weights.  Column
+    by column keeps the temporaries at (B, n); a (B, n, r) gather would widen
+    to intp and raise the peak memory of a 128-word rebuild by about 2 MB.
     A (coordinate, set) whose interpolation nodes collide cannot repair at
     all, so it counts as a mismatch for every codeword.
     """
     fld = code.field
+    words = gflinalg.as_matrix(fld, codewords).astype(fld.dtype, copy=False)
     mism = 0
-    for i in range(code.params.n):
-        for j in (1, 2):
-            try:
-                idx, lam = _repair_weights(code, i, j)
-            except DuplicateWValues:
-                mism += codewords.shape[0]
-                continue
-            acc = np.zeros(codewords.shape[0], dtype=np.int64)
-            for h, l in zip(idx, lam):
-                acc = fld.vec_add(acc, fld.vec_mul(codewords[:, h], l))
-            mism += int(np.count_nonzero(acc != codewords[:, i]))
+    for plan in code.repair_plan:
+        rebuilt = np.zeros(words.shape, dtype=fld.dtype)
+        for h in range(plan.index.shape[1]):
+            rebuilt = fld.vec_axpy(rebuilt, plan.weights[:, h], words[:, plan.index[:, h]])
+        wrong = rebuilt != words
+        wrong[:, plan.collide] = True
+        mism += int(np.count_nonzero(wrong))
     return mism
 
 
@@ -267,11 +310,15 @@ def dimension_report(code: LrcCode) -> DimensionReport:
 
 @dataclass
 class VerificationReport:
+    """Results of ``verify_code``; ``locality_passed`` and ``repair_exact``
+    are None, like ``distance``, when their phase was skipped."""
+
     ok: bool
-    locality_passed: bool
+    locality_passed: bool | None
     locality_checks: list[tuple[bool, bool]]
     repair_mismatches: int
     repair_words: int
+    repair_exact: bool | None
     distance: int | None
     d_designed: int
     distance_ok: bool | None
@@ -286,6 +333,7 @@ class VerificationReport:
             "locality_checks": [[a, b] for a, b in self.locality_checks],
             "repair_mismatches": self.repair_mismatches,
             "repair_words": self.repair_words,
+            "repair_exact": self.repair_exact,
             "distance": self.distance,
             "d_designed": self.d_designed,
             "distance_ok": self.distance_ok,
@@ -305,9 +353,13 @@ def verify_code(
     """Run the full check suite: locality, repair round trips, distance.
 
     Repair uses every codeword when q^k <= 10^4, otherwise ``rounds`` seeded
-    random ones.  Distance is enumerated exactly when q^k <= distance_cap;
-    ``exact_distance=True`` forces the attempt (raising TooLarge beyond the
-    cap), ``False`` skips it.  k counts the generator's rows, not ``params.k``.
+    random ones; ``repair_exact`` runs the round trips on the generator rows,
+    which by linearity proves repair exact for every codeword.  Distance is
+    enumerated exactly when q^k <= distance_cap; ``exact_distance=True``
+    forces the attempt (raising TooLarge beyond the cap), ``False`` skips it.
+    k counts the generator's rows, not ``params.k``.  A generator without one
+    column per place fails integrity, and then every later phase is skipped:
+    they index its columns by place.
     """
     runtimes = {}
     failures = []
@@ -323,6 +375,13 @@ def verify_code(
         failures.append("generator matrix is not full row rank")
     runtimes["integrity"] = time.perf_counter() - t0
     integrity_ok = not failures
+    if code.generator_matrix.shape[1] != len(code.places):
+        return VerificationReport(
+            ok=False, locality_passed=None, locality_checks=[], repair_mismatches=0,
+            repair_words=0, repair_exact=None, distance=None,
+            d_designed=code.params.d_designed, distance_ok=None, seed=seed,
+            runtimes=runtimes, failures=failures,
+        )
 
     t0 = time.perf_counter()
     loc = verify_definition1(code)
@@ -335,9 +394,13 @@ def verify_code(
     else:
         words = random_codewords(code, rounds, seed)
     mismatches = repair_roundtrip_counts(code, words)
+    row_mismatches = repair_roundtrip_counts(code, code.generator_matrix)
     runtimes["repair"] = time.perf_counter() - t0
     if mismatches:
         failures.append(f"{mismatches} repair round trips returned a wrong symbol")
+    if row_mismatches:
+        failures.append(f"repair is not exact: {row_mismatches} round trips on generator rows "
+                        "returned a wrong symbol")
 
     distance = None
     distance_ok = None
@@ -353,13 +416,15 @@ def verify_code(
                 f"true distance {distance} below designed {code.params.d_designed}"
             )
 
-    ok = integrity_ok and loc.passed and mismatches == 0 and distance_ok is not False
+    ok = (integrity_ok and loc.passed and mismatches == 0 and row_mismatches == 0
+          and distance_ok is not False)
     return VerificationReport(
         ok=ok,
         locality_passed=loc.passed,
         locality_checks=loc.set_checks,
         repair_mismatches=mismatches,
         repair_words=int(words.shape[0]),
+        repair_exact=row_mismatches == 0,
         distance=distance,
         d_designed=code.params.d_designed,
         distance_ok=distance_ok,

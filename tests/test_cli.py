@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -142,6 +143,23 @@ def test_verify_caps_count_generator_rows(tmp_path, capsys, monkeypatch):
     assert lines[-1] == "FAILED"
 
 
+def test_verify_skips_phases_on_short_generator(tmp_path, capsys, golden_code):
+    # 3 generator columns for 6 places: the later phases would index past them
+    desc = code_to_descriptor(golden_code)
+    desc["generator_matrix"] = [[1, 2, 3]]
+    bad, report = tmp_path / "bad.json", tmp_path / "report.json"
+    bad.write_text(json.dumps(desc))
+    assert main(["verify", "--in", str(bad), "--report", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "locality skipped", "repair skipped", "distance skipped",
+        "failure: parameter block inconsistent with matrix shape", "FAILED",
+    ]
+    assert captured.err == ""
+    rep = json.loads(report.read_text())
+    assert rep["ok"] is False and rep["locality_passed"] is None and rep["repair_exact"] is None
+
+
 @pytest.mark.parametrize("key", ["n", "k", "d_designed", "r1", "r2"])
 def test_verify_rejects_missing_params_key(tmp_path, capsys, golden_code, key):
     desc = code_to_descriptor(golden_code)
@@ -155,14 +173,17 @@ def test_verify_rejects_missing_params_key(tmp_path, capsys, golden_code, key):
 @pytest.mark.parametrize("path", [
     "field", "tower", "groups", "places", "generator_matrix", "params",
     "recovery_sets", "recovery_sets[3].coord", "recovery_sets[3].set1",
-    "recovery_sets[3].set2",
+    "recovery_sets[3].set2", "field.p", "field.k", "field.modulus", "groups[1]",
+    "groups[0].kind", "groups[0].shifts", "groups[1].kind", "groups[1].scalars",
 ])
 def test_verify_rejects_missing_descriptor_key(tmp_path, capsys, golden_code, path):
     desc = code_to_descriptor(golden_code)
-    if path.startswith("recovery_sets["):
-        del desc["recovery_sets"][3][path.rpartition(".")[2]]
-    else:
-        del desc[path]
+    # "a.b[3].c" -> ["a", "b", 3, "c"]; delete the last step from its parent
+    steps = [int(x) if x.isdigit() else x for x in re.findall(r"\w+", path)]
+    parent = desc
+    for step in steps[:-1]:
+        parent = parent[step]
+    del parent[steps[-1]]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(desc))
     assert main(["verify", "--in", str(bad)]) == 1

@@ -209,3 +209,19 @@ def test_vec_axpy_matches_add_of_mul(p, k):
         yb, ab, xb = np.broadcast_arrays(y, a, x)
         for idx in np.ndindex(out.shape):
             assert int(out[idx]) == f.add(int(yb[idx]), f.mul(int(ab[idx]), int(xb[idx])))
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (7, 2), (2, 8), (257, 1), (1031, 1)])
+def test_vec_inv_matches_scalar_inv(p, k):
+    """Every nonzero element of GF(4), GF(49), GF(256), GF(257) and GF(1031)
+    (the digit-loop path), as int64 and as ``dtype``; a zero raises."""
+    f = make_field(p, k)
+    a = np.arange(1, f.q)
+    for cast in (np.int64, f.dtype):
+        out = f.vec_inv(a.astype(cast))
+        assert out.dtype == f.dtype and out.shape == a.shape
+        assert out.tolist() == [f.inv(int(x)) for x in a]
+    assert f.vec_inv(np.array([[1, f.q - 1]])).tolist() == [[1, f.inv(f.q - 1)]]
+    for zero in (np.array([3, 0, 1]), np.zeros((2, 2), dtype=f.dtype), 0):
+        with pytest.raises(ZeroDivisionError):
+            f.vec_inv(zero)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrctower import (
     ErasurePattern,
@@ -21,7 +22,7 @@ from lrctower import (
 from lrctower.construct import CodeDims, CodeParams, LrcCode
 from lrctower.errors import DuplicateWValues, NotACodeword, TooLarge
 from lrctower.gflinalg import matmul, rank
-from lrctower.repair import all_codewords, random_codewords, span_blocks
+from lrctower.repair import all_codewords, random_codewords, repair_roundtrip_counts, span_blocks
 
 
 def scalar_min_distance(code):
@@ -168,17 +169,156 @@ def _duplicate_w_code(code):
     return tampered
 
 
-def test_repair_duplicate_w_values_detected(tower_code):
-    zero = (0,) * tower_code.params.n
-    with pytest.raises(DuplicateWValues):
-        repair(_duplicate_w_code(tower_code), ErasurePattern(zero, 0, 1))
+def test_repair_duplicate_w_values_detected(golden_code, tower_code):
+    # the message lists the set's repair-variable values, then the erased place's
+    repeated = dataclasses.replace(
+        golden_code, recovery_sets=[((2, 2), golden_code.recovery_sets[0][1])]
+        + golden_code.recovery_sets[1:])
+    for code, nodes in ((_duplicate_w_code(tower_code), "[1, 1, 1]"), (repeated, "[4, 4, 1]")):
+        with pytest.raises(DuplicateWValues) as err:
+            repair(code, ErasurePattern((0,) * code.params.n, 0, 1))
+        assert str(err.value) == f"repair nodes for coordinate 0 collide: {nodes}"
 
 
 def test_verify_reports_duplicate_w_values(tower_code):
     # colliding nodes fail every round trip of that (coordinate, set)
     rep = verify_code(_duplicate_w_code(tower_code))
-    assert rep.ok is False
+    assert rep.ok is False and rep.repair_exact is False
     assert rep.repair_mismatches >= rep.repair_words
+
+
+def oracle_weights(code, i, s):
+    """The scalar Lagrange loop: set s's indices for coordinate i and the
+    weights lambda_h with c_i = sum_h lambda_h c_h, or None for the weights
+    when the interpolation nodes collide."""
+    fld = code.field
+    widx = (code.group1, code.group2)[s - 1].w_index
+    idx = code.recovery_sets[i][s - 1]
+    xs = [int(code.places[h].coords[widx]) for h in idx]
+    x0 = int(code.places[i].coords[widx])
+    if len(set(xs + [x0])) != len(xs) + 1:
+        return idx, None
+    lam = []
+    for h, xh in enumerate(xs):
+        v = 1
+        for h2, x2 in enumerate(xs):
+            if h2 != h:
+                v = fld.mul(v, fld.mul(fld.sub(x0, x2), fld.inv(fld.sub(xh, x2))))
+        lam.append(v)
+    return idx, lam
+
+
+def _with_sets(code, edit):
+    """A copy of ``code`` whose recovery sets are ``edit(list of pairs)``;
+    the copy builds its own plan."""
+    sets = [list(pair) for pair in code.recovery_sets]
+    edit(sets)
+    return dataclasses.replace(code, recovery_sets=[tuple(pair) for pair in sets])
+
+
+def _ragged(sets):
+    sets[0][0] = sets[0][0][:1]
+
+
+def _one_empty(sets):
+    sets[1][1] = ()
+
+
+def _all_empty(sets):
+    for pair in sets:
+        pair[1] = ()
+
+
+def _own_coord(sets):
+    sets[2][0] = (2,) + sets[2][0][1:]  # node x0 repeated inside the set
+
+
+def _tampered_codes(golden_code, tower_code):
+    return [_with_sets(c, edit) for c in (golden_code, tower_code)
+            for edit in (_ragged, _one_empty, _all_empty, _own_coord)] + [_duplicate_w_code(tower_code)]
+
+
+def _assert_plan_matches_oracle(code):
+    n = len(code.recovery_sets)
+    for s, plan in zip((1, 2), code.repair_plan):
+        r = max(len(pair[s - 1]) for pair in code.recovery_sets)
+        assert plan.index.shape == plan.weights.shape == (n, r)
+        assert plan.index.dtype == np.intp and plan.weights.dtype == code.field.dtype
+        assert plan.collide.shape == (n,)
+        for i in range(n):
+            idx, lam = oracle_weights(code, i, s)
+            pad = [0] * (r - len(idx))
+            assert plan.index[i].tolist() == list(idx) + pad
+            assert bool(plan.collide[i]) == (lam is None)
+            assert plan.weights[i, len(idx):].tolist() == pad
+            if lam is not None:
+                assert plan.weights[i, :len(idx)].tolist() == lam
+
+
+def test_repair_plan_matches_scalar_oracle(golden_code, tower_code, hermitian_code):
+    for code in (golden_code, tower_code, hermitian_code):
+        _assert_plan_matches_oracle(code)
+        assert not any(plan.collide.any() for plan in code.repair_plan)
+
+
+def test_repair_plan_on_tampered_sets(golden_code, tower_code):
+    codes = _tampered_codes(golden_code, tower_code)
+    for code in codes:
+        _assert_plan_matches_oracle(code)
+    # the all-empty set 2 has no columns at all: every repair through it gives 0
+    assert codes[2].repair_plan[1].index.shape == (6, 0)
+    word = tuple(int(x) for x in golden_code.encode([1, 2]))
+    assert repair(codes[2], ErasurePattern(word, 3, 2)) == 0
+    assert codes[3].repair_plan[0].collide.tolist() == [False, False, True, False, False, False]
+    assert codes[-1].repair_plan[0].collide.tolist() == [True] + [False] * 17
+
+
+def _scalar_roundtrip_count(code, words):
+    """One scalar repair per (codeword, coordinate, set); a colliding
+    (coordinate, set) counts once per codeword."""
+    count = 0
+    for w in words:
+        word = tuple(int(x) for x in w)
+        for i in range(code.params.n):
+            for s in (1, 2):
+                try:
+                    count += repair(code, ErasurePattern(word, i, s)) != word[i]
+                except DuplicateWValues:
+                    count += 1
+    return count
+
+
+def test_roundtrip_counts_match_scalar_repair(golden_code, tower_code, hermitian_code):
+    rng = np.random.default_rng(29)
+    codes = [golden_code, tower_code, hermitian_code, *_tampered_codes(golden_code, tower_code)]
+    for code in codes:
+        words = random_codewords(code, 12, seed=7)
+        clean = repair_roundtrip_counts(code, words)
+        assert clean == _scalar_roundtrip_count(code, words)
+        # plant symbol errors: a different symbol in about one cell in six
+        bad = words.copy()
+        hit = rng.random(bad.shape) < 1 / 6
+        bad[hit] = (bad[hit] + rng.integers(1, code.field.q, size=hit.sum())) % code.field.q
+        got = repair_roundtrip_counts(code, bad)
+        assert got == _scalar_roundtrip_count(code, bad) > clean
+    # on clean codewords only the colliding pair fails, once per codeword
+    dup = codes[-1]
+    flagged = sum(int(plan.collide.sum()) for plan in dup.repair_plan)
+    words = random_codewords(dup, 12, seed=7)
+    assert flagged == 1 and repair_roundtrip_counts(dup, words) == 12 * flagged
+
+
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_repair_round_trip_property(golden_code, tower_code, data):
+    code = data.draw(st.sampled_from([golden_code, tower_code]))
+    q, n = code.field.q, code.params.n
+    msg = data.draw(st.lists(st.integers(0, q - 1), min_size=code.params.k, max_size=code.params.k))
+    i = data.draw(st.integers(0, n - 1))
+    s = data.draw(st.sampled_from([1, 2]))
+    word = [int(x) for x in code.encode(msg)]
+    truth, word[i] = word[i], data.draw(st.integers(0, q - 1))  # erase symbol i
+    assert repair(code, ErasurePattern(tuple(word), i, s)) == truth
 
 
 def test_repair_rejects_out_of_range_coord(golden_code):
@@ -273,12 +413,25 @@ def test_dimension_report_tower(tower_code):
 
 def test_verify_code_reports(golden_code, tower_code):
     rep = verify_code(golden_code)
-    assert rep.ok and rep.distance == 4 and rep.repair_words == 81
+    assert rep.ok and rep.distance == 4 and rep.repair_words == 81 and rep.repair_exact
     rep2 = verify_code(tower_code)
-    assert rep2.ok and rep2.distance >= 6 and rep2.repair_words == 9**4
+    assert rep2.ok and rep2.distance >= 6 and rep2.repair_words == 9**4 and rep2.repair_exact
     blob = rep.to_json()
-    assert blob["ok"] is True and "runtimes" in blob
+    assert blob["ok"] is True and blob["repair_exact"] is True and "runtimes" in blob
     assert blob["locality_checks"] == [[True, True]] * 6
+
+
+def test_repair_exact_needs_no_sampled_words(hermitian_code):
+    # a wrong weight in the plan, no sampled codewords and an intact
+    # generator: only the round trips on the generator rows can see it
+    code = dataclasses.replace(hermitian_code)  # a copy with its own plan
+    weights = code.repair_plan[1].weights
+    weights[0, 0] = (int(weights[0, 0]) + 1) % code.field.q
+    rep = verify_code(code, rounds=0, exact_distance=False)
+    assert rep.locality_passed and rep.repair_words == 0 and rep.repair_mismatches == 0
+    assert rep.repair_exact is False and rep.ok is False
+    assert len(rep.failures) == 1 and rep.failures[0].startswith("repair is not exact: ")
+    assert verify_code(hermitian_code, rounds=0, exact_distance=False).repair_exact is True
 
 
 def test_verify_code_flags_bad_recovery_set(golden_code):
@@ -291,4 +444,5 @@ def test_verify_code_flags_bad_recovery_set(golden_code):
         places=golden_code.places, generator_matrix=golden_code.generator_matrix,
         recovery_sets=bad_sets, params=golden_code.params, dims=golden_code.dims,
     )
-    assert not verify_code(tampered).ok
+    rep = verify_code(tampered)
+    assert not rep.ok and rep.repair_exact is False
