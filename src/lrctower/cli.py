@@ -93,6 +93,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.rounds < 0:
+        raise ValueError(f"--rounds must be non-negative, got {args.rounds}")
     code = load_code(args.path)
     exact = True if args.exact_distance else (False if args.skip_distance else None)
     report = verify_code(

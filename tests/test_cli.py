@@ -325,3 +325,30 @@ def test_repair_demo_rejects_out_of_range_coord(tmp_path, capsys, coord):
     main(GOLDEN_ARGS + ["--out", str(out)])
     assert main(["repair-demo", "--in", str(out), "--coord", coord]) == 1
     assert f"error: coordinate {coord} out of range for n=6" in capsys.readouterr().err
+
+
+def test_repair_demo_rejects_params_n_mismatch(tmp_path, capsys, golden_code):
+    # params.n = 7 over 6 places: coordinate 6 passes a range check on n but
+    # has no recovery sets; verify still reports the integrity failure
+    desc = code_to_descriptor(golden_code)
+    desc["params"]["n"] = 7
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    assert main(["repair-demo", "--in", str(bad), "--coord", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: params.n = 7 does not match the 6 places\n"
+    assert main(["verify", "--in", str(bad)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "failure: parameter block inconsistent with matrix shape" in lines
+    assert lines[-1] == "FAILED"
+
+
+@pytest.mark.parametrize("fixture", ["golden_code", "hermitian_code"])
+def test_verify_rejects_negative_rounds(tmp_path, capsys, request, fixture):
+    # golden enumerates every codeword and Hermitian samples them: both refuse
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code_to_descriptor(request.getfixturevalue(fixture))))
+    args = ["verify", "--in", str(path), "--skip-distance", "--rounds"]
+    assert main(args + ["-1"]) == 1
+    assert capsys.readouterr().err == "error: --rounds must be non-negative, got -1\n"
+    assert main(args + ["0"]) == 0

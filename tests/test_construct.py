@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrctower import (
     TowerSpec,
@@ -181,6 +182,28 @@ def test_rref_matches_unfused_oracle(p, e, monkeypatch):
             assert got.shape == expect.shape and (got == expect).all()
             assert pivots == expect_pivots
             assert (given == m).all()  # the input is not reduced in place
+
+
+@pytest.mark.parametrize("p, e", [(7, 2), (1031, 1)])
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_rref_invariant_under_row_permutation(p, e, data):
+    """The RREF, zero rows included, and its pivots depend only on the row
+    space and row count: GF(49) (table path) and GF(1031) (digit loop), on
+    products of a random (rows, j) and (j, cols) matrix, so rank <= j."""
+    fld = make_field(p, e)
+    rows, cols, j = (data.draw(st.integers(0, hi)) for hi in (8, 8, 5))
+
+    def matrix(r, c):
+        cells = data.draw(st.lists(st.integers(0, fld.q - 1), min_size=r * c, max_size=r * c))
+        return np.array(cells, dtype=np.int64).reshape(r, c)
+
+    m = gflinalg.matmul(fld, matrix(rows, j), matrix(j, cols))
+    perm = data.draw(st.permutations(range(rows)))
+    expect, expect_pivots = gflinalg.rref(fld, m)
+    got, pivots = gflinalg.rref(fld, m[list(perm)])
+    assert pivots == expect_pivots and got.shape == (rows, cols)
+    assert (got == expect).all()
 
 
 @pytest.mark.parametrize("fixture", ["golden_code", "tower_code", "hermitian_code"])

@@ -22,7 +22,10 @@ from lrctower import (
 from lrctower.construct import CodeDims, CodeParams, LrcCode
 from lrctower.errors import DuplicateWValues, NotACodeword, TooLarge
 from lrctower.gflinalg import matmul, rank
-from lrctower.repair import all_codewords, random_codewords, repair_roundtrip_counts, span_blocks
+from lrctower.repair import (
+    all_codewords, locality_certificate, random_codewords, repair_roundtrip_counts,
+    repair_roundtrip_wrong, span_blocks,
+)
 
 
 def scalar_min_distance(code):
@@ -361,23 +364,59 @@ def test_definition1_repetition_code(gf9):
     assert verify_definition1(code).passed
 
 
-def test_definition1_fails_for_unstructured_code(gf9, golden_code):
+def _unstructured_codes(golden_code):
+    """Golden's places and sets over 20 seeded random generators."""
     rng = np.random.default_rng(2)
-    found_failure = False
-    for _ in range(20):
-        gen = rng.integers(0, 9, size=(2, 6))
-        code = LrcCode(
-            spec=golden_code.spec, group1=golden_code.group1,
-            group2=golden_code.group2,
-            places=golden_code.places,
-            generator_matrix=gen.astype(np.int64),
-            recovery_sets=golden_code.recovery_sets,
-            params=golden_code.params, dims=golden_code.dims,
-        )
-        if not verify_definition1(code).passed:
-            found_failure = True
-            break
-    assert found_failure
+    return [dataclasses.replace(golden_code, generator_matrix=rng.integers(0, 9, size=(2, 6)))
+            for _ in range(20)]
+
+
+def test_definition1_fails_for_unstructured_code(golden_code):
+    assert not all(verify_definition1(code).passed for code in _unstructured_codes(golden_code))
+
+
+def _locality_lines(failures):
+    return [f for f in failures if "coordinate" in f]
+
+
+def _assert_locality_matches_rank_test(code, **kwargs):
+    """verify_code's locality verdicts and failure lines equal those of the
+    rank test run on every pair; returns the verify report."""
+    rep = verify_code(code, **kwargs)
+    rank_only = verify_definition1(code)
+    assert rep.locality_checks == rank_only.set_checks
+    assert rep.locality_passed == rank_only.passed
+    assert _locality_lines(rep.failures) == rank_only.failures
+    return rep
+
+
+def test_locality_certificate_matches_rank_test(golden_code, tower_code, hermitian_code):
+    for code in (golden_code, tower_code, hermitian_code):
+        rep = _assert_locality_matches_rank_test(code, exact_distance=False)
+        assert rep.locality_passed and rep.repair_exact
+        # the round trip proves every pair: no rank test is left to run
+        assert locality_certificate(code, repair_roundtrip_wrong(code, code.generator_matrix)).all()
+    ragged = _with_sets(golden_code, _ragged)
+    for code in (_duplicate_w_code(tower_code), ragged, _with_sets(tower_code, _ragged),
+                 *_unstructured_codes(golden_code)):
+        _assert_locality_matches_rank_test(code)
+    assert not verify_definition1(ragged).set_checks[0][0]
+
+
+def test_locality_certificate_ignores_padding(golden_code):
+    # coordinate 0's set 1 is cut to one member, which cannot determine it;
+    # weight 1 on the padding (index 0, the coordinate itself) rebuilds it
+    # exactly, yet proves nothing
+    code = _with_sets(golden_code, _ragged)
+    plan = code.repair_plan[0]
+    assert plan.index[0].tolist() == [2, 0]
+    plan.weights[0] = [0, 1]
+    row_wrong = repair_roundtrip_wrong(code, code.generator_matrix)
+    assert not row_wrong[0, :, 0].any()
+    assert not locality_certificate(code, row_wrong)[0, 0]
+    rep = _assert_locality_matches_rank_test(code)
+    assert rep.locality_checks[0] == (False, True)
+    assert "coordinate 0 not determined by set 1" in rep.failures
 
 
 def test_brute_force_cap(golden_code):
@@ -423,11 +462,14 @@ def test_verify_code_reports(golden_code, tower_code):
 
 def test_repair_exact_needs_no_sampled_words(hermitian_code):
     # a wrong weight in the plan, no sampled codewords and an intact
-    # generator: only the round trips on the generator rows can see it
+    # generator: only the round trips on the generator rows can see it.
+    # Locality still holds; that one pair falls back to the rank test
     code = dataclasses.replace(hermitian_code)  # a copy with its own plan
     weights = code.repair_plan[1].weights
     weights[0, 0] = (int(weights[0, 0]) + 1) % code.field.q
-    rep = verify_code(code, rounds=0, exact_distance=False)
+    proven = locality_certificate(code, repair_roundtrip_wrong(code, code.generator_matrix))
+    assert proven.sum() == proven.size - 1 and not proven[1, 0]
+    rep = _assert_locality_matches_rank_test(code, rounds=0, exact_distance=False)
     assert rep.locality_passed and rep.repair_words == 0 and rep.repair_mismatches == 0
     assert rep.repair_exact is False and rep.ok is False
     assert len(rep.failures) == 1 and rep.failures[0].startswith("repair is not exact: ")
