@@ -14,7 +14,6 @@ from .bounds import (
     wz_bound,
 )
 from .construct import (
-    FunctionSpace,
     LrcCode,
     construct_lrc,
     evaluation_matrix,
@@ -61,7 +60,6 @@ __all__ = [
     "Automorphism",
     "ErasurePattern",
     "FiniteField",
-    "FunctionSpace",
     "LocalityReport",
     "LrcCode",
     "LrcError",

@@ -18,9 +18,11 @@ the joint pole divisor of all spanning functions below the budget.  The
 construction scores each cap split by dim V1 + dim V2 - dim(V1 + V2), keeps
 the first best one and runs the Zassenhaus intersection on that split alone.
 
-The cap splits share most of their monomials, so every distinct spanning
-monomial of every split and both groups is evaluated once, into one union
-matrix E, and E is reduced once to R with pivot columns P.  Every space
+A split's spanning set is the budget-only one less the monomials whose
+expanded exponents exceed its caps, in the same order.  So each group's
+monomials are enumerated once, without caps, their union is evaluated once,
+into one union matrix E, and each split's rows of E are a mask over each
+group's list.  E is reduced once to R with pivot columns P.  Every space
 searched lies in rowspace(E), whose RREF pivots are P: a subspace's pivots
 are a subset of P, and v -> v[P] is an isomorphism on rowspace(E) that keeps
 leading positions.  So each split's bases, ranks, score and the winner's
@@ -31,8 +33,10 @@ full-width RREF basis.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -43,67 +47,29 @@ from .groups import ADDITIVE, MULTIPLICATIVE, RecoveryGroup, combine, orbit
 from .tower import GS95, GS96, MonomialFunction, Place, TowerSpec, evaluate_vec, pole_degree
 
 
-@dataclass(frozen=True)
-class FunctionSpace:
-    """Spanning monomials for one recovery group under a degree budget."""
-
-    functions: tuple[MonomialFunction, ...]
-    budget: int
-    group: RecoveryGroup
-    caps: tuple[int, ...] | None = None
-
-    @property
-    def w_index(self) -> int:
-        return self.group.w_index
-
-    def __len__(self):
-        return len(self.functions)
-
-
-def _bounded_tuples(bounds: list[int]) -> list[tuple[int, ...]]:
-    out = [()]
-    for b in bounds:
-        out = [t + (v,) for t in out for v in range(b + 1)]
-    return out
-
-
-def spanning_set(
-    spec: TowerSpec,
-    group: RecoveryGroup,
-    budget: int,
-    caps: tuple[int, ...] | None = None,
-) -> FunctionSpace:
-    """Invariant-monomial spanning set with pole degree <= budget.
-
-    ``caps`` optionally limits the expanded exponent of each generator
-    (used by the y-tower construction at m >= 2 to keep the joint pole
-    divisor inside the budget).
-    """
+def spanning_set(spec: TowerSpec, group: RecoveryGroup, budget: int) -> tuple[MonomialFunction, ...]:
+    """Invariant monomials with pole degree <= budget, sorted by pole degree,
+    expanded exponents, g_power and w_power."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
     weights = spec.pole_weights()
     m = spec.m
     widx = group.w_index
     r = group.r
+    bounds = [budget // wt for wt in weights]
     found: list[MonomialFunction] = []
-
-    def gen_cap(i: int) -> int:
-        by_budget = budget // weights[i]
-        return min(by_budget, caps[i]) if caps is not None else by_budget
 
     if group.kind == ADDITIVE:
         roots = group.shifts
         gdeg = len(roots)
-        w_cap = gen_cap(widx)
         other = [i for i in range(m) if i != widx]
-        for evec in _bounded_tuples([gen_cap(i) for i in other]):
+        for evec in product(*(range(bounds[i] + 1) for i in other)):
             base = sum(weights[i] * e for i, e in zip(other, evec))
             if base > budget:
                 continue
             for l in range(max(r, 1)):
-                for j in range(0, w_cap + 1):
-                    t_w = gdeg * j + l
-                    if t_w > w_cap or base + weights[widx] * t_w > budget:
+                for j in range(0, bounds[widx] + 1):
+                    if base + weights[widx] * (gdeg * j + l) > budget:
                         break
                     exps = [0] * m
                     for i, e in zip(other, evec):
@@ -115,7 +81,7 @@ def spanning_set(
     elif group.kind == MULTIPLICATIVE:
         u = group.order
         scaled = range(m) if spec.variant == GS96 else (0,)
-        for tvec in _bounded_tuples([gen_cap(i) for i in range(m)]):
+        for tvec in product(*(range(b + 1) for b in bounds)):
             if sum(weights[i] * t for i, t in enumerate(tvec)) > budget:
                 continue
             s = sum(tvec[i] for i in scaled) % u
@@ -127,16 +93,15 @@ def spanning_set(
     else:
         raise ValueError(f"unknown group kind {group.kind!r}")
 
-    uniq = sorted(
+    return tuple(sorted(
         set(found),
         key=lambda f: (pole_degree(f, spec), f.total_exponents(), f.g_power, f.w_power),
-    )
-    return FunctionSpace(tuple(uniq), budget, group, caps)
+    ))
 
 
-def evaluation_matrix(space: FunctionSpace | list, places: list[Place], fld: FiniteField | None = None) -> np.ndarray:
-    """Row per spanning function, column per place, in ``fld.dtype``."""
-    functions = space.functions if isinstance(space, FunctionSpace) else space
+def evaluation_matrix(functions: Sequence[MonomialFunction], places: list[Place],
+                      fld: FiniteField | None = None) -> np.ndarray:
+    """Row per function, column per place, in ``fld.dtype``."""
     if fld is None:
         fld = places[0].spec.field
     coords = np.array([p.coords for p in places], dtype=np.int64)
@@ -204,28 +169,28 @@ def _cap_profiles(spec: TowerSpec, budget: int) -> list[tuple[int, ...] | None]:
     """Cap splits to try; None means the plain budget-only enumeration."""
     if spec.variant == GS96 and spec.m >= 2:
         beta = budget // spec.pole_weights()[0]
-        profiles: list[tuple[int, ...] | None] = []
-        for tvec in _bounded_tuples([beta] * spec.m):
-            if sum(tvec) == beta:
-                profiles.append(tvec)
-        return profiles
+        return [tvec for tvec in product(range(beta + 1), repeat=spec.m) if sum(tvec) == beta]
     return [None]
 
 
 def _union_rows(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, budget: int, places: list[Place]):
-    """Every cap split's spanning monomials for both groups, evaluated once.
+    """Both groups' spanning monomials, evaluated once, and every cap split's
+    rows of them.
 
-    Returns (splits, E): E has one row per distinct monomial, in order of
-    first appearance, and each split is (caps, (rows1, rows2)), the rows of
-    E that span V1 and V2 under those caps.
+    Returns (splits, E): E has one row per distinct monomial, H1's first,
+    and each split is (caps, (rows1, rows2)), the rows of E that span V1 and
+    V2 under those caps: the group's monomials whose expanded exponents are
+    all <= caps (every one for caps None), in ``spanning_set`` order.
     """
+    spaces = [spanning_set(spec, h, budget) for h in (h1, h2)]
+    union = list(dict.fromkeys(spaces[0] + spaces[1]))
+    row_of = {f: i for i, f in enumerate(union)}
+    indexed = [(np.array([row_of[f] for f in fs], dtype=np.intp),
+                np.array([f.total_exponents() for f in fs])) for fs in spaces]
     splits = [
-        (caps, [spanning_set(spec, h, budget, caps).functions for h in (h1, h2)])
+        (caps, tuple(rows if caps is None else rows[(exps <= caps).all(axis=1)] for rows, exps in indexed))
         for caps in _cap_profiles(spec, budget)
     ]
-    union = list(dict.fromkeys(f for _, spaces in splits for fs in spaces for f in fs))
-    row_of = {f: i for i, f in enumerate(union)}
-    splits = [(caps, tuple([row_of[f] for f in fs] for fs in spaces)) for caps, spaces in splits]
     return splits, evaluation_matrix(union, places, spec.field)
 
 

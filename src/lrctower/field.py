@@ -75,23 +75,6 @@ def _poly_modred(a, mod, p):
     return _poly_trim(tuple(x % p for x in a))
 
 
-def _poly_divmod(a, b, p):
-    # b monic is not required; leading coefficient inverted mod p
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    if da < db:
-        return (), _poly_trim(tuple(a))
-    inv_lead = pow(b[-1], p - 2, p)
-    quot = [0] * (da - db + 1)
-    for i in range(da, db - 1, -1):
-        c = (a[i] * inv_lead) % p
-        quot[i - db] = c
-        if c:
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return _poly_trim(tuple(quot)), _poly_trim(tuple(a))
-
-
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     """Trial division by every monic polynomial of degree <= deg/2."""
     k = len(poly) - 1
@@ -103,9 +86,7 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 
     for d in range(1, k // 2 + 1):
         for low in product(range(p), repeat=d):
-            div = tuple(low) + (1,)
-            _, rem = _poly_divmod(poly, div, p)
-            if not rem:
+            if not _poly_modred(poly, tuple(low) + (1,), p):
                 return False
     return True
 
@@ -222,11 +203,7 @@ class FiniteField:
             neg += ((self.p - d) % self.p) * self.p**i
         self.neg_table = neg.astype(self.dtype)
         if q <= TABLE_CAP:
-            add = np.zeros((q, q), dtype=np.int64)
-            for i in range(self.k):
-                da = (codes // self.p**i) % self.p
-                add += ((da[:, None] + da[None, :]) % self.p) * self.p**i
-            self.add_table = add.astype(self.dtype)
+            self.add_table = self._digit_add(codes[:, None], codes[None, :]).astype(self.dtype)
             lg = np.where(log < 0, 0, log)
             mul = exp[(lg[:, None] + lg[None, :]) % (q - 1)] if q > 2 else np.array([[0, 0], [0, 1]])
             mul = np.where((codes[:, None] == 0) | (codes[None, :] == 0), 0, mul)
@@ -240,16 +217,21 @@ class FiniteField:
             self.add_table = None
             self.mul_table = None
 
+    def _digit_add(self, a, b):
+        """Digit-wise sum mod p of codes: Python ints, or int64 arrays that
+        broadcast."""
+        out, p = 0, self.p
+        for i in range(self.k):
+            pi = p**i
+            out = out + ((a // pi + b // pi) % p) * pi
+        return out
+
     # -- scalar arithmetic on integer codes ---------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.add_table is not None:
             return int(self.add_table[a, b])
-        out, p = 0, self.p
-        for i in range(self.k):
-            pi = p**i
-            out += ((a // pi + b // pi) % p) * pi
-        return out
+        return self._digit_add(a, b)
 
     def neg(self, a: int) -> int:
         return int(self.neg_table[a])
@@ -281,13 +263,7 @@ class FiniteField:
         b = np.asarray(b)
         if self.add_table is not None:
             return self.add_table[a, b]
-        a = a.astype(np.int64, copy=False)
-        b = b.astype(np.int64, copy=False)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        for i in range(self.k):
-            pi = self.p**i
-            out += ((a // pi + b // pi) % self.p) * pi
-        return out.astype(self.dtype)
+        return self._digit_add(a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)).astype(self.dtype)
 
     def vec_neg(self, a):
         return self.neg_table[np.asarray(a)]

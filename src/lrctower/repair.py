@@ -122,10 +122,16 @@ def build_repair_plan(code: LrcCode) -> tuple[RepairPlan, RepairPlan]:
 
 
 def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> int:
-    """Recover the erased symbol through the chosen recovery set."""
+    """Recover the erased symbol through the chosen recovery set.
+
+    A word whose length is not n, or a symbol outside [0, q) on the set,
+    raises ValueError; the erased symbol itself is never read.
+    """
     fld = code.field
-    i, s = pattern.coord, pattern.set_choice
+    i, s, word = pattern.coord, pattern.set_choice, pattern.codeword
     check_coord(code, i)
+    if len(word) != code.params.n:
+        raise ValueError(f"word has {len(word)} symbols, expected n={code.params.n}")
     plan = code.repair_plan[s - 1]
     if plan.collide[i]:
         widx = (code.group1, code.group2)[s - 1].w_index
@@ -133,12 +139,16 @@ def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> int:
         raise DuplicateWValues(f"repair nodes for coordinate {i} collide: {nodes}")
     if strict:
         known = [h for h in range(code.params.n) if h != i]
-        rhs = np.array([pattern.codeword[h] for h in known], dtype=np.int64)
+        rhs = np.array([word[h] for h in known], dtype=np.int64)
         if not gflinalg.in_span(fld, code.generator_matrix[:, known], rhs):
             raise NotACodeword("unerased symbols are not consistent with the code")
     out = 0
     for h, l in zip(plan.index[i].tolist(), plan.weights[i].tolist()):
-        out = fld.add(out, fld.mul(l, int(pattern.codeword[h])))
+        if l:  # padding has weight 0 and reads nothing
+            c = int(word[h])
+            if not 0 <= c < fld.q:
+                raise ValueError(f"symbol {c} at coordinate {h} is outside [0, {fld.q})")
+            out = fld.add(out, fld.mul(l, c))
     return out
 
 
@@ -260,6 +270,9 @@ def repair_roundtrip_wrong(code: LrcCode, codewords: np.ndarray) -> np.ndarray:
     """
     fld = code.field
     words = gflinalg.as_matrix(fld, codewords).astype(fld.dtype, copy=False)
+    n = len(code.recovery_sets)
+    if words.shape[1] != n:
+        raise ValueError(f"words have {words.shape[1]} symbols, expected n={n}")
     wrong = np.empty((2, *words.shape), dtype=bool)
     for s, plan in enumerate(code.repair_plan):
         rebuilt = np.zeros(words.shape, dtype=fld.dtype)
@@ -406,6 +419,8 @@ def verify_code(
     column per place fails integrity, and then every later phase is skipped:
     they index its columns by place.
     """
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds}")
     runtimes = {}
     failures = []
     q, k = code.field.q, code.generator_matrix.shape[0]

@@ -15,7 +15,14 @@ from lrctower import (
 )
 from lrctower.construct import _cap_profiles, _split_bases, _union_rows
 from lrctower.errors import BudgetTooSmall, IllegalOrder
-from lrctower import gflinalg
+from lrctower import construct, gflinalg
+
+
+def _capped(spec, h, budget, caps):
+    """A cap split's spanning set: the monomials whose expanded exponents
+    are all <= caps, every one for caps None."""
+    return [f for f in spanning_set(spec, h, budget)
+            if caps is None or all(t <= c for t, c in zip(f.total_exponents(), caps))]
 
 
 def _groups_m1(gf9):
@@ -28,23 +35,23 @@ def _groups_m1(gf9):
 def test_spanning_set_additive_worked_example(gf9):
     spec, h1, _ = _groups_m1(gf9)
     v = spanning_set(spec, h1, 4)
-    shapes = [(f.g_power, f.w_power) for f in v.functions]
+    shapes = [(f.g_power, f.w_power) for f in v]
     # {1, x, g, g*x} with g of degree 3
     assert sorted(shapes) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert all(f.g_roots in ((), (0, 3, 6)) for f in v.functions)
+    assert all(f.g_roots in ((), (0, 3, 6)) for f in v)
 
 
 def test_spanning_set_multiplicative_worked_example(gf9):
     spec, _, h2 = _groups_m1(gf9)
     v = spanning_set(spec, h2, 4)
-    assert [f.total_exponents() for f in v.functions] == [(0,), (2,), (4,)]
+    assert [f.total_exponents() for f in v] == [(0,), (2,), (4,)]
 
 
 def test_spanning_set_budget_zero(gf9):
     spec, h1, h2 = _groups_m1(gf9)
     for h in (h1, h2):
         v = spanning_set(spec, h, 0)
-        assert len(v) == 1 and v.functions[0].total_exponents() == (0,)
+        assert len(v) == 1 and v[0].total_exponents() == (0,)
 
 
 def closed_form_dim(budget, r, order):
@@ -218,13 +225,31 @@ def test_projected_split_dims_equal_full_width_ranks(fixture, request):
     assert [caps for caps, _ in splits] == _cap_profiles(spec, budget)
     _, pivots = gflinalg.rref(fld, evals)
     assert len(pivots) < evals.shape[1]  # the projection drops columns
+    # no row of E lies outside every split
+    assert set().union(*(set(r.tolist()) for _, rows in splits for r in rows)) == set(range(len(evals)))
     for caps, rows in splits:
-        m1, m2 = (evaluation_matrix(spanning_set(spec, h, budget, caps), places, fld)
+        m1, m2 = (evaluation_matrix(_capped(spec, h, budget, caps), places, fld)
                   for h in (code.group1, code.group2))
         assert (evals[rows[0]] == m1).all() and (evals[rows[1]] == m2).all()
         b1, b2, dim_sum = _split_bases(fld, evals[:, pivots], rows)
         ranks = (gflinalg.rank(fld, m1), gflinalg.rank(fld, m2), gflinalg.rank(fld, np.vstack([m1, m2])))
         assert (len(b1), len(b2), dim_sum) == ranks
+
+
+def test_spanning_set_runs_once_per_group(tower_code, monkeypatch):
+    """Cap splits are masks over each group's one enumeration, however many
+    splits there are (five on the 18-place code)."""
+    code = tower_code
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return spanning_set(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "spanning_set", counted)
+    rebuilt = construct_lrc(code.spec, code.group1, code.group2, code.params.d_designed)
+    assert len(seen) == 2
+    assert rebuilt.dims == code.dims and (rebuilt.generator_matrix == code.generator_matrix).all()
 
 
 def test_cap_profile_choice_matches_per_profile_zassenhaus(tower_code):
@@ -235,7 +260,7 @@ def test_cap_profile_choice_matches_per_profile_zassenhaus(tower_code):
     places = spec.places()
 
     def matrices(caps):
-        return [evaluation_matrix(spanning_set(spec, h, budget, caps), places, fld)
+        return [evaluation_matrix(_capped(spec, h, budget, caps), places, fld)
                 for h in (tower_code.group1, tower_code.group2)]
 
     profiles = _cap_profiles(spec, budget)
@@ -291,7 +316,7 @@ def test_generator_rows_live_in_both_spaces(golden_code, tower_code):
         fld = code.field
         places = code.places
         for h, caps in ((code.group1, code.dims.caps), (code.group2, code.dims.caps)):
-            v = spanning_set(code.spec, h, code.dims.budget, caps)
+            v = _capped(code.spec, h, code.dims.budget, caps)
             mat = evaluation_matrix(v, places)
             for row in code.generator_matrix:
                 assert gflinalg.in_span(fld, mat, row)
@@ -366,8 +391,7 @@ def test_spanning_functions_respect_budget(gf9, gf25):
     for spec, kind, kwargs in cases:
         h = build_recovery_group(spec, kind, **kwargs)
         for budget in (0, 5, 11, 20):
-            v = spanning_set(spec, h, budget)
-            for f in v.functions:
+            for f in spanning_set(spec, h, budget):
                 assert pole_degree(f, spec) <= budget
                 assert 0 <= f.w_power <= max(h.r - 1, 0)
 

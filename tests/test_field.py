@@ -6,7 +6,7 @@ import pytest
 
 from lrctower import artin_schreier_kernel, make_field, norm_one_group, subfield_units
 from lrctower.errors import FieldTooLarge, NonPrimeCharacteristic, NotASquareField
-from lrctower.field import field_from_json, field_to_json
+from lrctower.field import _first_irreducible, field_from_json, field_to_json
 
 
 def naive_irreducible(poly, p):
@@ -38,6 +38,19 @@ def test_gf9_modulus_is_first_lex_irreducible():
             first = (c0, c1, 1)
             break
     assert first == f.modulus
+
+
+@pytest.mark.parametrize("p, k, modulus", [
+    (2, 10, (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)),
+    (2, 16, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)),
+    (3, 6, (1, 0, 0, 0, 1, 1, 1)),
+    (5, 4, (1, 0, 1, 1, 1)),
+])
+def test_extension_moduli_pinned(p, k, modulus):
+    """Every element code depends on the modulus the search picks, so these
+    must never move."""
+    assert _first_irreducible(p, k) == modulus
+    assert naive_irreducible(modulus, p)
 
 
 def test_prime_field_uses_identity_modulus():

@@ -331,6 +331,29 @@ def test_repair_rejects_out_of_range_coord(golden_code):
             repair(golden_code, ErasurePattern(zero, i, 1))
 
 
+def test_repair_rejects_bad_words(golden_code):
+    """A word of the wrong length and a read symbol outside [0, q) are named,
+    not wrapped by the tables; the erased symbol itself is never read."""
+    word = [int(x) for x in golden_code.encode([1, 2])]
+    assert word == [1, 1, 2, 0, 0, 2] and golden_code.recovery_sets[0][0] == (2, 4)
+    for bad in (-1, -8, 9):
+        with pytest.raises(ValueError, match=f"symbol {bad} at coordinate 2 is outside \\[0, 9\\)"):
+            repair(golden_code, ErasurePattern((1, 1, bad, 0, 0, 2), 0, 1))
+    for length in (2, 7):
+        with pytest.raises(ValueError, match=f"word has {length} symbols, expected n=6"):
+            repair(golden_code, ErasurePattern(tuple(word * 2)[:length], 0, 1))
+    assert repair(golden_code, ErasurePattern((-1, *word[1:]), 0, 1)) == 1
+
+
+def test_bulk_rebuild_rejects_wrong_width(golden_code):
+    words = all_codewords(golden_code)
+    assert repair_roundtrip_counts(golden_code, words) == 0
+    for width in (5, 7):
+        cut = np.hstack([words, words])[:, :width]
+        with pytest.raises(ValueError, match=f"words have {width} symbols, expected n=6"):
+            repair_roundtrip_counts(golden_code, cut)
+
+
 def test_definition1_passes_and_slow_mode_agrees(golden_code):
     """Oracle: the exhaustive projection check over all codewords, where a
     set determines coordinate i iff no two codewords agree on the set and
@@ -488,3 +511,11 @@ def test_verify_code_flags_bad_recovery_set(golden_code):
     )
     rep = verify_code(tampered)
     assert not rep.ok and rep.repair_exact is False
+
+
+@pytest.mark.parametrize("fixture, exact_distance", [("golden_code", None), ("hermitian_code", False)])
+def test_verify_code_rejects_negative_rounds(fixture, exact_distance, request):
+    """Enumerated (golden) and sampled (Hermitian) repair words alike."""
+    code = request.getfixturevalue(fixture)
+    with pytest.raises(ValueError, match="rounds must be >= 0, got -1"):
+        verify_code(code, rounds=-1, exact_distance=exact_distance)
