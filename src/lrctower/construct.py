@@ -15,8 +15,12 @@ intersection code has designed distance d_target.  On the y-tower at level
 m >= 2 the generators have poles at different places, so a single budget is
 not enough: per-generator degree caps with cap-sum <= budget / l^(m-1) keep
 the joint pole divisor of all spanning functions below the budget.  The
-construction scores each cap split by dim V1 + dim V2 - dim(V1 + V2), keeps
-the first best one and runs the Zassenhaus intersection on that split alone.
+construction scores cap splits by dim V1 + dim V2 - dim(V1 + V2), keeps the
+first best one in profile order and runs the Zassenhaus intersection on that
+split alone.  A split's score is at most min(|rows1|, |rows2|), so the splits
+are visited by falling bound and the search stops once no bound can reach
+the best score; a split whose bound only ties it is scored only if it comes
+earlier in profile order.
 
 A split's spanning set is the budget-only one less the monomials whose
 expanded exponents exceed its caps, in the same order.  So each group's
@@ -223,13 +227,22 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
     splits, evals = _union_rows(spec, h1, h2, budget, places)
     reduced, pivots = gflinalg.rref(fld, evals)
     projected = evals[:, pivots]
+    # k <= min(|rows1|, |rows2|); the stable sort keeps profile order among
+    # equal bounds, and equal scores go to the lower index
+    bounds = [min(len(r) for r in rows) for _, rows in splits]
     best = None
-    for caps, rows in splits:
+    for i in sorted(range(len(splits)), key=lambda i: -bounds[i]):
+        if best is not None:
+            if bounds[i] < best[0]:
+                break
+            if bounds[i] == best[0] and i > best[1]:
+                continue
+        caps, rows = splits[i]
         b1, b2, dim_sum = _split_bases(fld, projected, rows)
         score = len(b1) + len(b2) - dim_sum
-        if best is None or score > best[0]:
-            best = (score, b1, b2, dim_sum, caps, rows)
-    k, b1, b2, dim_sum, caps, rows = best
+        if best is None or (score, -i) > (best[0], -best[1]):
+            best = (score, i, b1, b2, dim_sum, caps, rows)
+    k, _, b1, b2, dim_sum, caps, rows = best
     basis = gflinalg.rowspace_intersection(fld, b1, b2)
     if basis.shape[0] != k:
         raise AssertionError("Zassenhaus intersection disagrees with the rank identity")

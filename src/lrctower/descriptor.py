@@ -39,6 +39,16 @@ def _required(obj, key, path: str):
     return obj[key]
 
 
+def _int_list(value, path: str, length: int | None = None) -> list[int]:
+    """``value`` if it is a list of integers (of ``length`` entries, if
+    given), else a ValueError naming its JSON path."""
+    if not (isinstance(value, list) and all(type(x) is int for x in value)
+            and length in (None, len(value))):
+        size = "" if length is None else f" of length {length}"
+        raise ValueError(f"{path} must be a list of integers{size}, got {value!r}")
+    return value
+
+
 def group_from_json(spec: TowerSpec, obj: dict, path: str) -> RecoveryGroup:
     """The group of one ``groups[e]`` entry; ``path`` names it in errors."""
     if _required(obj, "kind", f"{path}.kind") == ADDITIVE:
@@ -58,7 +68,7 @@ def code_to_descriptor(code: LrcCode, seed: int = 0) -> dict:
         "tower": {"variant": code.spec.variant, "ell": code.spec.ell, "m": code.spec.m},
         "groups": [group_to_json(code.group1), group_to_json(code.group2)],
         "places": [list(p.coords) for p in code.places],
-        "generator_matrix": [[int(x) for x in row] for row in code.generator_matrix],
+        "generator_matrix": code.generator_matrix.tolist(),
         "recovery_sets": [
             {"coord": i, "set1": list(s1), "set2": list(s2)}
             for i, (s1, s2) in enumerate(code.recovery_sets)
@@ -103,7 +113,7 @@ def code_from_descriptor(desc: dict) -> LrcCode:
     g1, g2 = (group_from_json(spec, _required(groups, e, f"groups[{e}]"), f"groups[{e}]")
               for e in (0, 1))
     places = [
-        Place(coords=tuple(int(c) for c in co), spec=spec, index=i)
+        Place(coords=tuple(_int_list(co, f"places[{i}]", spec.m)), spec=spec, index=i)
         for i, co in enumerate(_required(desc, "places", "places"))
     ]
     gen = np.array(_required(desc, "generator_matrix", "generator_matrix"), dtype=np.int64)
@@ -123,7 +133,8 @@ def code_from_descriptor(desc: dict) -> LrcCode:
         i = index(f"{path}.coord", _required(entry, "coord", f"{path}.coord"))
         recovery[i] = tuple(
             tuple(index(f"{path}.{key}[{h}]", x)
-                  for h, x in enumerate(_required(entry, key, f"{path}.{key}")))
+                  for h, x in enumerate(_int_list(_required(entry, key, f"{path}.{key}"),
+                                                  f"{path}.{key}")))
             for key in ("set1", "set2")
         )
     p = _required(desc, "params", "params")

@@ -231,7 +231,7 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         if self.add_table is not None:
             return int(self.add_table[a, b])
-        return self._digit_add(a, b)
+        return self._digit_add(int(a), int(b))  # numpy scalars would wrap
 
     def neg(self, a: int) -> int:
         return int(self.neg_table[a])

@@ -319,6 +319,31 @@ def test_verify_rejects_out_of_range_recovery_index(tmp_path, capsys, golden_cod
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("path, value, message", [
+    ("recovery_sets[0].set1", 5, "recovery_sets[0].set1 must be a list of integers, got 5"),
+    ("recovery_sets[4].set2", [1.5], "recovery_sets[4].set2 must be a list of integers, got [1.5]"),
+    ("recovery_sets[2].set1", "12", "recovery_sets[2].set1 must be a list of integers, got '12'"),
+    ("places[0]", 5, "places[0] must be a list of integers of length 1, got 5"),
+    ("places[3]", [1, 2], "places[3] must be a list of integers of length 1, got [1, 2]"),
+    ("places[5]", [[2]], "places[5] must be a list of integers of length 1, got [[2]]"),
+])
+def test_verify_rejects_malformed_int_list(tmp_path, capsys, golden_code, path, value, message):
+    """A recovery set or place that is not a flat list of integers (of the
+    tower's m coordinates, for a place) is named by its JSON path."""
+    desc = code_to_descriptor(golden_code)
+    steps = [int(x) if x.isdigit() else x for x in re.findall(r"\w+", path)]
+    parent = desc
+    for step in steps[:-1]:
+        parent = parent[step]
+    parent[steps[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    assert main(["verify", "--in", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("coord", ["-1", "6"])
 def test_repair_demo_rejects_out_of_range_coord(tmp_path, capsys, coord):
     out = tmp_path / "code.json"

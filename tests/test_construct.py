@@ -13,7 +13,7 @@ from lrctower import (
     make_field,
     spanning_set,
 )
-from lrctower.construct import _cap_profiles, _split_bases, _union_rows
+from lrctower.construct import CodeDims, _cap_profiles, _split_bases, _union_rows
 from lrctower.errors import BudgetTooSmall, IllegalOrder
 from lrctower import construct, gflinalg
 
@@ -273,6 +273,84 @@ def test_cap_profile_choice_matches_per_profile_zassenhaus(tower_code):
     ranks = (gflinalg.rank(fld, m1), gflinalg.rank(fld, m2), gflinalg.rank(fld, np.vstack([m1, m2])))
     assert (d.dim_v1, d.dim_v2, d.dim_sum) == ranks == (8, 4, 8)
     assert tower_code.params.k == max(sizes) == 4
+
+
+def _kernel_scalar_pair(p, e, m):
+    """The y-tower over GF(p^e) at level m with the ladder's group pair:
+    additive kernel shifts and the scalars of order l - 1."""
+    spec = TowerSpec("gs96", make_field(p, e), m)
+    return (spec,
+            build_recovery_group(spec, "additive", shifts="kernel"),
+            build_recovery_group(spec, "multiplicative", order=spec.ell - 1))
+
+
+def _exhaustive_choice(spec, h1, h2, d_target):
+    """Score every cap split, keep the first of largest score and intersect
+    its two full-width evaluation matrices: the search construct_lrc prunes,
+    written out with no bound.  Reads the splits through the module, so a
+    patched ``_union_rows`` applies here too."""
+    fld, places = spec.field, spec.places()
+    budget = len(places) - d_target
+    splits, evals = construct._union_rows(spec, h1, h2, budget, places)
+    _, pivots = gflinalg.rref(fld, evals)
+    scored = []
+    for caps, rows in splits:
+        b1, b2, dim_sum = _split_bases(fld, evals[:, pivots], rows)
+        scored.append((len(b1) + len(b2) - dim_sum, caps, rows, (len(b1), len(b2), dim_sum)))
+    _, caps, rows, dims = max(scored, key=lambda s: s[0])  # max keeps the first maximum
+    gen = _doubled_block_intersection(fld, evals[rows[0]], evals[rows[1]])
+    return CodeDims(*dims, budget=budget, caps=caps), gen
+
+
+@pytest.mark.parametrize("p, e, m, d", [(3, 2, 2, 6), (2, 4, 2, 20), (5, 2, 2, 40), (2, 4, 3, 77)],
+                         ids=["ytower18", "l4-m2-d20", "l5-m2-d40", "l4-m3-d77"])
+def test_pruned_choice_matches_exhaustive_scoring(p, e, m, d):
+    spec, h1, h2 = _kernel_scalar_pair(p, e, m)
+    code = construct_lrc(spec, h1, h2, d)
+    dims, gen = _exhaustive_choice(spec, h1, h2, d)
+    assert code.dims == dims
+    assert code.generator_matrix.shape == gen.shape and (code.generator_matrix == gen).all()
+
+
+@pytest.mark.parametrize("layout", ["same-bound", "later-has-larger-bound"])
+def test_equal_scores_go_to_the_lower_index(monkeypatch, layout):
+    """Two splits of the 18-place code's best rows (score 4) behind its
+    first split: the lower index wins whether the later one has the same
+    bound (a copy) or a larger one (each row list doubled, so it is visited
+    and scored first)."""
+    spec, h1, h2 = _kernel_scalar_pair(3, 2, 2)
+    real = construct._union_rows
+
+    def tied(*args):
+        splits, evals = real(*args)
+        rows = dict(splits)[(3, 1)]
+        later = rows if layout == "same-bound" else tuple(np.concatenate([r, r]) for r in rows)
+        return [splits[0], ("first", rows), ("second", later)], evals
+
+    monkeypatch.setattr(construct, "_union_rows", tied)
+    code = construct_lrc(spec, h1, h2, 6)
+    dims, gen = _exhaustive_choice(spec, h1, h2, 6)
+    assert code.dims.caps == dims.caps == "first" and code.params.k == 4
+    assert code.dims == dims and (code.generator_matrix == gen).all()
+
+
+@pytest.mark.parametrize("p, e, m, d, profiles, scored", [(7, 2, 2, 150, 21, 8), (5, 2, 3, 250, 66, 5)],
+                         ids=["gs96-294", "gs96-500"])
+def test_bound_pruning_scores_few_splits(monkeypatch, p, e, m, d, profiles, scored):
+    """Structural guard on the pruning, not a timing test: of the 21 and 66
+    cap splits of the two large ladder codes, the bound-ordered search
+    scores 8 and 5 (exhaustive scoring ran every one)."""
+    spec, h1, h2 = _kernel_scalar_pair(p, e, m)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _split_bases(*args)
+
+    monkeypatch.setattr(construct, "_split_bases", counted)
+    code = construct_lrc(spec, h1, h2, d)
+    assert len(_cap_profiles(spec, code.dims.budget)) == profiles
+    assert len(calls) == scored
 
 
 def test_golden_intersection_matches_coefficient_model(gf9, golden_code):

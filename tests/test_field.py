@@ -238,3 +238,22 @@ def test_vec_inv_matches_scalar_inv(p, k):
     for zero in (np.array([3, 0, 1]), np.zeros((2, 2), dtype=f.dtype), 0):
         with pytest.raises(ZeroDivisionError):
             f.vec_inv(zero)
+
+
+@pytest.mark.parametrize("p, k", [(1031, 1), (3, 7), (65521, 1)])
+def test_scalar_add_sub_on_numpy_scalars(p, k):
+    """Above TABLE_CAP, add and sub on numpy ``dtype`` scalars equal the
+    Python-int results and vec_add/vec_sub: on GF(65521) a sum near q must
+    not wrap in uint16 (65000 + 1000 is 479, not 464)."""
+    f = make_field(p, k)
+    assert f.add_table is None
+    rng = np.random.default_rng(p + k)
+    a = rng.integers(0, f.q, 100).astype(f.dtype)
+    b = rng.integers(0, f.q, 100).astype(f.dtype)
+    a[0] = b[0] = a[1] = f.q - 1
+    va, vs = f.vec_add(a, b), f.vec_sub(a, b)
+    for x, y, s, d in zip(a, b, va, vs):
+        assert f.add(x, y) == f.add(int(x), int(y)) == int(s)
+        assert f.sub(x, y) == f.sub(int(x), int(y)) == int(d)
+    if f.q == 65521:
+        assert f.add(np.uint16(65000), np.uint16(1000)) == 479
