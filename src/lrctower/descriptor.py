@@ -49,6 +49,32 @@ def _int_list(value, path: str, length: int | None = None) -> list[int]:
     return value
 
 
+def _generator(raw, q: int) -> np.ndarray:
+    """The generator matrix of ``raw`` if it is a rectangular list of integer
+    rows with every entry in [0, q), else a ValueError naming the first bad
+    entry.  The test is on the whole array; the rows are walked only to name
+    a failure."""
+    try:
+        gen = np.array(raw)
+    except ValueError:  # ragged rows
+        gen = None
+    if (gen is not None and gen.ndim == 2 and gen.dtype.kind in "iu"
+            and ((gen >= 0) & (gen < q)).all()):
+        return gen
+    for r, row in enumerate(raw if isinstance(raw, list) else []):
+        path = f"generator_matrix[{r}]"
+        if not isinstance(row, list):
+            raise ValueError(f"{path} must be a list of integers, got {row!r}")
+        if len(row) != len(raw[0]):
+            raise ValueError(f"{path} has {len(row)} entries, generator_matrix[0] has {len(raw[0])}")
+        for c, x in enumerate(row):
+            if type(x) is not int:
+                raise ValueError(f"{path}[{c}] must be an integer, got {x!r}")
+            if not 0 <= x < q:
+                raise ValueError(f"{path}[{c}] = {x} out of range for q={q}")
+    raise ValueError(f"generator_matrix must be a non-empty list of integer rows, got {raw!r}")
+
+
 def group_from_json(spec: TowerSpec, obj: dict, path: str) -> RecoveryGroup:
     """The group of one ``groups[e]`` entry; ``path`` names it in errors."""
     if _required(obj, "kind", f"{path}.kind") == ADDITIVE:
@@ -112,20 +138,21 @@ def code_from_descriptor(desc: dict) -> LrcCode:
     groups = _required(desc, "groups", "groups")
     g1, g2 = (group_from_json(spec, _required(groups, e, f"groups[{e}]"), f"groups[{e}]")
               for e in (0, 1))
-    places = [
-        Place(coords=tuple(_int_list(co, f"places[{i}]", spec.m)), spec=spec, index=i)
-        for i, co in enumerate(_required(desc, "places", "places"))
-    ]
-    gen = np.array(_required(desc, "generator_matrix", "generator_matrix"), dtype=np.int64)
-    if gen.ndim != 2:
-        raise ValueError("generator matrix must be two-dimensional")
+    places = []
+    for i, co in enumerate(_required(desc, "places", "places")):
+        for c, x in enumerate(_int_list(co, f"places[{i}]", spec.m)):
+            if not 0 <= x < fld.q:
+                raise ValueError(f"places[{i}][{c}] = {x} out of range for q={fld.q}")
+        places.append(Place(coords=tuple(co), spec=spec, index=i))
+    gen = _generator(_required(desc, "generator_matrix", "generator_matrix"), fld.q)
     n = len(places)
 
     def index(path: str, value) -> int:
-        i = int(value)
-        if not 0 <= i < n:
-            raise ValueError(f"{path} = {i} out of range for n={n}")
-        return i
+        if type(value) is not int:
+            raise ValueError(f"{path} must be an integer, got {value!r}")
+        if not 0 <= value < n:
+            raise ValueError(f"{path} = {value} out of range for n={n}")
+        return value
 
     recovery = [(tuple(), tuple())] * n
     for e, entry in enumerate(_required(desc, "recovery_sets", "recovery_sets")):

@@ -29,7 +29,10 @@ Exact minimum distance enumerates one codeword per scalar class: Hamming
 weight does not change under multiplication by a nonzero scalar, so the
 messages whose leading nonzero symbol is 1 reach every weight, and the
 sweep costs (q^k - 1)/(q - 1) codewords instead of q^k.  The enumeration
-cap is still compared with q^k.
+cap is still compared with q^k.  No codeword is formed: ``span_parts``
+splits each lead row's words into one prefix block and a stream of shifts,
+and the weight of prefix + s is n minus the number of positions where the
+prefix equals -s, so each shift costs one comparison and one row sum.
 """
 
 from __future__ import annotations
@@ -156,14 +159,15 @@ def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> int:
 # codeword enumeration and sampling
 # ---------------------------------------------------------------------------
 
-def span_blocks(fld, rows, offset=None, block_rows: int = BLOCK_ROWS):
-    """Yield ``offset`` plus every GF(q)-combination of ``rows`` (q^len(rows)
-    words, offset alone first; zero offset by default) as stacked blocks in
-    ``fld.dtype``.
+def span_parts(fld, rows, offset=None, block_rows: int = BLOCK_ROWS):
+    """``(prefix, suffixes)`` whose sums ``prefix + s`` are ``offset`` plus
+    every GF(q)-combination of ``rows`` (q^len(rows) words, offset alone
+    first; zero offset by default), in ``fld.dtype``.
 
-    The first j rows, with q^j <= block_rows, form one prefix block; the
-    odometer over the coefficients of the remaining rows shifts it, one
-    block per coefficient tuple.
+    The first j rows, with q^j <= block_rows, span the prefix block (offset
+    included); ``suffixes`` is an odometer over the coefficients of the
+    remaining rows, yielding one n-vector per coefficient tuple, the zero
+    vector first.
     """
     rows = np.asarray(rows)
     k, n = rows.shape
@@ -178,23 +182,27 @@ def span_blocks(fld, rows, offset=None, block_rows: int = BLOCK_ROWS):
     for row in rows[:j]:
         scaled = fld.vec_mul(scalars, row[None, :])
         prefix = fld.vec_add(prefix[:, None, :], scaled[None, :, :]).reshape(-1, n)
-    if j == k:
-        yield prefix
-        return
-    for tail in itertools.product(range(q), repeat=k - j):
-        suffix = np.zeros(n, dtype=fld.dtype)
-        for c, row in zip(tail, rows[j:]):
-            if c:
-                suffix = fld.vec_add(suffix, fld.vec_mul(c, row))
-        yield fld.vec_add(prefix, suffix[None, :])
+
+    def suffixes():
+        for tail in itertools.product(range(q), repeat=k - j):
+            suffix = np.zeros(n, dtype=fld.dtype)
+            for c, row in zip(tail, rows[j:]):
+                if c:
+                    suffix = fld.vec_add(suffix, fld.vec_mul(c, row))
+            yield suffix
+
+    return prefix, suffixes()
 
 
 def all_codewords(code: LrcCode, cap: int = EXHAUSTIVE_REPAIR_CAP) -> np.ndarray:
     """Every codeword, the all-zero one first."""
-    q, k = code.field.q, code.generator_matrix.shape[0]
+    fld = code.field
+    q, k = fld.q, code.generator_matrix.shape[0]
     if q**k > cap:
         raise TooLarge(f"q^k = {q**k} exceeds cap {cap}")
-    return np.vstack(list(span_blocks(code.field, code.generator_matrix)))
+    prefix, suffixes = span_parts(fld, code.generator_matrix)
+    next(suffixes)  # the zero shift: the prefix block itself
+    return np.vstack([prefix, *(fld.vec_add(prefix, s[None, :]) for s in suffixes)])
 
 
 def random_codewords(code: LrcCode, count: int, seed: int = 0) -> np.ndarray:
@@ -318,16 +326,27 @@ def brute_force_distance(code: LrcCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     nonzero messages (a rank-deficient generator still yields its zero
     words, at weight 0).  The cap still applies to q^k, so exactly the same
     codes are enumerated or raise TooLarge.
+
+    Weights are counted by agreement, with no codeword formed: ``span_parts``
+    splits each lead's words into a prefix block and shifts s, and
+    wt(prefix + s) = n - #{j : prefix[:, j] = -s_j}.  Each shift costs one
+    comparison with the block, into one reused bool buffer, and one row sum
+    in the narrowest unsigned type that holds n.
     """
+    fld = code.field
     g = code.generator_matrix
-    q, k = code.field.q, g.shape[0]
+    q, (k, width) = fld.q, g.shape
     total = q**k
     if total > cap:
         raise TooLarge(f"q^k = {total} exceeds enumeration cap {cap}")
+    count = np.min_scalar_type(width)
     best = code.params.n
     for lead in range(k):
-        for block in span_blocks(code.field, g[lead + 1:], offset=g[lead]):
-            best = min(best, int(np.count_nonzero(block, axis=1).min()))
+        prefix, suffixes = span_parts(fld, g[lead + 1:], offset=g[lead])
+        same = np.empty(prefix.shape, dtype=bool)
+        for suffix in suffixes:
+            np.equal(prefix, fld.vec_neg(suffix), out=same)
+            best = min(best, width - int(same.sum(axis=1, dtype=count).max()))
     return best
 
 

@@ -344,6 +344,37 @@ def test_verify_rejects_malformed_int_list(tmp_path, capsys, golden_code, path, 
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("path, value, message", [
+    ("places[0]", [99], "places[0][0] = 99 out of range for q=9"),
+    ("places[4]", [-1], "places[4][0] = -1 out of range for q=9"),
+    ("places[2]", [9], "places[2][0] = 9 out of range for q=9"),
+    ("recovery_sets[0].coord", "ab", "recovery_sets[0].coord must be an integer, got 'ab'"),
+    ("recovery_sets[3].coord", 0.7, "recovery_sets[3].coord must be an integer, got 0.7"),
+    ("generator_matrix[1][2]", "x", "generator_matrix[1][2] must be an integer, got 'x'"),
+    ("generator_matrix[0][3]", 1.5, "generator_matrix[0][3] must be an integer, got 1.5"),
+    ("generator_matrix[1]", [1, 2, 3, 4, 5],
+     "generator_matrix[1] has 5 entries, generator_matrix[0] has 6"),
+    ("generator_matrix[0][0]", 9, "generator_matrix[0][0] = 9 out of range for q=9"),
+    ("generator_matrix[1][5]", -1, "generator_matrix[1][5] = -1 out of range for q=9"),
+    ("generator_matrix", [1, 2], "generator_matrix[0] must be a list of integers, got 1"),
+])
+def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path, value, message):
+    """A place coordinate outside [0, q), a coord that is not an integer, and
+    a generator entry that is not an integer in [0, q) or sits in a ragged
+    row are named by their JSON path; none is truncated or wrapped."""
+    desc = code_to_descriptor(golden_code)
+    steps = [int(x) if x.isdigit() else x for x in re.findall(r"\w+", path)]
+    parent = desc
+    for step in steps[:-1]:
+        parent = parent[step]
+    parent[steps[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    assert main(["verify", "--in", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("coord", ["-1", "6"])
 def test_repair_demo_rejects_out_of_range_coord(tmp_path, capsys, coord):
     out = tmp_path / "code.json"

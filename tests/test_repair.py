@@ -24,7 +24,7 @@ from lrctower.errors import DuplicateWValues, NotACodeword, TooLarge
 from lrctower.gflinalg import matmul, rank
 from lrctower.repair import (
     all_codewords, locality_certificate, random_codewords, repair_roundtrip_counts,
-    repair_roundtrip_wrong, span_blocks,
+    repair_roundtrip_wrong, span_parts,
 )
 
 
@@ -82,11 +82,13 @@ def test_projective_enumeration_matches_scalar_oracle_on_random_codes(p, e, k, n
 
 @pytest.mark.parametrize("block_rows", [1, 10, 100, 10**6])
 def test_span_blocks_cover_offset_plus_span(gf9, block_rows):
+    """The prefix block shifted by each of ``span_parts``' suffixes."""
     rng = np.random.default_rng(5)
     rows = rng.integers(0, 9, size=(3, 7))
     offset = rng.integers(0, 9, size=7)
-    got = np.vstack(list(span_blocks(gf9, rows, offset, block_rows=block_rows)))
-    assert got.dtype == gf9.dtype == np.uint8
+    prefix, suffixes = span_parts(gf9, rows, offset, block_rows=block_rows)
+    got = np.vstack([gf9.vec_add(prefix, s[None, :]) for s in suffixes])
+    assert prefix.dtype == got.dtype == gf9.dtype == np.uint8
     msgs = np.array(list(product(range(9), repeat=3)), dtype=np.int64)
     want = gf9.vec_add(matmul(gf9, msgs, rows), offset[None, :])
     assert got[0].tolist() == offset.tolist()
@@ -114,6 +116,64 @@ def test_distance_digit_loop_path():
     w[[2, 7]] = [5, 1030]
     for gen in ([u, w], [fld.vec_add(w, fld.vec_mul(3, u)), u]):
         assert brute_force_distance(_bare_code(fld, gen)) == 2
+
+
+def test_hermitian_distance_exactly_100(hermitian_code):
+    assert brute_force_distance(hermitian_code) == 100
+
+
+@pytest.mark.parametrize("p, e, dtype, tables", [
+    (3, 2, np.uint8, True), (257, 1, np.uint16, True), (1031, 1, np.uint16, False),
+])
+@pytest.mark.parametrize("deficient", ["repeated", "zero"])
+def test_rank_deficient_generator_has_distance_zero(p, e, dtype, tables, deficient):
+    """A repeated row, or a zero row (as a lead and inside a lead's span),
+    gives a zero word: every position agrees with its negated shift."""
+    fld = make_field(p, e)
+    assert fld.dtype == dtype and (fld.add_table is not None) == tables
+    n = 8
+    r0, r1 = _reed_solomon(fld, n, 2)
+    gen = [r0, r1, r1] if deficient == "repeated" else [r0, np.zeros(n, dtype=np.int64), r1]
+    assert brute_force_distance(_bare_code(fld, gen), cap=fld.q**3) == 0
+
+
+def test_agreement_count_holds_n_above_255(gf9):
+    """n = 300 agreements do not fit in uint8: a wrapped row sum would read
+    the zero word of a repeated row as weight 256."""
+    u = np.ones(300, dtype=np.int64)
+    assert brute_force_distance(_bare_code(gf9, [u])) == 300
+    assert brute_force_distance(_bare_code(gf9, [u, u])) == 0
+
+
+@pytest.mark.parametrize("p, e, n", [(3, 2, 6), (257, 1, 5)])
+def test_all_codewords_match_message_oracle(p, e, n):
+    """Every message times the generator, once each, the zero word first; on
+    GF(257) the q^2 words exceed ``BLOCK_ROWS``, so they come from many
+    shifts of the prefix block."""
+    fld = make_field(p, e)
+    gen = _reed_solomon(fld, n, 2)
+    got = all_codewords(_bare_code(fld, gen), cap=fld.q**2)
+    msgs = np.array(list(product(range(fld.q), repeat=2)), dtype=np.int64)
+    want = matmul(fld, msgs, gen)
+    assert got.shape == want.shape and not got[0].any()
+    assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
+
+
+def test_distance_forms_no_codewords(hermitian_code, monkeypatch):
+    """Structural guard: forming each of the Hermitian code's 406,901
+    enumerated codewords would add 406,901 x 120 = 48.8 M elements; the
+    agreement count adds only to build the prefix blocks (about 4 M)."""
+    elems = []
+    vec_add = FiniteField.vec_add
+
+    def counting(self, a, b):
+        out = vec_add(self, a, b)
+        elems.append(out.size)
+        return out
+
+    monkeypatch.setattr(FiniteField, "vec_add", counting)
+    assert brute_force_distance(hermitian_code) == 100
+    assert sum(elems) < 5_000_000
 
 
 def test_repair_worked_example(gf9, golden_code):
