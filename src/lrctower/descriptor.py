@@ -39,6 +39,21 @@ def _required(obj, key, path: str):
     return obj[key]
 
 
+def _integer(value, path: str) -> int:
+    """``value`` if it is an integer (not a float, bool or string), else a
+    ValueError naming its JSON path: nothing is truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{path} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, path: str) -> list:
+    """``value`` if it is a list, else a ValueError naming its JSON path."""
+    if not isinstance(value, list):
+        raise ValueError(f"{path} must be a list, got {value!r}")
+    return value
+
+
 def _int_list(value, path: str, length: int | None = None) -> list[int]:
     """``value`` if it is a list of integers (of ``length`` entries, if
     given), else a ValueError naming its JSON path."""
@@ -78,11 +93,11 @@ def _generator(raw, q: int) -> np.ndarray:
 def group_from_json(spec: TowerSpec, obj: dict, path: str) -> RecoveryGroup:
     """The group of one ``groups[e]`` entry; ``path`` names it in errors."""
     if _required(obj, "kind", f"{path}.kind") == ADDITIVE:
-        shifts = _required(obj, "shifts", f"{path}.shifts")
-        return build_recovery_group(spec, ADDITIVE, shifts=[int(a) for a in shifts])
-    scalars = _required(obj, "scalars", f"{path}.scalars")
+        shifts = _int_list(_required(obj, "shifts", f"{path}.shifts"), f"{path}.shifts")
+        return build_recovery_group(spec, ADDITIVE, shifts=shifts)
+    scalars = _int_list(_required(obj, "scalars", f"{path}.scalars"), f"{path}.scalars")
     g = build_recovery_group(spec, MULTIPLICATIVE, order=len(scalars))
-    if list(g.scalars) != sorted(int(c) for c in scalars):
+    if list(g.scalars) != sorted(scalars):
         raise ValueError("scalar list does not match the canonical subgroup")
     return g
 
@@ -129,17 +144,22 @@ def code_from_descriptor(desc: dict) -> LrcCode:
     if desc.get("format") != FORMAT:
         raise ValueError(f"unknown descriptor format {desc.get('format')!r}")
     fd = _required(desc, "field", "field")
-    fld = field_from_json({key: _required(fd, key, f"field.{key}") for key in ("p", "k", "modulus")})
+    fld = field_from_json({
+        "p": _integer(_required(fd, "p", "field.p"), "field.p"),
+        "k": _integer(_required(fd, "k", "field.k"), "field.k"),
+        "modulus": _int_list(_required(fd, "modulus", "field.modulus"), "field.modulus"),
+    })
     tw = _required(desc, "tower", "tower")
-    tower = {key: _required(tw, key, f"tower.{key}") for key in ("variant", "ell", "m")}
-    spec = TowerSpec(tower["variant"], fld, int(tower["m"]))
-    if int(tower["ell"]) != fld.ell:
+    variant = _required(tw, "variant", "tower.variant")
+    ell, m = (_integer(_required(tw, key, f"tower.{key}"), f"tower.{key}") for key in ("ell", "m"))
+    spec = TowerSpec(variant, fld, m)
+    if ell != fld.ell:
         raise ValueError("tower ell does not match the field")
     groups = _required(desc, "groups", "groups")
     g1, g2 = (group_from_json(spec, _required(groups, e, f"groups[{e}]"), f"groups[{e}]")
               for e in (0, 1))
     places = []
-    for i, co in enumerate(_required(desc, "places", "places")):
+    for i, co in enumerate(_list(_required(desc, "places", "places"), "places")):
         for c, x in enumerate(_int_list(co, f"places[{i}]", spec.m)):
             if not 0 <= x < fld.q:
                 raise ValueError(f"places[{i}][{c}] = {x} out of range for q={fld.q}")
@@ -148,24 +168,37 @@ def code_from_descriptor(desc: dict) -> LrcCode:
     n = len(places)
 
     def index(path: str, value) -> int:
-        if type(value) is not int:
-            raise ValueError(f"{path} must be an integer, got {value!r}")
-        if not 0 <= value < n:
+        if not 0 <= _integer(value, path) < n:
             raise ValueError(f"{path} = {value} out of range for n={n}")
         return value
 
     recovery = [(tuple(), tuple())] * n
-    for e, entry in enumerate(_required(desc, "recovery_sets", "recovery_sets")):
+    owner: dict[int, int] = {}  # coord -> the recovery_sets entry that holds it
+    recovery_sets = _list(_required(desc, "recovery_sets", "recovery_sets"), "recovery_sets")
+    for e, entry in enumerate(recovery_sets):
         path = f"recovery_sets[{e}]"
         i = index(f"{path}.coord", _required(entry, "coord", f"{path}.coord"))
+        if i in owner:
+            raise ValueError(f"{path}.coord = {i} repeats recovery_sets[{owner[i]}].coord")
+        owner[i] = e
         recovery[i] = tuple(
             tuple(index(f"{path}.{key}[{h}]", x)
                   for h, x in enumerate(_int_list(_required(entry, key, f"{path}.{key}"),
                                                   f"{path}.{key}")))
             for key in ("set1", "set2")
         )
+    if len(owner) < n:
+        missing = min(set(range(n)) - owner.keys())
+        raise ValueError(f"recovery_sets has no entry with coord {missing}")
     p = _required(desc, "params", "params")
-    p = {key: int(_required(p, key, f"params.{key}")) for key in ("n", "k", "d_designed", "r1", "r2")}
+    p = {key: _integer(_required(p, key, f"params.{key}"), f"params.{key}")
+         for key in ("n", "k", "d_designed", "r1", "r2")}
+    if p["n"] != n:
+        raise ValueError(f"params.n = {p['n']} does not match the {n} places")
+    if gen.shape[1] != n:
+        raise ValueError(f"params.n = {n} does not match the column count {gen.shape[1]} of generator_matrix")
+    if p["k"] != gen.shape[0]:
+        raise ValueError(f"params.k = {p['k']} does not match the row count {gen.shape[0]} of generator_matrix")
     params = CodeParams(**p, q=fld.q, ell=fld.ell, m=spec.m, variant=spec.variant)
     d = desc.get("dims") or {}
     dims = CodeDims(

@@ -4,7 +4,8 @@ Gaussian elimination uses first-nonzero pivoting, so echelon forms, ranks
 and intersection bases are identical across runs and platforms.  ``rref``
 works on a copy in ``field.dtype`` and returns that dtype; each pivot step
 updates the other rows from the pivot column rightward with one fused
-``FiniteField.vec_axpy``.
+``FiniteField.vec_axpy``.  ``matmul`` runs on the same kernel: one
+``vec_axpy`` per inner index, accumulating in ``field.dtype``.
 """
 
 from __future__ import annotations
@@ -104,13 +105,14 @@ def rowspace_intersection(field: FiniteField, mat_a, mat_b) -> np.ndarray:
 
 
 def matmul(field: FiniteField, a, b) -> np.ndarray:
-    """Matrix product over GF(q); inner dimension is looped (it is small here)."""
-    a = as_matrix(field, a)
-    b = as_matrix(field, b)
+    """Matrix product over GF(q), in ``field.dtype``: one fused ``vec_axpy``
+    per inner index h adds the outer product of column h of ``a`` and row h
+    of ``b``."""
+    a = as_matrix(field, a).astype(field.dtype, copy=False)
+    b = as_matrix(field, b).astype(field.dtype, copy=False)
     if a.shape[1] != b.shape[0]:
         raise ValueError("shape mismatch")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=field.dtype)
     for h in range(a.shape[1]):
-        out = field.vec_add(out, field.vec_mul(a[:, h][:, None], b[h][None, :]))
+        out = field.vec_axpy(out, a[:, h:h + 1], b[h])
     return out
-

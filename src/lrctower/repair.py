@@ -208,7 +208,7 @@ def all_codewords(code: LrcCode, cap: int = EXHAUSTIVE_REPAIR_CAP) -> np.ndarray
 def random_codewords(code: LrcCode, count: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     msgs = rng.integers(0, code.field.q, size=(count, code.generator_matrix.shape[0]))
-    return gflinalg.matmul(code.field, msgs.astype(np.int64), code.generator_matrix)
+    return gflinalg.matmul(code.field, msgs, code.generator_matrix)
 
 
 # ---------------------------------------------------------------------------

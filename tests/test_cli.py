@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
 import json
 import re
 
+import numpy as np
 import pytest
 
+from lrctower import cli
 from lrctower.cli import main
 from lrctower.descriptor import (
     code_from_descriptor,
@@ -80,19 +83,41 @@ def test_verify_fails_on_repeated_recovery_index(tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith("FAILED")
 
 
-@pytest.mark.parametrize("field, value", [("k", 3), ("k", 1), ("rows", 1)])
-def test_verify_fails_on_dimension_mismatch(tmp_path, capsys, field, value):
-    # params.k disagrees with the generator's row count: FAILED, not a traceback
+def _verify_in_memory(monkeypatch, code, *args) -> int:
+    """``lrctower verify`` on an in-memory code whose parameter block no
+    descriptor can carry past ``load_code``."""
+    monkeypatch.setattr(cli, "load_code", lambda path: code)
+    return main(["verify", "--in", "in-memory.json", *args])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("k", 3, "params.k = 3 does not match the row count 2 of generator_matrix",
+                 id="k-3"),
+    pytest.param("k", 1, "params.k = 1 does not match the row count 2 of generator_matrix",
+                 id="k-1"),
+    pytest.param("rows", 1, "params.k = 2 does not match the row count 1 of generator_matrix",
+                 id="rows-1"),
+])
+def test_verify_fails_on_dimension_mismatch(tmp_path, capsys, monkeypatch, field, value, message):
+    # params.k disagrees with the generator's row count: the descriptor is
+    # refused by path on load, and verify_code's integrity check still
+    # reports FAILED, not a traceback, on a code built in memory
     out = tmp_path / "code.json"
     main(GOLDEN_ARGS + ["--out", str(out)])
     desc = json.loads(out.read_text())
+    code = load_code(out)
     if field == "k":
         desc["params"]["k"] = value
+        code = dataclasses.replace(code, params=dataclasses.replace(code.params, k=value))
     else:
         desc["generator_matrix"] = desc["generator_matrix"][:value]
+        code = dataclasses.replace(code, generator_matrix=code.generator_matrix[:value])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(desc))
+    capsys.readouterr()
     assert main(["verify", "--in", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert _verify_in_memory(monkeypatch, code) == 1
     assert "parameter block inconsistent with matrix shape" in capsys.readouterr().out
 
 
@@ -126,8 +151,9 @@ def test_descriptor_bytes_pinned(name, tmp_path):
 
 
 def test_verify_caps_count_generator_rows(tmp_path, capsys, monkeypatch):
-    # params.k = 1 understates the 4 rows of the 18-place code: 9^4 > 100 is
-    # what the distance cap must see, not 9^1
+    # params.k = 1 understates the 4 rows of the 18-place code: a descriptor
+    # saying so is refused on load, and on a code built in memory 9^4 > 100
+    # is what the distance cap must see, not 9^1
     out = tmp_path / "code.json"
     main(["construct", *DESCRIPTOR_PINS["ytower18"][0], "--out", str(out)])
     desc = json.loads(out.read_text())
@@ -137,19 +163,30 @@ def test_verify_caps_count_generator_rows(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     monkeypatch.setenv("LRC_MAX_ENUM", "100")
     assert main(["verify", "--in", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "error: params.k = 1 does not match the row count 4 of generator_matrix\n")
+    code = load_code(out)
+    code = dataclasses.replace(code, params=dataclasses.replace(code.params, k=1))
+    assert _verify_in_memory(monkeypatch, code) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "distance skipped" in lines
     assert "failure: parameter block inconsistent with matrix shape" in lines
     assert lines[-1] == "FAILED"
 
 
-def test_verify_skips_phases_on_short_generator(tmp_path, capsys, golden_code):
-    # 3 generator columns for 6 places: the later phases would index past them
+def test_verify_skips_phases_on_short_generator(tmp_path, capsys, monkeypatch, golden_code):
+    # 3 generator columns for 6 places: a descriptor is refused on load; on a
+    # code built in memory the later phases would index past them
     desc = code_to_descriptor(golden_code)
     desc["generator_matrix"] = [[1, 2, 3]]
     bad, report = tmp_path / "bad.json", tmp_path / "report.json"
     bad.write_text(json.dumps(desc))
     assert main(["verify", "--in", str(bad), "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        "error: params.n = 6 does not match the column count 3 of generator_matrix\n")
+    assert not report.exists()
+    code = dataclasses.replace(golden_code, generator_matrix=np.array([[1, 2, 3]]))
+    assert _verify_in_memory(monkeypatch, code, "--report", str(report)) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
         "locality skipped", "repair skipped", "distance skipped",
@@ -344,6 +381,22 @@ def test_verify_rejects_malformed_int_list(tmp_path, capsys, golden_code, path, 
     assert "Traceback" not in captured.out + captured.err
 
 
+DELETE = object()
+
+
+def _edit(desc, path, value):
+    """Set the entry at JSON ``path`` ("a.b[3].c") to ``value``, or delete
+    it for ``DELETE``."""
+    steps = [int(x) if x.isdigit() else x for x in re.findall(r"\w+", path)]
+    parent = desc
+    for step in steps[:-1]:
+        parent = parent[step]
+    if value is DELETE:
+        del parent[steps[-1]]
+    else:
+        parent[steps[-1]] = value
+
+
 @pytest.mark.parametrize("path, value, message", [
     ("places[0]", [99], "places[0][0] = 99 out of range for q=9"),
     ("places[4]", [-1], "places[4][0] = -1 out of range for q=9"),
@@ -357,17 +410,36 @@ def test_verify_rejects_malformed_int_list(tmp_path, capsys, golden_code, path, 
     ("generator_matrix[0][0]", 9, "generator_matrix[0][0] = 9 out of range for q=9"),
     ("generator_matrix[1][5]", -1, "generator_matrix[1][5] = -1 out of range for q=9"),
     ("generator_matrix", [1, 2], "generator_matrix[0] must be a list of integers, got 1"),
+    ("params.d_designed", 2.9, "params.d_designed must be an integer, got 2.9"),
+    ("params.r1", 2.5, "params.r1 must be an integer, got 2.5"),
+    ("params.k", 2.0, "params.k must be an integer, got 2.0"),
+    ("params.n", True, "params.n must be an integer, got True"),
+    ("tower.m", 1.5, "tower.m must be an integer, got 1.5"),
+    ("tower.ell", "3", "tower.ell must be an integer, got '3'"),
+    ("field.p", 3.0, "field.p must be an integer, got 3.0"),
+    ("field.modulus", [1, 0, 1.0], "field.modulus must be a list of integers, got [1, 0, 1.0]"),
+    ("groups[0].shifts", [0.4, 3, 6], "groups[0].shifts must be a list of integers, got [0.4, 3, 6]"),
+    ("groups[1].scalars", [1, 2.0], "groups[1].scalars must be a list of integers, got [1, 2.0]"),
+    # consistency of the parameter block with the matrix and the recovery sets
+    ("params.k", 1, "params.k = 1 does not match the row count 2 of generator_matrix"),
+    ("params.n", 5, "params.n = 5 does not match the 6 places"),
+    ("generator_matrix", [[1, 2, 3], [4, 5, 6]],
+     "params.n = 6 does not match the column count 3 of generator_matrix"),
+    ("recovery_sets[0]", DELETE, "recovery_sets has no entry with coord 0"),
+    ("recovery_sets[4].coord", 2, "recovery_sets[4].coord = 2 repeats recovery_sets[2].coord"),
+    ("places", 5, "places must be a list, got 5"),
+    ("recovery_sets", {"coord": 0}, "recovery_sets must be a list, got {'coord': 0}"),
 ])
 def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path, value, message):
     """A place coordinate outside [0, q), a coord that is not an integer, and
     a generator entry that is not an integer in [0, q) or sits in a ragged
-    row are named by their JSON path; none is truncated or wrapped."""
+    row are named by their JSON path; none is truncated or wrapped.  So is a
+    float, bool or string where the descriptor holds an integer, and a
+    parameter block at odds with the rest: params.k must be the generator's
+    row count, params.n its column count and the place count, and
+    recovery_sets must be a list holding every coordinate exactly once."""
     desc = code_to_descriptor(golden_code)
-    steps = [int(x) if x.isdigit() else x for x in re.findall(r"\w+", path)]
-    parent = desc
-    for step in steps[:-1]:
-        parent = parent[step]
-    parent[steps[-1]] = value
+    _edit(desc, path, value)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(desc))
     assert main(["verify", "--in", str(bad)]) == 1
@@ -383,20 +455,26 @@ def test_repair_demo_rejects_out_of_range_coord(tmp_path, capsys, coord):
     assert f"error: coordinate {coord} out of range for n=6" in capsys.readouterr().err
 
 
-def test_repair_demo_rejects_params_n_mismatch(tmp_path, capsys, golden_code):
+def test_repair_demo_rejects_params_n_mismatch(tmp_path, capsys, monkeypatch, golden_code):
     # params.n = 7 over 6 places: coordinate 6 passes a range check on n but
-    # has no recovery sets; verify still reports the integrity failure
+    # has no recovery sets. A descriptor saying so is refused on load by both
+    # commands; on a code built in memory repair-demo refuses the coordinate
+    # and verify reports the integrity failure
+    message = "error: params.n = 7 does not match the 6 places\n"
     desc = code_to_descriptor(golden_code)
     desc["params"]["n"] = 7
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(desc))
-    assert main(["repair-demo", "--in", str(bad), "--coord", "6"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: params.n = 7 does not match the 6 places\n"
-    assert main(["verify", "--in", str(bad)]) == 1
+    for command in (["repair-demo", "--in", str(bad), "--coord", "6"], ["verify", "--in", str(bad)]):
+        assert main(command) == 1
+        assert capsys.readouterr().err == message
+    code = dataclasses.replace(golden_code, params=dataclasses.replace(golden_code.params, n=7))
+    assert _verify_in_memory(monkeypatch, code) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "failure: parameter block inconsistent with matrix shape" in lines
     assert lines[-1] == "FAILED"
+    assert main(["repair-demo", "--in", "in-memory.json", "--coord", "6"]) == 1
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("fixture", ["golden_code", "hermitian_code"])

@@ -213,6 +213,88 @@ def test_rref_invariant_under_row_permutation(p, e, data):
     assert (got == expect).all()
 
 
+def _matmul_oracle(fld, a, b):
+    """The product as a scalar triple loop on ``field.mul`` and ``field.add``."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i in range(out.shape[0]):
+        for j in range(out.shape[1]):
+            acc = 0
+            for h in range(a.shape[1]):
+                acc = fld.add(acc, fld.mul(int(a[i, h]), int(b[h, j])))
+            out[i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("p, e", [(3, 2), (257, 1), (1031, 1)])
+def test_matmul_matches_scalar_oracle(p, e):
+    """Cell for cell, in field.dtype, from int64 and from field.dtype inputs:
+    GF(9) (uint8 tables), GF(257) (uint16 tables) and GF(1031) (digit loop),
+    on seeded random and all-(q-1) matrices; a zero inner dimension gives
+    zeros and mismatched shapes raise."""
+    fld = make_field(p, e)
+    rng = np.random.default_rng(p * 100 + e)
+    pairs = [(rng.integers(0, fld.q, size=(r, j)), rng.integers(0, fld.q, size=(j, c)))
+             for r, j, c in [(1, 1, 1), (3, 4, 5), (7, 2, 9), (1, 9, 12), (6, 6, 6)]]
+    pairs.append((np.full((4, 5), fld.q - 1), np.full((5, 3), fld.q - 1)))
+    for a, b in pairs:
+        expect = _matmul_oracle(fld, a, b)
+        for cast in (np.int64, fld.dtype):
+            got = gflinalg.matmul(fld, a.astype(cast), b.astype(cast))
+            assert got.dtype == fld.dtype
+            assert got.shape == expect.shape and (got == expect).all()
+    for rows, cols in [(3, 4), (0, 2), (2, 0)]:
+        got = gflinalg.matmul(fld, np.zeros((rows, 0), dtype=np.int64),
+                              np.zeros((0, cols), dtype=np.int64))
+        assert got.dtype == fld.dtype and got.shape == (rows, cols) and not got.any()
+    with pytest.raises(ValueError, match="shape mismatch"):
+        gflinalg.matmul(fld, np.ones((2, 3), dtype=np.int64), np.ones((2, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="outside field range"):
+        gflinalg.matmul(fld, [[fld.q]], [[1]])
+
+
+@pytest.mark.parametrize("p, e", [(7, 2), (1031, 1)])
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_matmul_property_matches_scalar_oracle(p, e, data):
+    """Random shapes, inner dimension 0 included, over GF(49) (table path)
+    and GF(1031) (digit loop): the product equals the scalar triple loop."""
+    fld = make_field(p, e)
+    rows, inner, cols = (data.draw(st.integers(0, 6)) for _ in range(3))
+
+    def matrix(r, c):
+        cells = data.draw(st.lists(st.integers(0, fld.q - 1), min_size=r * c, max_size=r * c))
+        return np.array(cells, dtype=np.int64).reshape(r, c)
+
+    a, b = matrix(rows, inner), matrix(inner, cols)
+    got = gflinalg.matmul(fld, a, b)
+    assert got.dtype == fld.dtype and (got == _matmul_oracle(fld, a, b)).all()
+
+
+def test_matmul_runs_one_fused_update_per_inner_index(monkeypatch):
+    """On the table path the product is one ``vec_axpy`` per inner index and
+    never the separate ``vec_mul`` and ``vec_add`` gathers."""
+    fld = make_field(7, 2)
+    calls = []
+    axpy = fld.vec_axpy
+
+    def counted(y, a, x):
+        calls.append(np.shape(a))
+        return axpy(y, a, x)
+
+    def forbidden(*args):
+        raise AssertionError("matmul left the fused kernel")
+
+    monkeypatch.setattr(fld, "vec_axpy", counted)
+    monkeypatch.setattr(fld, "vec_add", forbidden)
+    monkeypatch.setattr(fld, "vec_mul", forbidden)
+    rng = np.random.default_rng(5)
+    a, b = rng.integers(0, fld.q, size=(4, 7)), rng.integers(0, fld.q, size=(7, 3))
+    got = gflinalg.matmul(fld, a, b)
+    assert calls == [(4, 1)] * 7
+    assert (got == _matmul_oracle(fld, a, b)).all()
+
+
 @pytest.mark.parametrize("fixture", ["golden_code", "tower_code", "hermitian_code"])
 def test_projected_split_dims_equal_full_width_ranks(fixture, request):
     """Every cap split's (dim V1, dim V2, dim sum) computed on the pivot
