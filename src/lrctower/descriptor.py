@@ -200,11 +200,12 @@ def code_from_descriptor(desc: dict) -> LrcCode:
     if p["k"] != gen.shape[0]:
         raise ValueError(f"params.k = {p['k']} does not match the row count {gen.shape[0]} of generator_matrix")
     params = CodeParams(**p, q=fld.q, ell=fld.ell, m=spec.m, variant=spec.variant)
-    d = desc.get("dims") or {}
+    d = _required(desc, "dims", "dims")
+    caps = _required(d, "caps", "dims.caps")  # one cap per tower level, or null
     dims = CodeDims(
-        dim_v1=int(d.get("dim_v1", 0)), dim_v2=int(d.get("dim_v2", 0)),
-        dim_sum=int(d.get("dim_sum", 0)), budget=int(d.get("budget", 0)),
-        caps=tuple(d["caps"]) if d.get("caps") is not None else None,
+        **{key: _integer(_required(d, key, f"dims.{key}"), f"dims.{key}")
+           for key in ("dim_v1", "dim_v2", "dim_sum", "budget")},
+        caps=None if caps is None else tuple(_int_list(caps, "dims.caps", spec.m)),
     )
     combine(g1, g2)  # validates the pair: trivial intersection and closure
     return LrcCode(

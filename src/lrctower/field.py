@@ -14,6 +14,11 @@ the narrowest unsigned type that holds q - 1 (uint8 up to q = 256, uint16
 above).  The fused row update ``vec_axpy`` reads the same two tables raveled,
 through a flat index a*q + b held in the narrowest unsigned type that holds
 q^2 - 1 (uint16 up to q = 256, uint32 above).
+
+The scalar ops (``add``, ``neg``, ``mul``, ``inv``, ``pow``) read the same
+tables through ``memoryview``s, 2-D for the add/mul tables: indexing a view
+returns a Python int and checks bounds as numpy does (an out-of-range code
+raises IndexError), but builds no numpy scalar.
 """
 
 from __future__ import annotations
@@ -202,6 +207,8 @@ class FiniteField:
             d = (codes // self.p**i) % self.p
             neg += ((self.p - d) % self.p) * self.p**i
         self.neg_table = neg.astype(self.dtype)
+        self._exp, self._log, self._neg = map(memoryview, (self.exp_table, log, self.neg_table))
+        self._add = self._mul = None  # 2-D views of add_table / mul_table on the table path
         if q <= TABLE_CAP:
             self.add_table = self._digit_add(codes[:, None], codes[None, :]).astype(self.dtype)
             lg = np.where(log < 0, 0, log)
@@ -213,6 +220,7 @@ class FiniteField:
             self._flat_index = np.dtype(np.uint16 if q <= 256 else np.uint32)
             # q as an index-typed numpy scalar: a Python int costs every call a scalar conversion
             self._flat_q = self._flat_index.type(q)
+            self._add, self._mul = memoryview(self.add_table), memoryview(self.mul_table)
         else:
             self.add_table = None
             self.mul_table = None
@@ -229,32 +237,34 @@ class FiniteField:
     # -- scalar arithmetic on integer codes ---------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.add_table is not None:
-            return int(self.add_table[a, b])
+        if self._add is not None:
+            return self._add[a, b]
         return self._digit_add(int(a), int(b))  # numpy scalars would wrap
 
     def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
+        if self._mul is not None:
+            return self._mul[a, b]
         if a == 0 or b == 0:
             return 0
-        return int(self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.q - 1)])
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return int(self.exp_table[(-self.log_table[a]) % (self.q - 1)])
+        return self._exp[-self._log[a] % (self.q - 1)]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             return 1 if e == 0 else 0
         if e < 0:
             return self.pow(self.inv(a), -e)
-        return int(self.exp_table[(self.log_table[a] * e) % (self.q - 1)])
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     # -- vectorized arithmetic on numpy arrays of codes ----------------------
 
@@ -340,6 +350,10 @@ class FiniteField:
 
     def __hash__(self):
         return hash((self.p, self.k, self.modulus))
+
+    def __reduce__(self):
+        # memoryviews neither pickle nor copy: rebuild the tables from the modulus
+        return FiniteField, (self.p, self.k, self.modulus)
 
     def __repr__(self):
         return f"GF({self.q})"

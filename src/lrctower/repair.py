@@ -12,9 +12,15 @@ of the set's symbols, whose Lagrange weights depend on the code alone.
 and ``LrcCode.repair_plan`` builds that plan on first use and keeps it on
 the code, so construction and loading never pay for it.  A code is treated
 as immutable after construction: its plan is not rebuilt if its places,
-groups or recovery sets are changed in place.  ``repair`` is then r
-products summed, and a bulk rebuild is one gather and one reduction per
-set for all coordinates and codewords at once.
+groups or recovery sets are changed in place.  A bulk rebuild is one gather
+and one reduction per set for all coordinates and codewords at once.
+
+``repair`` serves one degraded read, so it runs on Python ints throughout:
+``RepairPlan.terms`` holds each coordinate's (index, weight) pairs of
+nonzero weight, made from the arrays on the first single-symbol repair (so
+``verify_code`` never pays for them), and the sum of products uses the
+scalar field ops, which read the field's tables through memoryviews.  No
+numpy scalar is formed unless the caller's word is itself a numpy array.
 
 Locality is checked by the linear determination criterion: coordinate i is
 a function of the coordinates in I iff generator column g_i lies in the
@@ -40,6 +46,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +96,13 @@ class RepairPlan:
     weights: np.ndarray  # (n, r_max) field.dtype
     collide: np.ndarray  # (n,) bool
 
+    @cached_property
+    def terms(self) -> list[list[tuple[int, int]] | None]:
+        """Per coordinate, its (index, weight) pairs of nonzero weight as
+        Python ints, or None where the nodes collide; made on first use."""
+        rows = zip(self.index.tolist(), self.weights.tolist(), self.collide.tolist())
+        return [None if bad else [(h, l) for h, l in zip(idx, lam) if l] for idx, lam, bad in rows]
+
 
 def build_repair_plan(code: LrcCode) -> tuple[RepairPlan, RepairPlan]:
     """The plans of set 1 and set 2, vectorized over the coordinates.
@@ -135,8 +149,8 @@ def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> int:
     check_coord(code, i)
     if len(word) != code.params.n:
         raise ValueError(f"word has {len(word)} symbols, expected n={code.params.n}")
-    plan = code.repair_plan[s - 1]
-    if plan.collide[i]:
+    terms = code.repair_plan[s - 1].terms[i]
+    if terms is None:
         widx = (code.group1, code.group2)[s - 1].w_index
         nodes = [int(code.places[h].coords[widx]) for h in (*code.recovery_sets[i][s - 1], i)]
         raise DuplicateWValues(f"repair nodes for coordinate {i} collide: {nodes}")
@@ -145,13 +159,13 @@ def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> int:
         rhs = np.array([word[h] for h in known], dtype=np.int64)
         if not gflinalg.in_span(fld, code.generator_matrix[:, known], rhs):
             raise NotACodeword("unerased symbols are not consistent with the code")
+    q, add, mul = fld.q, fld.add, fld.mul
     out = 0
-    for h, l in zip(plan.index[i].tolist(), plan.weights[i].tolist()):
-        if l:  # padding has weight 0 and reads nothing
-            c = int(word[h])
-            if not 0 <= c < fld.q:
-                raise ValueError(f"symbol {c} at coordinate {h} is outside [0, {fld.q})")
-            out = fld.add(out, fld.mul(l, c))
+    for h, l in terms:
+        c = int(word[h])
+        if not 0 <= c < q:
+            raise ValueError(f"symbol {c} at coordinate {h} is outside [0, {q})")
+        out = add(out, mul(l, c))
     return out
 
 

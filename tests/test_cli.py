@@ -429,6 +429,16 @@ def _edit(desc, path, value):
     ("recovery_sets[4].coord", 2, "recovery_sets[4].coord = 2 repeats recovery_sets[2].coord"),
     ("places", 5, "places must be a list, got 5"),
     ("recovery_sets", {"coord": 0}, "recovery_sets must be a list, got {'coord': 0}"),
+    # the dims block: integers, and caps a list of one integer per tower level or null
+    ("dims.budget", 2.5, "dims.budget must be an integer, got 2.5"),
+    ("dims.dim_v1", "4", "dims.dim_v1 must be an integer, got '4'"),
+    ("dims.dim_sum", True, "dims.dim_sum must be an integer, got True"),
+    ("dims.dim_v2", DELETE, "descriptor has no dims.dim_v2"),
+    ("dims.caps", "ab", "dims.caps must be a list of integers of length 1, got 'ab'"),
+    ("dims.caps", [1.0], "dims.caps must be a list of integers of length 1, got [1.0]"),
+    ("dims.caps", [1, 2], "dims.caps must be a list of integers of length 1, got [1, 2]"),
+    ("dims.caps", DELETE, "descriptor has no dims.caps"),
+    ("dims", DELETE, "descriptor has no dims"),
 ])
 def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path, value, message):
     """A place coordinate outside [0, q), a coord that is not an integer, and
@@ -437,7 +447,9 @@ def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path
     float, bool or string where the descriptor holds an integer, and a
     parameter block at odds with the rest: params.k must be the generator's
     row count, params.n its column count and the place count, and
-    recovery_sets must be a list holding every coordinate exactly once."""
+    recovery_sets must be a list holding every coordinate exactly once.
+    The dims block is read the same way: golden is at level m = 1, so its
+    caps, when not null, hold one integer."""
     desc = code_to_descriptor(golden_code)
     _edit(desc, path, value)
     bad = tmp_path / "bad.json"

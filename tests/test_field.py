@@ -1,8 +1,12 @@
+import copy
+import functools
+import pickle
 import random
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrctower import artin_schreier_kernel, make_field, norm_one_group, subfield_units
 from lrctower.errors import FieldTooLarge, NonPrimeCharacteristic, NotASquareField
@@ -152,6 +156,16 @@ def test_construction_errors():
         make_field(2, 17)
 
 
+@pytest.mark.parametrize("p, k", [(3, 2), (1031, 1)])
+def test_field_pickles_and_copies(p, k):
+    """The scalar ops' memoryviews do not pickle; a field still does, and
+    copies, as an equal field with working tables of its own."""
+    f = make_field(p, k)
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert g == f and g is not f and g.exp_table is not f.exp_table
+        assert g.mul(3, g.inv(3)) == 1 and g.add(f.q - 1, 1) == f.add(f.q - 1, 1)
+
+
 def test_json_round_trip():
     f = make_field(3, 2)
     blob = field_to_json(f)
@@ -257,3 +271,73 @@ def test_scalar_add_sub_on_numpy_scalars(p, k):
         assert f.sub(x, y) == f.sub(int(x), int(y)) == int(d)
     if f.q == 65521:
         assert f.add(np.uint16(65000), np.uint16(1000)) == 479
+
+
+# GF(9), GF(49), GF(256), GF(1024) index the q x q tables; GF(1031) and
+# GF(2^11) are above TABLE_CAP and take the digit loop and log/exp tables
+SCALAR_FIELDS = [(3, 2), (7, 2), (2, 8), (2, 10), (1031, 1), (2, 11)]
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p, k):
+    return make_field(p, k)
+
+
+def _vec(op, *args):
+    """One element through the vectorized op, back as a Python int."""
+    return int(op(*(np.array([x]) for x in args))[0])
+
+
+@pytest.mark.parametrize("p, k", SCALAR_FIELDS)
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_scalar_ops_match_vector_ops_and_axioms(p, k, data):
+    """add, neg, sub, mul, inv and pow return Python ints equal to vec_add,
+    vec_neg, vec_mul, vec_inv and vec_pow, whether the codes come as Python
+    ints or as numpy ``dtype`` scalars (uint8 or uint16, which must not
+    wrap), and satisfy the field axioms."""
+    f = _field(p, k)
+    q = f.q
+    codes = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 2, q - 1]))
+    a, b, c = (data.draw(codes) for _ in range(3))
+    e, e2 = data.draw(st.integers(-3 * q, 3 * q)), data.draw(st.integers(0, 3 * q))
+    cast = data.draw(st.sampled_from([int, f.dtype.type]))
+    x, y, z = cast(a), cast(b), cast(c)
+    results = [f.add(x, y), f.neg(x), f.sub(x, y), f.mul(x, y), f.pow(x, e)]
+    assert all(type(r) is int for r in results)
+    assert results == [_vec(f.vec_add, a, b), _vec(f.vec_neg, a), _vec(f.vec_sub, a, b),
+                       _vec(f.vec_mul, a, b), int(f.vec_pow(np.array([a]), e)[0])]
+    if a:
+        assert f.inv(x) == _vec(f.vec_inv, a) and type(f.inv(x)) is int
+        assert f.mul(x, f.inv(x)) == 1 and f.pow(x, -1) == f.inv(x)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            f.inv(x)
+    # axioms, on the same mix of Python ints and numpy scalars
+    assert f.add(x, y) == f.add(y, x) and f.mul(x, y) == f.mul(y, x)
+    assert f.add(x, f.add(y, z)) == f.add(f.add(x, y), z)
+    assert f.mul(x, f.mul(y, z)) == f.mul(f.mul(x, y), z)
+    assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
+    assert f.add(x, 0) == f.mul(x, 1) == a and f.mul(x, 0) == 0
+    assert f.add(x, f.neg(x)) == 0 and f.sub(x, y) == f.add(x, f.neg(y))
+    assert f.pow(x, q) == a and f.pow(x, 0) == 1
+    assert f.pow(x, e2 + 5) == f.mul(f.pow(x, e2), f.pow(x, 5))
+
+
+@pytest.mark.parametrize("p, k", SCALAR_FIELDS)
+def test_scalar_ops_reject_codes_past_q(p, k):
+    """A code >= q is an IndexError, never a wrapped or invented element: on
+    the table path for every op, as a Python int or a numpy uint16 scalar;
+    above TABLE_CAP the log and neg tables still refuse it in neg, sub, inv
+    and pow (add and mul take the digit loop and its zero test there)."""
+    f = _field(p, k)
+    q = f.q
+    bad = [q, q + 1, 2 * q - 1] + ([np.uint16(q)] if f.dtype == np.uint16 else [])
+    ops = [lambda v: f.neg(v), lambda v: f.sub(0, v), lambda v: f.inv(v), lambda v: f.pow(v, 2)]
+    if f.add_table is not None:
+        ops += [lambda v: f.add(v, 1), lambda v: f.add(0, v), lambda v: f.mul(v, 0),
+                lambda v: f.mul(1, v)]
+    for v in bad:
+        for op in ops:
+            with pytest.raises(IndexError):
+                op(v)

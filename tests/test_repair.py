@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 from itertools import product
 from types import SimpleNamespace
@@ -238,9 +239,11 @@ def test_repair_duplicate_w_values_detected(golden_code, tower_code):
         golden_code, recovery_sets=[((2, 2), golden_code.recovery_sets[0][1])]
         + golden_code.recovery_sets[1:])
     for code, nodes in ((_duplicate_w_code(tower_code), "[1, 1, 1]"), (repeated, "[4, 4, 1]")):
-        with pytest.raises(DuplicateWValues) as err:
-            repair(code, ErasurePattern((0,) * code.params.n, 0, 1))
-        assert str(err.value) == f"repair nodes for coordinate 0 collide: {nodes}"
+        # raised before any symbol is read, so even a word of codes >= q gets it
+        for word in ((0,) * code.params.n, np.full(code.params.n, 9)):
+            with pytest.raises(DuplicateWValues) as err:
+                repair(code, ErasurePattern(word, 0, 1))
+            assert str(err.value) == f"repair nodes for coordinate 0 collide: {nodes}"
 
 
 def test_verify_reports_duplicate_w_values(tower_code):
@@ -316,6 +319,10 @@ def _assert_plan_matches_oracle(code):
             assert plan.weights[i, len(idx):].tolist() == pad
             if lam is not None:
                 assert plan.weights[i, :len(idx)].tolist() == lam
+            # the scalar repair's terms: the nonzero weights, as Python ints
+            terms = None if lam is None else [(h, l) for h, l in zip(idx, lam) if l]
+            assert plan.terms[i] == terms
+            assert all(type(x) is int for term in plan.terms[i] or () for x in term)
 
 
 def test_repair_plan_matches_scalar_oracle(golden_code, tower_code, hermitian_code):
@@ -391,18 +398,76 @@ def test_repair_rejects_out_of_range_coord(golden_code):
             repair(golden_code, ErasurePattern(zero, i, 1))
 
 
-def test_repair_rejects_bad_words(golden_code):
-    """A word of the wrong length and a read symbol outside [0, q) are named,
-    not wrapped by the tables; the erased symbol itself is never read."""
+def test_repair_rejects_bad_words(golden_code, tower_code):
+    """A word of the wrong length (tuple or array) and a read symbol outside
+    [0, q) are named, not wrapped by the tables; the erased symbol and every
+    other symbol off the recovery set are never read."""
     word = [int(x) for x in golden_code.encode([1, 2])]
     assert word == [1, 1, 2, 0, 0, 2] and golden_code.recovery_sets[0][0] == (2, 4)
     for bad in (-1, -8, 9):
         with pytest.raises(ValueError, match=f"symbol {bad} at coordinate 2 is outside \\[0, 9\\)"):
             repair(golden_code, ErasurePattern((1, 1, bad, 0, 0, 2), 0, 1))
     for length in (2, 7):
-        with pytest.raises(ValueError, match=f"word has {length} symbols, expected n=6"):
-            repair(golden_code, ErasurePattern(tuple(word * 2)[:length], 0, 1))
+        for w in (tuple(word * 2)[:length], np.array(word * 2)[:length]):
+            with pytest.raises(ValueError, match=f"word has {length} symbols, expected n=6"):
+                repair(golden_code, ErasurePattern(w, 0, 1))
     assert repair(golden_code, ErasurePattern((-1, *word[1:]), 0, 1)) == 1
+    n = tower_code.params.n
+    word = [int(x) for x in random_codewords(tower_code, 1, seed=3)[0]]
+    for i in (0, 7, n - 1):
+        for s in (1, 2):
+            on_set = tower_code.recovery_sets[i][s - 1]
+            for bad in (-1, 9, 10):
+                hit = [bad if h not in on_set else x for h, x in enumerate(word)]
+                assert repair(tower_code, ErasurePattern(tuple(hit), i, s)) == word[i]
+                hit[on_set[-1]] = bad
+                with pytest.raises(ValueError, match=f"symbol {bad} at coordinate {on_set[-1]} "):
+                    repair(tower_code, ErasurePattern(tuple(hit), i, s))
+
+
+@pytest.mark.parametrize("fixture", ["golden_code", "tower_code", "hermitian_code"])
+def test_scalar_repair_agrees_with_bulk_rebuild(fixture, request):
+    """Pointwise parity on seeded codewords, clean and with planted symbol
+    errors: repair() gives back the symbol exactly where
+    repair_roundtrip_wrong marks the (word, coordinate, set) correct, and
+    returns a Python int from a tuple, an int64 array or a ``dtype`` array."""
+    code = request.getfixturevalue(fixture)
+    fld, n = code.field, code.params.n
+    words = random_codewords(code, 6, seed=17)
+    bad = words.copy()
+    rng = np.random.default_rng(n)
+    hit = rng.random(bad.shape) < 1 / 8
+    bad[hit] = fld.vec_add(bad[hit], rng.integers(1, fld.q, size=hit.sum()))
+    both = np.vstack([words, bad])
+    wrong = repair_roundtrip_wrong(code, both)
+    assert not wrong[:, :len(words)].any() and wrong[:, len(words):].any()
+    for b, row in enumerate(both):
+        word = tuple(int(x) for x in row)
+        for i in range(n):
+            for s in (1, 2):
+                got = repair(code, ErasurePattern(word, i, s))
+                assert type(got) is int and (got != word[i]) == wrong[s - 1, b, i]
+        for cast in (np.int64, fld.dtype):
+            i = b % n
+            got = repair(code, ErasurePattern(row.astype(cast), i, 1 + b % 2))
+            assert type(got) is int and (got != word[i]) == wrong[b % 2, b, i]
+
+
+def test_repair_reads_only_terms_and_table_views(golden_code, hermitian_code):
+    """The per-call path touches no numpy array: on a stand-in code whose
+    plans hold only ``terms`` and whose field copy has its numpy tables
+    removed (the memoryviews stay), every repair still comes out right."""
+    for code in (golden_code, hermitian_code):
+        fld = copy.copy(code.field)
+        for name in ("add_table", "mul_table", "exp_table", "log_table", "neg_table",
+                     "_add_flat", "_mul_flat"):
+            setattr(fld, name, None)
+        bare = SimpleNamespace(field=fld, params=code.params, places=code.places,
+                               repair_plan=[SimpleNamespace(terms=plan.terms) for plan in code.repair_plan])
+        for row in random_codewords(code, 3, seed=5):
+            word = tuple(int(x) for x in row)
+            for i in range(code.params.n):
+                assert repair(bare, ErasurePattern(word, i, 1 + i % 2)) == word[i]
 
 
 def test_bulk_rebuild_rejects_wrong_width(golden_code):
