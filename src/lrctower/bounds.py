@@ -242,7 +242,7 @@ def regimes(ell: int) -> list[RegimeRow]:
     ]
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def csv_text(header: list[str], rows: list) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -251,11 +251,11 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def tradeoff_csv(lines: list[TradeoffLine]) -> str:
-    return _csv_text(TRADEOFF_CSV_HEADER, [ln.csv_row() for ln in lines])
+    return csv_text(TRADEOFF_CSV_HEADER, [ln.csv_row() for ln in lines])
 
 
 def regimes_csv(rows: list[RegimeRow]) -> str:
-    return _csv_text(
+    return csv_text(
         REGIME_CSV_HEADER,
         [[r.ell, r.r1, r.r2, r.theorem, r.line_defined] for r in rows],
     )

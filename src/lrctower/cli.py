@@ -96,18 +96,13 @@ def cmd_verify(args) -> int:
     if args.rounds < 0:
         raise ValueError(f"--rounds must be non-negative, got {args.rounds}")
     code = load_code(args.path)
-    exact = True if args.exact_distance else (False if args.skip_distance else None)
     report = verify_code(
         code, seed=args.seed, rounds=args.rounds,
-        distance_cap=_enum_cap(), exact_distance=exact,
+        distance_cap=_enum_cap(), exact_distance=args.exact_distance,
     )
-    if report.locality_passed is None:
-        print("locality skipped")
-        print("repair skipped")
-    else:
-        print(f"locality {'pass' if report.locality_passed else 'FAIL'}")
-        print(f"repair {'pass' if report.repair_mismatches == 0 else 'FAIL'} "
-              f"({report.repair_words} codewords)")
+    print(f"locality {'pass' if report.locality_passed else 'FAIL'}")
+    print(f"repair {'pass' if report.repair_mismatches == 0 else 'FAIL'} "
+          f"({report.repair_words} codewords)")
     if report.distance is None:
         print("distance skipped")
     else:
@@ -161,8 +156,7 @@ def cmd_bounds(args) -> int:
     for name, val in rows:
         print(f"{name} {val}")
     if args.csv:
-        lines = ["bound,value"] + [f"{name},{val}" for name, val in rows]
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        Path(args.csv).write_text(bnd.csv_text(["bound", "value"], rows))
     return 0
 
 
@@ -213,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--in", dest="path", required=True)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--rounds", type=int, default=100)
-    v.add_argument("--exact-distance", action="store_true")
-    v.add_argument("--skip-distance", action="store_true")
+    distance = v.add_mutually_exclusive_group()  # exact_distance: True, False or None (by the cap)
+    distance.add_argument("--exact-distance", action="store_const", const=True)
+    distance.add_argument("--skip-distance", dest="exact_distance", action="store_const", const=False)
     v.add_argument("--report")
     v.set_defaults(fn=cmd_verify)
 

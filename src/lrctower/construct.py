@@ -38,7 +38,7 @@ full-width RREF basis.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import product
 
@@ -122,10 +122,6 @@ class CodeParams:
     d_designed: int
     r1: int
     r2: int
-    q: int
-    ell: int
-    m: int
-    variant: str
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,13 @@ class CodeDims:
 
 @dataclass
 class LrcCode:
-    """Constructed code: generator matrix, places and recovery layout."""
+    """Constructed code: generator matrix, places and recovery layout.
+
+    ``params`` is derived, not given: n is the place count, k the
+    generator's row count and r1, r2 the groups' localities.  A generator
+    without one column per place, ``recovery_sets`` without one entry per
+    place, or a ``dims.budget`` other than n - d_designed raises ValueError.
+    """
 
     spec: TowerSpec
     group1: RecoveryGroup
@@ -147,8 +149,21 @@ class LrcCode:
     places: list[Place]
     generator_matrix: np.ndarray
     recovery_sets: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    params: CodeParams
+    d_designed: int
     dims: CodeDims
+    params: CodeParams = dc_field(init=False)
+
+    def __post_init__(self):
+        n, (k, cols) = len(self.places), self.generator_matrix.shape
+        if cols != n:
+            raise ValueError(f"params.n = {n} does not match the column count {cols} of generator_matrix")
+        if len(self.recovery_sets) != n:
+            raise ValueError(f"params.n = {n} does not match the {len(self.recovery_sets)} "
+                             "entries of recovery_sets")
+        if self.dims.budget != n - self.d_designed:
+            raise ValueError(f"dims.budget = {self.dims.budget} does not match "
+                             f"n - d_designed = {n - self.d_designed}")
+        self.params = CodeParams(n, k, self.d_designed, self.group1.r, self.group2.r)
 
     @property
     def field(self) -> FiniteField:
@@ -269,12 +284,8 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
             raise AssertionError("recovery sets overlap")
         recovery.append((sets[0], sets[1]))
 
-    params = CodeParams(
-        n=n, k=k, d_designed=d_target, r1=h1.r, r2=h2.r,
-        q=fld.q, ell=fld.ell, m=spec.m, variant=spec.variant,
-    )
     dims = CodeDims(dim_v1=len(b1), dim_v2=len(b2), dim_sum=dim_sum, budget=budget, caps=caps)
     return LrcCode(
         spec=spec, group1=h1, group2=h2, places=places,
-        generator_matrix=basis, recovery_sets=recovery, params=params, dims=dims,
+        generator_matrix=basis, recovery_sets=recovery, d_designed=d_target, dims=dims,
     )

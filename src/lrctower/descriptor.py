@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .construct import CodeDims, CodeParams, LrcCode
+from .construct import CodeDims, LrcCode
 from .field import field_from_json, field_to_json
 from .groups import ADDITIVE, MULTIPLICATIVE, RecoveryGroup, build_recovery_group, combine
 from .tower import Place, TowerSpec
@@ -190,16 +190,6 @@ def code_from_descriptor(desc: dict) -> LrcCode:
     if len(owner) < n:
         missing = min(set(range(n)) - owner.keys())
         raise ValueError(f"recovery_sets has no entry with coord {missing}")
-    p = _required(desc, "params", "params")
-    p = {key: _integer(_required(p, key, f"params.{key}"), f"params.{key}")
-         for key in ("n", "k", "d_designed", "r1", "r2")}
-    if p["n"] != n:
-        raise ValueError(f"params.n = {p['n']} does not match the {n} places")
-    if gen.shape[1] != n:
-        raise ValueError(f"params.n = {n} does not match the column count {gen.shape[1]} of generator_matrix")
-    if p["k"] != gen.shape[0]:
-        raise ValueError(f"params.k = {p['k']} does not match the row count {gen.shape[0]} of generator_matrix")
-    params = CodeParams(**p, q=fld.q, ell=fld.ell, m=spec.m, variant=spec.variant)
     d = _required(desc, "dims", "dims")
     caps = _required(d, "caps", "dims.caps")  # one cap per tower level, or null
     dims = CodeDims(
@@ -207,11 +197,21 @@ def code_from_descriptor(desc: dict) -> LrcCode:
            for key in ("dim_v1", "dim_v2", "dim_sum", "budget")},
         caps=None if caps is None else tuple(_int_list(caps, "dims.caps", spec.m)),
     )
+    p = _required(desc, "params", "params")
+    p = {key: _integer(_required(p, key, f"params.{key}"), f"params.{key}")
+         for key in ("n", "k", "d_designed", "r1", "r2")}
     combine(g1, g2)  # validates the pair: trivial intersection and closure
-    return LrcCode(
+    code = LrcCode(
         spec=spec, group1=g1, group2=g2, places=places,
-        generator_matrix=gen, recovery_sets=recovery, params=params, dims=dims,
+        generator_matrix=gen, recovery_sets=recovery, d_designed=p["d_designed"], dims=dims,
     )
+    # the block must state what the code derives
+    for key, source in (("n", "the {} places"), ("k", "the row count {} of generator_matrix"),
+                        ("r1", "the locality {} of groups[0]"), ("r2", "the locality {} of groups[1]")):
+        value = getattr(code.params, key)
+        if p[key] != value:
+            raise ValueError(f"params.{key} = {p[key]} does not match {source.format(value)}")
+    return code
 
 
 def load_code(path) -> LrcCode:

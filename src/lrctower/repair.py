@@ -73,11 +73,7 @@ class ErasurePattern:
 
 
 def check_coord(code: LrcCode, i: int) -> None:
-    """Reject a coordinate outside [0, n) rather than letting it wrap, and a
-    ``params.n`` other than the place count: the recovery sets and the plan
-    have one row per place."""
-    if code.params.n != len(code.places):
-        raise ValueError(f"params.n = {code.params.n} does not match the {len(code.places)} places")
+    """Reject a coordinate outside [0, n) rather than letting it wrap."""
     if not 0 <= i < code.params.n:
         raise ValueError(f"coordinate {i} out of range for n={code.params.n}")
 
@@ -141,8 +137,10 @@ def build_repair_plan(code: LrcCode) -> tuple[RepairPlan, RepairPlan]:
 def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> int:
     """Recover the erased symbol through the chosen recovery set.
 
-    A word whose length is not n, or a symbol outside [0, q) on the set,
-    raises ValueError; the erased symbol itself is never read.
+    A word whose length is not n, or a symbol on the set that is not an
+    integer (a Python int other than bool, or a numpy integer) in [0, q),
+    raises ValueError naming its coordinate; the erased symbol itself is
+    never read.
     """
     fld = code.field
     i, s, word = pattern.coord, pattern.set_choice, pattern.codeword
@@ -162,7 +160,9 @@ def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> int:
     q, add, mul = fld.q, fld.add, fld.mul
     out = 0
     for h, l in terms:
-        c = int(word[h])
+        c = word[h]
+        if type(c) is not int and not isinstance(c, np.integer):
+            raise ValueError(f"symbol {c!r} at coordinate {h} is not an integer")
         if not 0 <= c < q:
             raise ValueError(f"symbol {c} at coordinate {h} is outside [0, {q})")
         out = add(out, mul(l, c))
@@ -389,7 +389,7 @@ def dimension_report(code: LrcCode) -> DimensionReport:
         budget=d.budget,
         identity_holds=(k == d.dim_v1 + d.dim_v2 - d.dim_sum),
     )
-    if code.params.m == 1:
+    if code.spec.m == 1:
         rep.rational_bound = d.dim_v1 + d.dim_v2 - (d.budget + 1)
         rep.rational_bound_holds = k >= rep.rational_bound
     return rep
@@ -397,15 +397,15 @@ def dimension_report(code: LrcCode) -> DimensionReport:
 
 @dataclass
 class VerificationReport:
-    """Results of ``verify_code``; ``locality_passed`` and ``repair_exact``
-    are None, like ``distance``, when their phase was skipped."""
+    """Results of ``verify_code``; ``distance`` and ``distance_ok`` are None
+    when the distance phase was skipped."""
 
     ok: bool
-    locality_passed: bool | None
+    locality_passed: bool
     locality_checks: list[tuple[bool, bool]]
     repair_mismatches: int
     repair_words: int
-    repair_exact: bool | None
+    repair_exact: bool
     distance: int | None
     d_designed: int
     distance_ok: bool | None
@@ -448,33 +448,21 @@ def verify_code(
     The verdicts and failure lines are those of the rank test alone.  Distance is
     enumerated exactly when q^k <= distance_cap; ``exact_distance=True``
     forces the attempt (raising TooLarge beyond the cap), ``False`` skips it.
-    k counts the generator's rows, not ``params.k``.  A generator without one
-    column per place fails integrity, and then every later phase is skipped:
-    they index its columns by place.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
     runtimes = {}
     failures = []
-    q, k = code.field.q, code.generator_matrix.shape[0]
+    q, k = code.field.q, code.params.k
 
     t0 = time.perf_counter()
     canonical = [p.coords for p in code.spec.places()]
     if [p.coords for p in code.places] != canonical:
         failures.append("place list differs from the canonical enumeration")
-    if code.params.n != len(code.places) or code.generator_matrix.shape != (code.params.k, code.params.n):
-        failures.append("parameter block inconsistent with matrix shape")
-    elif gflinalg.rank(code.field, code.generator_matrix) != k:
+    if gflinalg.rank(code.field, code.generator_matrix) != k:
         failures.append("generator matrix is not full row rank")
     runtimes["integrity"] = time.perf_counter() - t0
     integrity_ok = not failures
-    if code.generator_matrix.shape[1] != len(code.places):
-        return VerificationReport(
-            ok=False, locality_passed=None, locality_checks=[], repair_mismatches=0,
-            repair_words=0, repair_exact=None, distance=None,
-            d_designed=code.params.d_designed, distance_ok=None, seed=seed,
-            runtimes=runtimes, failures=failures,
-        )
 
     t0 = time.perf_counter()
     row_wrong = repair_roundtrip_wrong(code, code.generator_matrix)

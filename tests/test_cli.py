@@ -6,7 +6,6 @@ import re
 import numpy as np
 import pytest
 
-from lrctower import cli
 from lrctower.cli import main
 from lrctower.descriptor import (
     code_from_descriptor,
@@ -83,13 +82,6 @@ def test_verify_fails_on_repeated_recovery_index(tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith("FAILED")
 
 
-def _verify_in_memory(monkeypatch, code, *args) -> int:
-    """``lrctower verify`` on an in-memory code whose parameter block no
-    descriptor can carry past ``load_code``."""
-    monkeypatch.setattr(cli, "load_code", lambda path: code)
-    return main(["verify", "--in", "in-memory.json", *args])
-
-
 @pytest.mark.parametrize("field, value, message", [
     pytest.param("k", 3, "params.k = 3 does not match the row count 2 of generator_matrix",
                  id="k-3"),
@@ -98,27 +90,28 @@ def _verify_in_memory(monkeypatch, code, *args) -> int:
     pytest.param("rows", 1, "params.k = 2 does not match the row count 1 of generator_matrix",
                  id="rows-1"),
 ])
-def test_verify_fails_on_dimension_mismatch(tmp_path, capsys, monkeypatch, field, value, message):
+def test_verify_fails_on_dimension_mismatch(tmp_path, capsys, field, value, message):
     # params.k disagrees with the generator's row count: the descriptor is
-    # refused by path on load, and verify_code's integrity check still
-    # reports FAILED, not a traceback, on a code built in memory
+    # refused by path on load. A code in memory derives params, so it cannot
+    # be given a k, and its k is the generator's row count
     out = tmp_path / "code.json"
     main(GOLDEN_ARGS + ["--out", str(out)])
     desc = json.loads(out.read_text())
     code = load_code(out)
     if field == "k":
         desc["params"]["k"] = value
-        code = dataclasses.replace(code, params=dataclasses.replace(code.params, k=value))
     else:
         desc["generator_matrix"] = desc["generator_matrix"][:value]
-        code = dataclasses.replace(code, generator_matrix=code.generator_matrix[:value])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(desc))
     capsys.readouterr()
     assert main(["verify", "--in", str(bad)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert _verify_in_memory(monkeypatch, code) == 1
-    assert "parameter block inconsistent with matrix shape" in capsys.readouterr().out
+    if field == "k":
+        with pytest.raises(ValueError, match="field params is declared with init=False"):
+            dataclasses.replace(code, params=dataclasses.replace(code.params, k=value))
+    else:
+        assert dataclasses.replace(code, generator_matrix=code.generator_matrix[:value]).params.k == value
 
 
 # descriptor sha256 of the ladder codes; any change to descriptor bytes is a
@@ -152,8 +145,8 @@ def test_descriptor_bytes_pinned(name, tmp_path):
 
 def test_verify_caps_count_generator_rows(tmp_path, capsys, monkeypatch):
     # params.k = 1 understates the 4 rows of the 18-place code: a descriptor
-    # saying so is refused on load, and on a code built in memory 9^4 > 100
-    # is what the distance cap must see, not 9^1
+    # saying so is refused on load, before the distance cap sees any k. In
+    # memory k is the generator's row count, so the caps see 9^rows
     out = tmp_path / "code.json"
     main(["construct", *DESCRIPTOR_PINS["ytower18"][0], "--out", str(out)])
     desc = json.loads(out.read_text())
@@ -166,17 +159,12 @@ def test_verify_caps_count_generator_rows(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "error: params.k = 1 does not match the row count 4 of generator_matrix\n")
     code = load_code(out)
-    code = dataclasses.replace(code, params=dataclasses.replace(code.params, k=1))
-    assert _verify_in_memory(monkeypatch, code) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert "distance skipped" in lines
-    assert "failure: parameter block inconsistent with matrix shape" in lines
-    assert lines[-1] == "FAILED"
+    assert dataclasses.replace(code, generator_matrix=code.generator_matrix[:1]).params.k == 1
 
 
-def test_verify_skips_phases_on_short_generator(tmp_path, capsys, monkeypatch, golden_code):
-    # 3 generator columns for 6 places: a descriptor is refused on load; on a
-    # code built in memory the later phases would index past them
+def test_verify_skips_phases_on_short_generator(tmp_path, capsys, golden_code):
+    # 3 generator columns for 6 places: a descriptor is refused on load, and
+    # no code can be built in memory, so no later phase indexes past them
     desc = code_to_descriptor(golden_code)
     desc["generator_matrix"] = [[1, 2, 3]]
     bad, report = tmp_path / "bad.json", tmp_path / "report.json"
@@ -185,16 +173,9 @@ def test_verify_skips_phases_on_short_generator(tmp_path, capsys, monkeypatch, g
     assert capsys.readouterr().err == (
         "error: params.n = 6 does not match the column count 3 of generator_matrix\n")
     assert not report.exists()
-    code = dataclasses.replace(golden_code, generator_matrix=np.array([[1, 2, 3]]))
-    assert _verify_in_memory(monkeypatch, code, "--report", str(report)) == 1
-    captured = capsys.readouterr()
-    assert captured.out.splitlines() == [
-        "locality skipped", "repair skipped", "distance skipped",
-        "failure: parameter block inconsistent with matrix shape", "FAILED",
-    ]
-    assert captured.err == ""
-    rep = json.loads(report.read_text())
-    assert rep["ok"] is False and rep["locality_passed"] is None and rep["repair_exact"] is None
+    with pytest.raises(ValueError, match=re.escape(
+            "params.n = 6 does not match the column count 3 of generator_matrix")):
+        dataclasses.replace(golden_code, generator_matrix=np.array([[1, 2, 3]]))
 
 
 @pytest.mark.parametrize("key", ["n", "k", "d_designed", "r1", "r2"])
@@ -290,7 +271,8 @@ def test_bounds_command(tmp_path, capsys):
     # bmq was 9 under the old denominator 1 + sum r_i; at equal localities it
     # equals wz
     assert out == "singleton 8\ntb 7\nwz 7\nrpdv 5\nbt 7\nbmq 7\n"
-    assert (tmp_path / "b.csv").read_text().startswith("bound,value\nsingleton,8\n")
+    assert (tmp_path / "b.csv").read_text() == (
+        "bound,value\nsingleton,8\ntb,7\nwz,7\nrpdv,5\nbt,7\nbmq,7\n")
 
 
 def test_regimes_command(capsys):
@@ -439,17 +421,23 @@ def _edit(desc, path, value):
     ("dims.caps", [1, 2], "dims.caps must be a list of integers of length 1, got [1, 2]"),
     ("dims.caps", DELETE, "descriptor has no dims.caps"),
     ("dims", DELETE, "descriptor has no dims"),
+    # the parameter block against the groups, and dims.budget against n - d_designed
+    ("params.r1", 5, "params.r1 = 5 does not match the locality 2 of groups[0]"),
+    ("params.r2", 4, "params.r2 = 4 does not match the locality 1 of groups[1]"),
+    ("params.d_designed", 3, "dims.budget = 4 does not match n - d_designed = 3"),
+    ("dims.budget", 1, "dims.budget = 1 does not match n - d_designed = 4"),
 ])
 def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path, value, message):
     """A place coordinate outside [0, q), a coord that is not an integer, and
     a generator entry that is not an integer in [0, q) or sits in a ragged
     row are named by their JSON path; none is truncated or wrapped.  So is a
     float, bool or string where the descriptor holds an integer, and a
-    parameter block at odds with the rest: params.k must be the generator's
-    row count, params.n its column count and the place count, and
-    recovery_sets must be a list holding every coordinate exactly once.
-    The dims block is read the same way: golden is at level m = 1, so its
-    caps, when not null, hold one integer."""
+    parameter block at odds with the code it describes: params.k must be the
+    generator's row count, params.n its column count and the place count,
+    params.r1 and params.r2 the groups' localities, dims.budget must be
+    n - params.d_designed, and recovery_sets must be a list holding every
+    coordinate exactly once.  The dims block is read the same way: golden
+    is at level m = 1, so its caps, when not null, hold one integer."""
     desc = code_to_descriptor(golden_code)
     _edit(desc, path, value)
     bad = tmp_path / "bad.json"
@@ -457,6 +445,31 @@ def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path
     assert main(["verify", "--in", str(bad)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_descriptor_reports_dims_before_params(tmp_path, capsys, golden_code):
+    # the code is built, dims checked with it, before the parameter block is
+    # compared with what the code derives
+    desc = code_to_descriptor(golden_code)
+    desc["params"]["n"], desc["dims"]["budget"] = 7, 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    assert main(["verify", "--in", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: dims.budget = 1 does not match n - d_designed = 4\n"
+
+
+def test_verify_distance_flags_are_exclusive(tmp_path, capsys, golden_code):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code_to_descriptor(golden_code)))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--in", str(path), "--exact-distance", "--skip-distance"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--skip-distance: not allowed with argument --exact-distance" in err
+    for flag, line in (("--exact-distance", "distance 4 (designed 2) pass"),
+                       ("--skip-distance", "distance skipped")):
+        assert main(["verify", "--in", str(path), flag]) == 0
+        assert line in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("coord", ["-1", "6"])
@@ -467,11 +480,11 @@ def test_repair_demo_rejects_out_of_range_coord(tmp_path, capsys, coord):
     assert f"error: coordinate {coord} out of range for n=6" in capsys.readouterr().err
 
 
-def test_repair_demo_rejects_params_n_mismatch(tmp_path, capsys, monkeypatch, golden_code):
+def test_repair_demo_rejects_params_n_mismatch(tmp_path, capsys, golden_code):
     # params.n = 7 over 6 places: coordinate 6 passes a range check on n but
     # has no recovery sets. A descriptor saying so is refused on load by both
-    # commands; on a code built in memory repair-demo refuses the coordinate
-    # and verify reports the integrity failure
+    # commands; in memory n is the place count, and a 7th place without a
+    # 7th generator column is refused, as is a place without recovery sets
     message = "error: params.n = 7 does not match the 6 places\n"
     desc = code_to_descriptor(golden_code)
     desc["params"]["n"] = 7
@@ -480,13 +493,10 @@ def test_repair_demo_rejects_params_n_mismatch(tmp_path, capsys, monkeypatch, go
     for command in (["repair-demo", "--in", str(bad), "--coord", "6"], ["verify", "--in", str(bad)]):
         assert main(command) == 1
         assert capsys.readouterr().err == message
-    code = dataclasses.replace(golden_code, params=dataclasses.replace(golden_code.params, n=7))
-    assert _verify_in_memory(monkeypatch, code) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert "failure: parameter block inconsistent with matrix shape" in lines
-    assert lines[-1] == "FAILED"
-    assert main(["repair-demo", "--in", "in-memory.json", "--coord", "6"]) == 1
-    assert capsys.readouterr().err == message
+    with pytest.raises(ValueError, match="params.n = 7 does not match the column count 6 of generator_matrix"):
+        dataclasses.replace(golden_code, places=golden_code.places + golden_code.places[:1])
+    with pytest.raises(ValueError, match="params.n = 6 does not match the 5 entries of recovery_sets"):
+        dataclasses.replace(golden_code, recovery_sets=golden_code.recovery_sets[:5])
 
 
 @pytest.mark.parametrize("fixture", ["golden_code", "hermitian_code"])

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 from itertools import product
 from types import SimpleNamespace
 
@@ -228,7 +229,7 @@ def _duplicate_w_code(code):
         spec=code.spec, group1=code.group1, group2=code.group2,
         places=code.places,
         generator_matrix=code.generator_matrix, recovery_sets=bad_sets,
-        params=code.params, dims=code.dims,
+        d_designed=code.d_designed, dims=code.dims,
     )
     return tampered
 
@@ -400,13 +401,21 @@ def test_repair_rejects_out_of_range_coord(golden_code):
 
 def test_repair_rejects_bad_words(golden_code, tower_code):
     """A word of the wrong length (tuple or array) and a read symbol outside
-    [0, q) are named, not wrapped by the tables; the erased symbol and every
-    other symbol off the recovery set are never read."""
+    [0, q) are named, not wrapped by the tables; so is a read symbol that is
+    not an integer (a float, a Python or numpy bool, a numpy float), not
+    truncated or read as 0 or 1, while numpy integers in a tuple are read as
+    they are.  The erased symbol and every other symbol off the recovery set
+    are never read."""
     word = [int(x) for x in golden_code.encode([1, 2])]
     assert word == [1, 1, 2, 0, 0, 2] and golden_code.recovery_sets[0][0] == (2, 4)
     for bad in (-1, -8, 9):
         with pytest.raises(ValueError, match=f"symbol {bad} at coordinate 2 is outside \\[0, 9\\)"):
             repair(golden_code, ErasurePattern((1, 1, bad, 0, 0, 2), 0, 1))
+    for bad in (2.7, 2.0, True, False, np.float64(2.0), np.bool_(True), "2", None):
+        with pytest.raises(ValueError, match=f"symbol {re.escape(repr(bad))} at coordinate 2 is not an integer"):
+            repair(golden_code, ErasurePattern((1, 1, bad, 0, 0, 2), 0, 1))
+    assert repair(golden_code, ErasurePattern((1, 1, np.int64(2), 0, np.uint8(0), 2), 0, 1)) == 1
+    assert repair(golden_code, ErasurePattern((2.7, True, 2, 0.5, 0, 2), 0, 1)) == 1
     for length in (2, 7):
         for w in (tuple(word * 2)[:length], np.array(word * 2)[:length]):
             with pytest.raises(ValueError, match=f"word has {length} symbols, expected n=6"):
@@ -499,16 +508,19 @@ def test_definition1_passes_and_slow_mode_agrees(golden_code):
 
 
 def test_definition1_repetition_code(gf9):
-    # length-3 repetition code, each coordinate recoverable from one other
+    # length-3 repetition code, each coordinate recoverable from one other;
+    # the order-2 scalar group {1, -1} gives the localities r1 = r2 = 1
     spec = TowerSpec("gs96", gf9, 1)
+    pair = build_recovery_group(spec, "multiplicative", order=2)
     code = LrcCode(
-        spec=spec, group1=None, group2=None,
+        spec=spec, group1=pair, group2=pair,
         places=spec.places()[:3],
         generator_matrix=np.array([[1, 1, 1]], dtype=np.int64),
         recovery_sets=[((1,), (2,)), ((0,), (2,)), ((0,), (1,))],
-        params=CodeParams(3, 1, 3, 1, 1, 9, 3, 1, "gs96"),
+        d_designed=3,
         dims=CodeDims(1, 1, 1, 0, None),
     )
+    assert code.params == CodeParams(n=3, k=1, d_designed=3, r1=1, r2=1)
     assert verify_definition1(code).passed
 
 
@@ -573,8 +585,11 @@ def test_brute_force_cap(golden_code):
 
 
 def test_enumeration_caps_count_generator_rows(tower_code):
-    # params.k understates the four generator rows: the caps must still see 9^4
-    code = dataclasses.replace(tower_code, params=dataclasses.replace(tower_code.params, k=1))
+    # the caps see 9^4 for the four generator rows; params.k is derived from
+    # them and cannot be set to understate them
+    with pytest.raises(ValueError, match="field params is declared with init=False"):
+        dataclasses.replace(tower_code, params=dataclasses.replace(tower_code.params, k=1))
+    code = tower_code
     with pytest.raises(TooLarge):
         brute_force_distance(code, cap=9**3)
     with pytest.raises(TooLarge):
@@ -632,7 +647,7 @@ def test_verify_code_flags_bad_recovery_set(golden_code):
         spec=golden_code.spec, group1=golden_code.group1,
         group2=golden_code.group2,
         places=golden_code.places, generator_matrix=golden_code.generator_matrix,
-        recovery_sets=bad_sets, params=golden_code.params, dims=golden_code.dims,
+        recovery_sets=bad_sets, d_designed=golden_code.d_designed, dims=golden_code.dims,
     )
     rep = verify_code(tampered)
     assert not rep.ok and rep.repair_exact is False
