@@ -12,7 +12,6 @@ from lrctower import (
     brute_force_distance,
     build_recovery_group,
     construct_lrc,
-    dimension_report,
     evaluation_matrix,
     make_field,
     repair,
@@ -41,7 +40,7 @@ print(f"\ncode parameters: n={code.params.n} k={code.params.k} "
 print("generator matrix (canonical echelon):")
 print(code.generator_matrix)
 print("true minimum distance:", brute_force_distance(code))
-print("dimension accounting:", dimension_report(code))
+print("dimension accounting (k = dim_v1 + dim_v2 - dim_sum):", code.dims)
 
 print("\nrecovery sets (per coordinate):")
 for i, (s1, s2) in enumerate(code.recovery_sets):

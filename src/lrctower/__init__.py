@@ -40,7 +40,6 @@ from .repair import (
     ErasurePattern,
     LocalityReport,
     brute_force_distance,
-    dimension_report,
     repair,
     verify_code,
     verify_definition1,
@@ -79,7 +78,6 @@ __all__ = [
     "code_to_descriptor",
     "combine",
     "construct_lrc",
-    "dimension_report",
     "evaluation_matrix",
     "genus",
     "gs_line",

@@ -140,7 +140,8 @@ class LrcCode:
     ``params`` is derived, not given: n is the place count, k the
     generator's row count and r1, r2 the groups' localities.  A generator
     without one column per place, ``recovery_sets`` without one entry per
-    place, or a ``dims.budget`` other than n - d_designed raises ValueError.
+    place, a ``d_designed`` outside [1, n] or a ``dims.budget`` other than
+    n - d_designed raises ValueError.
     """
 
     spec: TowerSpec
@@ -160,6 +161,8 @@ class LrcCode:
         if len(self.recovery_sets) != n:
             raise ValueError(f"params.n = {n} does not match the {len(self.recovery_sets)} "
                              "entries of recovery_sets")
+        if not 1 <= self.d_designed <= n:
+            raise ValueError(f"params.d_designed = {self.d_designed} is not in [1, n] = [1, {n}]")
         if self.dims.budget != n - self.d_designed:
             raise ValueError(f"dims.budget = {self.dims.budget} does not match "
                              f"n - d_designed = {n - self.d_designed}")

@@ -3,131 +3,172 @@
 The descriptor is self-contained: field modulus, tower spec, group element
 lists, places, generator matrix, recovery sets and parameters.  Reading one
 back rebuilds a working code object without any in-memory state from the
-construction run.
+construction run.  ``FIELDS`` states the format: each fixed JSON path and
+the kind of value it holds.  The long lists (places, generator, recovery
+sets) are checked whole; their entries are walked only to name a failure.
+The checks here name the JSON path at fault.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .construct import CodeDims, LrcCode
-from .field import field_from_json, field_to_json
-from .groups import ADDITIVE, MULTIPLICATIVE, RecoveryGroup, build_recovery_group, combine
-from .tower import Place, TowerSpec
+from .field import FiniteField
+from .groups import ADDITIVE, MULTIPLICATIVE, build_recovery_group, combine
+from .tower import GS95, GS96, Place, TowerSpec
 
 FORMAT = "lrc-descriptor/1"
 
 
-def group_to_json(group: RecoveryGroup) -> dict:
-    if group.kind == ADDITIVE:
-        return {"kind": ADDITIVE, "shifts": [int(a) for a in group.shifts]}
-    return {"kind": MULTIPLICATIVE, "scalars": [int(c) for c in group.scalars]}
+@dataclass(frozen=True)
+class Ints:
+    """A list of integers, read as a tuple: one per tower level if ``levels``, or null if ``nullable``."""
+
+    levels: bool = False
+    nullable: bool = False
 
 
-def _required(obj, key, path: str):
-    """``obj[key]`` for a dict key or a list index, or a ValueError naming
-    the JSON path of the missing entry."""
-    if isinstance(obj, dict):
-        present = key in obj
+# Each fixed JSON path and its kind: int, list, Ints, or a tuple of the values
+# it may take; one line per JSON object.
+FIELDS = {
+    "format": (FORMAT,),
+    "field.p": int, "field.k": int, "field.modulus": Ints(),
+    "tower.variant": (GS96, GS95), "tower.ell": int, "tower.m": int,
+    "groups[0].kind": (ADDITIVE, MULTIPLICATIVE), "groups[1].kind": (ADDITIVE, MULTIPLICATIVE),
+    "places": list, "generator_matrix": list, "recovery_sets": list,
+    "dims.dim_v1": int, "dims.dim_v2": int, "dims.dim_sum": int, "dims.budget": int,
+    "dims.caps": Ints(levels=True, nullable=True),
+    "params.n": int, "params.k": int, "params.d_designed": int, "params.r1": int, "params.r2": int,
+}
+MEMBERS = {ADDITIVE: "shifts", MULTIPLICATIVE: "scalars"}  # a group's element list, by its kind
+
+
+def _check(value, path: str, kind, m: int | None = None):
+    """``value`` if it is of ``kind`` (``m`` is the level count), else a ValueError naming ``path``."""
+    if isinstance(kind, Ints):
+        if value is None and kind.nullable:
+            return None
+        ok = (isinstance(value, list) and all(type(x) is int for x in value)
+              and (not kind.levels or len(value) == m))
+        want = "a list of integers" + (f" of length {m}" if kind.levels else "")
+    elif isinstance(kind, tuple):
+        ok, want = value in kind, "one of " + ", ".join(map(repr, kind))
     else:
-        present = isinstance(obj, list) and isinstance(key, int) and 0 <= key < len(obj)
-    if not present:
-        raise ValueError(f"descriptor has no {path}")
-    return obj[key]
+        ok = type(value) is int if kind is int else isinstance(value, kind)
+        want = {int: "an integer", list: "a list", dict: "an object"}[kind]
+    if not ok:
+        raise ValueError(f"{path} must be {want}, got {value!r}")
+    return tuple(value) if isinstance(kind, Ints) else value
 
 
-def _integer(value, path: str) -> int:
-    """``value`` if it is an integer (not a float, bool or string), else a
-    ValueError naming its JSON path: nothing is truncated."""
-    if type(value) is not int:
-        raise ValueError(f"{path} must be an integer, got {value!r}")
-    return value
+def _read(desc, path: str, kind=None, m: int | None = None):
+    """The value at JSON ``path`` ("a.b[3].c"), checked against ``kind`` or ``FIELDS[path]``."""
+    value, at = desc, "descriptor"
+    for step in re.finditer(r"(\w+)(\]?)", path):
+        key = int(step[1]) if step[2] else step[1]
+        value = _check(value, at, list if step[2] else dict)
+        if key not in (range(len(value)) if step[2] else value):
+            raise ValueError(f"descriptor has no {path[:step.end()]}")
+        value, at = value[key], path[:step.end()]
+    return _check(value, path, FIELDS[path] if kind is None else kind, m)
 
 
-def _list(value, path: str) -> list:
-    """``value`` if it is a list, else a ValueError naming its JSON path."""
-    if not isinstance(value, list):
-        raise ValueError(f"{path} must be a list, got {value!r}")
-    return value
+def _block(desc, name: str, m: int | None = None) -> dict:
+    """Every ``FIELDS`` entry under ``name``, read in table order, by key."""
+    return {path[len(name) + 1:]: _read(desc, path, m=m)
+            for path in FIELDS if path.startswith(name + ".")}
 
 
-def _int_list(value, path: str, length: int | None = None) -> list[int]:
-    """``value`` if it is a list of integers (of ``length`` entries, if
-    given), else a ValueError naming its JSON path."""
-    if not (isinstance(value, list) and all(type(x) is int for x in value)
-            and length in (None, len(value))):
-        size = "" if length is None else f" of length {length}"
-        raise ValueError(f"{path} must be a list of integers{size}, got {value!r}")
-    return value
+def _in_range(x: int, path: str, bound: int, name: str) -> int:
+    if not 0 <= x < bound:
+        raise ValueError(f"{path} = {x} out of range for {name}={bound}")
+    return x
 
 
-def _generator(raw, q: int) -> np.ndarray:
-    """The generator matrix of ``raw`` if it is a rectangular list of integer
-    rows with every entry in [0, q), else a ValueError naming the first bad
-    entry.  The test is on the whole array; the rows are walked only to name
-    a failure."""
-    try:
+def _ints_below(values: list, bound: int) -> bool:
+    return set(map(type, values)) <= {int} and (not values or 0 <= min(values) and max(values) < bound)
+
+
+def _group(desc, spec: TowerSpec, e: int):
+    kind = _read(desc, f"groups[{e}].kind")
+    path = f"groups[{e}].{MEMBERS[kind]}"
+    members = _read(desc, path, Ints())
+    g = build_recovery_group(spec, kind, shifts=members, order=len(members))
+    if sorted(members) != list(getattr(g, MEMBERS[kind])):
+        raise ValueError(f"{path} does not match the canonical subgroup")
+    return g
+
+
+def _places(raw: list, spec: TowerSpec) -> list[Place]:
+    """One place per entry of ``raw``: m integer coordinates in [0, q)."""
+    if not (all(type(co) is list and len(co) == spec.m for co in raw)
+            and _ints_below(list(chain.from_iterable(raw)), spec.q)):
+        for i, co in enumerate(raw):
+            for c, x in enumerate(_check(co, f"places[{i}]", Ints(levels=True), spec.m)):
+                _in_range(x, f"places[{i}][{c}]", spec.q, "q")
+    return [Place(coords=tuple(co), spec=spec, index=i) for i, co in enumerate(raw)]
+
+
+def _generator(raw: list, q: int) -> np.ndarray:
+    """``raw`` as a matrix with entries in [0, q); numpy reads true as 1, so types go first."""
+    if (raw and all(type(row) is list and len(row) == len(raw[0]) for row in raw)
+            and set(map(type, chain.from_iterable(raw))) == {int}):
         gen = np.array(raw)
-    except ValueError:  # ragged rows
-        gen = None
-    if (gen is not None and gen.ndim == 2 and gen.dtype.kind in "iu"
-            and ((gen >= 0) & (gen < q)).all()):
-        return gen
-    for r, row in enumerate(raw if isinstance(raw, list) else []):
+        if ((gen >= 0) & (gen < q)).all():
+            return gen
+    for r, row in enumerate(raw):
         path = f"generator_matrix[{r}]"
         if not isinstance(row, list):
             raise ValueError(f"{path} must be a list of integers, got {row!r}")
         if len(row) != len(raw[0]):
             raise ValueError(f"{path} has {len(row)} entries, generator_matrix[0] has {len(raw[0])}")
         for c, x in enumerate(row):
-            if type(x) is not int:
-                raise ValueError(f"{path}[{c}] must be an integer, got {x!r}")
-            if not 0 <= x < q:
-                raise ValueError(f"{path}[{c}] = {x} out of range for q={q}")
+            _in_range(_check(x, f"{path}[{c}]", int), f"{path}[{c}]", q, "q")
     raise ValueError(f"generator_matrix must be a non-empty list of integer rows, got {raw!r}")
 
 
-def group_from_json(spec: TowerSpec, obj: dict, path: str) -> RecoveryGroup:
-    """The group of one ``groups[e]`` entry; ``path`` names it in errors."""
-    if _required(obj, "kind", f"{path}.kind") == ADDITIVE:
-        shifts = _int_list(_required(obj, "shifts", f"{path}.shifts"), f"{path}.shifts")
-        return build_recovery_group(spec, ADDITIVE, shifts=shifts)
-    scalars = _int_list(_required(obj, "scalars", f"{path}.scalars"), f"{path}.scalars")
-    g = build_recovery_group(spec, MULTIPLICATIVE, order=len(scalars))
-    if list(g.scalars) != sorted(scalars):
-        raise ValueError("scalar list does not match the canonical subgroup")
-    return g
+def _recovery(desc, raw: list, n: int) -> list:
+    """The (set1, set2) of every coordinate: ``raw`` holds each coordinate in
+    [0, n) once, as ``coord``, with two lists of indices in [0, n)."""
+    if not (all(type(e) is dict and "coord" in e and type(e.get("set1")) is type(e.get("set2")) is list
+                for e in raw)
+            and _ints_below([e["coord"] for e in raw], n) and len({e["coord"] for e in raw}) == n == len(raw)
+            and _ints_below([x for e in raw for x in e["set1"] + e["set2"]], n)):
+        owner: dict[int, int] = {}  # coord -> the recovery_sets entry that holds it
+        for e in range(len(raw)):
+            path = f"recovery_sets[{e}]"
+            i = _in_range(_read(desc, f"{path}.coord", int), f"{path}.coord", n, "n")
+            if owner.setdefault(i, e) != e:
+                raise ValueError(f"{path}.coord = {i} repeats recovery_sets[{owner[i]}].coord")
+            for key in ("set1", "set2"):
+                for h, x in enumerate(_read(desc, f"{path}.{key}", Ints())):
+                    _in_range(x, f"{path}.{key}[{h}]", n, "n")
+        if len(owner) < n:
+            raise ValueError(f"recovery_sets has no entry with coord {min(set(range(n)) - owner.keys())}")
+    return [(tuple(e["set1"]), tuple(e["set2"])) for e in sorted(raw, key=lambda e: e["coord"])]
 
 
 def code_to_descriptor(code: LrcCode, seed: int = 0) -> dict:
+    fld, spec, dims = code.field, code.spec, code.dims
     return {
         "format": FORMAT,
-        "field": field_to_json(code.field),
-        "tower": {"variant": code.spec.variant, "ell": code.spec.ell, "m": code.spec.m},
-        "groups": [group_to_json(code.group1), group_to_json(code.group2)],
+        "field": {"p": fld.p, "k": fld.k, "modulus": list(fld.modulus)},
+        "tower": {"variant": spec.variant, "ell": spec.ell, "m": spec.m},
+        "groups": [{"kind": g.kind, MEMBERS[g.kind]: [int(x) for x in getattr(g, MEMBERS[g.kind])]}
+                   for g in (code.group1, code.group2)],
         "places": [list(p.coords) for p in code.places],
         "generator_matrix": code.generator_matrix.tolist(),
-        "recovery_sets": [
-            {"coord": i, "set1": list(s1), "set2": list(s2)}
-            for i, (s1, s2) in enumerate(code.recovery_sets)
-        ],
-        "params": {
-            "n": code.params.n,
-            "k": code.params.k,
-            "d_designed": code.params.d_designed,
-            "r1": code.params.r1,
-            "r2": code.params.r2,
-        },
-        "dims": {
-            "dim_v1": code.dims.dim_v1,
-            "dim_v2": code.dims.dim_v2,
-            "dim_sum": code.dims.dim_sum,
-            "budget": code.dims.budget,
-            "caps": list(code.dims.caps) if code.dims.caps is not None else None,
-        },
+        "recovery_sets": [{"coord": i, "set1": list(s1), "set2": list(s2)}
+                          for i, (s1, s2) in enumerate(code.recovery_sets)],
+        "params": asdict(code.params),
+        "dims": {**asdict(dims), "caps": None if dims.caps is None else list(dims.caps)},
         "seed": seed,
     }
 
@@ -141,76 +182,34 @@ def write_descriptor(code: LrcCode, path, seed: int = 0) -> None:
 
 
 def code_from_descriptor(desc: dict) -> LrcCode:
-    if desc.get("format") != FORMAT:
-        raise ValueError(f"unknown descriptor format {desc.get('format')!r}")
-    fd = _required(desc, "field", "field")
-    fld = field_from_json({
-        "p": _integer(_required(fd, "p", "field.p"), "field.p"),
-        "k": _integer(_required(fd, "k", "field.k"), "field.k"),
-        "modulus": _int_list(_required(fd, "modulus", "field.modulus"), "field.modulus"),
-    })
-    tw = _required(desc, "tower", "tower")
-    variant = _required(tw, "variant", "tower.variant")
-    ell, m = (_integer(_required(tw, key, f"tower.{key}"), f"tower.{key}") for key in ("ell", "m"))
-    spec = TowerSpec(variant, fld, m)
-    if ell != fld.ell:
+    _read(desc, "format")
+    fld = FiniteField(**_block(desc, "field"))
+    tower = _block(desc, "tower")
+    spec = TowerSpec(tower["variant"], fld, tower["m"])
+    if tower["ell"] != fld.ell:
         raise ValueError("tower ell does not match the field")
-    groups = _required(desc, "groups", "groups")
-    g1, g2 = (group_from_json(spec, _required(groups, e, f"groups[{e}]"), f"groups[{e}]")
-              for e in (0, 1))
-    places = []
-    for i, co in enumerate(_list(_required(desc, "places", "places"), "places")):
-        for c, x in enumerate(_int_list(co, f"places[{i}]", spec.m)):
-            if not 0 <= x < fld.q:
-                raise ValueError(f"places[{i}][{c}] = {x} out of range for q={fld.q}")
-        places.append(Place(coords=tuple(co), spec=spec, index=i))
-    gen = _generator(_required(desc, "generator_matrix", "generator_matrix"), fld.q)
-    n = len(places)
-
-    def index(path: str, value) -> int:
-        if not 0 <= _integer(value, path) < n:
-            raise ValueError(f"{path} = {value} out of range for n={n}")
-        return value
-
-    recovery = [(tuple(), tuple())] * n
-    owner: dict[int, int] = {}  # coord -> the recovery_sets entry that holds it
-    recovery_sets = _list(_required(desc, "recovery_sets", "recovery_sets"), "recovery_sets")
-    for e, entry in enumerate(recovery_sets):
-        path = f"recovery_sets[{e}]"
-        i = index(f"{path}.coord", _required(entry, "coord", f"{path}.coord"))
-        if i in owner:
-            raise ValueError(f"{path}.coord = {i} repeats recovery_sets[{owner[i]}].coord")
-        owner[i] = e
-        recovery[i] = tuple(
-            tuple(index(f"{path}.{key}[{h}]", x)
-                  for h, x in enumerate(_int_list(_required(entry, key, f"{path}.{key}"),
-                                                  f"{path}.{key}")))
-            for key in ("set1", "set2")
-        )
-    if len(owner) < n:
-        missing = min(set(range(n)) - owner.keys())
-        raise ValueError(f"recovery_sets has no entry with coord {missing}")
-    d = _required(desc, "dims", "dims")
-    caps = _required(d, "caps", "dims.caps")  # one cap per tower level, or null
-    dims = CodeDims(
-        **{key: _integer(_required(d, key, f"dims.{key}"), f"dims.{key}")
-           for key in ("dim_v1", "dim_v2", "dim_sum", "budget")},
-        caps=None if caps is None else tuple(_int_list(caps, "dims.caps", spec.m)),
-    )
-    p = _required(desc, "params", "params")
-    p = {key: _integer(_required(p, key, f"params.{key}"), f"params.{key}")
-         for key in ("n", "k", "d_designed", "r1", "r2")}
+    g1, g2 = (_group(desc, spec, e) for e in (0, 1))
+    places = _places(_read(desc, "places"), spec)
+    gen = _generator(_read(desc, "generator_matrix"), fld.q)
+    recovery = _recovery(desc, _read(desc, "recovery_sets"), len(places))
+    dims = CodeDims(**_block(desc, "dims", spec.m))
+    p = _block(desc, "params")
     combine(g1, g2)  # validates the pair: trivial intersection and closure
-    code = LrcCode(
-        spec=spec, group1=g1, group2=g2, places=places,
-        generator_matrix=gen, recovery_sets=recovery, d_designed=p["d_designed"], dims=dims,
-    )
+    code = LrcCode(spec=spec, group1=g1, group2=g2, places=places, generator_matrix=gen,
+                   recovery_sets=recovery, d_designed=p["d_designed"], dims=dims)
     # the block must state what the code derives
+    n, k = code.params.n, code.params.k
     for key, source in (("n", "the {} places"), ("k", "the row count {} of generator_matrix"),
                         ("r1", "the locality {} of groups[0]"), ("r2", "the locality {} of groups[1]")):
         value = getattr(code.params, key)
         if p[key] != value:
             raise ValueError(f"params.{key} = {p[key]} does not match {source.format(value)}")
+    # the rank identity of V1 and V2, whose sum holds both and lies in GF(q)^n
+    v1, v2, total = dims.dim_v1, dims.dim_v2, dims.dim_sum
+    if v1 + v2 - total != k:
+        raise ValueError(f"dims.dim_v1 + dims.dim_v2 - dims.dim_sum = {v1 + v2 - total} does not match k = {k}")
+    if not max(v1, v2) <= total <= n:
+        raise ValueError(f"dims.dim_sum = {total} is not in [max(dim_v1, dim_v2), n] = [{max(v1, v2)}, {n}]")
     return code
 
 

@@ -114,13 +114,15 @@ class FiniteField:
     """GF(p^k) with log/antilog tables; immutable after construction."""
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None = None):
+        if p > MAX_ORDER:  # before trial division, which would not end for a huge p
+            raise FieldTooLarge(f"characteristic {p} exceeds cap {MAX_ORDER}")
         if not is_prime(p):
             raise NonPrimeCharacteristic(f"{p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
+        if k >= MAX_ORDER.bit_length() or p**k > MAX_ORDER:  # p >= 2: a huge k forms no p^k
+            raise FieldTooLarge(f"order {p}^{k} exceeds cap {MAX_ORDER}")
         q = p**k
-        if q > MAX_ORDER:
-            raise FieldTooLarge(f"order {q} exceeds cap {MAX_ORDER}")
         self.p = p
         self.k = k
         self.q = q
@@ -128,9 +130,9 @@ class FiniteField:
         self.ell = p ** (k // 2) if k % 2 == 0 else None
         if modulus is None:
             modulus = (0, 1) if k == 1 else _first_irreducible(p, k)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
+        modulus = tuple(int(c) for c in modulus)
+        if len(modulus) != k + 1 or modulus[-1] != 1 or not all(0 <= c < p for c in modulus):
+            raise ValueError("modulus must be monic of degree k, with coefficients in [0, p)")
         if k > 1 and not _is_irreducible(modulus, p):
             raise ValueError("modulus is reducible")
         self.modulus = modulus
@@ -382,11 +384,3 @@ def subfield_units(field: FiniteField) -> list[int]:
 def norm_one_group(field: FiniteField) -> list[int]:
     """{a in GF(l^2)* : a^(l+1) = 1}; cyclic of order l + 1."""
     return _square_scan(field, lambda v: v != 0 and field.pow(v, field.ell + 1) == 1)
-
-
-def field_to_json(field: FiniteField) -> dict:
-    return {"p": field.p, "k": field.k, "modulus": list(field.modulus)}
-
-
-def field_from_json(obj: dict) -> FiniteField:
-    return FiniteField(int(obj["p"]), int(obj["k"]), tuple(obj["modulus"]))

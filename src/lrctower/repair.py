@@ -365,37 +365,6 @@ def brute_force_distance(code: LrcCode, cap: int = DEFAULT_ENUM_CAP) -> int:
 
 
 @dataclass
-class DimensionReport:
-    k: int
-    dim_v1: int
-    dim_v2: int
-    dim_sum: int
-    budget: int
-    identity_holds: bool
-    rational_bound: int | None = None
-    rational_bound_holds: bool | None = None
-
-
-def dimension_report(code: LrcCode) -> DimensionReport:
-    """k = dim V1 + dim V2 - dim(V1 + V2), plus the rational-level (m = 1)
-    lower bound k >= dim V1 + dim V2 - (budget + 1)."""
-    d = code.dims
-    k = code.params.k
-    rep = DimensionReport(
-        k=k,
-        dim_v1=d.dim_v1,
-        dim_v2=d.dim_v2,
-        dim_sum=d.dim_sum,
-        budget=d.budget,
-        identity_holds=(k == d.dim_v1 + d.dim_v2 - d.dim_sum),
-    )
-    if code.spec.m == 1:
-        rep.rational_bound = d.dim_v1 + d.dim_v2 - (d.budget + 1)
-        rep.rational_bound_holds = k >= rep.rational_bound
-    return rep
-
-
-@dataclass
 class VerificationReport:
     """Results of ``verify_code``; ``distance`` and ``distance_ok`` are None
     when the distance phase was skipped."""

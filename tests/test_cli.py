@@ -5,9 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from lrctower.cli import main
+from lrctower import LrcError, TowerSpec, construct_lrc, make_field
+from lrctower.cli import main, parse_group_spec
 from lrctower.descriptor import (
+    FIELDS,
     code_from_descriptor,
     code_to_descriptor,
     descriptor_bytes,
@@ -178,38 +181,6 @@ def test_verify_skips_phases_on_short_generator(tmp_path, capsys, golden_code):
         dataclasses.replace(golden_code, generator_matrix=np.array([[1, 2, 3]]))
 
 
-@pytest.mark.parametrize("key", ["n", "k", "d_designed", "r1", "r2"])
-def test_verify_rejects_missing_params_key(tmp_path, capsys, golden_code, key):
-    desc = code_to_descriptor(golden_code)
-    del desc["params"][key]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(desc))
-    assert main(["verify", "--in", str(bad)]) == 1
-    assert capsys.readouterr().err == f"error: descriptor has no params.{key}\n"
-
-
-@pytest.mark.parametrize("path", [
-    "field", "tower", "groups", "places", "generator_matrix", "params",
-    "recovery_sets", "recovery_sets[3].coord", "recovery_sets[3].set1",
-    "recovery_sets[3].set2", "field.p", "field.k", "field.modulus", "groups[1]",
-    "groups[0].kind", "groups[0].shifts", "groups[1].kind", "groups[1].scalars",
-])
-def test_verify_rejects_missing_descriptor_key(tmp_path, capsys, golden_code, path):
-    desc = code_to_descriptor(golden_code)
-    # "a.b[3].c" -> ["a", "b", 3, "c"]; delete the last step from its parent
-    steps = [int(x) if x.isdigit() else x for x in re.findall(r"\w+", path)]
-    parent = desc
-    for step in steps[:-1]:
-        parent = parent[step]
-    del parent[steps[-1]]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(desc))
-    assert main(["verify", "--in", str(bad)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"error: descriptor has no {path}\n"
-    assert "Traceback" not in captured.out + captured.err
-
-
 def test_conflicting_groups_error(tmp_path, capsys):
     # identical shift groups pass the size restriction but overlap
     args = ["construct", "--variant", "gs96", "--ell", "4", "--m", "1",
@@ -338,31 +309,6 @@ def test_verify_rejects_out_of_range_recovery_index(tmp_path, capsys, golden_cod
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("path, value, message", [
-    ("recovery_sets[0].set1", 5, "recovery_sets[0].set1 must be a list of integers, got 5"),
-    ("recovery_sets[4].set2", [1.5], "recovery_sets[4].set2 must be a list of integers, got [1.5]"),
-    ("recovery_sets[2].set1", "12", "recovery_sets[2].set1 must be a list of integers, got '12'"),
-    ("places[0]", 5, "places[0] must be a list of integers of length 1, got 5"),
-    ("places[3]", [1, 2], "places[3] must be a list of integers of length 1, got [1, 2]"),
-    ("places[5]", [[2]], "places[5] must be a list of integers of length 1, got [[2]]"),
-])
-def test_verify_rejects_malformed_int_list(tmp_path, capsys, golden_code, path, value, message):
-    """A recovery set or place that is not a flat list of integers (of the
-    tower's m coordinates, for a place) is named by its JSON path."""
-    desc = code_to_descriptor(golden_code)
-    steps = [int(x) if x.isdigit() else x for x in re.findall(r"\w+", path)]
-    parent = desc
-    for step in steps[:-1]:
-        parent = parent[step]
-    parent[steps[-1]] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(desc))
-    assert main(["verify", "--in", str(bad)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
-    assert "Traceback" not in captured.out + captured.err
-
-
 DELETE = object()
 
 
@@ -377,6 +323,59 @@ def _edit(desc, path, value):
         del parent[steps[-1]]
     else:
         parent[steps[-1]] = value
+
+
+# every FIELDS path, the objects that hold them, and entries of the lists and
+# groups that the table does not name one by one
+CHECKED_PATHS = sorted({
+    *FIELDS, "field", "tower", "groups", "groups[1]", "dims", "params",
+    "groups[0].shifts", "groups[1].scalars",
+    "recovery_sets[3].coord", "recovery_sets[3].set1", "recovery_sets[3].set2",
+})
+
+
+@pytest.mark.parametrize("path", CHECKED_PATHS)
+def test_verify_rejects_missing_descriptor_key(tmp_path, capsys, golden_code, path):
+    """A path that is missing, or holds a value of the wrong type (the string
+    "5" is wrong for every kind), fails verify with an error naming it."""
+    for value, message in ((DELETE, f"descriptor has no {path}\n"), ("5", f"{path} must be ")):
+        desc = code_to_descriptor(golden_code)
+        _edit(desc, path, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(desc))
+        assert main(["verify", "--in", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("top", [[], "x"], ids=["list", "string"])
+def test_verify_rejects_non_object_descriptor(tmp_path, capsys, top):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(top))
+    assert main(["verify", "--in", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: descriptor must be an object, got {top!r}\n"
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ("recovery_sets[0].set1", 5, "recovery_sets[0].set1 must be a list of integers, got 5"),
+    ("recovery_sets[4].set2", [1.5], "recovery_sets[4].set2 must be a list of integers, got [1.5]"),
+    ("recovery_sets[2].set1", "12", "recovery_sets[2].set1 must be a list of integers, got '12'"),
+    ("places[0]", 5, "places[0] must be a list of integers of length 1, got 5"),
+    ("places[3]", [1, 2], "places[3] must be a list of integers of length 1, got [1, 2]"),
+    ("places[5]", [[2]], "places[5] must be a list of integers of length 1, got [[2]]"),
+])
+def test_verify_rejects_malformed_int_list(tmp_path, capsys, golden_code, path, value, message):
+    """A recovery set or place that is not a flat list of integers (of the
+    tower's m coordinates, for a place) is named by its JSON path."""
+    desc = code_to_descriptor(golden_code)
+    _edit(desc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    assert main(["verify", "--in", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize("path, value, message", [
@@ -426,6 +425,19 @@ def _edit(desc, path, value):
     ("params.r2", 4, "params.r2 = 4 does not match the locality 1 of groups[1]"),
     ("params.d_designed", 3, "dims.budget = 4 does not match n - d_designed = 3"),
     ("dims.budget", 1, "dims.budget = 1 does not match n - d_designed = 4"),
+    # a JSON true among the generator's integers, and values outside a path's set
+    ("generator_matrix[0][1]", True, "generator_matrix[0][1] must be an integer, got True"),
+    ("tower.variant", ["gs96"], "tower.variant must be one of 'gs96', 'gs95', got ['gs96']"),
+    ("groups[1].kind", "bogus",
+     "groups[1].kind must be one of 'additive', 'multiplicative', got 'bogus'"),
+    ("format", "lrc-descriptor/2", "format must be one of 'lrc-descriptor/1', got 'lrc-descriptor/2'"),
+    # a group's element list is the whole subgroup, in order
+    ("groups[0].shifts", [0, 3], "groups[0].shifts does not match the canonical subgroup"),
+    ("groups[1].scalars", [1, 5], "groups[1].scalars does not match the canonical subgroup"),
+    # a modulus coefficient is not reduced mod p
+    ("field.modulus", [4, 0, 1], "modulus must be monic of degree k, with coefficients in [0, p)"),
+    # a huge characteristic is refused before any primality test
+    ("field.p", 2**61 - 1, f"characteristic {2**61 - 1} exceeds cap 65536"),
 ])
 def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path, value, message):
     """A place coordinate outside [0, q), a coord that is not an integer, and
@@ -445,6 +457,60 @@ def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path
     assert main(["verify", "--in", str(bad)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("edits, message", [
+    pytest.param({"params.d_designed": -3, "dims.budget": 9},
+                 "params.d_designed = -3 is not in [1, n] = [1, 6]", id="d_designed-below"),
+    pytest.param({"params.d_designed": 7, "dims.budget": -1},
+                 "params.d_designed = 7 is not in [1, n] = [1, 6]", id="d_designed-above"),
+    pytest.param({"dims.dim_v1": 40},
+                 "dims.dim_v1 + dims.dim_v2 - dims.dim_sum = 38 does not match k = 2", id="dim_v1"),
+    pytest.param({"dims.dim_v1": 1, "dims.dim_v2": 1, "dims.dim_sum": 0},
+                 "dims.dim_sum = 0 is not in [max(dim_v1, dim_v2), n] = [1, 6]", id="dim_sum-low"),
+    pytest.param({"dims.dim_v1": 5, "dims.dim_v2": 4, "dims.dim_sum": 7},
+                 "dims.dim_sum = 7 is not in [max(dim_v1, dim_v2), n] = [5, 6]", id="dim_sum-high"),
+])
+def test_verify_rejects_inconsistent_design(tmp_path, capsys, golden_code, edits, message):
+    """params.d_designed lies in [1, n] even when dims.budget moves with it,
+    and the dims block obeys k = dim_v1 + dim_v2 - dim_sum with
+    max(dim_v1, dim_v2) <= dim_sum <= n."""
+    desc = code_to_descriptor(golden_code)
+    for path, value in edits.items():
+        _edit(desc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    assert main(["verify", "--in", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+# (variant, ell, m, group1, group2): builds that take milliseconds
+SMALL_BUILDS = [
+    ("gs96", 3, 1, "add:kernel", "mul:2"),
+    ("gs96", 3, 2, "add:kernel", "mul:2"),
+    ("gs96", 4, 1, "add:kernel", "mul:3"),
+    ("gs96", 5, 1, "add:kernel", "mul:4"),
+    ("gs95", 5, 1, "norm1:2", "norm1:3"),
+    ("gs95", 3, 2, "add:kernel", "norm1:4"),
+]
+FIELD_OF_ELL = {3: (3, 2), 4: (2, 4), 5: (5, 2)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_descriptor_round_trip_is_byte_exact(data):
+    """construct -> descriptor -> load -> descriptor gives the same bytes."""
+    variant, ell, m, g1, g2 = data.draw(st.sampled_from(SMALL_BUILDS))
+    spec = TowerSpec(variant, make_field(*FIELD_OF_ELL[ell]), m)
+    h1, h2 = parse_group_spec(spec, g1), parse_group_spec(spec, g2)
+    distance, seed = data.draw(st.integers(1, len(spec.places()))), data.draw(st.integers(0, 99))
+    try:
+        code = construct_lrc(spec, h1, h2, distance)
+    except LrcError:  # the budget cannot host the groups, or the code is empty
+        assume(False)
+    blob = descriptor_bytes(code_to_descriptor(code, seed))
+    assert descriptor_bytes(code_to_descriptor(code_from_descriptor(json.loads(blob)), seed)) == blob
 
 
 def test_descriptor_reports_dims_before_params(tmp_path, capsys, golden_code):

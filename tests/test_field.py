@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lrctower import artin_schreier_kernel, make_field, norm_one_group, subfield_units
+from lrctower.descriptor import code_from_descriptor, code_to_descriptor
 from lrctower.errors import FieldTooLarge, NonPrimeCharacteristic, NotASquareField
-from lrctower.field import _first_irreducible, field_from_json, field_to_json
+from lrctower.field import _first_irreducible
 
 
 def naive_irreducible(poly, p):
@@ -166,11 +167,12 @@ def test_field_pickles_and_copies(p, k):
         assert g.mul(3, g.inv(3)) == 1 and g.add(f.q - 1, 1) == f.add(f.q - 1, 1)
 
 
-def test_json_round_trip():
+def test_json_round_trip(golden_code):
+    # the field block of a code descriptor, over GF(9)
     f = make_field(3, 2)
-    blob = field_to_json(f)
-    assert blob == {"p": 3, "k": 2, "modulus": [1, 0, 1]}
-    g = field_from_json(blob)
+    desc = code_to_descriptor(golden_code)
+    assert desc["field"] == {"p": 3, "k": 2, "modulus": [1, 0, 1]}
+    g = code_from_descriptor(desc).field
     assert g == f and g.mul(3, 3) == 2
 
 

@@ -15,7 +15,6 @@ from lrctower import (
     brute_force_distance,
     build_recovery_group,
     construct_lrc,
-    dimension_report,
     make_field,
     repair,
     verify_code,
@@ -598,19 +597,19 @@ def test_enumeration_caps_count_generator_rows(tower_code):
 
 
 def test_dimension_report_golden(golden_code):
-    rep = dimension_report(golden_code)
-    assert rep.k == 2 and rep.identity_holds
-    assert (rep.dim_v1, rep.dim_v2, rep.dim_sum) == (4, 3, 5)
-    assert rep.rational_bound == 4 + 3 - (4 + 1) == 2
-    assert rep.rational_bound_holds
-    assert rep.k <= min(rep.dim_v1, rep.dim_v2)
+    # the code's dimension accounting, with the rational-level (m = 1) bound
+    # k >= dim V1 + dim V2 - (budget + 1)
+    d, k = golden_code.dims, golden_code.params.k
+    assert (d.dim_v1, d.dim_v2, d.dim_sum, d.budget, k) == (4, 3, 5, 4, 2)
+    assert k == d.dim_v1 + d.dim_v2 - d.dim_sum
+    assert k >= d.dim_v1 + d.dim_v2 - (d.budget + 1) == 2
+    assert k <= min(d.dim_v1, d.dim_v2)
 
 
 def test_dimension_report_tower(tower_code):
-    rep = dimension_report(tower_code)
-    assert rep.identity_holds
-    assert rep.rational_bound is None
-    assert rep.k <= min(rep.dim_v1, rep.dim_v2)
+    d, k = tower_code.dims, tower_code.params.k
+    assert k == d.dim_v1 + d.dim_v2 - d.dim_sum
+    assert k <= min(d.dim_v1, d.dim_v2)
 
 
 def test_verify_code_reports(golden_code, tower_code):
