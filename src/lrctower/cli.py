@@ -63,9 +63,9 @@ def validate_regime(spec: TowerSpec, g1: RecoveryGroup, g2: RecoveryGroup) -> st
             raise RegimeViolation(
                 "xz-tower pairs must be norm1/norm1 or add/add (no mixed regime)"
             )
+        if g1.kind == MULTIPLICATIVE:
+            raise RegimeViolation("thm33 takes the additive group as group1, since it carries r1")
         token = bnd.THM33
-        if g1.kind == MULTIPLICATIVE:  # the additive group carries r1
-            g1, g2 = g2, g1
     else:
         token = f"{family}.1" if kinds == {MULTIPLICATIVE} else f"{family}.2"
     bnd.check_regime(token, spec.ell, g1.r, g2.r)

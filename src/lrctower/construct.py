@@ -103,11 +103,9 @@ def spanning_set(spec: TowerSpec, group: RecoveryGroup, budget: int) -> tuple[Mo
     ))
 
 
-def evaluation_matrix(functions: Sequence[MonomialFunction], places: list[Place],
-                      fld: FiniteField | None = None) -> np.ndarray:
-    """Row per function, column per place, in ``fld.dtype``."""
-    if fld is None:
-        fld = places[0].spec.field
+def evaluation_matrix(functions: Sequence[MonomialFunction], places: list[Place]) -> np.ndarray:
+    """Row per function, column per place, in the places' field's dtype."""
+    fld = places[0].spec.field
     coords = np.array([p.coords for p in places], dtype=np.int64)
     out = np.empty((len(functions), len(places)), dtype=fld.dtype)
     for row, f in zip(out, functions):
@@ -213,7 +211,7 @@ def _union_rows(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, budget: i
         (caps, tuple(rows if caps is None else rows[(exps <= caps).all(axis=1)] for rows, exps in indexed))
         for caps in _cap_profiles(spec, budget)
     ]
-    return splits, evaluation_matrix(union, places, spec.field)
+    return splits, evaluation_matrix(union, places)
 
 
 def _split_bases(fld: FiniteField, projected: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray, int]:
@@ -225,7 +223,7 @@ def _split_bases(fld: FiniteField, projected: np.ndarray, rows) -> tuple[np.ndar
 def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_target: int) -> LrcCode:
     """Build the two invariant spaces, intersect their evaluation images and
     assemble the finished code with per-coordinate recovery sets."""
-    combine(h1, h2)  # validates the pair: trivial intersection and closure
+    combine(h1, h2)  # validates the pair: trivial intersection, H2 normalizes H1
     if h1.order < 2 or h2.order < 2:
         raise IllegalOrder("recovery groups must have order >= 2")
     places = spec.places()

@@ -4,9 +4,10 @@ The descriptor is self-contained: field modulus, tower spec, group element
 lists, places, generator matrix, recovery sets and parameters.  Reading one
 back rebuilds a working code object without any in-memory state from the
 construction run.  ``FIELDS`` states the format: each fixed JSON path and
-the kind of value it holds.  The long lists (places, generator, recovery
-sets) are checked whole; their entries are walked only to name a failure.
-The checks here name the JSON path at fault.
+the kind of value it holds.  An object key it does not name (the unread
+``seed`` apart) is refused, as is a third group.  The long lists (places,
+generator, recovery sets) are checked whole; their entries are walked only
+to name a failure.  The checks here name the JSON path at fault.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ FIELDS = {
     "params.n": int, "params.k": int, "params.d_designed": int, "params.r1": int, "params.r2": int,
 }
 MEMBERS = {ADDITIVE: "shifts", MULTIPLICATIVE: "scalars"}  # a group's element list, by its kind
+TOP_KEYS = {re.match(r"\w+", path)[0] for path in FIELDS} | {"seed"}  # seed is written, never read
 
 
 def _check(value, path: str, kind, m: int | None = None):
@@ -80,10 +82,20 @@ def _read(desc, path: str, kind=None, m: int | None = None):
     return _check(value, path, FIELDS[path] if kind is None else kind, m)
 
 
+def _known(obj: dict, path: str, keys) -> None:
+    """Refuse a key of the JSON object at ``path`` that is not in ``keys``."""
+    extra = sorted(set(obj) - set(keys))
+    if extra:
+        raise ValueError(f"{path} has unknown key {extra[0]!r}")
+
+
 def _block(desc, name: str, m: int | None = None) -> dict:
-    """Every ``FIELDS`` entry under ``name``, read in table order, by key."""
-    return {path[len(name) + 1:]: _read(desc, path, m=m)
-            for path in FIELDS if path.startswith(name + ".")}
+    """Every ``FIELDS`` entry under ``name``, read in table order, by key; the
+    object holds no other key."""
+    out = {path[len(name) + 1:]: _read(desc, path, m=m)
+           for path in FIELDS if path.startswith(name + ".")}
+    _known(_read(desc, name, dict), name, out)
+    return out
 
 
 def _in_range(x: int, path: str, bound: int, name: str) -> int:
@@ -100,6 +112,7 @@ def _group(desc, spec: TowerSpec, e: int):
     kind = _read(desc, f"groups[{e}].kind")
     path = f"groups[{e}].{MEMBERS[kind]}"
     members = _read(desc, path, Ints())
+    _known(_read(desc, f"groups[{e}]", dict), f"groups[{e}]", ("kind", MEMBERS[kind]))
     g = build_recovery_group(spec, kind, shifts=members, order=len(members))
     if sorted(members) != list(getattr(g, MEMBERS[kind])):
         raise ValueError(f"{path} does not match the canonical subgroup")
@@ -183,18 +196,21 @@ def write_descriptor(code: LrcCode, path, seed: int = 0) -> None:
 
 def code_from_descriptor(desc: dict) -> LrcCode:
     _read(desc, "format")
+    _known(desc, "descriptor", TOP_KEYS)
     fld = FiniteField(**_block(desc, "field"))
     tower = _block(desc, "tower")
     spec = TowerSpec(tower["variant"], fld, tower["m"])
     if tower["ell"] != fld.ell:
         raise ValueError("tower ell does not match the field")
     g1, g2 = (_group(desc, spec, e) for e in (0, 1))
+    if len(desc["groups"]) != 2:
+        raise ValueError(f"groups must hold 2 entries, got {len(desc['groups'])}")
     places = _places(_read(desc, "places"), spec)
     gen = _generator(_read(desc, "generator_matrix"), fld.q)
     recovery = _recovery(desc, _read(desc, "recovery_sets"), len(places))
     dims = CodeDims(**_block(desc, "dims", spec.m))
     p = _block(desc, "params")
-    combine(g1, g2)  # validates the pair: trivial intersection and closure
+    combine(g1, g2)  # validates the pair: trivial intersection, H2 normalizes H1
     code = LrcCode(spec=spec, group1=g1, group2=g2, places=places, generator_matrix=gen,
                    recovery_sets=recovery, d_designed=p["d_designed"], dims=dims)
     # the block must state what the code derives

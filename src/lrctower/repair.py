@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
@@ -383,20 +383,8 @@ class VerificationReport:
     failures: list[str]
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "locality_passed": self.locality_passed,
-            "locality_checks": [[a, b] for a, b in self.locality_checks],
-            "repair_mismatches": self.repair_mismatches,
-            "repair_words": self.repair_words,
-            "repair_exact": self.repair_exact,
-            "distance": self.distance,
-            "d_designed": self.d_designed,
-            "distance_ok": self.distance_ok,
-            "seed": self.seed,
-            "runtimes": {k: round(v, 6) for k, v in self.runtimes.items()},
-            "failures": self.failures,
-        }
+        return {**asdict(self), "locality_checks": [list(c) for c in self.locality_checks],
+                "runtimes": {k: round(v, 6) for k, v in self.runtimes.items()}}
 
 
 def verify_code(

@@ -121,7 +121,6 @@ def test_c4_group_structure_suite():
             h1, h2 = _mixed_pair(spec)
             g = combine(h1, h2)
             assert g.order == h1.order * h2.order == (h1.r + 1) * (h2.r + 1)
-            assert g.conjugation_scaled
             for s in h1.elements:
                 for t in h2.elements:
                     conj = compose(compose(inverse(t), s), t)

@@ -16,6 +16,7 @@ from lrctower.descriptor import (
     descriptor_bytes,
     load_code,
 )
+from lrctower.errors import NotASubgroup
 
 
 GOLDEN_ARGS = [
@@ -217,6 +218,24 @@ def test_regime_violation_message_names_condition(tmp_path, capsys):
             "--distance", "2", "--out", str(tmp_path / "z.json")]
     assert main(args) == 1
     assert "thm33" in capsys.readouterr().err
+
+
+def test_construct_refuses_multiplicative_first_y_tower_pair(tmp_path, capsys, gf9):
+    """A y-tower pair is semidirect: the scalars normalize the shifts, not the
+    other way round, so thm33 takes the additive group as group1.  The CLI
+    names that rule; the library refuses the swapped pair by normalization."""
+    out = tmp_path / "m.json"
+    args = ["construct", "--variant", "gs96", "--ell", "3", "--m", "1",
+            "--group1", "mul:2", "--group2", "add:kernel", "--distance", "2", "--out", str(out)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: thm33 takes the additive group as group1, since it carries r1\n"
+    assert not out.exists()
+    spec = TowerSpec("gs96", gf9, 1)
+    mul, add = parse_group_spec(spec, "mul:2"), parse_group_spec(spec, "add:kernel")
+    with pytest.raises(NotASubgroup, match="H2 does not normalize H1"):
+        construct_lrc(spec, mul, add, 2)
 
 
 def test_exact_distance_cap(tmp_path, capsys, monkeypatch):
@@ -438,6 +457,15 @@ def test_verify_rejects_malformed_int_list(tmp_path, capsys, golden_code, path, 
     ("field.modulus", [4, 0, 1], "modulus must be monic of degree k, with coefficients in [0, p)"),
     # a huge characteristic is refused before any primality test
     ("field.p", 2**61 - 1, f"characteristic {2**61 - 1} exceeds cap 65536"),
+    # the format is exactly what FIELDS states: two groups, and no key it does not name
+    ("groups", [{"kind": "additive", "shifts": [0, 3, 6]}, {"kind": "multiplicative", "scalars": [1, 2]},
+                {"kind": "bogus"}], "groups must hold 2 entries, got 3"),
+    ("extra", 1, "descriptor has unknown key 'extra'"),
+    ("field.x", 1, "field has unknown key 'x'"),
+    ("tower.depth", 2, "tower has unknown key 'depth'"),
+    ("dims.rank", 2, "dims has unknown key 'rank'"),
+    ("params.q", 9, "params has unknown key 'q'"),
+    ("groups[0].scalars", [1], "groups[0] has unknown key 'scalars'"),
 ])
 def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path, value, message):
     """A place coordinate outside [0, q), a coord that is not an integer, and
@@ -449,7 +477,8 @@ def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path
     params.r1 and params.r2 the groups' localities, dims.budget must be
     n - params.d_designed, and recovery_sets must be a list holding every
     coordinate exactly once.  The dims block is read the same way: golden
-    is at level m = 1, so its caps, when not null, hold one integer."""
+    is at level m = 1, so its caps, when not null, hold one integer.  A
+    third group, or a key the format does not name, is refused by path."""
     desc = code_to_descriptor(golden_code)
     _edit(desc, path, value)
     bad = tmp_path / "bad.json"
@@ -457,6 +486,15 @@ def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path
     assert main(["verify", "--in", str(bad)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_descriptor_seed_is_unread(golden_code):
+    """``seed`` records the construct run: the loader takes any value, or none."""
+    want = descriptor_bytes(code_to_descriptor(golden_code))
+    for seed in ("x", DELETE):
+        desc = code_to_descriptor(golden_code)
+        _edit(desc, "seed", seed)
+        assert descriptor_bytes(code_to_descriptor(code_from_descriptor(desc))) == want
 
 
 @pytest.mark.parametrize("edits, message", [

@@ -310,7 +310,7 @@ def test_projected_split_dims_equal_full_width_ranks(fixture, request):
     # no row of E lies outside every split
     assert set().union(*(set(r.tolist()) for _, rows in splits for r in rows)) == set(range(len(evals)))
     for caps, rows in splits:
-        m1, m2 = (evaluation_matrix(_capped(spec, h, budget, caps), places, fld)
+        m1, m2 = (evaluation_matrix(_capped(spec, h, budget, caps), places)
                   for h in (code.group1, code.group2))
         assert (evals[rows[0]] == m1).all() and (evals[rows[1]] == m2).all()
         b1, b2, dim_sum = _split_bases(fld, evals[:, pivots], rows)
@@ -342,7 +342,7 @@ def test_cap_profile_choice_matches_per_profile_zassenhaus(tower_code):
     places = spec.places()
 
     def matrices(caps):
-        return [evaluation_matrix(_capped(spec, h, budget, caps), places, fld)
+        return [evaluation_matrix(_capped(spec, h, budget, caps), places)
                 for h in (tower_code.group1, tower_code.group2)]
 
     profiles = _cap_profiles(spec, budget)

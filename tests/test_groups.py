@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from lrctower import (
@@ -9,7 +11,7 @@ from lrctower import (
     orbit,
     orbits_disjoint,
 )
-from lrctower.errors import IllegalOrder, NontrivialIntersection, NotASubgroup, UnsupportedDepth
+from lrctower.errors import IllegalOrder, LrcError, NontrivialIntersection, NotASubgroup, UnsupportedDepth
 from lrctower.groups import Automorphism, apply, compose, identity, inverse
 
 
@@ -96,7 +98,7 @@ def test_semidirect_conjugation_identity(gf9):
     h1 = build_recovery_group(spec, "additive", shifts="kernel")
     h2 = build_recovery_group(spec, "multiplicative", order=2)
     g = combine(h1, h2)
-    assert g.order == 6 and g.structure == "semidirect" and g.conjugation_scaled
+    assert g.order == 6 and g.structure == "semidirect"
     for s in h1.elements:
         for t in h2.elements:
             conj = compose(compose(inverse(t), s), t)
@@ -130,6 +132,71 @@ def test_combine_direct_product_gf64_additive_pair():
     w2 = build_recovery_group(spec, "additive", shifts=leftover[:1])
     g = combine(w1, w2)
     assert g.order == 8 and g.structure == "direct"
+
+
+def _closure_combine(h1, h2):
+    """Reference for ``combine``: sweep all |G|^2 products of G = H1*H2 for
+    closure, then survey t^-1 s t over s in H1, t in H2."""
+    s1 = {(e.scalar, e.shift) for e in h1.elements}
+    if s1 & {(e.scalar, e.shift) for e in h2.elements} != {(1, 0)}:
+        raise NontrivialIntersection("the groups share more than the identity")
+    products = {}
+    for a in h1.elements:
+        for b in h2.elements:
+            g = compose(a, b)
+            products[(g.scalar, g.shift)] = g
+    if len(products) != h1.order * h2.order:
+        raise NontrivialIntersection("product set is smaller than |H1|*|H2|")
+    for x in products.values():
+        for y in products.values():
+            g = compose(x, y)
+            if (g.scalar, g.shift) not in products:
+                raise NotASubgroup("H1*H2 is not closed under composition")
+    all_fixed = True
+    for s in h1.elements:
+        for t in h2.elements:
+            conj = compose(compose(inverse(t), s), t)
+            if (conj.scalar, conj.shift) not in s1:
+                raise NotASubgroup("H2 does not normalize H1")
+            all_fixed = all_fixed and (conj.scalar, conj.shift) == (s.scalar, s.shift)
+    return tuple(products[k] for k in sorted(products)), "direct" if all_fixed else "semidirect"
+
+
+def _canonical_subgroups(spec):
+    """Every additive closure of a set of kernel elements, and the scalar
+    (y-tower) or norm-one (xz-tower) subgroup of every order."""
+    kernel = [a for a in artin_schreier_kernel(spec.field) if a]
+    groups = {}
+    for size in range(len(kernel) + 1):
+        for gens in itertools.combinations(kernel, size):
+            h = build_recovery_group(spec, "additive", shifts=gens)
+            groups.setdefault(h.shifts, h)
+    ambient = spec.ell - 1 if spec.variant == "gs96" else spec.ell + 1
+    return list(groups.values()) + [build_recovery_group(spec, "multiplicative", order=d)
+                                    for d in range(1, ambient + 1) if ambient % d == 0]
+
+
+def _outcome(combiner, h1, h2):
+    try:
+        g = combiner(h1, h2)
+    except LrcError as exc:
+        return type(exc)
+    return g if isinstance(g, tuple) else (g.elements, g.structure)
+
+
+def test_combine_matches_closure_sweep():
+    """On every ordered pair of canonical subgroups, ``combine`` raises the
+    class the closure sweep raises, or forms the same G with the same
+    structure."""
+    seen = set()
+    for variant, (p, e), m in [*itertools.product(["gs96"], [(3, 2), (2, 4), (5, 2), (2, 6)], [1, 2]),
+                               *itertools.product(["gs95"], [(3, 2), (2, 4), (5, 2), (2, 6)], [2])]:
+        subgroups = _canonical_subgroups(TowerSpec(variant, make_field(p, e), m))
+        for h1, h2 in itertools.product(subgroups, repeat=2):
+            want = _outcome(_closure_combine, h1, h2)
+            assert _outcome(combine, h1, h2) == want, (variant, p, e, m, h1, h2)
+            seen.add(want if isinstance(want, type) else want[1])
+    assert seen == {NontrivialIntersection, NotASubgroup, "direct", "semidirect"}
 
 
 def test_orbit_sizes_and_w_separation(gf9):
