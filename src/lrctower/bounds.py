@@ -81,19 +81,21 @@ def _check_nkr(n: int, k: int, r: int, t: int = 1):
 
 
 def singleton_lrc(n: int, k: int, r: int) -> int:
-    """Singleton-type bound for a single recovery set."""
+    """Singleton-type bound for a single recovery set: bmq at t = 1."""
     _check_nkr(n, k, r)
-    return n - k - _ceil_div(k, r) + 2
+    return bmq_bound(n, k, [r])
 
 
 def tb_bound(n: int, k: int, r: int, t: int) -> int:
+    """bt at t equal localities."""
     _check_nkr(n, k, r, t)
-    return n - sum((k - 1) // r**i for i in range(t + 1))
+    return bt_bound(n, k, [r] * t)
 
 
 def wz_bound(n: int, k: int, r: int, t: int) -> int:
+    """bmq at t equal localities."""
     _check_nkr(n, k, r, t)
-    return n - k - _ceil_div((k - 1) * t + 1, (r - 1) * t + 1) + 2
+    return bmq_bound(n, k, [r] * t)
 
 
 def rpdv_bound(n: int, k: int, r: int, t: int) -> int:
@@ -120,8 +122,7 @@ def bt_bound(n: int, k: int, localities: list[int]) -> int:
 
 
 def bmq_bound(n: int, k: int, localities: list[int]) -> int:
-    """Wang-Zhang bound for distinct localities r_1, ..., r_t; it equals
-    wz_bound at equal localities and singleton_lrc at t = 1."""
+    """Wang-Zhang bound for distinct localities r_1, ..., r_t."""
     rs = list(localities)
     if not rs:
         raise ValueError("need at least one locality")

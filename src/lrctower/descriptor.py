@@ -5,7 +5,8 @@ lists, places, generator matrix, recovery sets and parameters.  Reading one
 back rebuilds a working code object without any in-memory state from the
 construction run.  ``FIELDS`` states the format: each fixed JSON path and
 the kind of value it holds.  An object key it does not name (the unread
-``seed`` apart) is refused, as is a third group.  The long lists (places,
+``seed`` apart) is refused, as is a third group or a recovery set entry's key
+other than ``coord``, ``set1`` and ``set2``.  The long lists (places,
 generator, recovery sets) are checked whole; their entries are walked only
 to name a failure.  The checks here name the JSON path at fault.
 """
@@ -149,9 +150,10 @@ def _generator(raw: list, q: int) -> np.ndarray:
 
 def _recovery(desc, raw: list, n: int) -> list:
     """The (set1, set2) of every coordinate: ``raw`` holds each coordinate in
-    [0, n) once, as ``coord``, with two lists of indices in [0, n)."""
-    if not (all(type(e) is dict and "coord" in e and type(e.get("set1")) is type(e.get("set2")) is list
-                for e in raw)
+    [0, n) once, as ``coord``, with two lists of indices in [0, n) and no other key."""
+    keys = {"coord", "set1", "set2"}
+    if not (all(type(e) is dict and e.keys() <= keys and "coord" in e
+                and type(e.get("set1")) is type(e.get("set2")) is list for e in raw)
             and _ints_below([e["coord"] for e in raw], n) and len({e["coord"] for e in raw}) == n == len(raw)
             and _ints_below([x for e in raw for x in e["set1"] + e["set2"]], n)):
         owner: dict[int, int] = {}  # coord -> the recovery_sets entry that holds it
@@ -163,6 +165,7 @@ def _recovery(desc, raw: list, n: int) -> list:
             for key in ("set1", "set2"):
                 for h, x in enumerate(_read(desc, f"{path}.{key}", Ints())):
                     _in_range(x, f"{path}.{key}[{h}]", n, "n")
+            _known(raw[e], path, keys)
         if len(owner) < n:
             raise ValueError(f"recovery_sets has no entry with coord {min(set(range(n)) - owner.keys())}")
     return [(tuple(e["set1"]), tuple(e["set2"])) for e in sorted(raw, key=lambda e: e["coord"])]

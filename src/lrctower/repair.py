@@ -22,14 +22,17 @@ nonzero weight, made from the arrays on the first single-symbol repair (so
 scalar field ops, which read the field's tables through memoryviews.  No
 numpy scalar is formed unless the caller's word is itself a numpy array.
 
+``verify_code`` checks repair once, on the k generator rows: a rebuild is
+linear in the word, so a round trip exact on every row is exact on every
+codeword, and no other codeword is formed.
+
 Locality is checked by the linear determination criterion: coordinate i is
 a function of the coordinates in I iff generator column g_i lies in the
-span of the columns indexed by I.  ``verify_code`` first runs the repair
-plan on the generator rows.  Where every row rebuilds exactly and the plan
-weights only members of I, that is the explicit relation
-g_i = sum_h lambda_h g_{I_h}, checked over all of GF(q), so the pair is
-proven local with no elimination; the rank test runs only on the pairs the
-round trip leaves unproven.
+span of the columns indexed by I.  Where every generator row rebuilds
+exactly and the plan weights only members of I, that is the explicit
+relation g_i = sum_h lambda_h g_{I_h}, checked over all of GF(q), so the
+pair is proven local with no elimination; the rank test runs only on the
+pairs the round trip leaves unproven.
 
 Exact minimum distance enumerates one codeword per scalar class: Hamming
 weight does not change under multiplication by a nonzero scalar, so the
@@ -56,7 +59,6 @@ from .errors import DuplicateWValues, NotACodeword, TooLarge
 
 DEFAULT_ENUM_CAP = 10**7
 BLOCK_ROWS = 1 << 14  # rows per enumeration block; bounds its memory, not its result
-EXHAUSTIVE_REPAIR_CAP = 10**4
 
 
 @dataclass(frozen=True)
@@ -206,17 +208,6 @@ def span_parts(fld, rows, offset=None, block_rows: int = BLOCK_ROWS):
             yield suffix
 
     return prefix, suffixes()
-
-
-def all_codewords(code: LrcCode, cap: int = EXHAUSTIVE_REPAIR_CAP) -> np.ndarray:
-    """Every codeword, the all-zero one first."""
-    fld = code.field
-    q, k = fld.q, code.generator_matrix.shape[0]
-    if q**k > cap:
-        raise TooLarge(f"q^k = {q**k} exceeds cap {cap}")
-    prefix, suffixes = span_parts(fld, code.generator_matrix)
-    next(suffixes)  # the zero shift: the prefix block itself
-    return np.vstack([prefix, *(fld.vec_add(prefix, s[None, :]) for s in suffixes)])
 
 
 def random_codewords(code: LrcCode, count: int, seed: int = 0) -> np.ndarray:
@@ -373,12 +364,9 @@ class VerificationReport:
     locality_passed: bool
     locality_checks: list[tuple[bool, bool]]
     repair_mismatches: int
-    repair_words: int
-    repair_exact: bool
     distance: int | None
     d_designed: int
     distance_ok: bool | None
-    seed: int
     runtimes: dict
     failures: list[str]
 
@@ -389,25 +377,21 @@ class VerificationReport:
 
 def verify_code(
     code: LrcCode,
-    seed: int = 0,
-    rounds: int = 100,
     distance_cap: int = DEFAULT_ENUM_CAP,
     exact_distance: bool | None = None,
 ) -> VerificationReport:
-    """Run the full check suite: locality, repair round trips, distance.
+    """Run the full check suite: integrity, repair, locality, distance.
 
-    Repair uses every codeword when q^k <= 10^4, otherwise ``rounds`` seeded
-    random ones.  The round trips on the generator rows run once, right after
-    integrity, and serve twice: by linearity they prove repair exact for
-    every codeword (``repair_exact``), and each pair they rebuild exactly
-    through its own set's members is proven local, so the rank test of
-    ``verify_definition1`` runs only on the rest (timed under "locality").
-    The verdicts and failure lines are those of the rank test alone.  Distance is
+    Repair runs once, right after integrity, on the k generator rows (timed
+    under "repair"): by linearity a round trip exact on every row is exact on
+    every codeword, and ``repair_mismatches`` counts the wrong row rebuilds.
+    Each pair those round trips rebuild exactly through its own set's members
+    is proven local, so the rank test of ``verify_definition1`` runs only on
+    the rest (certificate and rank test timed under "locality").  The
+    verdicts and failure lines are those of the rank test alone.  Distance is
     enumerated exactly when q^k <= distance_cap; ``exact_distance=True``
     forces the attempt (raising TooLarge beyond the cap), ``False`` skips it.
     """
-    if rounds < 0:
-        raise ValueError(f"rounds must be >= 0, got {rounds}")
     runtimes = {}
     failures = []
     q, k = code.field.q, code.params.k
@@ -423,22 +407,15 @@ def verify_code(
 
     t0 = time.perf_counter()
     row_wrong = repair_roundtrip_wrong(code, code.generator_matrix)
+    mismatches = int(np.count_nonzero(row_wrong))
+    runtimes["repair"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     loc = verify_definition1(code, locality_certificate(code, row_wrong))
     runtimes["locality"] = time.perf_counter() - t0
     failures.extend(loc.failures)
-
-    t0 = time.perf_counter()
-    if q**k <= EXHAUSTIVE_REPAIR_CAP:
-        words = all_codewords(code)
-    else:
-        words = random_codewords(code, rounds, seed)
-    mismatches = repair_roundtrip_counts(code, words)
-    row_mismatches = int(np.count_nonzero(row_wrong))
-    runtimes["repair"] = time.perf_counter() - t0
     if mismatches:
-        failures.append(f"{mismatches} repair round trips returned a wrong symbol")
-    if row_mismatches:
-        failures.append(f"repair is not exact: {row_mismatches} round trips on generator rows "
+        failures.append(f"repair is not exact: {mismatches} round trips on generator rows "
                         "returned a wrong symbol")
 
     distance = None
@@ -455,19 +432,15 @@ def verify_code(
                 f"true distance {distance} below designed {code.params.d_designed}"
             )
 
-    ok = (integrity_ok and loc.passed and mismatches == 0 and row_mismatches == 0
-          and distance_ok is not False)
+    ok = integrity_ok and loc.passed and mismatches == 0 and distance_ok is not False
     return VerificationReport(
         ok=ok,
         locality_passed=loc.passed,
         locality_checks=loc.set_checks,
         repair_mismatches=mismatches,
-        repair_words=int(words.shape[0]),
-        repair_exact=row_mismatches == 0,
         distance=distance,
         d_designed=code.params.d_designed,
         distance_ok=distance_ok,
-        seed=seed,
         runtimes=runtimes,
         failures=failures,
     )

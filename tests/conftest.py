@@ -1,6 +1,21 @@
+import numpy as np
 import pytest
 
 from lrctower import TowerSpec, build_recovery_group, construct_lrc, make_field
+from lrctower.errors import TooLarge
+from lrctower.repair import span_parts
+
+
+def all_codewords(code, cap: int = 10**4) -> np.ndarray:
+    """Every codeword, the all-zero one first; a test oracle for the round
+    trips that ``verify_code`` runs on the generator rows alone."""
+    fld = code.field
+    q, k = fld.q, code.generator_matrix.shape[0]
+    if q**k > cap:
+        raise TooLarge(f"q^k = {q**k} exceeds cap {cap}")
+    prefix, suffixes = span_parts(fld, code.generator_matrix)
+    next(suffixes)  # the zero shift: the prefix block itself
+    return np.vstack([prefix, *(fld.vec_add(prefix, s[None, :]) for s in suffixes)])
 
 
 @pytest.fixture(scope="session")

@@ -33,7 +33,9 @@ from lrctower import (
 from lrctower.descriptor import code_from_descriptor, code_to_descriptor
 from lrctower.errors import DenominatorZero
 from lrctower.groups import apply, compose, inverse
-from lrctower.repair import all_codewords, repair_roundtrip_counts
+from lrctower.repair import repair_roundtrip_counts
+
+from conftest import all_codewords
 
 
 def _report(cid: str, ok: bool, detail: str = ""):

@@ -63,6 +63,28 @@ def test_availability_one_collapse_identities():
             assert bmq_bound(n, k, [r] * t) == wz_bound(n, k, r, t)
 
 
+def test_equal_locality_bounds_match_their_own_formulas():
+    """singleton, tb and wz are bmq and bt at equal localities; each still
+    gives its own closed form, written out here."""
+    for n in range(1, 40):
+        for k in range(1, n + 1):
+            for r in range(1, 12):
+                assert singleton_lrc(n, k, r) == n - k - -(-k // r) + 2
+                for t in range(1, 5):
+                    assert tb_bound(n, k, r, t) == n - sum((k - 1) // r**i for i in range(t + 1))
+                    assert wz_bound(n, k, r, t) == n - k - -(-((k - 1) * t + 1) // ((r - 1) * t + 1)) + 2
+    # and each keeps its own input checks, t = 0 included
+    for args, message in [((4, 5, 2, 1), "need 1 <= k <= n"), ((5, 2, 0, 1), "locality must be >= 1"),
+                          ((5, 2, 2, 0), "availability must be >= 1")]:
+        with pytest.raises(ValueError, match=message):
+            tb_bound(*args)
+        with pytest.raises(ValueError, match=message):
+            wz_bound(*args)
+        if args[3]:
+            with pytest.raises(ValueError, match=message):
+                singleton_lrc(*args[:3])
+
+
 def test_bounds_monotone_in_k():
     for n in (12, 18, 30):
         for r in (1, 2, 3):

@@ -466,6 +466,7 @@ def test_verify_rejects_malformed_int_list(tmp_path, capsys, golden_code, path, 
     ("dims.rank", 2, "dims has unknown key 'rank'"),
     ("params.q", 9, "params has unknown key 'q'"),
     ("groups[0].scalars", [1], "groups[0] has unknown key 'scalars'"),
+    ("recovery_sets[0].set3", [1, 2], "recovery_sets[0] has unknown key 'set3'"),
 ])
 def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path, value, message):
     """A place coordinate outside [0, q), a coord that is not an integer, and
@@ -478,7 +479,8 @@ def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path
     n - params.d_designed, and recovery_sets must be a list holding every
     coordinate exactly once.  The dims block is read the same way: golden
     is at level m = 1, so its caps, when not null, hold one integer.  A
-    third group, or a key the format does not name, is refused by path."""
+    third group, or a key the format does not name (in a recovery_sets
+    entry too), is refused by path."""
     desc = code_to_descriptor(golden_code)
     _edit(desc, path, value)
     bad = tmp_path / "bad.json"
@@ -601,14 +603,3 @@ def test_repair_demo_rejects_params_n_mismatch(tmp_path, capsys, golden_code):
         dataclasses.replace(golden_code, places=golden_code.places + golden_code.places[:1])
     with pytest.raises(ValueError, match="params.n = 6 does not match the 5 entries of recovery_sets"):
         dataclasses.replace(golden_code, recovery_sets=golden_code.recovery_sets[:5])
-
-
-@pytest.mark.parametrize("fixture", ["golden_code", "hermitian_code"])
-def test_verify_rejects_negative_rounds(tmp_path, capsys, request, fixture):
-    # golden enumerates every codeword and Hermitian samples them: both refuse
-    path = tmp_path / "code.json"
-    path.write_text(json.dumps(code_to_descriptor(request.getfixturevalue(fixture))))
-    args = ["verify", "--in", str(path), "--skip-distance", "--rounds"]
-    assert main(args + ["-1"]) == 1
-    assert capsys.readouterr().err == "error: --rounds must be non-negative, got -1\n"
-    assert main(args + ["0"]) == 0

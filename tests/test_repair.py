@@ -24,9 +24,10 @@ from lrctower.construct import CodeDims, CodeParams, LrcCode
 from lrctower.errors import DuplicateWValues, NotACodeword, TooLarge
 from lrctower.gflinalg import matmul, rank
 from lrctower.repair import (
-    all_codewords, locality_certificate, random_codewords, repair_roundtrip_counts,
-    repair_roundtrip_wrong, span_parts,
+    locality_certificate, random_codewords, repair_roundtrip_counts, repair_roundtrip_wrong, span_parts,
 )
+
+from conftest import all_codewords
 
 
 def scalar_min_distance(code):
@@ -216,12 +217,13 @@ def test_repair_strict_mode(golden_code):
 
 
 def _duplicate_w_code(code):
-    """Tamper: point a recovery set at two places sharing the repair value."""
+    """Tamper: point a recovery set at two places sharing the repair value,
+    or at place 1 twice where no two places share one (golden)."""
     widx = code.group1.w_index
     by_w = {}
     for p in code.places:
         by_w.setdefault(p.coords[widx], []).append(p.index)
-    dup = next(v for v in by_w.values() if len(v) >= 2)
+    dup = next((v for v in by_w.values() if len(v) >= 2), [1, 1])
     bad_sets = list(code.recovery_sets)
     bad_sets[0] = (tuple(dup[:2]), bad_sets[0][1])
     tampered = LrcCode(
@@ -247,10 +249,9 @@ def test_repair_duplicate_w_values_detected(golden_code, tower_code):
 
 
 def test_verify_reports_duplicate_w_values(tower_code):
-    # colliding nodes fail every round trip of that (coordinate, set)
+    # colliding nodes fail the round trip of that (coordinate, set) on every row
     rep = verify_code(_duplicate_w_code(tower_code))
-    assert rep.ok is False and rep.repair_exact is False
-    assert rep.repair_mismatches >= rep.repair_words
+    assert rep.ok is False and rep.repair_mismatches >= tower_code.params.k
 
 
 def oracle_weights(code, i, s):
@@ -552,7 +553,7 @@ def _assert_locality_matches_rank_test(code, **kwargs):
 def test_locality_certificate_matches_rank_test(golden_code, tower_code, hermitian_code):
     for code in (golden_code, tower_code, hermitian_code):
         rep = _assert_locality_matches_rank_test(code, exact_distance=False)
-        assert rep.locality_passed and rep.repair_exact
+        assert rep.locality_passed and rep.repair_mismatches == 0
         # the round trip proves every pair: no rank test is left to run
         assert locality_certificate(code, repair_roundtrip_wrong(code, code.generator_matrix)).all()
     ragged = _with_sets(golden_code, _ragged)
@@ -614,28 +615,26 @@ def test_dimension_report_tower(tower_code):
 
 def test_verify_code_reports(golden_code, tower_code):
     rep = verify_code(golden_code)
-    assert rep.ok and rep.distance == 4 and rep.repair_words == 81 and rep.repair_exact
+    assert rep.ok and rep.distance == 4 and rep.repair_mismatches == 0
     rep2 = verify_code(tower_code)
-    assert rep2.ok and rep2.distance >= 6 and rep2.repair_words == 9**4 and rep2.repair_exact
+    assert rep2.ok and rep2.distance >= 6 and rep2.repair_mismatches == 0
     blob = rep.to_json()
-    assert blob["ok"] is True and blob["repair_exact"] is True and "runtimes" in blob
+    assert blob["ok"] is True and blob["repair_mismatches"] == 0 and "runtimes" in blob
     assert blob["locality_checks"] == [[True, True]] * 6
 
 
 def test_repair_exact_needs_no_sampled_words(hermitian_code):
-    # a wrong weight in the plan, no sampled codewords and an intact
-    # generator: only the round trips on the generator rows can see it.
-    # Locality still holds; that one pair falls back to the rank test
-    code = dataclasses.replace(hermitian_code)  # a copy with its own plan
-    weights = code.repair_plan[1].weights
-    weights[0, 0] = (int(weights[0, 0]) + 1) % code.field.q
+    # a wrong weight in the plan and an intact generator: the round trips on
+    # the generator rows see it on each row with a nonzero symbol under that
+    # weight.  Locality still holds; that one pair falls back to the rank test
+    code = _wrong_weight(hermitian_code)
     proven = locality_certificate(code, repair_roundtrip_wrong(code, code.generator_matrix))
     assert proven.sum() == proven.size - 1 and not proven[1, 0]
-    rep = _assert_locality_matches_rank_test(code, rounds=0, exact_distance=False)
-    assert rep.locality_passed and rep.repair_words == 0 and rep.repair_mismatches == 0
-    assert rep.repair_exact is False and rep.ok is False
+    rep = _assert_locality_matches_rank_test(code, exact_distance=False)
+    wrong_rows = np.count_nonzero(code.generator_matrix[:, code.repair_plan[1].index[0, 0]])
+    assert rep.locality_passed and rep.repair_mismatches == wrong_rows > 0 and rep.ok is False
     assert len(rep.failures) == 1 and rep.failures[0].startswith("repair is not exact: ")
-    assert verify_code(hermitian_code, rounds=0, exact_distance=False).repair_exact is True
+    assert verify_code(hermitian_code, exact_distance=False).repair_mismatches == 0
 
 
 def test_verify_code_flags_bad_recovery_set(golden_code):
@@ -649,12 +648,43 @@ def test_verify_code_flags_bad_recovery_set(golden_code):
         recovery_sets=bad_sets, d_designed=golden_code.d_designed, dims=golden_code.dims,
     )
     rep = verify_code(tampered)
-    assert not rep.ok and rep.repair_exact is False
+    assert not rep.ok and rep.repair_mismatches > 0
 
 
-@pytest.mark.parametrize("fixture, exact_distance", [("golden_code", None), ("hermitian_code", False)])
-def test_verify_code_rejects_negative_rounds(fixture, exact_distance, request):
-    """Enumerated (golden) and sampled (Hermitian) repair words alike."""
+def _wrong_weight(code):
+    """A copy with its own plan, one of whose set-2 weights is wrong."""
+    code = dataclasses.replace(code)
+    weights = code.repair_plan[1].weights
+    weights[0, 0] = (int(weights[0, 0]) + 1) % code.field.q
+    return code
+
+
+def _moved_index(code):
+    def edit(sets):
+        sets[0][0] = ((sets[0][0][0] + 1) % code.params.n, *sets[0][0][1:])
+    return _with_sets(code, edit)
+
+
+def _wrong_generator_entry(code):
+    gen = code.generator_matrix.copy()
+    gen[0, 0] = (int(gen[0, 0]) + 1) % code.field.q
+    return dataclasses.replace(code, generator_matrix=gen)
+
+
+@pytest.mark.parametrize("fault", [None, _wrong_weight, _moved_index, _duplicate_w_code, _wrong_generator_entry],
+                         ids=["intact", "weight", "index", "collide", "generator"])
+@pytest.mark.parametrize("fixture", ["golden_code", "tower_code", "hermitian_code"])
+def test_generator_rows_see_what_codewords_see(fixture, fault, request):
+    """The round trip over every codeword (or 100 seeded ones where q^k >
+    10^4) fails iff the one on the generator rows does, intact and with
+    each planted fault; verify_code, which runs only the latter, keeps the
+    verdict it gave while it ran both (distance skipped on Hermitian)."""
     code = request.getfixturevalue(fixture)
-    with pytest.raises(ValueError, match="rounds must be >= 0, got -1"):
-        verify_code(code, rounds=-1, exact_distance=exact_distance)
+    if fault is not None:
+        code = fault(code)
+    q, k = code.field.q, code.params.k
+    words = all_codewords(code) if q**k <= 10**4 else random_codewords(code, 100, seed=0)
+    rows = repair_roundtrip_counts(code, code.generator_matrix)
+    assert (repair_roundtrip_counts(code, words) > 0) == (rows > 0) == (fault is not None)
+    rep = verify_code(code, exact_distance=False if fixture == "hermitian_code" else None)
+    assert rep.ok == (fault is None) and rep.repair_mismatches == rows
