@@ -1,8 +1,8 @@
 """Tour of the finite-field layer: GF(l^2), its kernel and scalar groups."""
 
-from lrctower import artin_schreier_kernel, make_field, norm_one_group, subfield_units
+from lrctower import FiniteField, artin_schreier_kernel, norm_one_group, subfield_units
 
-f = make_field(3, 2)
+f = FiniteField(3, 2)
 print(f"built {f} with modulus coefficients {f.modulus} (constant term first)")
 print(f"element codes are base-{f.p} digit vectors; t has code {f.p}")
 
@@ -21,6 +21,6 @@ print(f"subfield units GF(3)* = {units}")
 n1 = norm_one_group(f)
 print(f"norm-one group {{a : a^4 = 1}} = {n1} (order l+1 = 4)")
 
-f25 = make_field(5, 2)
+f25 = FiniteField(5, 2)
 print(f"\n{f25}: kernel size {len(artin_schreier_kernel(f25))},"
       f" norm-one order {len(norm_one_group(f25))}")

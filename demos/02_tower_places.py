@@ -1,9 +1,9 @@
 """Enumerate the completely-splitting places of both towers and check the
 closed-form counts and genus values."""
 
-from lrctower import TowerSpec, genus, make_field
+from lrctower import FiniteField, TowerSpec, genus
 
-f9 = make_field(3, 2)
+f9 = FiniteField(3, 2)
 
 print("y-tower over GF(9):")
 for m in (1, 2, 3):
@@ -16,7 +16,7 @@ spec2 = TowerSpec("gs96", f9, 2)
 print("  first five level-2 places:", [p.coords for p in spec2.places()[:5]])
 print("  (each tuple solves a^l + a = prev^l/(prev^(l-1)+1) level by level)")
 
-f25 = make_field(5, 2)
+f25 = FiniteField(5, 2)
 print("\nxz-tower over GF(25):")
 for m in (1, 2):
     spec = TowerSpec("gs95", f25, m)

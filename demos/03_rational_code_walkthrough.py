@@ -8,18 +8,18 @@ images intersect in the 2-dimensional code spanned by 1 and x^4 + x^2.
 
 from lrctower import (
     ErasurePattern,
+    FiniteField,
     TowerSpec,
     brute_force_distance,
     build_recovery_group,
     construct_lrc,
     evaluation_matrix,
-    make_field,
     repair,
     spanning_set,
     verify_definition1,
 )
 
-f9 = make_field(3, 2)
+f9 = FiniteField(3, 2)
 spec = TowerSpec("gs96", f9, 1)
 h1 = build_recovery_group(spec, "additive", shifts="kernel")
 h2 = build_recovery_group(spec, "multiplicative", order=2)

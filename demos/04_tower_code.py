@@ -3,15 +3,15 @@ coordinate of each place tuple, and the degree budget is split between the
 two generators to keep the joint pole divisor inside n - d."""
 
 from lrctower import (
+    FiniteField,
     TowerSpec,
     build_recovery_group,
     construct_lrc,
-    make_field,
     orbit,
     verify_code,
 )
 
-f9 = make_field(3, 2)
+f9 = FiniteField(3, 2)
 spec = TowerSpec("gs96", f9, 2)
 h1 = build_recovery_group(spec, "additive", shifts="kernel")
 h2 = build_recovery_group(spec, "multiplicative", order=2)

@@ -9,15 +9,15 @@ under nonzero scaling, so the search visits one codeword per scalar class:
 import sys
 
 from lrctower import (
+    FiniteField,
     TowerSpec,
     brute_force_distance,
     build_recovery_group,
     construct_lrc,
-    make_field,
     verify_code,
 )
 
-f25 = make_field(5, 2)
+f25 = FiniteField(5, 2)
 spec = TowerSpec("gs95", f25, 2)
 h1 = build_recovery_group(spec, "multiplicative", order=2)
 h2 = build_recovery_group(spec, "multiplicative", order=3)

@@ -24,7 +24,6 @@ from .errors import LrcError
 from .field import (
     FiniteField,
     artin_schreier_kernel,
-    make_field,
     norm_one_group,
     subfield_units,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "genus",
     "gs_line",
     "load_code",
-    "make_field",
     "norm_one_group",
     "orbit",
     "orbits_disjoint",

@@ -58,10 +58,13 @@ REGIME_TABLE = {
 
 def check_regime(family: str, ell: int, r1: int, r2: int) -> None:
     """Raise RegimeViolation unless (l, r1, r2) meets the regime ``family``,
-    a token of REGIME_TABLE or a theorem name (thm34) admitting any case."""
+    a token of REGIME_TABLE or a theorem name (thm34) admitting any case;
+    l must be a prime power, as in ``regimes``."""
     cases = [t for t in REGIME_TABLE if family in (t, t.partition(".")[0])]
     if not cases:
         raise ValueError(f"unknown regime {family!r}")
+    if is_prime_power(ell) is None:
+        raise NotAPrimePower(f"{ell} is not a prime power")
     if not any(REGIME_TABLE[t][0](ell, r1 + 1, r2 + 1) for t in cases):
         need = " or ".join(REGIME_TABLE[t][1] for t in cases)
         raise RegimeViolation(f"{family}: need {need} (l={ell}, r1={r1}, r2={r2})")
@@ -71,11 +74,15 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _check_locality(r: int) -> None:
+    if r < 1:
+        raise ValueError("locality must be >= 1")
+
+
 def _check_nkr(n: int, k: int, r: int, t: int = 1):
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    if r < 1:
-        raise ValueError("locality must be >= 1")
+    _check_locality(r)
     if t < 1:
         raise ValueError("availability must be >= 1")
 
@@ -183,6 +190,7 @@ def btv_line(ell: int, r1: int, r2: int, check: bool = True) -> TradeoffLine:
     intercept (l-2)/(l-1) - (r1+r2-2)/(q-1)."""
     if r1 * r2 == 0:
         raise DenominatorZero("trade-off line undefined at r1 = 0 or r2 = 0")
+    _check_locality(min(r1, r2))
     if check:
         check_regime(BTV, ell, r1, r2)
     q = ell * ell
@@ -195,6 +203,7 @@ def gs_line(ell: int, r1: int, r2: int, family: str, check: bool = True) -> Trad
     """Tower construction line: slope (r1+1)(r2+1)/(r1 r2 - 1), intercept
     (l-2)/(l-1) - (r1+r2)/(q-c) - (r1-r2)^2 / ((q-c)(r1 r2 - 1)) with
     c = l on the y-tower families and c = 1 on the xz-tower family."""
+    _check_locality(min(r1, r2))
     if r1 * r2 == 1:
         raise DenominatorZero("trade-off line undefined at r1 = r2 = 1")
     if check:

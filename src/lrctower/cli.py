@@ -16,7 +16,7 @@ from . import bounds as bnd
 from .construct import construct_lrc
 from .descriptor import load_code, write_descriptor
 from .errors import LrcError, NotAPrimePower, RegimeViolation, VariantMismatch
-from .field import make_field
+from .field import FiniteField
 from .groups import ADDITIVE, MULTIPLICATIVE, RecoveryGroup, build_recovery_group
 from .repair import (
     DEFAULT_ENUM_CAP, ErasurePattern, check_coord, random_codewords, repair, verify_code,
@@ -29,7 +29,7 @@ def _field_for_ell(ell: int):
     if pw is None:
         raise NotAPrimePower(f"l = {ell} is not a prime power")
     p, w = pw
-    return make_field(p, 2 * w)
+    return FiniteField(p, 2 * w)
 
 
 def parse_group_spec(spec: TowerSpec, text: str) -> RecoveryGroup:

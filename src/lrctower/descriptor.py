@@ -8,7 +8,9 @@ the kind of value it holds.  An object key it does not name (the unread
 ``seed`` apart) is refused, as is a third group or a recovery set entry's key
 other than ``coord``, ``set1`` and ``set2``.  The long lists (places,
 generator, recovery sets) are checked whole; their entries are walked only
-to name a failure.  The checks here name the JSON path at fault.
+to name a failure.  The checks here name the JSON path at fault.  The field
+is rebuilt from ``field.p`` and ``field.k`` alone; ``field.modulus`` stays in
+the format and must be that field's modulus.
 """
 
 from __future__ import annotations
@@ -200,7 +202,10 @@ def write_descriptor(code: LrcCode, path, seed: int = 0) -> None:
 def code_from_descriptor(desc: dict) -> LrcCode:
     _read(desc, "format")
     _known(desc, "descriptor", TOP_KEYS)
-    fld = FiniteField(**_block(desc, "field"))
+    field = _block(desc, "field")
+    fld = FiniteField(field["p"], field["k"])
+    if field["modulus"] != fld.modulus:
+        raise ValueError(f"field.modulus = {list(field['modulus'])} is not the modulus {list(fld.modulus)} of {fld}")
     tower = _block(desc, "tower")
     spec = TowerSpec(tower["variant"], fld, tower["m"])
     if tower["ell"] != fld.ell:

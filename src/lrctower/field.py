@@ -2,9 +2,10 @@
 
 Elements are encoded as integers in [0, q): the polynomial
 c_0 + c_1*t + ... + c_{k-1}*t^{k-1} maps to c_0 + c_1*p + ... + c_{k-1}*p^{k-1}.
-The modulus is the first monic irreducible polynomial of degree k in
-lexicographic order of coefficient vectors (constant term first), so the
-encoding is reproducible everywhere.
+The modulus is not a parameter: it is always the first monic irreducible
+polynomial of degree k in lexicographic order of coefficient vectors
+(constant term first), t itself when k = 1.  So a field is named by (p, k)
+alone, and the encoding is reproducible everywhere.
 
 Multiplication runs on dense log/antilog tables.  For small fields
 (q <= TABLE_CAP) full q x q add/mul tables back the vectorized numpy paths
@@ -111,9 +112,9 @@ def _first_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 class FiniteField:
-    """GF(p^k) with log/antilog tables; immutable after construction."""
+    """GF(p^k) with log/antilog tables, named by (p, k); immutable after construction."""
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, k: int):
         if p > MAX_ORDER:  # before trial division, which would not end for a huge p
             raise FieldTooLarge(f"characteristic {p} exceeds cap {MAX_ORDER}")
         if not is_prime(p):
@@ -128,14 +129,7 @@ class FiniteField:
         self.q = q
         # l = p^(k/2) when the order is a square, as in every tower setting
         self.ell = p ** (k // 2) if k % 2 == 0 else None
-        if modulus is None:
-            modulus = (0, 1) if k == 1 else _first_irreducible(p, k)
-        modulus = tuple(int(c) for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1 or not all(0 <= c < p for c in modulus):
-            raise ValueError("modulus must be monic of degree k, with coefficients in [0, p)")
-        if k > 1 and not _is_irreducible(modulus, p):
-            raise ValueError("modulus is reducible")
-        self.modulus = modulus
+        self.modulus = (0, 1) if k == 1 else _first_irreducible(p, k)
         self.dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
         self._build_tables()
         self._as_preimages: dict[int, list[int]] | None = None
@@ -345,25 +339,17 @@ class FiniteField:
         return self._as_preimages
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FiniteField)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        )
+        return isinstance(other, FiniteField) and (self.p, self.k) == (other.p, other.k)
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return hash((self.p, self.k))
 
     def __reduce__(self):
-        # memoryviews neither pickle nor copy: rebuild the tables from the modulus
-        return FiniteField, (self.p, self.k, self.modulus)
+        # memoryviews neither pickle nor copy: rebuild the tables from (p, k)
+        return FiniteField, (self.p, self.k)
 
     def __repr__(self):
         return f"GF({self.q})"
-
-
-def make_field(p: int, k: int) -> FiniteField:
-    """Build GF(p^k) with the deterministic first-in-lex modulus."""
-    return FiniteField(p, k)
 
 
 def _square_scan(field: FiniteField, predicate) -> list[int]:

@@ -48,10 +48,6 @@ class Automorphism:
         return f"Aut({self.variant}, c={self.scalar}, a={self.shift})"
 
 
-def identity(variant: str, field: FiniteField) -> Automorphism:
-    return Automorphism(variant, 1, 0, field)
-
-
 def compose(s: Automorphism, t: Automorphism) -> Automorphism:
     """Composition as field maps: (s o t)(z) = s(t(z))."""
     if (s.variant, s.field) != (t.variant, t.field):
@@ -98,7 +94,11 @@ class RecoveryGroup:
     kind: str
     spec: TowerSpec
     elements: tuple[Automorphism, ...]
-    w_index: int
+
+    @property
+    def w_index(self) -> int:
+        """Index of the repair variable w: x_1 under xz-tower scalars, the last generator otherwise."""
+        return 0 if self.kind == MULTIPLICATIVE and self.spec.variant == GS95 else self.spec.m - 1
 
     @property
     def order(self) -> int:
@@ -161,7 +161,7 @@ def build_recovery_group(spec: TowerSpec, kind: str, *, shifts=None, order: int 
                 raise NotASubgroup(f"shift {bad[0]} is outside the additive kernel")
             w = _additive_closure(f, gens)
         elems = tuple(Automorphism(spec.variant, 1, a, f) for a in w)
-        return RecoveryGroup(ADDITIVE, spec, elems, spec.m - 1)
+        return RecoveryGroup(ADDITIVE, spec, elems)
     if kind == MULTIPLICATIVE:
         if order is None or order < 1:
             raise IllegalOrder("multiplicative group needs a positive order")
@@ -176,9 +176,8 @@ def build_recovery_group(spec: TowerSpec, kind: str, *, shifts=None, order: int 
         scal = sorted(c for c in pool if f.pow(c, order) == 1)
         if len(scal) != order:
             raise NotASubgroup("scalar pool does not contain the requested subgroup")
-        widx = spec.m - 1 if spec.variant == GS96 else 0
         elems = tuple(Automorphism(spec.variant, c, 0, f) for c in scal)
-        return RecoveryGroup(MULTIPLICATIVE, spec, elems, widx)
+        return RecoveryGroup(MULTIPLICATIVE, spec, elems)
     raise ValueError(f"unknown recovery-group kind {kind!r}")
 
 

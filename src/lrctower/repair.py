@@ -224,7 +224,6 @@ def random_codewords(code: LrcCode, count: int, seed: int = 0) -> np.ndarray:
 class LocalityReport:
     """Per-coordinate, per-set verdicts of the determination property."""
 
-    n: int
     set_checks: list[tuple[bool, bool]] = dc_field(default_factory=list)
     geometry_ok: bool = True
     failures: list[str] = dc_field(default_factory=list)
@@ -244,8 +243,7 @@ def verify_definition1(code: LrcCode, proven: np.ndarray | None = None) -> Local
     """
     fld = code.field
     g = code.generator_matrix
-    n = code.params.n
-    report = LocalityReport(n=n)
+    report = LocalityReport()
     for i, (i1, i2) in enumerate(code.recovery_sets):
         if i in i1 or i in i2:
             report.geometry_ok = False

@@ -17,7 +17,8 @@ an unexpanded factor g(w)^j where g has the recovery-group shifts as roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,15 +31,14 @@ GS95 = "gs95"
 _DEPTH_CAP = {GS96: 3, GS95: 2}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TowerSpec:
-    """Tower variant, base field GF(l^2) and level m."""
+    """Tower variant, base field GF(l^2) and level m; the places are
+    enumerated once per spec, on first use."""
 
     variant: str
     field: FiniteField
     m: int
-    _places: list["Place"] | None = dc_field(default=None, repr=False, compare=False)
-    _index: dict[tuple[int, ...], int] | None = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in _DEPTH_CAP:
@@ -71,23 +71,18 @@ class TowerSpec:
         Counts: (q - l) * l^(m-1) for the y-tower, (q - 1) * l^(m-1) for the
         xz-tower.
         """
-        if self._places is None:
-            self._places = _enumerate(self)
-            self._index = {p.coords: p.index for p in self._places}
         return self._places
 
+    @cached_property
+    def _places(self) -> list["Place"]:
+        return _enumerate(self)
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {p.coords: p.index for p in self.places()}
+
     def place_index(self, coords: tuple[int, ...]) -> int:
-        self.places()
         return self._index[coords]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TowerSpec)
-            and (self.variant, self.field, self.m) == (other.variant, other.field, other.m)
-        )
-
-    def __hash__(self):
-        return hash((self.variant, self.field, self.m))
 
 
 @dataclass(frozen=True)

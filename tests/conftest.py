@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrctower import TowerSpec, build_recovery_group, construct_lrc, make_field
+from lrctower import FiniteField, TowerSpec, build_recovery_group, construct_lrc
 from lrctower.errors import TooLarge
 from lrctower.repair import span_parts
 
@@ -20,22 +20,22 @@ def all_codewords(code, cap: int = 10**4) -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def gf4():
-    return make_field(2, 2)
+    return FiniteField(2, 2)
 
 
 @pytest.fixture(scope="session")
 def gf9():
-    return make_field(3, 2)
+    return FiniteField(3, 2)
 
 
 @pytest.fixture(scope="session")
 def gf16():
-    return make_field(2, 4)
+    return FiniteField(2, 4)
 
 
 @pytest.fixture(scope="session")
 def gf25():
-    return make_field(5, 2)
+    return FiniteField(5, 2)
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ from math import gcd
 import pytest
 
 from lrctower import (
+    FiniteField,
     TowerSpec,
     bmq_bound,
     bt_bound,
@@ -20,7 +21,6 @@ from lrctower import (
     construct_lrc,
     genus,
     gs_line,
-    make_field,
     orbits_disjoint,
     regimes,
     rpdv_bound,
@@ -49,7 +49,7 @@ def _mixed_pair(spec):
 
 def test_c1_golden_rational_code():
     t0 = time.perf_counter()
-    f9 = make_field(3, 2)
+    f9 = FiniteField(3, 2)
     spec = TowerSpec("gs96", f9, 1)
     h1, h2 = _mixed_pair(spec)
     code = construct_lrc(spec, h1, h2, 2)
@@ -72,7 +72,7 @@ def test_c1_golden_rational_code():
 
 def test_c2_tower_level_code():
     t0 = time.perf_counter()
-    f9 = make_field(3, 2)
+    f9 = FiniteField(3, 2)
     spec = TowerSpec("gs96", f9, 2)
     h1, h2 = _mixed_pair(spec)
     code = construct_lrc(spec, h1, h2, 6)
@@ -114,7 +114,7 @@ def test_c3_hermitian_code(hermitian_code):
 
 def test_c4_group_structure_suite():
     t0 = time.perf_counter()
-    fields = {9: make_field(3, 2), 16: make_field(2, 4), 25: make_field(5, 2)}
+    fields = {9: FiniteField(3, 2), 16: FiniteField(2, 4), 25: FiniteField(5, 2)}
     checked_pairs = 0
     checked_orbits = 0
     for q, fld in fields.items():
@@ -141,8 +141,8 @@ def test_c4_group_structure_suite():
 
 
 def test_c5_counting_and_genus_suite():
-    fields = {2: make_field(2, 2), 3: make_field(3, 2),
-              4: make_field(2, 4), 5: make_field(5, 2)}
+    fields = {2: FiniteField(2, 2), 3: FiniteField(3, 2),
+              4: FiniteField(2, 4), 5: FiniteField(5, 2)}
     for ell, fld in fields.items():
         q = fld.q
         for m in (1, 2, 3):

@@ -170,6 +170,20 @@ def test_intercepts_increase_along_ell():
         assert cur < Fraction(ell - 2, ell - 1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda check: btv_line(8, -1, -1, check=check),
+    lambda check: btv_line(8, 2, -3, check=check),
+    lambda check: gs_line(8, -1, 2, "thm34", check=check),
+    lambda check: gs_line(8, -1, -1, "thm34", check=check),  # r1 * r2 = 1, but no line at r = -1
+    lambda check: gs_line(8, 0, 6, "thm33", check=check),
+], ids=["btv(-1,-1)", "btv(2,-3)", "thm34(-1,2)", "thm34(-1,-1)", "thm33(0,6)"])
+def test_tradeoff_refuses_locality_below_one(make):
+    """A locality below 1 has no line, whatever the regime check says."""
+    for check in (True, False):
+        with pytest.raises(ValueError, match="^locality must be >= 1$"):
+            make(check)
+
+
 def test_regime_tables_spot_checks():
     r3 = regimes(3)
     assert any(r.theorem == "thm33" and (r.r1, r.r2) == (2, 1) for r in r3)
@@ -180,6 +194,8 @@ def test_regime_tables_spot_checks():
     assert any(r.theorem == "thm35.1" and (r.r1, r.r2) == (1, 2) for r in r5)
     with pytest.raises(NotAPrimePower):
         regimes(6)
+    with pytest.raises(NotAPrimePower, match="^6 is not a prime power$"):
+        gs_line(6, 1, 2, "thm34")  # a line's regime check refuses the same l
 
 
 def test_prime_power_decomposition():

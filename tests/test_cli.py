@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lrctower import LrcError, TowerSpec, construct_lrc, make_field
+from lrctower import FiniteField, LrcError, TowerSpec, construct_lrc
 from lrctower.cli import main, parse_group_spec
 from lrctower.descriptor import (
     FIELDS,
@@ -291,6 +291,20 @@ def test_tradeoff_btv_zero_locality(capsys):
     assert err.startswith("error: ") and "r1 = 0 or r2 = 0" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--ell", "8", "--r1", "-1", "--r2", "-1", "--variant", "btv"], "locality must be >= 1"),
+    (["--ell", "8", "--r1", "-1", "--r2", "2", "--variant", "thm34"], "locality must be >= 1"),
+    (["--ell", "8", "--r1", "0", "--r2", "6", "--variant", "thm33"], "locality must be >= 1"),
+    (["--ell", "6", "--r1", "1", "--r2", "2", "--variant", "thm34"], "6 is not a prime power"),
+])
+def test_tradeoff_rejects_impossible_line(capsys, argv, message):
+    """A locality below 1 or an l that is not a prime power has no line: one
+    error line, no traceback and no output."""
+    assert main(["tradeoff", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 # (entry, field, position in the set or None, bad value) for the golden n=6 code
 BAD_RECOVERY_INDICES = [
     (3, "coord", None, -1), (3, "coord", None, 6),
@@ -454,7 +468,7 @@ def test_verify_rejects_malformed_int_list(tmp_path, capsys, golden_code, path, 
     ("groups[0].shifts", [0, 3], "groups[0].shifts does not match the canonical subgroup"),
     ("groups[1].scalars", [1, 5], "groups[1].scalars does not match the canonical subgroup"),
     # a modulus coefficient is not reduced mod p
-    ("field.modulus", [4, 0, 1], "modulus must be monic of degree k, with coefficients in [0, p)"),
+    ("field.modulus", [4, 0, 1], "field.modulus = [4, 0, 1] is not the modulus [1, 0, 1] of GF(9)"),
     # a huge characteristic is refused before any primality test
     ("field.p", 2**61 - 1, f"characteristic {2**61 - 1} exceeds cap 65536"),
     # the format is exactly what FIELDS states: two groups, and no key it does not name
@@ -467,6 +481,8 @@ def test_verify_rejects_malformed_int_list(tmp_path, capsys, golden_code, path, 
     ("params.q", 9, "params has unknown key 'q'"),
     ("groups[0].scalars", [1], "groups[0] has unknown key 'scalars'"),
     ("recovery_sets[0].set3", [1, 2], "recovery_sets[0] has unknown key 'set3'"),
+    # an irreducible modulus other than the first one: GF(9) is named by (p, k) alone
+    ("field.modulus", [2, 1, 1], "field.modulus = [2, 1, 1] is not the modulus [1, 0, 1] of GF(9)"),
 ])
 def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path, value, message):
     """A place coordinate outside [0, q), a coord that is not an integer, and
@@ -480,7 +496,8 @@ def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path
     coordinate exactly once.  The dims block is read the same way: golden
     is at level m = 1, so its caps, when not null, hold one integer.  A
     third group, or a key the format does not name (in a recovery_sets
-    entry too), is refused by path."""
+    entry too), is refused by path, and so is a field.modulus other than the
+    one (p, k) fix."""
     desc = code_to_descriptor(golden_code)
     _edit(desc, path, value)
     bad = tmp_path / "bad.json"
@@ -542,7 +559,7 @@ FIELD_OF_ELL = {3: (3, 2), 4: (2, 4), 5: (5, 2)}
 def test_descriptor_round_trip_is_byte_exact(data):
     """construct -> descriptor -> load -> descriptor gives the same bytes."""
     variant, ell, m, g1, g2 = data.draw(st.sampled_from(SMALL_BUILDS))
-    spec = TowerSpec(variant, make_field(*FIELD_OF_ELL[ell]), m)
+    spec = TowerSpec(variant, FiniteField(*FIELD_OF_ELL[ell]), m)
     h1, h2 = parse_group_spec(spec, g1), parse_group_spec(spec, g2)
     distance, seed = data.draw(st.integers(1, len(spec.places()))), data.draw(st.integers(0, 99))
     try:

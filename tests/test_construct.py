@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lrctower import (
+    FiniteField,
     TowerSpec,
     artin_schreier_kernel,
     build_recovery_group,
     construct_lrc,
     evaluation_matrix,
-    make_field,
     spanning_set,
 )
 from lrctower.construct import CodeDims, _cap_profiles, _split_bases, _union_rows
@@ -113,7 +113,7 @@ def _doubled_block_intersection(fld, a, b):
 def test_rowspace_intersection_matches_candidate_oracle(p, e):
     """Random pairs sharing a planted subspace, full rank and rank-deficient,
     over GF(4), GF(9), GF(25) (table path) and GF(1031) (digit loop)."""
-    fld = make_field(p, e)
+    fld = FiniteField(p, e)
     rng = np.random.default_rng(p * 100 + e)
     n = 9
     for shared, extra_a, extra_b, rows_a, rows_b in [
@@ -166,7 +166,7 @@ def test_rref_matches_unfused_oracle(p, e, monkeypatch):
     GF(1031) (digit loop), with zero columns, repeated and dependent rows,
     and 0-row, tall, square and wide shapes; row updates in one block and
     in blocks of 3 rows."""
-    fld = make_field(p, e)
+    fld = FiniteField(p, e)
     rng = np.random.default_rng(p * 100 + e)
     mats = [np.zeros((0, 6), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
             np.zeros((4, 5), dtype=np.int64)]
@@ -198,7 +198,7 @@ def test_rref_invariant_under_row_permutation(p, e, data):
     """The RREF, zero rows included, and its pivots depend only on the row
     space and row count: GF(49) (table path) and GF(1031) (digit loop), on
     products of a random (rows, j) and (j, cols) matrix, so rank <= j."""
-    fld = make_field(p, e)
+    fld = FiniteField(p, e)
     rows, cols, j = (data.draw(st.integers(0, hi)) for hi in (8, 8, 5))
 
     def matrix(r, c):
@@ -232,7 +232,7 @@ def test_matmul_matches_scalar_oracle(p, e):
     GF(9) (uint8 tables), GF(257) (uint16 tables) and GF(1031) (digit loop),
     on seeded random and all-(q-1) matrices; a zero inner dimension gives
     zeros and mismatched shapes raise."""
-    fld = make_field(p, e)
+    fld = FiniteField(p, e)
     rng = np.random.default_rng(p * 100 + e)
     pairs = [(rng.integers(0, fld.q, size=(r, j)), rng.integers(0, fld.q, size=(j, c)))
              for r, j, c in [(1, 1, 1), (3, 4, 5), (7, 2, 9), (1, 9, 12), (6, 6, 6)]]
@@ -259,7 +259,7 @@ def test_matmul_matches_scalar_oracle(p, e):
 def test_matmul_property_matches_scalar_oracle(p, e, data):
     """Random shapes, inner dimension 0 included, over GF(49) (table path)
     and GF(1031) (digit loop): the product equals the scalar triple loop."""
-    fld = make_field(p, e)
+    fld = FiniteField(p, e)
     rows, inner, cols = (data.draw(st.integers(0, 6)) for _ in range(3))
 
     def matrix(r, c):
@@ -274,7 +274,7 @@ def test_matmul_property_matches_scalar_oracle(p, e, data):
 def test_matmul_runs_one_fused_update_per_inner_index(monkeypatch):
     """On the table path the product is one ``vec_axpy`` per inner index and
     never the separate ``vec_mul`` and ``vec_add`` gathers."""
-    fld = make_field(7, 2)
+    fld = FiniteField(7, 2)
     calls = []
     axpy = fld.vec_axpy
 
@@ -360,7 +360,7 @@ def test_cap_profile_choice_matches_per_profile_zassenhaus(tower_code):
 def _kernel_scalar_pair(p, e, m):
     """The y-tower over GF(p^e) at level m with the ladder's group pair:
     additive kernel shifts and the scalars of order l - 1."""
-    spec = TowerSpec("gs96", make_field(p, e), m)
+    spec = TowerSpec("gs96", FiniteField(p, e), m)
     return (spec,
             build_recovery_group(spec, "additive", shifts="kernel"),
             build_recovery_group(spec, "multiplicative", order=spec.ell - 1))
@@ -558,7 +558,7 @@ def test_spanning_functions_respect_budget(gf9, gf25):
 
 def test_scalar_pair_on_y_tower_gf49():
     """Coprime scalar groups (orders 2 and 3) both act on every coordinate."""
-    f49 = make_field(7, 2)
+    f49 = FiniteField(7, 2)
     spec = TowerSpec("gs96", f49, 1)
     h1 = build_recovery_group(spec, "multiplicative", order=2)
     h2 = build_recovery_group(spec, "multiplicative", order=3)

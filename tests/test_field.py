@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrctower import artin_schreier_kernel, make_field, norm_one_group, subfield_units
+from lrctower import FiniteField, artin_schreier_kernel, norm_one_group, subfield_units
 from lrctower.descriptor import code_from_descriptor, code_to_descriptor
 from lrctower.errors import FieldTooLarge, NonPrimeCharacteristic, NotASquareField
 from lrctower.field import _first_irreducible
@@ -34,7 +34,7 @@ def naive_irreducible(poly, p):
 
 
 def test_gf9_modulus_is_first_lex_irreducible():
-    f = make_field(3, 2)
+    f = FiniteField(3, 2)
     assert f.modulus == (1, 0, 1)  # t^2 + 1
     # exhaustive scan over all nine monic quadratics in lex order
     first = None
@@ -59,14 +59,14 @@ def test_extension_moduli_pinned(p, k, modulus):
 
 
 def test_prime_field_uses_identity_modulus():
-    f = make_field(2, 1)
+    f = FiniteField(2, 1)
     assert f.modulus == (0, 1)
     assert f.add(1, 1) == 0
     assert f.mul(1, 1) == 1
 
 
 def test_gf25_frobenius_additivity():
-    f = make_field(5, 2)
+    f = FiniteField(5, 2)
     rng = random.Random(0)
     for _ in range(100):
         a, b = rng.randrange(25), rng.randrange(25)
@@ -75,7 +75,7 @@ def test_gf25_frobenius_additivity():
 
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 4), (5, 2), (7, 2)])
 def test_field_axioms_on_random_triples(p, k):
-    f = make_field(p, k)
+    f = FiniteField(p, k)
     rng = random.Random(p * 100 + k)
     for _ in range(50):
         a, b, c = (rng.randrange(f.q) for _ in range(3))
@@ -89,7 +89,7 @@ def test_field_axioms_on_random_triples(p, k):
 
 
 def test_element_wrapper_operations():
-    f = make_field(3, 2)
+    f = FiniteField(3, 2)
     t = 3
     assert f.mul(t, t) == 2  # t^2 = -1
     assert f.add(t, t) == 6
@@ -99,15 +99,15 @@ def test_element_wrapper_operations():
 
 
 def test_kernel_gf9_and_gf4():
-    f9 = make_field(3, 2)
+    f9 = FiniteField(3, 2)
     assert artin_schreier_kernel(f9) == [0, 3, 6]
-    f4 = make_field(2, 2)
+    f4 = FiniteField(2, 2)
     assert artin_schreier_kernel(f4) == [0, 1]
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 4), (5, 2)])
 def test_kernel_is_additive_group_of_size_ell(p, k):
-    f = make_field(p, k)
+    f = FiniteField(p, k)
     ker = set(artin_schreier_kernel(f))
     assert len(ker) == f.ell
     for a in ker:
@@ -120,9 +120,9 @@ def test_kernel_is_additive_group_of_size_ell(p, k):
 
 
 def test_subfield_units():
-    assert subfield_units(make_field(3, 2)) == [1, 2]
-    assert subfield_units(make_field(2, 2)) == [1]
-    f25 = make_field(5, 2)
+    assert subfield_units(FiniteField(3, 2)) == [1, 2]
+    assert subfield_units(FiniteField(2, 2)) == [1]
+    f25 = FiniteField(5, 2)
     units = set(subfield_units(f25))
     assert len(units) == 4
     for a in units:
@@ -132,7 +132,7 @@ def test_subfield_units():
 
 @pytest.mark.parametrize("p,k,size", [(3, 2, 4), (5, 2, 6), (2, 4, 5)])
 def test_norm_one_group(p, k, size):
-    f = make_field(p, k)
+    f = FiniteField(p, k)
     grp = set(norm_one_group(f))
     assert len(grp) == f.ell + 1 == size
     assert 1 in grp
@@ -143,7 +143,7 @@ def test_norm_one_group(p, k, size):
 
 
 def test_square_field_required():
-    f8 = make_field(2, 3)
+    f8 = FiniteField(2, 3)
     with pytest.raises(NotASquareField):
         artin_schreier_kernel(f8)
     with pytest.raises(NotASquareField):
@@ -152,24 +152,28 @@ def test_square_field_required():
 
 def test_construction_errors():
     with pytest.raises(NonPrimeCharacteristic):
-        make_field(6, 2)
+        FiniteField(6, 2)
     with pytest.raises(FieldTooLarge):
-        make_field(2, 17)
+        FiniteField(2, 17)
+    with pytest.raises(TypeError):  # the modulus is derived, never given
+        FiniteField(3, 2, (2, 1, 1))
 
 
 @pytest.mark.parametrize("p, k", [(3, 2), (1031, 1)])
 def test_field_pickles_and_copies(p, k):
     """The scalar ops' memoryviews do not pickle; a field still does, and
     copies, as an equal field with working tables of its own."""
-    f = make_field(p, k)
+    f = FiniteField(p, k)
     for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
         assert g == f and g is not f and g.exp_table is not f.exp_table
         assert g.mul(3, g.inv(3)) == 1 and g.add(f.q - 1, 1) == f.add(f.q - 1, 1)
+        assert hash(g) == hash(f) and g.modulus == f.modulus
+    assert f.__reduce__() == (FiniteField, (p, k))  # (p, k) name the field
 
 
 def test_json_round_trip(golden_code):
     # the field block of a code descriptor, over GF(9)
-    f = make_field(3, 2)
+    f = FiniteField(3, 2)
     desc = code_to_descriptor(golden_code)
     assert desc["field"] == {"p": 3, "k": 2, "modulus": [1, 0, 1]}
     g = code_from_descriptor(desc).field
@@ -179,7 +183,7 @@ def test_json_round_trip(golden_code):
 def test_vectorized_paths_match_scalar():
     import numpy as np
 
-    f = make_field(5, 2)
+    f = FiniteField(5, 2)
     rng = np.random.default_rng(7)
     a = rng.integers(0, 25, 300)
     b = rng.integers(0, 25, 300)
@@ -200,7 +204,7 @@ def test_vectorized_paths_match_scalar():
                                          (257, 1, np.uint16), (1031, 1, np.uint16)])
 def test_vector_results_use_narrowest_dtype(p, k, dtype):
     # q <= 1024 goes through the add/mul tables, q = 1031 through the digit loop
-    f = make_field(p, k)
+    f = FiniteField(p, k)
     assert f.dtype == dtype
     assert (f.add_table is None) == (f.q > 1024)
     rng = np.random.default_rng(p)
@@ -220,7 +224,7 @@ def test_vec_axpy_matches_add_of_mul(p, k):
     """y + a*x against vec_add(y, vec_mul(a, x)) and the scalar ops, with
     a*x broadcast to y's shape: GF(4), GF(49), GF(256) index the flat tables
     in uint16, GF(257) in uint32, GF(1031) takes the digit loop."""
-    f = make_field(p, k)
+    f = FiniteField(p, k)
     rng = np.random.default_rng(p * 10 + k)
     shapes = [((5, 7), (5, 1), (7,)), ((5, 7), (5, 1), (1, 7)), ((5, 7), (1, 7), (5, 1)),
               ((5, 7), (5, 7), (5, 7)), ((5, 7), (), (7,)), ((7,), (), ()), ((1, 1), (1,), (1,))]
@@ -244,7 +248,7 @@ def test_vec_axpy_matches_add_of_mul(p, k):
 def test_vec_inv_matches_scalar_inv(p, k):
     """Every nonzero element of GF(4), GF(49), GF(256), GF(257) and GF(1031)
     (the digit-loop path), as int64 and as ``dtype``; a zero raises."""
-    f = make_field(p, k)
+    f = FiniteField(p, k)
     a = np.arange(1, f.q)
     for cast in (np.int64, f.dtype):
         out = f.vec_inv(a.astype(cast))
@@ -261,7 +265,7 @@ def test_scalar_add_sub_on_numpy_scalars(p, k):
     """Above TABLE_CAP, add and sub on numpy ``dtype`` scalars equal the
     Python-int results and vec_add/vec_sub: on GF(65521) a sum near q must
     not wrap in uint16 (65000 + 1000 is 479, not 464)."""
-    f = make_field(p, k)
+    f = FiniteField(p, k)
     assert f.add_table is None
     rng = np.random.default_rng(p + k)
     a = rng.integers(0, f.q, 100).astype(f.dtype)
@@ -282,7 +286,7 @@ SCALAR_FIELDS = [(3, 2), (7, 2), (2, 8), (2, 10), (1031, 1), (2, 11)]
 
 @functools.lru_cache(maxsize=None)
 def _field(p, k):
-    return make_field(p, k)
+    return FiniteField(p, k)
 
 
 def _vec(op, *args):

@@ -1,18 +1,19 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from lrctower import (
+    FiniteField,
     TowerSpec,
     artin_schreier_kernel,
     build_recovery_group,
     combine,
-    make_field,
     orbit,
     orbits_disjoint,
 )
 from lrctower.errors import IllegalOrder, LrcError, NontrivialIntersection, NotASubgroup, UnsupportedDepth
-from lrctower.groups import Automorphism, apply, compose, identity, inverse
+from lrctower.groups import Automorphism, apply, compose, inverse
 
 
 def test_builders_gf9(gf9):
@@ -31,6 +32,21 @@ def test_builder_gf25_norm_one(gf25):
     for c in h.scalars:
         assert gf25.pow(c, gf25.ell + 1) == 1
     assert h.w_index == 0
+
+
+@pytest.mark.parametrize("variant, m, kind, want", [
+    ("gs96", 1, "additive", 0), ("gs96", 1, "multiplicative", 0),
+    ("gs96", 2, "additive", 1), ("gs96", 2, "multiplicative", 1),
+    ("gs96", 3, "additive", 2), ("gs96", 3, "multiplicative", 2),
+    ("gs95", 2, "multiplicative", 0), ("gs95", 2, "additive", 1),
+])
+def test_w_index_follows_from_kind_and_tower(gf9, gf25, variant, m, kind, want):
+    """The repair variable is x_1 under xz-tower scalars and the last
+    generator otherwise; the group derives it and stores nothing."""
+    spec = TowerSpec(variant, gf9 if variant == "gs96" else gf25, m)
+    h = build_recovery_group(spec, kind, shifts="kernel", order=2 if variant == "gs96" else 3)
+    assert h.w_index == want
+    assert [f.name for f in dataclasses.fields(h)] == ["kind", "spec", "elements"]
 
 
 def test_builder_errors(gf9, gf25):
@@ -63,7 +79,7 @@ def test_apply_worked_example(gf9):
     sigma = Automorphism("gs96", 2, 3, gf9)
     img = apply(sigma, p)
     assert img.coords == (2, gf9.add(gf9.mul(2, p.coords[1]), 3))
-    assert apply(identity("gs96", gf9), p) == p
+    assert apply(Automorphism("gs96", 1, 0, gf9), p) == p
 
 
 def test_apply_preserves_membership(gf9, gf25):
@@ -86,7 +102,7 @@ def test_group_axioms_and_composition(gf9):
         for b in elems:
             c = compose(a, b)
             assert (c.scalar, c.shift) in keyset
-    ident = identity("gs96", gf9)
+    ident = Automorphism("gs96", 1, 0, gf9)
     for a in elems:
         assert compose(a, ident) == a == compose(ident, a)
         inv = inverse(a)
@@ -124,7 +140,7 @@ def test_combine_rejects_non_normalizing_scalars(gf16):
 
 
 def test_combine_direct_product_gf64_additive_pair():
-    f64 = make_field(2, 6)
+    f64 = FiniteField(2, 6)
     spec = TowerSpec("gs95", f64, 2)
     ker = [a for a in artin_schreier_kernel(f64) if a]
     w1 = build_recovery_group(spec, "additive", shifts=ker[:2])
@@ -191,7 +207,7 @@ def test_combine_matches_closure_sweep():
     seen = set()
     for variant, (p, e), m in [*itertools.product(["gs96"], [(3, 2), (2, 4), (5, 2), (2, 6)], [1, 2]),
                                *itertools.product(["gs95"], [(3, 2), (2, 4), (5, 2), (2, 6)], [2])]:
-        subgroups = _canonical_subgroups(TowerSpec(variant, make_field(p, e), m))
+        subgroups = _canonical_subgroups(TowerSpec(variant, FiniteField(p, e), m))
         for h1, h2 in itertools.product(subgroups, repeat=2):
             want = _outcome(_closure_combine, h1, h2)
             assert _outcome(combine, h1, h2) == want, (variant, p, e, m, h1, h2)

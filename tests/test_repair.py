@@ -15,7 +15,6 @@ from lrctower import (
     brute_force_distance,
     build_recovery_group,
     construct_lrc,
-    make_field,
     repair,
     verify_code,
     verify_definition1,
@@ -72,7 +71,7 @@ def _reed_solomon(fld, n, k):
 
 @pytest.mark.parametrize("p, e, k, n", [(2, 2, 5, 9), (3, 2, 4, 8), (5, 2, 3, 7)])
 def test_projective_enumeration_matches_scalar_oracle_on_random_codes(p, e, k, n):
-    fld = make_field(p, e)
+    fld = FiniteField(p, e)
     rng = np.random.default_rng(1000 * p + e)
     for _ in range(3):
         gen = rng.integers(0, fld.q, size=(k, n))
@@ -98,7 +97,7 @@ def test_span_blocks_cover_offset_plus_span(gf9, block_rows):
 
 
 def test_distance_uint16_tables_reed_solomon():
-    fld = make_field(257, 1)
+    fld = FiniteField(257, 1)
     assert fld.dtype == np.uint16 and fld.add_table is not None
     n, k = 16, 3
     code = _bare_code(fld, _reed_solomon(fld, n, k))
@@ -131,7 +130,7 @@ def test_hermitian_distance_exactly_100(hermitian_code):
 def test_rank_deficient_generator_has_distance_zero(p, e, dtype, tables, deficient):
     """A repeated row, or a zero row (as a lead and inside a lead's span),
     gives a zero word: every position agrees with its negated shift."""
-    fld = make_field(p, e)
+    fld = FiniteField(p, e)
     assert fld.dtype == dtype and (fld.add_table is not None) == tables
     n = 8
     r0, r1 = _reed_solomon(fld, n, 2)
@@ -152,7 +151,7 @@ def test_all_codewords_match_message_oracle(p, e, n):
     """Every message times the generator, once each, the zero word first; on
     GF(257) the q^2 words exceed ``BLOCK_ROWS``, so they come from many
     shifts of the prefix block."""
-    fld = make_field(p, e)
+    fld = FiniteField(p, e)
     gen = _reed_solomon(fld, n, 2)
     got = all_codewords(_bare_code(fld, gen), cap=fld.q**2)
     msgs = np.array(list(product(range(fld.q), repeat=2)), dtype=np.int64)

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
-from lrctower import TowerSpec, check_place, genus, make_field, pole_degree
+from lrctower import FiniteField, TowerSpec, check_place, genus, pole_degree
+from lrctower import tower
 from lrctower.errors import UnsupportedDepth
 from lrctower.tower import MonomialFunction, evaluate_vec
 
@@ -24,7 +26,7 @@ def test_rational_level_places_gf9(gf9):
                                   ((3, 2), 1), ((3, 2), 2), ((3, 2), 3),
                                   ((2, 4), 2), ((5, 2), 2), ((5, 2), 3)])
 def test_y_tower_place_counts(pk, m):
-    f = make_field(*pk)
+    f = FiniteField(*pk)
     spec = TowerSpec("gs96", f, m)
     assert len(spec.places()) == (f.q - f.ell) * f.ell ** (m - 1)
 
@@ -32,9 +34,25 @@ def test_y_tower_place_counts(pk, m):
 @pytest.mark.parametrize("pk,m", [((2, 2), 1), ((2, 2), 2), ((3, 2), 2),
                                   ((2, 4), 2), ((5, 2), 1), ((5, 2), 2)])
 def test_xz_tower_place_counts(pk, m):
-    f = make_field(*pk)
+    f = FiniteField(*pk)
     spec = TowerSpec("gs95", f, m)
     assert len(spec.places()) == (f.q - 1) * f.ell ** (m - 1)
+
+
+def test_spec_holds_only_its_inputs(gf9, monkeypatch):
+    """A spec is (variant, field, m), frozen; equal specs hash equal, and
+    each enumerates its places once, on first use."""
+    a, b = TowerSpec("gs96", gf9, 2), TowerSpec("gs96", FiniteField(3, 2), 2)
+    assert [f.name for f in dataclasses.fields(TowerSpec)] == ["variant", "field", "m"]
+    assert a == b and hash(a) == hash(b) and a != TowerSpec("gs96", gf9, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.m = 3
+    calls = []
+    enumerate_places = tower._enumerate
+    monkeypatch.setattr(tower, "_enumerate", lambda spec: calls.append(spec) or enumerate_places(spec))
+    for spec in (a, a, b):
+        assert spec.place_index(spec.places()[5].coords) == 5
+    assert len(calls) == 2 and calls[0] is a and calls[1] is b
 
 
 def test_chain_lemma_every_coordinate_off_kernel(gf9):
@@ -90,8 +108,8 @@ def test_genus_table():
         (4, 1): 0, (4, 2): 9, (4, 3): 45,
         (5, 1): 0, (5, 2): 16, (5, 3): 96,
     }
-    fields = {2: make_field(2, 2), 3: make_field(3, 2),
-              4: make_field(2, 4), 5: make_field(5, 2)}
+    fields = {2: FiniteField(2, 2), 3: FiniteField(3, 2),
+              4: FiniteField(2, 4), 5: FiniteField(5, 2)}
     for (ell, m), g in table.items():
         assert genus(TowerSpec("gs96", fields[ell], m)) == g
     # hermitian level of the xz-tower: l(l-1)/2
@@ -128,7 +146,7 @@ def test_evaluate_examples(gf9):
                                           ("gs96", (2, 4), 2), ("gs95", (5, 2), 2)])
 def test_zero_counts_respect_pole_degree(variant, pk, m):
     """Number of zeros of f - v never exceeds the declared pole degree."""
-    f = make_field(*pk)
+    f = FiniteField(*pk)
     spec = TowerSpec(variant, f, m)
     places = spec.places()
     rng = random.Random(hash((variant, pk, m)) & 0xFFFF)
