@@ -23,10 +23,11 @@ print(f"degree budget {code.dims.budget}, per-generator caps {code.dims.caps}")
 print(f"dim V1={code.dims.dim_v1} dim V2={code.dims.dim_v2} "
       f"dim(V1+V2)={code.dims.dim_sum}")
 
+# orbit(h)[:, j] lists the indices of place j's images, one per element of h
 base = code.places[0]
 print(f"\norbits of place {base.coords}:")
-print("  additive:      ", [q.coords for q in orbit(h1, base)])
-print("  multiplicative:", [q.coords for q in orbit(h2, base)])
+print("  additive:      ", [code.places[j].coords for j in orbit(h1)[:, base.index]])
+print("  multiplicative:", [code.places[j].coords for j in orbit(h2)[:, base.index]])
 
 report = verify_code(code)
 print("\nverification:", "OK" if report.ok else "FAILED")

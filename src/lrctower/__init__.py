@@ -33,7 +33,6 @@ from .groups import (
     build_recovery_group,
     combine,
     orbit,
-    orbits_disjoint,
 )
 from .repair import (
     ErasurePattern,
@@ -83,7 +82,6 @@ __all__ = [
     "load_code",
     "norm_one_group",
     "orbit",
-    "orbits_disjoint",
     "pole_degree",
     "regimes",
     "repair",

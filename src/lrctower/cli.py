@@ -32,6 +32,21 @@ def _field_for_ell(ell: int):
     return FiniteField(p, 2 * w)
 
 
+def _integer(what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} {text!r} is not an integer") from None
+
+
+def _flagged(flag: str, text: str, parse):
+    """parse(text), with a ValueError refused by the flag and its value."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {text!r}: {exc}") from None
+
+
 def parse_group_spec(spec: TowerSpec, text: str) -> RecoveryGroup:
     """Mini-language: add:kernel | add:gens=a,b | mul:ORDER | norm1:ORDER."""
     kind, _, rest = text.partition(":")
@@ -39,17 +54,17 @@ def parse_group_spec(spec: TowerSpec, text: str) -> RecoveryGroup:
         if rest == "kernel":
             return build_recovery_group(spec, ADDITIVE, shifts="kernel")
         if rest.startswith("gens="):
-            gens = [int(x) for x in rest[len("gens="):].split(",") if x]
+            gens = [_integer("shift", x) for x in rest[len("gens="):].split(",") if x]
             return build_recovery_group(spec, ADDITIVE, shifts=gens)
-        raise ValueError(f"bad additive group spec {text!r}")
+        raise ValueError("an additive group is add:kernel or add:gens=a,b")
     if kind == "mul":
         if spec.variant != GS96:
             raise VariantMismatch("xz-tower scalars are norm-one elements; use norm1:ORDER")
-        return build_recovery_group(spec, MULTIPLICATIVE, order=int(rest))
+        return build_recovery_group(spec, MULTIPLICATIVE, order=_integer("order", rest))
     if kind == "norm1":
         if spec.variant != GS95:
             raise VariantMismatch("norm1 groups live on the xz-tower; use mul:ORDER")
-        return build_recovery_group(spec, MULTIPLICATIVE, order=int(rest))
+        return build_recovery_group(spec, MULTIPLICATIVE, order=_integer("order", rest))
     raise ValueError(f"unknown group kind {kind!r}")
 
 
@@ -79,8 +94,8 @@ def _enum_cap() -> int:
 def cmd_construct(args) -> int:
     fld = _field_for_ell(args.ell)
     spec = TowerSpec(args.variant, fld, args.m)
-    g1 = parse_group_spec(spec, args.group1)
-    g2 = parse_group_spec(spec, args.group2)
+    g1 = _flagged("--group1", args.group1, lambda text: parse_group_spec(spec, text))
+    g2 = _flagged("--group2", args.group2, lambda text: parse_group_spec(spec, text))
     regime = validate_regime(spec, g1, g2)
     code = construct_lrc(spec, g1, g2, args.distance)
     write_descriptor(code, args.out, seed=args.seed)
@@ -134,7 +149,9 @@ def cmd_repair_demo(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    rs = [int(x) for x in args.r.split(",") if x]
+    if args.t < 1:
+        raise ValueError("availability must be >= 1")
+    rs = _flagged("--r", args.r, lambda text: [_integer("locality", x) for x in text.split(",") if x])
     if len(rs) == 1 and args.t > 1:
         rs = rs * args.t
     if len(rs) != args.t:

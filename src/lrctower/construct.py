@@ -47,8 +47,8 @@ import numpy as np
 from . import gflinalg
 from .errors import BudgetTooSmall, EmptyCode, IllegalOrder
 from .field import FiniteField
-from .groups import ADDITIVE, MULTIPLICATIVE, RecoveryGroup, combine, orbit
-from .tower import GS95, GS96, MonomialFunction, Place, TowerSpec, evaluate_vec, pole_degree
+from .groups import ADDITIVE, MULTIPLICATIVE, RecoveryGroup, combine, orbit, scaled_generators
+from .tower import GS96, MonomialFunction, Place, TowerSpec, evaluate_vec, pole_degree
 
 
 def spanning_set(spec: TowerSpec, group: RecoveryGroup, budget: int) -> tuple[MonomialFunction, ...]:
@@ -84,7 +84,7 @@ def spanning_set(spec: TowerSpec, group: RecoveryGroup, budget: int) -> tuple[Mo
                     )
     elif group.kind == MULTIPLICATIVE:
         u = group.order
-        scaled = range(m) if spec.variant == GS96 else (0,)
+        scaled = scaled_generators(spec.variant, m)
         for tvec in product(*(range(b + 1) for b in bounds)):
             if sum(weights[i] * t for i, t in enumerate(tvec)) > budget:
                 continue
@@ -273,17 +273,15 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
         if gflinalg.rank(fld, np.vstack([evals[r], basis])) != len(b):
             raise AssertionError("intersection basis escaped a factor space")
 
+    # place i's recovery sets: column i of each orbit table, less i itself
     recovery = []
-    for p in places:
-        sets = []
-        for g in (h1, h2):
-            idx = tuple(q.index for q in orbit(g, p) if q.index != p.index)
-            if len(idx) != g.r or p.index in idx:
-                raise AssertionError("malformed recovery orbit")
-            sets.append(idx)
+    for i, cols in enumerate(zip(orbit(h1).T.tolist(), orbit(h2).T.tolist())):
+        sets = tuple(tuple(x for x in col if x != i) for col in cols)
+        if (len(sets[0]), len(sets[1])) != (h1.r, h2.r):
+            raise AssertionError("malformed recovery orbit")
         if set(sets[0]) & set(sets[1]):
             raise AssertionError("recovery sets overlap")
-        recovery.append((sets[0], sets[1]))
+        recovery.append(sets)
 
     dims = CodeDims(dim_v1=len(b1), dim_v2=len(b2), dim_sum=dim_sum, budget=budget, caps=caps)
     return LrcCode(

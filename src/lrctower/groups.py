@@ -1,4 +1,4 @@
-"""Recovery groups acting on tower places, and their orbits.
+"""Recovery groups acting on tower places, and their orbit tables.
 
 y-tower automorphisms are pairs (c, a) with c in GF(l)* and a in the
 Artin-Schreier kernel, acting on a place tuple by
@@ -10,13 +10,16 @@ kernel, acting by (a_1, ..., a_m) -> (s*a_1, a_2, ..., a_m + a).
 
 A recovery group is either additive (scalar part trivial, shifts form an
 additive subgroup W of the kernel) or multiplicative (shift part trivial,
-scalars form a cyclic group).  Orbits of evaluation places under these
-groups become the per-coordinate recovery sets of the codes.
+scalars form a cyclic group).  ``orbit`` acts with a whole group on the
+coordinate array of the places at once; each column of its table is one
+place's orbit, and becomes that coordinate's recovery set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     IllegalOrder,
@@ -26,10 +29,21 @@ from .errors import (
     VariantMismatch,
 )
 from .field import FiniteField, artin_schreier_kernel, norm_one_group, subfield_units
-from .tower import GS95, GS96, Place, TowerSpec
+from .tower import GS95, GS96, TowerSpec
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
+
+
+def scaled_generators(variant: str, m: int) -> range:
+    """The generators a scalar multiplies: every y_i on the y-tower, only
+    x_1 on the xz-tower."""
+    return range(m) if variant == GS96 else range(1)
+
+
+def _scales_shift(variant: str) -> bool:
+    """Whether a scalar multiplies the shifted generator: the last one, at m = 2 on the xz-tower."""
+    return 1 in scaled_generators(variant, 2)
 
 
 @dataclass(frozen=True)
@@ -49,42 +63,21 @@ class Automorphism:
 
 
 def compose(s: Automorphism, t: Automorphism) -> Automorphism:
-    """Composition as field maps: (s o t)(z) = s(t(z))."""
+    """Composition as field maps: (s o t)(z) = s(t(z)).  On the shifted
+    generator t(z) = c_t z + a_t, with c_t = 1 where scalars leave it
+    alone, so s o t shifts by c_t a_s + a_t."""
     if (s.variant, s.field) != (t.variant, t.field):
         raise VariantMismatch("cannot compose automorphisms of different towers")
     f = s.field
-    if s.variant == GS96:
-        # t(y_m) = c_t y_m + a_t, then apply s: scalar c_s c_t, shift c_t a_s + a_t
-        return Automorphism(GS96, f.mul(s.scalar, t.scalar),
-                            f.add(f.mul(t.scalar, s.shift), t.shift), f)
-    return Automorphism(GS95, f.mul(s.scalar, t.scalar), f.add(s.shift, t.shift), f)
+    lift = t.scalar if _scales_shift(s.variant) else 1
+    return Automorphism(s.variant, f.mul(s.scalar, t.scalar), f.add(f.mul(lift, s.shift), t.shift), f)
 
 
 def inverse(s: Automorphism) -> Automorphism:
     f = s.field
     ci = f.inv(s.scalar)
-    if s.variant == GS96:
-        return Automorphism(GS96, ci, f.neg(f.mul(ci, s.shift)), f)
-    return Automorphism(GS95, ci, f.neg(s.shift), f)
-
-
-def apply(s: Automorphism, place: Place) -> Place:
-    """Image place under the group action (one fixed convention)."""
-    spec = place.spec
-    if s.variant != spec.variant or s.field != spec.field:
-        raise VariantMismatch("automorphism and place live on different towers")
-    f = s.field
-    co = place.coords
-    if s.variant == GS96:
-        new = tuple(f.mul(s.scalar, a) for a in co[:-1])
-        new = new + (f.add(f.mul(s.scalar, co[-1]), s.shift),)
-    else:
-        if s.shift and len(co) < 2:
-            raise UnsupportedDepth("additive shifts need level m >= 2 on the xz-tower")
-        new = (f.mul(s.scalar, co[0]),) + co[1:-1]
-        if len(co) > 1:
-            new = new + (f.add(co[-1], s.shift),)
-    return Place(coords=new, spec=spec, index=spec.place_index(new))
+    lift = ci if _scales_shift(s.variant) else 1
+    return Automorphism(s.variant, ci, f.neg(f.mul(lift, s.shift)), f)
 
 
 @dataclass(frozen=True)
@@ -97,8 +90,9 @@ class RecoveryGroup:
 
     @property
     def w_index(self) -> int:
-        """Index of the repair variable w: x_1 under xz-tower scalars, the last generator otherwise."""
-        return 0 if self.kind == MULTIPLICATIVE and self.spec.variant == GS95 else self.spec.m - 1
+        """Index of the repair variable w: the last generator the group moves."""
+        scaled = scaled_generators(self.spec.variant, self.spec.m)
+        return scaled[-1] if self.kind == MULTIPLICATIVE else self.spec.m - 1
 
     @property
     def order(self) -> int:
@@ -181,63 +175,61 @@ def build_recovery_group(spec: TowerSpec, kind: str, *, shifts=None, order: int 
     raise ValueError(f"unknown recovery-group kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class CombinedGroup:
-    """Product group H1*H2 with its structure report."""
-
-    elements: tuple[Automorphism, ...]
-    structure: str  # "direct" | "semidirect"
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def combine(h1: RecoveryGroup, h2: RecoveryGroup) -> CombinedGroup:
-    """Form G = H1*H2, checking that it is a group of order |H1|*|H2|.
+def combine(h1: RecoveryGroup, h2: RecoveryGroup) -> str:
+    """Check that G = H1*H2 is a group of order |H1|*|H2|; return "direct" or "semidirect".
 
     H1 and H2 are subgroups, as ``build_recovery_group`` builds every
-    RecoveryGroup.  One pass over H1 x H2 requires t^-1 s t in H1 for s in
-    H1, t in H2.  That alone makes G a group: if H2 normalizes H1, then
-    (ab)(a'b') = a (b a' b^-1) (b b') lies in H1*H2.  The pair is direct iff
-    every such conjugate is s itself.
+    RecoveryGroup; meeting only in the identity, they give |H1|*|H2|
+    distinct products.  One pass over H1 x H2 requires t^-1 s t in H1 for
+    s in H1, t in H2.  That makes G a group: if H2 normalizes H1, then
+    (ab)(a'b') = a (b a' b^-1) (b b') lies in H1*H2.  The pair is direct
+    iff every such conjugate is s itself.
     """
     if h1.spec != h2.spec:
         raise VariantMismatch("recovery groups built for different towers")
     s1 = {(e.scalar, e.shift) for e in h1.elements}
     inter = s1 & {(e.scalar, e.shift) for e in h2.elements}
     if inter != {(1, 0)}:
-        raise NontrivialIntersection(
-            f"groups share {len(inter)} elements; only the identity is allowed"
-        )
-    products = {}
+        raise NontrivialIntersection(f"groups share {len(inter)} elements; only the identity is allowed")
     direct = True
     for t in h2.elements:
         t_inv = inverse(t)
         for s in h1.elements:
-            g = compose(s, t)
-            products[(g.scalar, g.shift)] = g
-            conj = compose(t_inv, g)  # t^-1 s t
+            conj = compose(t_inv, compose(s, t))  # t^-1 s t
             if (conj.scalar, conj.shift) not in s1:
                 raise NotASubgroup("H2 does not normalize H1")
             direct = direct and (conj.scalar, conj.shift) == (s.scalar, s.shift)
-    if len(products) != h1.order * h2.order:
-        raise NontrivialIntersection("product set is smaller than |H1|*|H2|")
-    ordered = tuple(products[k] for k in sorted(products))
-    return CombinedGroup(ordered, "direct" if direct else "semidirect")
+    return "direct" if direct else "semidirect"
 
 
-def orbit(h: RecoveryGroup, place: Place) -> list[Place]:
-    """[g(P) for g in H]; always |H| distinct places (the action is free)."""
-    out = [apply(g, place) for g in h.elements]
-    coords = {p.coords for p in out}
-    if len(coords) != len(out):
-        raise NotASubgroup("orbit collapsed: action is not free on this place")
-    return out
+def orbit(h: RecoveryGroup) -> np.ndarray:
+    """Table (|H|, n) of H on the canonical places: [e, j] indexes the e-th
+    element's image of place j, so column j is place j's orbit.
 
-
-def orbits_disjoint(h1: RecoveryGroup, h2: RecoveryGroup, place: Place) -> bool:
-    """True iff the two orbits of ``place`` meet only in ``place`` itself."""
-    o1 = {p.coords for p in orbit(h1, place)}
-    o2 = {p.coords for p in orbit(h2, place)}
-    return o1 & o2 == {place.coords}
+    Image rows are found by their base-q keys, which sort like the places.
+    An image off the tower or a collapsed orbit (the action is not free)
+    raises NotASubgroup naming the elements."""
+    spec = h.spec
+    f = spec.field
+    places = spec.places()
+    coords = np.array([p.coords for p in places], dtype=np.int64)
+    weights = f.q ** np.arange(spec.m - 1, -1, -1, dtype=np.int64)
+    keys = coords @ weights
+    scaled = list(scaled_generators(spec.variant, spec.m))
+    images = np.repeat(coords[None], h.order, axis=0)
+    images[:, :, scaled] = f.vec_mul(np.array(h.scalars)[:, None, None], images[:, :, scaled])
+    images[:, :, -1] = f.vec_add(images[:, :, -1], np.array(h.shifts)[:, None])
+    image_keys = images @ weights
+    table = np.searchsorted(keys, image_keys).clip(max=len(places) - 1)
+    off = keys[table] != image_keys
+    if off.any():
+        e, j = np.argwhere(off)[0]
+        raise NotASubgroup(f"{h.elements[e]!r} maps place {places[j].coords} off the tower")
+    ranked = np.sort(table, axis=0)
+    repeats = np.argwhere(ranked[1:] == ranked[:-1])
+    if len(repeats):
+        i, j = repeats[0]
+        a, b = np.flatnonzero(table[:, j] == ranked[i, j])[:2]
+        raise NotASubgroup(f"orbit of place {places[j].coords} collapsed: {h.elements[a]!r} "
+                           f"and {h.elements[b]!r} map it to the same place")
+    return table

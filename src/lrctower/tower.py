@@ -77,13 +77,6 @@ class TowerSpec:
     def _places(self) -> list["Place"]:
         return _enumerate(self)
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {p.coords: p.index for p in self.places()}
-
-    def place_index(self, coords: tuple[int, ...]) -> int:
-        return self._index[coords]
-
 
 @dataclass(frozen=True)
 class Place:

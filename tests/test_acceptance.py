@@ -21,7 +21,7 @@ from lrctower import (
     construct_lrc,
     genus,
     gs_line,
-    orbits_disjoint,
+    orbit,
     regimes,
     rpdv_bound,
     singleton_lrc,
@@ -32,7 +32,7 @@ from lrctower import (
 )
 from lrctower.descriptor import code_from_descriptor, code_to_descriptor
 from lrctower.errors import DenominatorZero
-from lrctower.groups import apply, compose, inverse
+from lrctower.groups import compose, inverse
 from lrctower.repair import repair_roundtrip_counts
 
 from conftest import all_codewords
@@ -79,7 +79,8 @@ def test_c2_tower_level_code():
     d = brute_force_distance(code)
     words = all_codewords(code)  # 9^k <= 10^4: every codeword
     mismatches = repair_roundtrip_counts(code, words)
-    disjoint = all(orbits_disjoint(h1, h2, p) for p in code.places)
+    t1, t2 = orbit(h1), orbit(h2)
+    disjoint = all(set(t1[:, j]) & set(t2[:, j]) == {j} for j in range(code.params.n))
     elapsed = time.perf_counter() - t0
     ok = (
         code.params.n == 18
@@ -121,17 +122,18 @@ def test_c4_group_structure_suite():
         for m in (1, 2):
             spec = TowerSpec("gs96", fld, m)
             h1, h2 = _mixed_pair(spec)
-            g = combine(h1, h2)
-            assert g.order == h1.order * h2.order == (h1.r + 1) * (h2.r + 1)
+            assert combine(h1, h2) == "semidirect"
             for s in h1.elements:
                 for t in h2.elements:
                     conj = compose(compose(inverse(t), s), t)
                     assert conj.scalar == 1
                     assert conj.shift == fld.mul(t.scalar, s.shift)
                     checked_pairs += 1
-            for p in spec.places():
-                images = {apply(x, p).coords for x in g.elements}
-                assert len(images) == g.order
+            # G acts freely: the images t(s(P)) of each place (s in H1, t in
+            # H2), read off the two orbit tables, are |H1|*|H2| distinct places
+            t1, t2 = orbit(h1), orbit(h2)
+            for j in range(len(spec.places())):
+                assert len(set(t2[:, t1[:, j]].ravel().tolist())) == h1.order * h2.order
                 checked_orbits += 1
     elapsed = time.perf_counter() - t0
     ok = elapsed < 5.0

@@ -208,6 +208,37 @@ def test_group_spec_language_errors(tmp_path, capsys):
     assert main(args) == 1
 
 
+@pytest.mark.parametrize("variant, flag, spec, message", [
+    ("gs96", "--group2", "mul:abc", "order 'abc' is not an integer"),
+    ("gs96", "--group2", "mul:", "order '' is not an integer"),
+    ("gs96", "--group2", "add:gens=3,x", "shift 'x' is not an integer"),
+    ("gs96", "--group2", "add:three", "an additive group is add:kernel or add:gens=a,b"),
+    ("gs96", "--group1", "sub:2", "unknown group kind 'sub'"),
+    ("gs95", "--group1", "norm1:2.5", "order '2.5' is not an integer"),
+])
+def test_construct_refuses_bad_group_spec_by_flag(tmp_path, capsys, variant, flag, spec, message):
+    out = tmp_path / "x.json"
+    ell, group1, group2 = ("3", "add:kernel", "mul:2") if variant == "gs96" else ("5", "norm1:2", "norm1:3")
+    group1, group2 = (spec, group2) if flag == "--group1" else (group1, spec)
+    assert main(["construct", "--variant", variant, "--ell", ell, "--m", "1", "--group1", group1,
+                 "--group2", group2, "--distance", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {flag} {spec!r}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t, r, message", [
+    ("2", "2,x", "--r '2,x': locality 'x' is not an integer"),
+    ("0", ",", "availability must be >= 1"),
+    ("-1", "2", "availability must be >= 1"),
+    ("1", ",", "length of --r must equal --t"),
+])
+def test_bounds_refuses_bad_localities_by_flag(capsys, t, r, message):
+    assert main(["bounds", "--n", "18", "--k", "8", "--t", t, "--r", r]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_regime_violation_message_names_condition(tmp_path, capsys):
     # scalar order 4 does not divide gcd(kernel size - 1, l - 1) = 4? use l=5:
     # additive kernel has order 5, scalars order 2 -> gcd(4, 4): fine; order 4 fine;

@@ -564,7 +564,7 @@ def test_scalar_pair_on_y_tower_gf49():
     h2 = build_recovery_group(spec, "multiplicative", order=3)
     from lrctower import combine, verify_code
 
-    assert combine(h1, h2).structure == "direct"
+    assert combine(h1, h2) == "direct"
     code = construct_lrc(spec, h1, h2, 30)
     assert code.params.n == 42 and (code.params.r1, code.params.r2) == (1, 2)
     assert code.params.k >= 2

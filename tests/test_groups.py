@@ -1,19 +1,21 @@
 import dataclasses
 import itertools
+import re
 
+import numpy as np
 import pytest
 
 from lrctower import (
     FiniteField,
+    RecoveryGroup,
     TowerSpec,
     artin_schreier_kernel,
     build_recovery_group,
     combine,
     orbit,
-    orbits_disjoint,
 )
 from lrctower.errors import IllegalOrder, LrcError, NontrivialIntersection, NotASubgroup, UnsupportedDepth
-from lrctower.groups import Automorphism, apply, compose, inverse
+from lrctower.groups import Automorphism, compose, inverse
 
 
 def test_builders_gf9(gf9):
@@ -73,30 +75,36 @@ def test_additive_closure_from_generators(gf16):
 
 
 def test_apply_worked_example(gf9):
+    """sigma = (2, 3) scales both coordinates, then shifts the last one."""
     spec = TowerSpec("gs96", gf9, 2)
     places = spec.places()
     p = next(x for x in places if x.coords[0] == 1)
     sigma = Automorphism("gs96", 2, 3, gf9)
-    img = apply(sigma, p)
-    assert img.coords == (2, gf9.add(gf9.mul(2, p.coords[1]), 3))
-    assert apply(Automorphism("gs96", 1, 0, gf9), p) == p
+    table = orbit(RecoveryGroup("multiplicative", spec, (Automorphism("gs96", 1, 0, gf9), sigma)))
+    assert places[table[1, p.index]].coords == (2, gf9.add(gf9.mul(2, p.coords[1]), 3))
+    assert table[0, p.index] == p.index
 
 
 def test_apply_preserves_membership(gf9, gf25):
-    spec = TowerSpec("gs96", gf9, 2)
-    h1 = build_recovery_group(spec, "additive", shifts="kernel")
-    h2 = build_recovery_group(spec, "multiplicative", order=2)
-    for p in spec.places():
-        for g in h1.elements + h2.elements:
-            apply(g, p)  # place_index lookup raises if the image left the set
+    """Every element permutes the places: each table row holds every index once."""
+    for spec, kinds in ((TowerSpec("gs96", gf9, 2), {"shifts": "kernel", "order": 2}),
+                        (TowerSpec("gs95", gf25, 2), {"shifts": "kernel", "order": 3})):
+        n = len(spec.places())
+        for h in (build_recovery_group(spec, "additive", shifts=kinds["shifts"]),
+                  build_recovery_group(spec, "multiplicative", order=kinds["order"])):
+            table = orbit(h)
+            assert table.shape == (h.order, n)
+            assert (np.sort(table, axis=1) == np.arange(n)).all()
 
 
 def test_group_axioms_and_composition(gf9):
     spec = TowerSpec("gs96", gf9, 2)
     h1 = build_recovery_group(spec, "additive", shifts="kernel")
     h2 = build_recovery_group(spec, "multiplicative", order=2)
-    elems = combine(h1, h2).elements
+    assert combine(h1, h2) == "semidirect"
+    elems = [compose(s, t) for s in h1.elements for t in h2.elements]
     keyset = {(g.scalar, g.shift) for g in elems}
+    assert len(keyset) == h1.order * h2.order == 6
     for a in elems:
         assert (inverse(a).scalar, inverse(a).shift) in keyset
         for b in elems:
@@ -113,8 +121,7 @@ def test_semidirect_conjugation_identity(gf9):
     spec = TowerSpec("gs96", gf9, 2)
     h1 = build_recovery_group(spec, "additive", shifts="kernel")
     h2 = build_recovery_group(spec, "multiplicative", order=2)
-    g = combine(h1, h2)
-    assert g.order == 6 and g.structure == "semidirect"
+    assert combine(h1, h2) == "semidirect"
     for s in h1.elements:
         for t in h2.elements:
             conj = compose(compose(inverse(t), s), t)
@@ -146,13 +153,14 @@ def test_combine_direct_product_gf64_additive_pair():
     w1 = build_recovery_group(spec, "additive", shifts=ker[:2])
     leftover = [a for a in ker if a not in w1.shifts]
     w2 = build_recovery_group(spec, "additive", shifts=leftover[:1])
-    g = combine(w1, w2)
-    assert g.order == 8 and g.structure == "direct"
+    assert combine(w1, w2) == "direct"
+    assert len({compose(s, t).shift for s in w1.elements for t in w2.elements}) == 8
 
 
 def _closure_combine(h1, h2):
     """Reference for ``combine``: sweep all |G|^2 products of G = H1*H2 for
-    closure, then survey t^-1 s t over s in H1, t in H2."""
+    closure, then survey t^-1 s t over s in H1, t in H2; returns the
+    structure."""
     s1 = {(e.scalar, e.shift) for e in h1.elements}
     if s1 & {(e.scalar, e.shift) for e in h2.elements} != {(1, 0)}:
         raise NontrivialIntersection("the groups share more than the identity")
@@ -175,7 +183,7 @@ def _closure_combine(h1, h2):
             if (conj.scalar, conj.shift) not in s1:
                 raise NotASubgroup("H2 does not normalize H1")
             all_fixed = all_fixed and (conj.scalar, conj.shift) == (s.scalar, s.shift)
-    return tuple(products[k] for k in sorted(products)), "direct" if all_fixed else "semidirect"
+    return "direct" if all_fixed else "semidirect"
 
 
 def _canonical_subgroups(spec):
@@ -192,26 +200,27 @@ def _canonical_subgroups(spec):
                                     for d in range(1, ambient + 1) if ambient % d == 0]
 
 
+SWEEP_FIELDS = [(3, 2), (2, 4), (5, 2), (2, 6)]
+SWEEP = [*itertools.product(["gs96"], SWEEP_FIELDS, [1, 2]), *itertools.product(["gs95"], SWEEP_FIELDS, [2])]
+
+
 def _outcome(combiner, h1, h2):
     try:
-        g = combiner(h1, h2)
+        return combiner(h1, h2)
     except LrcError as exc:
         return type(exc)
-    return g if isinstance(g, tuple) else (g.elements, g.structure)
 
 
 def test_combine_matches_closure_sweep():
     """On every ordered pair of canonical subgroups, ``combine`` raises the
-    class the closure sweep raises, or forms the same G with the same
-    structure."""
+    class the closure sweep raises, or reports the same structure."""
     seen = set()
-    for variant, (p, e), m in [*itertools.product(["gs96"], [(3, 2), (2, 4), (5, 2), (2, 6)], [1, 2]),
-                               *itertools.product(["gs95"], [(3, 2), (2, 4), (5, 2), (2, 6)], [2])]:
+    for variant, (p, e), m in SWEEP:
         subgroups = _canonical_subgroups(TowerSpec(variant, FiniteField(p, e), m))
         for h1, h2 in itertools.product(subgroups, repeat=2):
             want = _outcome(_closure_combine, h1, h2)
             assert _outcome(combine, h1, h2) == want, (variant, p, e, m, h1, h2)
-            seen.add(want if isinstance(want, type) else want[1])
+            seen.add(want)
     assert seen == {NontrivialIntersection, NotASubgroup, "direct", "semidirect"}
 
 
@@ -219,28 +228,80 @@ def test_orbit_sizes_and_w_separation(gf9):
     spec = TowerSpec("gs96", gf9, 2)
     h1 = build_recovery_group(spec, "additive", shifts="kernel")
     h2 = build_recovery_group(spec, "multiplicative", order=2)
-    for p in spec.places():
-        for h in (h1, h2):
-            orb = orbit(h, p)
-            assert len({x.coords for x in orb}) == h.order
-            wvals = [x.coords[h.w_index] for x in orb]
+    places = spec.places()
+    t1, t2 = orbit(h1), orbit(h2)
+    for j in range(len(places)):
+        for h, t in ((h1, t1), (h2, t2)):
+            assert len(set(t[:, j])) == h.order
+            wvals = [places[i].coords[h.w_index] for i in t[:, j]]
             assert len(set(wvals)) == len(wvals)
-        assert orbits_disjoint(h1, h2, p)
+        assert set(t1[:, j]) & set(t2[:, j]) == {j}
 
 
 def test_orbits_disjoint_hermitian(gf25):
     spec = TowerSpec("gs95", gf25, 2)
     h1 = build_recovery_group(spec, "multiplicative", order=2)
     h2 = build_recovery_group(spec, "multiplicative", order=3)
-    assert combine(h1, h2).structure == "direct"
-    for p in spec.places():
-        assert orbits_disjoint(h1, h2, p)
+    assert combine(h1, h2) == "direct"
+    t1, t2 = orbit(h1), orbit(h2)
+    for j in range(len(spec.places())):
+        assert set(t1[:, j]) & set(t2[:, j]) == {j}
 
 
 def test_orbit_worked_example(gf9):
     spec = TowerSpec("gs96", gf9, 2)
     h1 = build_recovery_group(spec, "additive", shifts="kernel")
     p = next(x for x in spec.places() if x.coords[0] == 4)  # 1 + t
-    orb = {x.coords for x in orbit(h1, p)}
+    orb = {spec.places()[j].coords for j in orbit(h1)[:, p.index]}
     a2 = p.coords[1]
     assert orb == {(4, a2), (4, gf9.add(a2, 3)), (4, gf9.add(a2, 6))}
+
+
+def _image(spec, g, coords):
+    """g(P) by the closed form of the module docstring, one place at a time."""
+    f = spec.field
+    if spec.variant == "gs96":
+        return tuple(f.mul(g.scalar, a) for a in coords[:-1]) + (f.add(f.mul(g.scalar, coords[-1]), g.shift),)
+    if len(coords) == 1:
+        return (f.mul(g.scalar, coords[0]),)
+    return (f.mul(g.scalar, coords[0]), *coords[1:-1], f.add(coords[-1], g.shift))
+
+
+def test_orbit_matches_closed_form_action():
+    """On every canonical subgroup of the sweep grid and of gs96 at m = 3,
+    entry [e, j] of the orbit table indexes the e-th element's image of
+    place j, and every column is a free orbit: |H| distinct places, j among
+    them."""
+    checked = 0
+    for variant, (p, e), m in [*SWEEP, *itertools.product(["gs96"], SWEEP_FIELDS, [3])]:
+        spec = TowerSpec(variant, FiniteField(p, e), m)
+        places = spec.places()
+        index = {x.coords: x.index for x in places}
+        for h in _canonical_subgroups(spec):
+            table = orbit(h)
+            assert table.shape == (h.order, len(places))
+            for g, row in zip(h.elements, table.tolist()):
+                assert row == [index[_image(spec, g, x.coords)] for x in places], (spec, h, g)
+            for j, col in enumerate(table.T.tolist()):
+                assert len(set(col)) == h.order and j in col
+            checked += 1
+    assert checked == 139
+
+
+def test_orbit_refuses_off_tower_images_and_collapsed_orbits(gf9, gf25):
+    """An element that maps a place off the tower, or two elements that map
+    one place to the same image, raise NotASubgroup naming the elements."""
+    one = Automorphism("gs96", 1, 0, gf9)
+    y1, y2 = TowerSpec("gs96", gf9, 1), TowerSpec("gs96", gf9, 2)
+    off = [(y1, Automorphism("gs96", 3, 0, gf9)),  # 3 is in the kernel, not in GF(3)*
+           (y2, Automorphism("gs96", 4, 0, gf9)),  # 4 is outside GF(3)*: y_2 leaves the recursion
+           (y1, Automorphism("gs96", 1, 1, gf9))]  # 1 is outside the kernel
+    for spec, g in off:
+        with pytest.raises(NotASubgroup, match=re.escape(f"{g!r} maps place (")):
+            orbit(RecoveryGroup("multiplicative", spec, (one, g)))
+    with pytest.raises(NotASubgroup, match=re.escape(f"collapsed: {one!r} and {one!r} map it")):
+        orbit(RecoveryGroup("multiplicative", y1, (one, one)))
+    spec = TowerSpec("gs95", gf25, 2)
+    s = next(c for c in build_recovery_group(spec, "multiplicative", order=3).scalars if c != 1)
+    with pytest.raises(NotASubgroup, match="collapsed"):
+        orbit(RecoveryGroup("multiplicative", spec, (Automorphism("gs95", s, 0, gf25),) * 2))

@@ -51,7 +51,7 @@ def test_spec_holds_only_its_inputs(gf9, monkeypatch):
     enumerate_places = tower._enumerate
     monkeypatch.setattr(tower, "_enumerate", lambda spec: calls.append(spec) or enumerate_places(spec))
     for spec in (a, a, b):
-        assert spec.place_index(spec.places()[5].coords) == 5
+        assert spec.places()[5].index == 5
     assert len(calls) == 2 and calls[0] is a and calls[1] is b
 
 
