@@ -13,7 +13,7 @@ for m in (1, 2, 3):
     print(f"  level {m}: {len(places)} places (closed form {expect}), genus {genus(spec)}")
 
 spec2 = TowerSpec("gs96", f9, 2)
-print("  first five level-2 places:", [p.coords for p in spec2.places()[:5]])
+print("  first five level-2 places:", [tuple(row) for row in spec2.places()[:5].tolist()])
 print("  (each tuple solves a^l + a = prev^l/(prev^(l-1)+1) level by level)")
 
 f25 = FiniteField(5, 2)

@@ -30,9 +30,9 @@ v1 = spanning_set(spec, h1, budget=4)
 v2 = spanning_set(spec, h2, budget=4)
 print(f"\n|V1| = {len(v1)} spanning functions, |V2| = {len(v2)}")
 print("V1 evaluations on the 6 places:")
-print(evaluation_matrix(v1, spec.places()))
+print(evaluation_matrix(v1, spec.places(), f9))
 print("V2 evaluations:")
-print(evaluation_matrix(v2, spec.places()))
+print(evaluation_matrix(v2, spec.places(), f9))
 
 code = construct_lrc(spec, h1, h2, d_target=2)
 print(f"\ncode parameters: n={code.params.n} k={code.params.k} "

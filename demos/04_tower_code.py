@@ -24,10 +24,10 @@ print(f"dim V1={code.dims.dim_v1} dim V2={code.dims.dim_v2} "
       f"dim(V1+V2)={code.dims.dim_sum}")
 
 # orbit(h)[:, j] lists the indices of place j's images, one per element of h
-base = code.places[0]
-print(f"\norbits of place {base.coords}:")
-print("  additive:      ", [code.places[j].coords for j in orbit(h1)[:, base.index]])
-print("  multiplicative:", [code.places[j].coords for j in orbit(h2)[:, base.index]])
+places = [tuple(row) for row in spec.places().tolist()]
+print(f"\norbits of place {places[0]}:")
+print("  additive:      ", [places[j] for j in orbit(h1)[:, 0]])
+print("  multiplicative:", [places[j] for j in orbit(h2)[:, 0]])
 
 report = verify_code(code)
 print("\nverification:", "OK" if report.ok else "FAILED")

@@ -44,7 +44,6 @@ from .repair import (
 )
 from .tower import (
     MonomialFunction,
-    Place,
     TowerSpec,
     check_place,
     genus,
@@ -61,7 +60,6 @@ __all__ = [
     "LrcCode",
     "LrcError",
     "MonomialFunction",
-    "Place",
     "RecoveryGroup",
     "TowerSpec",
     "TradeoffLine",

@@ -40,11 +40,12 @@ def _integer(what: str, text: str) -> int:
 
 
 def _flagged(flag: str, text: str, parse):
-    """parse(text), with a ValueError refused by the flag and its value."""
+    """parse(text), with a ValueError or LrcError refused by the flag and its
+    value, in the error's own class."""
     try:
         return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"{flag} {text!r}: {exc}") from None
+    except (ValueError, LrcError) as exc:
+        raise type(exc)(f"{flag} {text!r}: {exc}") from None
 
 
 def parse_group_spec(spec: TowerSpec, text: str) -> RecoveryGroup:

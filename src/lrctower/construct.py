@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 
 import numpy as np
@@ -48,7 +48,7 @@ from . import gflinalg
 from .errors import BudgetTooSmall, EmptyCode, IllegalOrder
 from .field import FiniteField
 from .groups import ADDITIVE, MULTIPLICATIVE, RecoveryGroup, combine, orbit, scaled_generators
-from .tower import GS96, MonomialFunction, Place, TowerSpec, evaluate_vec, pole_degree
+from .tower import GS96, MonomialFunction, TowerSpec, pole_degree
 
 
 def spanning_set(spec: TowerSpec, group: RecoveryGroup, budget: int) -> tuple[MonomialFunction, ...]:
@@ -103,14 +103,37 @@ def spanning_set(spec: TowerSpec, group: RecoveryGroup, budget: int) -> tuple[Mo
     ))
 
 
-def evaluation_matrix(functions: Sequence[MonomialFunction], places: list[Place]) -> np.ndarray:
-    """Row per function, column per place, in the places' field's dtype."""
-    fld = places[0].spec.field
-    coords = np.array([p.coords for p in places], dtype=np.int64)
-    out = np.empty((len(functions), len(places)), dtype=fld.dtype)
-    for row, f in zip(out, functions):
-        row[:] = evaluate_vec(f, coords, fld)
+def evaluation_matrix(functions: Sequence[MonomialFunction], coords: np.ndarray, fld: FiniteField) -> np.ndarray:
+    """Row per function, column per row of the (n, m) place array ``coords``,
+    in ``fld.dtype``.
+
+    Each generator's powers are tabulated once, by repeated products, up to
+    the largest exponent it carries (the w-power folded into the w column),
+    and each distinct root set's g(w)^j likewise; a row is the product of its
+    gathered table rows.
+    """
+    exps = np.zeros((len(functions), coords.shape[1]), dtype=np.intp)
+    for row, f in zip(exps, functions):
+        row[:] = f.exponents
+        row[f.w_index] += f.w_power
+    out = reduce(fld.vec_mul, (_powers(fld, x, e.max(initial=0))[e] for x, e in zip(coords.T, exps.T)))
+    by_roots: dict[tuple, list[int]] = {}
+    for i, f in enumerate(functions):
+        if f.g_power and f.g_roots:
+            by_roots.setdefault((f.g_roots, f.w_index), []).append(i)
+    for (roots, w), rows in by_roots.items():
+        g = reduce(fld.vec_mul, (fld.vec_sub(coords[:, w], root) for root in roots))
+        j = [functions[i].g_power for i in rows]
+        out[rows] = fld.vec_mul(out[rows], _powers(fld, g, max(j))[j])
     return out
+
+
+def _powers(fld: FiniteField, x: np.ndarray, top: int) -> np.ndarray:
+    """(top + 1, len(x)) table of x^0, ..., x^top, by repeated products."""
+    table = np.ones((top + 1, len(x)), dtype=fld.dtype)
+    for e in range(1, top + 1):
+        table[e] = fld.vec_mul(table[e - 1], x)
+    return table
 
 
 @dataclass(frozen=True)
@@ -133,9 +156,10 @@ class CodeDims:
 
 @dataclass
 class LrcCode:
-    """Constructed code: generator matrix, places and recovery layout.
+    """Constructed code: generator matrix and recovery layout on the
+    places of ``spec``.
 
-    ``params`` is derived, not given: n is the place count, k the
+    ``params`` is derived, not given: n is the spec's place count, k the
     generator's row count and r1, r2 the groups' localities.  A generator
     without one column per place, ``recovery_sets`` without one entry per
     place, a ``d_designed`` outside [1, n] or a ``dims.budget`` other than
@@ -145,7 +169,6 @@ class LrcCode:
     spec: TowerSpec
     group1: RecoveryGroup
     group2: RecoveryGroup
-    places: list[Place]
     generator_matrix: np.ndarray
     recovery_sets: list[tuple[tuple[int, ...], tuple[int, ...]]]
     d_designed: int
@@ -153,7 +176,7 @@ class LrcCode:
     params: CodeParams = dc_field(init=False)
 
     def __post_init__(self):
-        n, (k, cols) = len(self.places), self.generator_matrix.shape
+        n, (k, cols) = len(self.spec.places()), self.generator_matrix.shape
         if cols != n:
             raise ValueError(f"params.n = {n} does not match the column count {cols} of generator_matrix")
         if len(self.recovery_sets) != n:
@@ -193,7 +216,7 @@ def _cap_profiles(spec: TowerSpec, budget: int) -> list[tuple[int, ...] | None]:
     return [None]
 
 
-def _union_rows(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, budget: int, places: list[Place]):
+def _union_rows(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, budget: int):
     """Both groups' spanning monomials, evaluated once, and every cap split's
     rows of them.
 
@@ -211,7 +234,7 @@ def _union_rows(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, budget: i
         (caps, tuple(rows if caps is None else rows[(exps <= caps).all(axis=1)] for rows, exps in indexed))
         for caps in _cap_profiles(spec, budget)
     ]
-    return splits, evaluation_matrix(union, places)
+    return splits, evaluation_matrix(union, spec.places(), spec.field)
 
 
 def _split_bases(fld: FiniteField, projected: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray, int]:
@@ -226,8 +249,7 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
     combine(h1, h2)  # validates the pair: trivial intersection, H2 normalizes H1
     if h1.order < 2 or h2.order < 2:
         raise IllegalOrder("recovery groups must have order >= 2")
-    places = spec.places()
-    n = len(places)
+    n = len(spec.places())
     if not 1 <= d_target <= n:
         raise ValueError(f"d_target must be in [1, {n}]")
     budget = n - d_target
@@ -240,7 +262,7 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
             )
 
     fld = spec.field
-    splits, evals = _union_rows(spec, h1, h2, budget, places)
+    splits, evals = _union_rows(spec, h1, h2, budget)
     reduced, pivots = gflinalg.rref(fld, evals)
     projected = evals[:, pivots]
     # k <= min(|rows1|, |rows2|); the stable sort keeps profile order among
@@ -284,7 +306,5 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
         recovery.append(sets)
 
     dims = CodeDims(dim_v1=len(b1), dim_v2=len(b2), dim_sum=dim_sum, budget=budget, caps=caps)
-    return LrcCode(
-        spec=spec, group1=h1, group2=h2, places=places,
-        generator_matrix=basis, recovery_sets=recovery, d_designed=d_target, dims=dims,
-    )
+    return LrcCode(spec=spec, group1=h1, group2=h2, generator_matrix=basis,
+                   recovery_sets=recovery, d_designed=d_target, dims=dims)

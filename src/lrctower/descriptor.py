@@ -10,7 +10,8 @@ other than ``coord``, ``set1`` and ``set2``.  The long lists (places,
 generator, recovery sets) are checked whole; their entries are walked only
 to name a failure.  The checks here name the JSON path at fault.  The field
 is rebuilt from ``field.p`` and ``field.k`` alone; ``field.modulus`` stays in
-the format and must be that field's modulus.
+the format and must be that field's modulus.  Likewise ``places`` must be the
+tower's canonical enumeration, which the code reads from its spec.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .construct import CodeDims, LrcCode
 from .field import FiniteField
 from .groups import ADDITIVE, MULTIPLICATIVE, build_recovery_group, combine
-from .tower import GS95, GS96, Place, TowerSpec
+from .tower import GS95, GS96, TowerSpec
 
 FORMAT = "lrc-descriptor/1"
 
@@ -122,14 +123,20 @@ def _group(desc, spec: TowerSpec, e: int):
     return g
 
 
-def _places(raw: list, spec: TowerSpec) -> list[Place]:
-    """One place per entry of ``raw``: m integer coordinates in [0, q)."""
+def _places(raw: list, spec: TowerSpec) -> None:
+    """Refuse ``raw`` unless it is the spec's canonical place list: each
+    entry m integer coordinates in [0, q), then entry by entry equal."""
     if not (all(type(co) is list and len(co) == spec.m for co in raw)
             and _ints_below(list(chain.from_iterable(raw)), spec.q)):
         for i, co in enumerate(raw):
             for c, x in enumerate(_check(co, f"places[{i}]", Ints(levels=True), spec.m)):
                 _in_range(x, f"places[{i}][{c}]", spec.q, "q")
-    return [Place(coords=tuple(co), spec=spec, index=i) for i, co in enumerate(raw)]
+    canonical = spec.places().tolist()
+    if raw != canonical:
+        for i, (co, want) in enumerate(zip(raw, canonical)):
+            if co != want:
+                raise ValueError(f"places[{i}] = {co} is not the canonical place {want}")
+        raise ValueError(f"places has {len(raw)} entries, the tower has {len(canonical)} places")
 
 
 def _generator(raw: list, q: int) -> np.ndarray:
@@ -181,7 +188,7 @@ def code_to_descriptor(code: LrcCode, seed: int = 0) -> dict:
         "tower": {"variant": spec.variant, "ell": spec.ell, "m": spec.m},
         "groups": [{"kind": g.kind, MEMBERS[g.kind]: [int(x) for x in getattr(g, MEMBERS[g.kind])]}
                    for g in (code.group1, code.group2)],
-        "places": [list(p.coords) for p in code.places],
+        "places": spec.places().tolist(),
         "generator_matrix": code.generator_matrix.tolist(),
         "recovery_sets": [{"coord": i, "set1": list(s1), "set2": list(s2)}
                           for i, (s1, s2) in enumerate(code.recovery_sets)],
@@ -213,13 +220,13 @@ def code_from_descriptor(desc: dict) -> LrcCode:
     g1, g2 = (_group(desc, spec, e) for e in (0, 1))
     if len(desc["groups"]) != 2:
         raise ValueError(f"groups must hold 2 entries, got {len(desc['groups'])}")
-    places = _places(_read(desc, "places"), spec)
+    _places(_read(desc, "places"), spec)
     gen = _generator(_read(desc, "generator_matrix"), fld.q)
-    recovery = _recovery(desc, _read(desc, "recovery_sets"), len(places))
+    recovery = _recovery(desc, _read(desc, "recovery_sets"), len(spec.places()))
     dims = CodeDims(**_block(desc, "dims", spec.m))
     p = _block(desc, "params")
     combine(g1, g2)  # validates the pair: trivial intersection, H2 normalizes H1
-    code = LrcCode(spec=spec, group1=g1, group2=g2, places=places, generator_matrix=gen,
+    code = LrcCode(spec=spec, group1=g1, group2=g2, generator_matrix=gen,
                    recovery_sets=recovery, d_designed=p["d_designed"], dims=dims)
     # the block must state what the code derives
     n, k = code.params.n, code.params.k

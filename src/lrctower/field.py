@@ -132,7 +132,6 @@ class FiniteField:
         self.modulus = (0, 1) if k == 1 else _first_irreducible(p, k)
         self.dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
         self._build_tables()
-        self._as_preimages: dict[int, list[int]] | None = None
 
     # -- encoding ----------------------------------------------------------
 
@@ -326,17 +325,6 @@ class FiniteField:
     def require_square(self):
         if self.ell is None:
             raise NotASquareField(f"GF({self.q}) is not of the form GF(l^2)")
-
-    def as_preimages(self) -> dict[int, list[int]]:
-        """Solutions of x^l + x = beta, keyed by beta (l = sqrt(q))."""
-        self.require_square()
-        if self._as_preimages is None:
-            table: dict[int, list[int]] = {}
-            for x in range(self.q):
-                beta = self.add(self.pow(x, self.ell), x)
-                table.setdefault(beta, []).append(x)
-            self._as_preimages = table
-        return self._as_preimages
 
     def __eq__(self, other):
         return isinstance(other, FiniteField) and (self.p, self.k) == (other.p, other.k)

@@ -211,8 +211,7 @@ def orbit(h: RecoveryGroup) -> np.ndarray:
     raises NotASubgroup naming the elements."""
     spec = h.spec
     f = spec.field
-    places = spec.places()
-    coords = np.array([p.coords for p in places], dtype=np.int64)
+    coords = spec.places()
     weights = f.q ** np.arange(spec.m - 1, -1, -1, dtype=np.int64)
     keys = coords @ weights
     scaled = list(scaled_generators(spec.variant, spec.m))
@@ -220,16 +219,16 @@ def orbit(h: RecoveryGroup) -> np.ndarray:
     images[:, :, scaled] = f.vec_mul(np.array(h.scalars)[:, None, None], images[:, :, scaled])
     images[:, :, -1] = f.vec_add(images[:, :, -1], np.array(h.shifts)[:, None])
     image_keys = images @ weights
-    table = np.searchsorted(keys, image_keys).clip(max=len(places) - 1)
+    table = np.searchsorted(keys, image_keys).clip(max=len(coords) - 1)
     off = keys[table] != image_keys
     if off.any():
         e, j = np.argwhere(off)[0]
-        raise NotASubgroup(f"{h.elements[e]!r} maps place {places[j].coords} off the tower")
+        raise NotASubgroup(f"{h.elements[e]!r} maps place {tuple(coords[j].tolist())} off the tower")
     ranked = np.sort(table, axis=0)
     repeats = np.argwhere(ranked[1:] == ranked[:-1])
     if len(repeats):
         i, j = repeats[0]
         a, b = np.flatnonzero(table[:, j] == ranked[i, j])[:2]
-        raise NotASubgroup(f"orbit of place {places[j].coords} collapsed: {h.elements[a]!r} "
+        raise NotASubgroup(f"orbit of place {tuple(coords[j].tolist())} collapsed: {h.elements[a]!r} "
                            f"and {h.elements[b]!r} map it to the same place")
     return table

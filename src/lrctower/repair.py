@@ -11,9 +11,9 @@ of the set's symbols, whose Lagrange weights depend on the code alone.
 ``build_repair_plan`` computes them for every (coordinate, set) at once,
 and ``LrcCode.repair_plan`` builds that plan on first use and keeps it on
 the code, so construction and loading never pay for it.  A code is treated
-as immutable after construction: its plan is not rebuilt if its places,
-groups or recovery sets are changed in place.  A bulk rebuild is one gather
-and one reduction per set for all coordinates and codewords at once.
+as immutable after construction: its plan is not rebuilt if its groups or
+recovery sets are changed in place.  A bulk rebuild is one gather and one
+reduction per set for all coordinates and codewords at once.
 
 ``repair`` serves one degraded read, so it runs on Python ints throughout:
 ``RepairPlan.terms`` holds each coordinate's (index, weight) pairs of
@@ -111,7 +111,7 @@ def build_repair_plan(code: LrcCode) -> tuple[RepairPlan, RepairPlan]:
     batched inverse and r products.
     """
     fld = code.field
-    coords = np.array([p.coords for p in code.places], dtype=np.int64)
+    coords = code.spec.places()
     plans = []
     for s, group in enumerate((code.group1, code.group2)):
         sets = [pair[s] for pair in code.recovery_sets]
@@ -152,7 +152,7 @@ def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> int:
     terms = code.repair_plan[s - 1].terms[i]
     if terms is None:
         widx = (code.group1, code.group2)[s - 1].w_index
-        nodes = [int(code.places[h].coords[widx]) for h in (*code.recovery_sets[i][s - 1], i)]
+        nodes = code.spec.places()[[*code.recovery_sets[i][s - 1], i], widx].tolist()
         raise DuplicateWValues(f"repair nodes for coordinate {i} collide: {nodes}")
     if strict:
         known = [h for h in range(code.params.n) if h != i]
@@ -395,9 +395,6 @@ def verify_code(
     q, k = code.field.q, code.params.k
 
     t0 = time.perf_counter()
-    canonical = [p.coords for p in code.spec.places()]
-    if [p.coords for p in code.places] != canonical:
-        failures.append("place list differs from the canonical enumeration")
     if gflinalg.rank(code.field, code.generator_matrix) != k:
         failures.append("generator matrix is not full row rank")
     runtimes["integrity"] = time.perf_counter() - t0

@@ -7,10 +7,11 @@ Two variants over GF(q), q = l^2:
 * ``gs95`` -- the xz-tower: T_1 = GF(q)(x_1) and z_2^l + z_2 = x_1^{l+1}.
   Supported to depth 2, where it is the Hermitian function field.
 
-A completely-splitting rational place is identified with its coordinate
-tuple (a_1, ..., a_m).  The y-tower places are the tuples whose first
-coordinate avoids the Artin-Schreier kernel and which satisfy the recursion
-level by level; the xz-tower places need only a nonzero first coordinate.
+A completely-splitting rational place is identified with its coordinates
+(a_1, ..., a_m), one row of the spec's place array.  The y-tower places are
+the rows whose first coordinate avoids the Artin-Schreier kernel and which
+satisfy the recursion level by level; the xz-tower places need only a
+nonzero first coordinate.
 Functions are polynomial monomials in the generators, optionally carrying
 an unexpanded factor g(w)^j where g has the recovery-group shifts as roots.
 """
@@ -65,8 +66,9 @@ class TowerSpec:
             return (1,)
         return (self.ell, self.ell + 1)
 
-    def places(self) -> list["Place"]:
-        """All completely-splitting places in canonical (lexicographic) order.
+    def places(self) -> np.ndarray:
+        """All completely-splitting places as one read-only (n, m) int64
+        array of coordinates, rows in canonical (lexicographic) order.
 
         Counts: (q - l) * l^(m-1) for the y-tower, (q - 1) * l^(m-1) for the
         xz-tower.
@@ -74,53 +76,42 @@ class TowerSpec:
         return self._places
 
     @cached_property
-    def _places(self) -> list["Place"]:
-        return _enumerate(self)
+    def _places(self) -> np.ndarray:
+        places = _enumerate(self)
+        places.flags.writeable = False
+        return places
 
 
-@dataclass(frozen=True)
-class Place:
-    """Rational place as a coordinate tuple, plus its canonical position."""
-
-    coords: tuple[int, ...]
-    spec: TowerSpec
-    index: int
-
-    def __repr__(self):
-        return f"Place{self.coords}"
+def _trace(field: FiniteField, a):
+    """a^l + a elementwise: the trace from GF(l^2) onto GF(l)."""
+    return field.vec_add(field.vec_pow(a, field.ell), a)
 
 
-def _gs96_rhs(field: FiniteField, alpha: int) -> int:
-    """y^l / (y^(l-1) + 1) evaluated at alpha; defined off the kernel."""
+def _gs96_rhs(field: FiniteField, alpha):
+    """y^l / (y^(l-1) + 1) at alpha, elementwise; defined off the kernel."""
     ell = field.ell
-    num = field.pow(alpha, ell)
-    den = field.add(field.pow(alpha, ell - 1), 1)
-    return field.mul(num, field.inv(den))
+    den = field.vec_add(field.vec_pow(alpha, ell - 1), 1)
+    return field.vec_mul(field.vec_pow(alpha, ell), field.vec_inv(den))
 
 
-def _enumerate(spec: TowerSpec) -> list[Place]:
+def _enumerate(spec: TowerSpec) -> np.ndarray:
+    """The places level by level: each row extended by the l sorted roots of
+    x^l + x = beta, read from a (q, l) table of every trace fibre."""
     f = spec.field
-    ell = f.ell
-    pre = f.as_preimages()
-    if spec.variant == GS96:
-        level1 = [a for a in range(f.q) if f.add(f.pow(a, ell), a) != 0]
-    else:
-        level1 = [a for a in range(1, f.q)]
-    tuples: list[tuple[int, ...]] = [(a,) for a in level1]
-    for lvl in range(2, spec.m + 1):
-        nxt = []
-        for t in tuples:
-            prev = t[-1]
-            if spec.variant == GS96:
-                beta = _gs96_rhs(f, prev)
-            else:
-                beta = f.pow(t[0], ell + 1)
-            sols = pre.get(beta)
-            if sols is None:
-                raise AssertionError("recursion target left the trace image")
-            nxt.extend(t + (s,) for s in sorted(sols))
-        tuples = nxt
-    return [Place(coords=t, spec=spec, index=i) for i, t in enumerate(tuples)]
+    codes = np.arange(f.q)
+    trace = _trace(f, codes)
+    by_trace = np.argsort(trace, kind="stable").reshape(-1, f.ell)  # each fibre has l elements
+    roots = np.full((f.q, f.ell), -1, dtype=np.int64)
+    roots[trace[by_trace[:, 0]]] = by_trace
+    level1 = codes[trace != 0] if spec.variant == GS96 else codes[1:]
+    places = level1[:, None]
+    for _ in range(1, spec.m):
+        beta = _gs96_rhs(f, places[:, -1]) if spec.variant == GS96 else f.vec_pow(places[:, 0], f.ell + 1)
+        nxt = roots[beta]
+        if (nxt < 0).any():
+            raise AssertionError("recursion target left the trace image")
+        places = np.column_stack([np.repeat(places, f.ell, axis=0), nxt.ravel()])
+    return places
 
 
 def check_place(spec: TowerSpec, coords) -> tuple[bool, str]:
@@ -130,20 +121,18 @@ def check_place(spec: TowerSpec, coords) -> tuple[bool, str]:
     coords = tuple(int(c) for c in coords)
     if len(coords) != spec.m:
         return False, f"expected {spec.m} coordinates, got {len(coords)}"
+    trace = _trace(f, coords)
     if spec.variant == GS96:
-        for i, a in enumerate(coords):
-            if f.add(f.pow(a, ell), a) == 0:
+        for i in range(spec.m):
+            if trace[i] == 0:
                 return False, f"coordinate {i + 1} lies in the additive kernel"
-            if i > 0:
-                beta = _gs96_rhs(f, coords[i - 1])
-                if f.add(f.pow(a, ell), a) != beta:
-                    return False, f"level {i + 1} recursion equation fails"
+            if i > 0 and trace[i] != _gs96_rhs(f, coords[i - 1]):
+                return False, f"level {i + 1} recursion equation fails"
     else:
         if coords[0] == 0:
             return False, "first coordinate is zero"
         for i in range(1, spec.m):
-            beta = f.pow(coords[0], ell + 1)
-            if f.add(f.pow(coords[i], ell), coords[i]) != beta:
+            if trace[i] != f.pow(coords[0], ell + 1):
                 return False, f"level {i + 1} recursion equation fails"
     return True, "ok"
 
@@ -185,21 +174,3 @@ def pole_degree(f: MonomialFunction, spec: TowerSpec) -> int:
     """Degree of the pole divisor: weighted sum of expanded exponents."""
     weights = spec.pole_weights()
     return sum(w * t for w, t in zip(weights, f.total_exponents()))
-
-
-def evaluate_vec(f: MonomialFunction, coords: np.ndarray, fld: FiniteField) -> np.ndarray:
-    """Values of the monomial at a (n, m) matrix of place coordinates
-    (g-factors expanded numerically)."""
-    acc = np.ones(coords.shape[0], dtype=np.int64)
-    for i, e in enumerate(f.exponents):
-        if e:
-            acc = fld.vec_mul(acc, fld.vec_pow(coords[:, i], e))
-    w = coords[:, f.w_index]
-    if f.g_power:
-        g = np.ones_like(acc)
-        for root in f.g_roots:
-            g = fld.vec_mul(g, fld.vec_sub(w, root))
-        acc = fld.vec_mul(acc, fld.vec_pow(g, f.g_power))
-    if f.w_power:
-        acc = fld.vec_mul(acc, fld.vec_pow(w, f.w_power))
-    return acc

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lrctower import FiniteField, LrcError, TowerSpec, construct_lrc
-from lrctower.cli import main, parse_group_spec
+from lrctower.cli import build_parser, main, parse_group_spec
 from lrctower.descriptor import (
     FIELDS,
     code_from_descriptor,
@@ -16,7 +16,7 @@ from lrctower.descriptor import (
     descriptor_bytes,
     load_code,
 )
-from lrctower.errors import NotASubgroup
+from lrctower.errors import IllegalOrder, NotASubgroup
 
 
 GOLDEN_ARGS = [
@@ -48,7 +48,7 @@ def test_descriptor_round_trip_no_shared_state(tmp_path, golden_code):
     assert loaded.params == golden_code.params
     assert (loaded.generator_matrix == golden_code.generator_matrix).all()
     assert loaded.recovery_sets == golden_code.recovery_sets
-    assert [p.coords for p in loaded.places] == [p.coords for p in golden_code.places]
+    assert loaded.spec == golden_code.spec
 
 
 def test_tower_descriptor_verifies(tmp_path, capsys):
@@ -224,6 +224,26 @@ def test_construct_refuses_bad_group_spec_by_flag(tmp_path, capsys, variant, fla
                  "--group2", group2, "--distance", "2", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {flag} {spec!r}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("add:gens=1", NotASubgroup, "shift 1 is outside the additive kernel"),
+    ("mul:3", IllegalOrder, "order 3 does not divide 2"),
+])
+def test_group_builder_error_is_refused_by_flag_in_its_class(tmp_path, capsys, text, error, message):
+    """An LrcError of the group builder names the flag and the spec, and
+    keeps its class."""
+    out = tmp_path / "x.json"
+    argv = ["construct", "--variant", "gs96", "--ell", "3", "--m", "1", "--group1", "add:kernel",
+            "--group2", text, "--distance", "2", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: --group2 {text!r}: {message}\n"
+    args = build_parser().parse_args(argv)
+    with pytest.raises(error) as exc:
+        args.fn(args)
+    assert str(exc.value) == f"--group2 {text!r}: {message}"
     assert not out.exists()
 
 
@@ -442,6 +462,25 @@ def test_verify_rejects_malformed_int_list(tmp_path, capsys, golden_code, path, 
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda places: places.insert(2, places.pop(1)), "places[1] = [4] is not the canonical place [2]"),
+    (lambda places: places.pop(2), "places[2] = [5] is not the canonical place [4]"),
+    (lambda places: places.pop(), "places has 5 entries, the tower has 6 places"),
+], ids=["swapped", "dropped", "dropped-last"])
+def test_non_canonical_places_are_refused_on_load(tmp_path, capsys, golden_code, edit, message):
+    """The places must be the tower's canonical enumeration: a descriptor
+    with two places swapped or one dropped is refused on load, by verify and
+    by repair-demo, naming the first entry that differs or the count."""
+    desc = code_to_descriptor(golden_code)
+    edit(desc["places"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    for command in ("verify", "repair-demo"):
+        assert main([command, "--in", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("path, value, message", [
     ("places[0]", [99], "places[0][0] = 99 out of range for q=9"),
     ("places[4]", [-1], "places[4][0] = -1 out of range for q=9"),
@@ -637,8 +676,8 @@ def test_repair_demo_rejects_out_of_range_coord(tmp_path, capsys, coord):
 def test_repair_demo_rejects_params_n_mismatch(tmp_path, capsys, golden_code):
     # params.n = 7 over 6 places: coordinate 6 passes a range check on n but
     # has no recovery sets. A descriptor saying so is refused on load by both
-    # commands; in memory n is the place count, and a 7th place without a
-    # 7th generator column is refused, as is a place without recovery sets
+    # commands; in memory n is the spec's place count, and a 7th generator
+    # column without a 7th place is refused, as is a place without recovery sets
     message = "error: params.n = 7 does not match the 6 places\n"
     desc = code_to_descriptor(golden_code)
     desc["params"]["n"] = 7
@@ -647,7 +686,7 @@ def test_repair_demo_rejects_params_n_mismatch(tmp_path, capsys, golden_code):
     for command in (["repair-demo", "--in", str(bad), "--coord", "6"], ["verify", "--in", str(bad)]):
         assert main(command) == 1
         assert capsys.readouterr().err == message
-    with pytest.raises(ValueError, match="params.n = 7 does not match the column count 6 of generator_matrix"):
-        dataclasses.replace(golden_code, places=golden_code.places + golden_code.places[:1])
+    with pytest.raises(ValueError, match="params.n = 6 does not match the column count 7 of generator_matrix"):
+        dataclasses.replace(golden_code, generator_matrix=golden_code.generator_matrix[:, [*range(6), 0]])
     with pytest.raises(ValueError, match="params.n = 6 does not match the 5 entries of recovery_sets"):
         dataclasses.replace(golden_code, recovery_sets=golden_code.recovery_sets[:5])

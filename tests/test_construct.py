@@ -70,7 +70,7 @@ def test_rational_level_dimension_formula(gf9, budget):
     places = spec.places()
     for h in (h1, h2):
         v = spanning_set(spec, h, budget)
-        mat = evaluation_matrix(v, places)
+        mat = evaluation_matrix(v, places, gf9)
         expect = closed_form_dim(budget, h.r, h.order)
         # dimension == count at the rational level (distinct monomial degrees)
         assert len(v) == expect
@@ -82,10 +82,10 @@ def test_evaluation_matrix_rows(gf9):
     spec, h1, _ = _groups_m1(gf9)
     places = spec.places()
     v = spanning_set(spec, h1, 4)
-    mat = evaluation_matrix(v, places)
+    mat = evaluation_matrix(v, places, gf9)
     assert mat.shape == (len(v), 6)
     assert (mat[0] == 1).all()  # constant row
-    assert list(mat[1]) == [p.coords[0] for p in places]  # projection row
+    assert (mat[1] == places[:, 0]).all()  # projection row
 
 
 def test_rowspace_intersection_trivial_cases(gf9):
@@ -302,15 +302,14 @@ def test_projected_split_dims_equal_full_width_ranks(fixture, request):
     own evaluation matrices, whose rows the union matrix holds."""
     code = request.getfixturevalue(fixture)
     spec, fld, budget = code.spec, code.field, code.dims.budget
-    places = spec.places()
-    splits, evals = _union_rows(spec, code.group1, code.group2, budget, places)
+    splits, evals = _union_rows(spec, code.group1, code.group2, budget)
     assert [caps for caps, _ in splits] == _cap_profiles(spec, budget)
     _, pivots = gflinalg.rref(fld, evals)
     assert len(pivots) < evals.shape[1]  # the projection drops columns
     # no row of E lies outside every split
     assert set().union(*(set(r.tolist()) for _, rows in splits for r in rows)) == set(range(len(evals)))
     for caps, rows in splits:
-        m1, m2 = (evaluation_matrix(_capped(spec, h, budget, caps), places)
+        m1, m2 = (evaluation_matrix(_capped(spec, h, budget, caps), spec.places(), fld)
                   for h in (code.group1, code.group2))
         assert (evals[rows[0]] == m1).all() and (evals[rows[1]] == m2).all()
         b1, b2, dim_sum = _split_bases(fld, evals[:, pivots], rows)
@@ -339,10 +338,9 @@ def test_cap_profile_choice_matches_per_profile_zassenhaus(tower_code):
     the chosen caps are the first split of largest intersection, and the
     recorded dims are the ranks of that split's evaluation matrices."""
     spec, fld, budget = tower_code.spec, tower_code.field, tower_code.dims.budget
-    places = spec.places()
 
     def matrices(caps):
-        return [evaluation_matrix(_capped(spec, h, budget, caps), places)
+        return [evaluation_matrix(_capped(spec, h, budget, caps), spec.places(), fld)
                 for h in (tower_code.group1, tower_code.group2)]
 
     profiles = _cap_profiles(spec, budget)
@@ -371,9 +369,9 @@ def _exhaustive_choice(spec, h1, h2, d_target):
     its two full-width evaluation matrices: the search construct_lrc prunes,
     written out with no bound.  Reads the splits through the module, so a
     patched ``_union_rows`` applies here too."""
-    fld, places = spec.field, spec.places()
-    budget = len(places) - d_target
-    splits, evals = construct._union_rows(spec, h1, h2, budget, places)
+    fld = spec.field
+    budget = len(spec.places()) - d_target
+    splits, evals = construct._union_rows(spec, h1, h2, budget)
     _, pivots = gflinalg.rref(fld, evals)
     scored = []
     for caps, rows in splits:
@@ -438,7 +436,7 @@ def test_bound_pruning_scores_few_splits(monkeypatch, p, e, m, d, profiles, scor
 def test_golden_intersection_matches_coefficient_model(gf9, golden_code):
     """Independent oracle: the intersection must be exactly the evaluations
     of span{1, x^4 + x^2} (solve the parity constraints by hand)."""
-    places = [p.coords[0] for p in golden_code.places]
+    places = golden_code.spec.places()[:, 0].tolist()
     one = [1] * 6
     h = [gf9.add(gf9.pow(a, 4), gf9.pow(a, 2)) for a in places]
     oracle = np.array([one, h], dtype=np.int64)
@@ -474,10 +472,9 @@ def test_hermitian_code_parameters(hermitian_code):
 def test_generator_rows_live_in_both_spaces(golden_code, tower_code):
     for code in (golden_code, tower_code):
         fld = code.field
-        places = code.places
         for h, caps in ((code.group1, code.dims.caps), (code.group2, code.dims.caps)):
             v = _capped(code.spec, h, code.dims.budget, caps)
-            mat = evaluation_matrix(v, places)
+            mat = evaluation_matrix(v, code.spec.places(), fld)
             for row in code.generator_matrix:
                 assert gflinalg.in_span(fld, mat, row)
 

@@ -77,12 +77,12 @@ def test_additive_closure_from_generators(gf16):
 def test_apply_worked_example(gf9):
     """sigma = (2, 3) scales both coordinates, then shifts the last one."""
     spec = TowerSpec("gs96", gf9, 2)
-    places = spec.places()
-    p = next(x for x in places if x.coords[0] == 1)
+    places = spec.places().tolist()
+    j = next(j for j, x in enumerate(places) if x[0] == 1)
     sigma = Automorphism("gs96", 2, 3, gf9)
     table = orbit(RecoveryGroup("multiplicative", spec, (Automorphism("gs96", 1, 0, gf9), sigma)))
-    assert places[table[1, p.index]].coords == (2, gf9.add(gf9.mul(2, p.coords[1]), 3))
-    assert table[0, p.index] == p.index
+    assert places[table[1, j]] == [2, gf9.add(gf9.mul(2, places[j][1]), 3)]
+    assert table[0, j] == j
 
 
 def test_apply_preserves_membership(gf9, gf25):
@@ -233,7 +233,7 @@ def test_orbit_sizes_and_w_separation(gf9):
     for j in range(len(places)):
         for h, t in ((h1, t1), (h2, t2)):
             assert len(set(t[:, j])) == h.order
-            wvals = [places[i].coords[h.w_index] for i in t[:, j]]
+            wvals = places[t[:, j], h.w_index].tolist()
             assert len(set(wvals)) == len(wvals)
         assert set(t1[:, j]) & set(t2[:, j]) == {j}
 
@@ -251,9 +251,10 @@ def test_orbits_disjoint_hermitian(gf25):
 def test_orbit_worked_example(gf9):
     spec = TowerSpec("gs96", gf9, 2)
     h1 = build_recovery_group(spec, "additive", shifts="kernel")
-    p = next(x for x in spec.places() if x.coords[0] == 4)  # 1 + t
-    orb = {spec.places()[j].coords for j in orbit(h1)[:, p.index]}
-    a2 = p.coords[1]
+    places = spec.places().tolist()
+    j = next(j for j, x in enumerate(places) if x[0] == 4)  # 1 + t
+    orb = {tuple(places[i]) for i in orbit(h1)[:, j]}
+    a2 = places[j][1]
     assert orb == {(4, a2), (4, gf9.add(a2, 3)), (4, gf9.add(a2, 6))}
 
 
@@ -275,13 +276,13 @@ def test_orbit_matches_closed_form_action():
     checked = 0
     for variant, (p, e), m in [*SWEEP, *itertools.product(["gs96"], SWEEP_FIELDS, [3])]:
         spec = TowerSpec(variant, FiniteField(p, e), m)
-        places = spec.places()
-        index = {x.coords: x.index for x in places}
+        places = [tuple(x) for x in spec.places().tolist()]
+        index = {x: j for j, x in enumerate(places)}
         for h in _canonical_subgroups(spec):
             table = orbit(h)
             assert table.shape == (h.order, len(places))
             for g, row in zip(h.elements, table.tolist()):
-                assert row == [index[_image(spec, g, x.coords)] for x in places], (spec, h, g)
+                assert row == [index[_image(spec, g, x)] for x in places], (spec, h, g)
             for j, col in enumerate(table.T.tolist()):
                 assert len(set(col)) == h.order and j in col
             checked += 1

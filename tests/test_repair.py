@@ -180,8 +180,8 @@ def test_distance_forms_no_codewords(hermitian_code, monkeypatch):
 def test_repair_worked_example(gf9, golden_code):
     # codeword = evaluations of x^4 + x^2; erase the coordinate of place 1
     word = tuple(
-        gf9.add(gf9.pow(p.coords[0], 4), gf9.pow(p.coords[0], 2))
-        for p in golden_code.places
+        gf9.add(gf9.pow(a, 4), gf9.pow(a, 2))
+        for a in golden_code.spec.places()[:, 0].tolist()
     )
     assert word == (2, 2, 8, 5, 5, 8)
     got = repair(golden_code, ErasurePattern(word, 0, 2))
@@ -220,14 +220,13 @@ def _duplicate_w_code(code):
     or at place 1 twice where no two places share one (golden)."""
     widx = code.group1.w_index
     by_w = {}
-    for p in code.places:
-        by_w.setdefault(p.coords[widx], []).append(p.index)
+    for j, w in enumerate(code.spec.places()[:, widx].tolist()):
+        by_w.setdefault(w, []).append(j)
     dup = next((v for v in by_w.values() if len(v) >= 2), [1, 1])
     bad_sets = list(code.recovery_sets)
     bad_sets[0] = (tuple(dup[:2]), bad_sets[0][1])
     tampered = LrcCode(
         spec=code.spec, group1=code.group1, group2=code.group2,
-        places=code.places,
         generator_matrix=code.generator_matrix, recovery_sets=bad_sets,
         d_designed=code.d_designed, dims=code.dims,
     )
@@ -260,8 +259,9 @@ def oracle_weights(code, i, s):
     fld = code.field
     widx = (code.group1, code.group2)[s - 1].w_index
     idx = code.recovery_sets[i][s - 1]
-    xs = [int(code.places[h].coords[widx]) for h in idx]
-    x0 = int(code.places[i].coords[widx])
+    ws = code.spec.places()[:, widx].tolist()
+    xs = [ws[h] for h in idx]
+    x0 = ws[i]
     if len(set(xs + [x0])) != len(xs) + 1:
         return idx, None
     lam = []
@@ -470,7 +470,7 @@ def test_repair_reads_only_terms_and_table_views(golden_code, hermitian_code):
         for name in ("add_table", "mul_table", "exp_table", "log_table", "neg_table",
                      "_add_flat", "_mul_flat"):
             setattr(fld, name, None)
-        bare = SimpleNamespace(field=fld, params=code.params, places=code.places,
+        bare = SimpleNamespace(field=fld, params=code.params,
                                repair_plan=[SimpleNamespace(terms=plan.terms) for plan in code.repair_plan])
         for row in random_codewords(code, 3, seed=5):
             word = tuple(int(x) for x in row)
@@ -507,19 +507,19 @@ def test_definition1_passes_and_slow_mode_agrees(golden_code):
 
 
 def test_definition1_repetition_code(gf9):
-    # length-3 repetition code, each coordinate recoverable from one other;
-    # the order-2 scalar group {1, -1} gives the localities r1 = r2 = 1
+    # repetition code on the 6 rational places, each coordinate recoverable
+    # from either of the next two; the order-2 scalar group {1, -1} gives the
+    # localities r1 = r2 = 1
     spec = TowerSpec("gs96", gf9, 1)
     pair = build_recovery_group(spec, "multiplicative", order=2)
     code = LrcCode(
         spec=spec, group1=pair, group2=pair,
-        places=spec.places()[:3],
-        generator_matrix=np.array([[1, 1, 1]], dtype=np.int64),
-        recovery_sets=[((1,), (2,)), ((0,), (2,)), ((0,), (1,))],
-        d_designed=3,
+        generator_matrix=np.ones((1, 6), dtype=np.int64),
+        recovery_sets=[(((i + 1) % 6,), ((i + 2) % 6,)) for i in range(6)],
+        d_designed=6,
         dims=CodeDims(1, 1, 1, 0, None),
     )
-    assert code.params == CodeParams(n=3, k=1, d_designed=3, r1=1, r2=1)
+    assert code.params == CodeParams(n=6, k=1, d_designed=6, r1=1, r2=1)
     assert verify_definition1(code).passed
 
 
@@ -643,7 +643,7 @@ def test_verify_code_flags_bad_recovery_set(golden_code):
     tampered = LrcCode(
         spec=golden_code.spec, group1=golden_code.group1,
         group2=golden_code.group2,
-        places=golden_code.places, generator_matrix=golden_code.generator_matrix,
+        generator_matrix=golden_code.generator_matrix,
         recovery_sets=bad_sets, d_designed=golden_code.d_designed, dims=golden_code.dims,
     )
     rep = verify_code(tampered)

@@ -1,23 +1,25 @@
 import dataclasses
+import functools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lrctower import FiniteField, TowerSpec, check_place, genus, pole_degree
+from lrctower import FiniteField, TowerSpec, check_place, evaluation_matrix, genus, pole_degree
 from lrctower import tower
 from lrctower.errors import UnsupportedDepth
-from lrctower.tower import MonomialFunction, evaluate_vec
+from lrctower.tower import MonomialFunction
 
 
 def _value_at(f, coords, fld):
-    """evaluate_vec on a one-row coordinate array."""
-    return int(evaluate_vec(f, np.array([coords], dtype=np.int64), fld)[0])
+    """evaluation_matrix on a one-row coordinate array."""
+    return int(evaluation_matrix([f], np.array([coords], dtype=np.int64), fld)[0, 0])
 
 
 def test_rational_level_places_gf9(gf9):
     spec = TowerSpec("gs96", gf9, 1)
-    coords = [p.coords[0] for p in spec.places()]
+    coords = spec.places()[:, 0].tolist()
     # everything except the kernel {0, t, 2t} = {0, 3, 6}
     assert coords == [1, 2, 4, 5, 7, 8]
 
@@ -51,30 +53,28 @@ def test_spec_holds_only_its_inputs(gf9, monkeypatch):
     enumerate_places = tower._enumerate
     monkeypatch.setattr(tower, "_enumerate", lambda spec: calls.append(spec) or enumerate_places(spec))
     for spec in (a, a, b):
-        assert spec.places()[5].index == 5
+        assert spec.places().shape == (18, 2)
     assert len(calls) == 2 and calls[0] is a and calls[1] is b
 
 
 def test_chain_lemma_every_coordinate_off_kernel(gf9):
     spec = TowerSpec("gs96", gf9, 3)
     ell = gf9.ell
-    for p in spec.places():
-        for a in p.coords:
-            assert gf9.add(gf9.pow(a, ell), a) != 0
-            assert a != 0
+    for a in spec.places().ravel().tolist():
+        assert gf9.add(gf9.pow(a, ell), a) != 0
+        assert a != 0
 
 
 def test_place_ordering_is_lexicographic(gf9):
     spec = TowerSpec("gs96", gf9, 2)
-    tuples = [p.coords for p in spec.places()]
-    assert tuples == sorted(tuples)
-    assert [p.index for p in spec.places()] == list(range(18))
+    tuples = [tuple(row) for row in spec.places().tolist()]
+    assert tuples == sorted(set(tuples)) and len(tuples) == 18
 
 
 def test_check_place_round_trip(gf9, gf25):
     for spec in (TowerSpec("gs96", gf9, 2), TowerSpec("gs95", gf25, 2)):
-        for p in spec.places():
-            ok, why = check_place(spec, p.coords)
+        for coords in spec.places():
+            ok, why = check_place(spec, coords)
             assert ok, why
 
 
@@ -86,8 +86,8 @@ def test_check_place_rejections(gf9):
     assert check_place(spec1, (1,))[0]
     assert not check_place(spec2, (1,))[0]  # wrong arity
     # shifting the last coordinate by 1 (not a kernel element) breaks level 2
-    good = spec2.places()[0]
-    bad = (good.coords[0], gf9.add(good.coords[1], 1))
+    a1, a2 = spec2.places()[0].tolist()
+    bad = (a1, gf9.add(a2, 1))
     ok, why = check_place(spec2, bad)
     assert not ok and "recursion" in why
     h = TowerSpec("gs95", gf9, 2)
@@ -133,9 +133,9 @@ def test_evaluate_examples(gf9):
     spec = TowerSpec("gs96", gf9, 2)
     p = spec.places()[0]
     proj = MonomialFunction((1, 0), w_index=1)
-    assert _value_at(proj, p.coords, gf9) == p.coords[0]
+    assert _value_at(proj, p, gf9) == p[0]
     const = MonomialFunction((0, 0), w_index=1)
-    assert _value_at(const, p.coords, gf9) == 1
+    assert _value_at(const, p, gf9) == 1
     # g vanishes exactly on the kernel
     g = MonomialFunction((0,), w_index=0, g_roots=(0, 3, 6), g_power=1)
     assert _value_at(g, (3,), gf9) == 0
@@ -156,5 +156,71 @@ def test_zero_counts_respect_pole_degree(variant, pk, m):
             exps = (1,) + exps[1:]
         mono = MonomialFunction(exps, w_index=m - 1)
         v0 = rng.randrange(f.q)
-        zeros = sum(1 for p in places if _value_at(mono, p.coords, f) == v0)
+        zeros = sum(1 for p in places if _value_at(mono, p, f) == v0)
         assert zeros <= pole_degree(mono, spec)
+
+
+# the table path (q <= TABLE_CAP) and the digit-loop path (GF(37^2), GF(2^12))
+ENUMERATION_CASES = [
+    ("gs96", (3, 2), 3), ("gs95", (5, 2), 2), ("gs96", (2, 4), 3),
+    ("gs96", (37, 2), 1), ("gs96", (37, 2), 2), ("gs95", (37, 2), 1), ("gs95", (37, 2), 2),
+    ("gs96", (2, 12), 1), ("gs95", (2, 12), 1),
+]
+
+
+@pytest.mark.parametrize("variant,pk,m", ENUMERATION_CASES)
+def test_enumeration_on_both_arithmetic_paths(variant, pk, m):
+    """The closed-form count of rows, strictly increasing in lexicographic
+    order, a sample of them accepted by check_place, and one read-only
+    array however often it is asked for."""
+    f = FiniteField(*pk)
+    spec = TowerSpec(variant, f, m)
+    places = spec.places()
+    level1 = f.q - f.ell if variant == "gs96" else f.q - 1
+    assert places.shape == (level1 * f.ell ** (m - 1), m) and places.dtype == np.int64
+    # at the first column where two neighbouring rows differ, the later one is larger
+    step = np.diff(places, axis=0)
+    first = (step != 0).argmax(axis=1)
+    assert (step[np.arange(len(step)), first] > 0).all()
+    for row in places[np.random.default_rng(m).choice(len(places), 25, replace=False)]:
+        assert check_place(spec, row) == (True, "ok")
+    assert spec.places() is places and not places.flags.writeable
+    with pytest.raises(ValueError):
+        places[0, 0] = 0
+
+
+@functools.cache
+def _field(pk):
+    return FiniteField(*pk)
+
+
+def _scalar_value(f, row, fld):
+    """The monomial at one coordinate row by scalar field ops, with
+    g(w) = prod (w - root) multiplied out."""
+    value = 1
+    for a, e in zip(row, f.exponents):
+        value = fld.mul(value, fld.pow(a, e))
+    w, g = row[f.w_index], 1
+    for root in f.g_roots:
+        g = fld.mul(g, fld.sub(w, root))
+    return fld.mul(fld.mul(value, fld.pow(g, f.g_power)), fld.pow(w, f.w_power))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_evaluation_matrix_matches_scalar_oracle(data):
+    """On GF(9), GF(25) and GF(37^2) (the digit-loop path), random monomials
+    with and without g-factors, at random coordinate rows, take the values
+    of a scalar pow/mul/sub evaluation."""
+    fld = _field(data.draw(st.sampled_from([(3, 2), (5, 2), (37, 2)])))
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+    elem = st.integers(0, fld.q - 1)
+    coords = np.array(data.draw(st.lists(st.lists(elem, min_size=m, max_size=m), min_size=n, max_size=n)))
+    monomial = st.builds(
+        MonomialFunction, exponents=st.tuples(*[st.integers(0, 7)] * m), w_index=st.integers(0, m - 1),
+        w_power=st.integers(0, 4), g_roots=st.lists(elem, max_size=4, unique=True).map(tuple),
+        g_power=st.integers(0, 3))
+    functions = data.draw(st.lists(monomial, max_size=8))
+    got = evaluation_matrix(functions, coords, fld)
+    assert got.dtype == fld.dtype and got.shape == (len(functions), n)
+    assert got.tolist() == [[_scalar_value(f, row, fld) for row in coords.tolist()] for f in functions]
