@@ -30,9 +30,12 @@ group's list.  E is reduced once to R with pivot columns P.  Every space
 searched lies in rowspace(E), whose RREF pivots are P: a subspace's pivots
 are a subset of P, and v -> v[P] is an isomorphism on rowspace(E) that keeps
 leading positions.  So each split's bases, ranks, score and the winner's
-intersection are computed on the |P| columns E[:, P], and the winner's
-projected RREF basis W is lifted once, as W * R[:|P|], which already is the
-full-width RREF basis.
+intersection are computed on the |P| columns E[:, P].  A split's bases are
+row-echelon, not reduced: only their lengths and spans are read.  The
+intersection alone is reduced, and the winner's projected RREF basis W is
+lifted once, as W * R[:|P|], which already is the full-width RREF basis.
+So a construction runs Gauss-Jordan twice, on E and on the k-row
+intersection tail; every rank stops at row echelon.
 """
 
 from __future__ import annotations
@@ -238,8 +241,8 @@ def _union_rows(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, budget: i
 
 
 def _split_bases(fld: FiniteField, projected: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray, int]:
-    """RREF bases of one split's two spaces and dim(V1 + V2), on E[:, P]."""
-    b1, b2 = (gflinalg.row_basis(fld, projected[r]) for r in rows)
+    """Row-echelon bases of one split's two spaces and dim(V1 + V2), on E[:, P]."""
+    b1, b2 = (gflinalg.echelon(fld, projected[r])[0] for r in rows)
     return b1, b2, gflinalg.rank(fld, np.vstack([b1, b2]))
 
 

@@ -1,11 +1,18 @@
-"""Dense linear algebra over GF(q) on integer-coded numpy matrices.
+"""Dense linear algebra over GF(q) on integer-coded matrices.
 
 Gaussian elimination uses first-nonzero pivoting, so echelon forms, ranks
-and intersection bases are identical across runs and platforms.  ``rref``
-works on a copy in ``field.dtype`` and returns that dtype; each pivot step
-updates the other rows from the pivot column rightward with one fused
-``FiniteField.vec_axpy``.  ``matmul`` runs on the same kernel: one
-``vec_axpy`` per inner index, accumulating in ``field.dtype``.
+and intersection bases are identical across runs and platforms.  One loop
+eliminates at two depths: ``rref`` clears every other row of each pivot
+column (the canonical form), ``echelon`` only the rows below it, which is
+all a rank, a span test or a Zassenhaus split needs.  The loop works on a
+copy in ``field.dtype``, and each pivot step updates the rows it clears
+from the pivot column rightward.  A step that updates at least q rows, on
+the table path, builds the (q x w) table of the negated pivot row's
+multiples once and needs one row gather and one add-table gather per row;
+smaller steps, and every step above ``TABLE_CAP``, run the fused
+``FiniteField.vec_axpy``.  ``matmul`` keeps one ``vec_axpy`` per inner
+index, accumulating in ``field.dtype``: its hot caller, ``encode``,
+multiplies one row, for which a table of multiples would serve one row.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ import numpy as np
 
 from .field import FiniteField
 
-# Rows per fused row update in rref: bounds the gather-index temporaries
-# (numpy widens each index to intp), not the result.
+# Rows per row update in an elimination step: bounds the gather-index
+# temporaries (numpy widens each index to intp), not the result.
 ROW_BLOCK = 128
 
 
@@ -32,14 +39,12 @@ def as_matrix(field: FiniteField, rows) -> np.ndarray:
     return m
 
 
-def rref(field: FiniteField, mat) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form, in ``field.dtype``.
-
-    Returns (R, pivot_cols). Pivot search scans columns left to right and
-    takes the first nonzero entry at or below the current row.  The pivot
-    row is zero left of its pivot column, so every row update runs from
-    that column rightward.
-    """
+def _eliminate(field: FiniteField, mat, full: bool) -> tuple[np.ndarray, list[int]]:
+    """The one elimination loop.  Pivot search scans columns left to right
+    and takes the first nonzero entry at or below the current row, scaled to
+    1.  ``full`` clears the pivot column in every other row (RREF), else only
+    below the pivot.  The pivot row is zero left of its pivot column, so
+    every row update runs from that column rightward."""
     m = np.array(as_matrix(field, mat), dtype=field.dtype)
     rows, cols = m.shape
     pivots: list[int] = []
@@ -55,10 +60,22 @@ def rref(field: FiniteField, mat) -> tuple[np.ndarray, list[int]]:
             m[[r, pr]] = m[[pr, r]]
         pivot = m[r, c:]
         pivot[:] = field.vec_mul(pivot, field.inv(int(pivot[0])))
-        pivot[0] = 0  # hide the pivot row from the row search
-        others = m[:, c].nonzero()[0]
-        pivot[0] = 1
-        if others.size:
+        if full:
+            pivot[0] = 0  # hide the pivot row from the row search
+            others = m[:, c].nonzero()[0]
+            pivot[0] = 1
+        else:
+            others = r + 1 + m[r + 1:, c].nonzero()[0]
+        if others.size >= field.q and field.mul_table is not None:
+            # f * (-pivot) for every f: one row gather per row, one add gather
+            multiples = field.mul_table[:, field.neg_table[pivot]]
+            for lo in range(0, others.size, ROW_BLOCK):
+                block = others[lo:lo + ROW_BLOCK]
+                flat = m[block, c:].astype(field._flat_index)
+                flat *= field._flat_q
+                flat += multiples[m[block, c]]
+                m[block, c:] = field._add_flat.take(flat)
+        elif others.size:
             # -(f * x) = (-f) * x: negate the factors, not the product
             neg_factors = field.vec_neg(m[others, c])[:, None]
             for lo in range(0, others.size, ROW_BLOCK):
@@ -69,8 +86,21 @@ def rref(field: FiniteField, mat) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
+def rref(field: FiniteField, mat) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form, in ``field.dtype``: (R, pivot_cols)."""
+    return _eliminate(field, mat, True)
+
+
+def echelon(field: FiniteField, mat) -> tuple[np.ndarray, list[int]]:
+    """Row-echelon basis with unit pivots, zero rows dropped, in
+    ``field.dtype``: (B, pivot_cols).  Rows above a pivot are not cleared,
+    so B spans the row space but is not canonical."""
+    m, pivots = _eliminate(field, mat, False)
+    return m[: len(pivots)], pivots
+
+
 def rank(field: FiniteField, mat) -> int:
-    return len(rref(field, mat)[1])
+    return len(echelon(field, mat)[1])
 
 
 def row_basis(field: FiniteField, mat) -> np.ndarray:
@@ -86,11 +116,13 @@ def in_span(field: FiniteField, mat, rows) -> bool:
 
 
 def rowspace_intersection(field: FiniteField, mat_a, mat_b) -> np.ndarray:
-    """Basis of rowspace(A) ∩ rowspace(B) via the doubled-block elimination.
+    """Canonical (RREF) basis of rowspace(A) ∩ rowspace(B), by the
+    doubled-block (Zassenhaus) elimination.
 
-    Stack [[A A], [B 0]] and row-reduce.  The rows pivoting right of column n
-    have a zero left half, and their right halves already are the RREF basis
-    of the intersection, so the basis is canonical.
+    Stack [[A A], [B 0]] and bring it to row-echelon form.  The rows
+    pivoting right of column n have a zero left half, and their right
+    halves are a basis of the intersection; only those k rows are then
+    reduced to RREF, which has no zero row to drop.
     """
     a = as_matrix(field, mat_a)
     b = as_matrix(field, mat_b)
@@ -99,9 +131,9 @@ def rowspace_intersection(field: FiniteField, mat_a, mat_b) -> np.ndarray:
     n = a.shape[1]
     top = np.hstack([a, a])
     bot = np.hstack([b, np.zeros_like(b)])
-    reduced, pivots = rref(field, np.vstack([top, bot]))
+    basis, pivots = echelon(field, np.vstack([top, bot]))
     split = sum(c < n for c in pivots)
-    return reduced[split:len(pivots), n:].copy()
+    return rref(field, basis[split:, n:])[0]
 
 
 def matmul(field: FiniteField, a, b) -> np.ndarray:

@@ -121,6 +121,9 @@ def check_place(spec: TowerSpec, coords) -> tuple[bool, str]:
     coords = tuple(int(c) for c in coords)
     if len(coords) != spec.m:
         return False, f"expected {spec.m} coordinates, got {len(coords)}"
+    for i, v in enumerate(coords):
+        if not 0 <= v < f.q:
+            return False, f"coordinate {i + 1} = {v} is outside [0, {f.q})"
     trace = _trace(f, coords)
     if spec.variant == GS96:
         for i in range(spec.m):

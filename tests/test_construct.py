@@ -1,3 +1,4 @@
+import functools
 from itertools import product
 
 import numpy as np
@@ -133,9 +134,11 @@ def test_rowspace_intersection_matches_candidate_oracle(p, e):
         assert out.base is None  # a copy, not a view into the doubled block
 
 
-def _rref_oracle(fld, mat):
+def _rref_oracle(fld, mat, full=True, steps=None):
     """Gauss-Jordan as written before the fused kernel: an int64 copy,
-    full-width row updates, and a Python scan for the rows to clear."""
+    full-width row updates, and a Python scan for the rows to clear.  With
+    ``full`` false only the rows below each pivot are cleared (row echelon).
+    A ``steps`` list gets the number of rows each pivot step cleared."""
     m = np.array(mat, dtype=np.int64)
     rows, cols = m.shape
     pivots = []
@@ -150,7 +153,9 @@ def _rref_oracle(fld, mat):
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
         m[r] = fld.vec_mul(m[r], fld.inv(int(m[r, c])))
-        others = [i for i in range(rows) if i != r and m[i, c] != 0]
+        others = [i for i in range(0 if full else r + 1, rows) if i != r and m[i, c] != 0]
+        if steps is not None:
+            steps.append(len(others))
         if others:
             neg_factors = fld.vec_neg(m[others, c])
             m[others] = fld.vec_add(m[others], fld.vec_mul(neg_factors[:, None], m[r][None, :]))
@@ -211,6 +216,84 @@ def test_rref_invariant_under_row_permutation(p, e, data):
     got, pivots = gflinalg.rref(fld, m[list(perm)])
     assert pivots == expect_pivots and got.shape == (rows, cols)
     assert (got == expect).all()
+
+
+_cached_field = functools.cache(FiniteField)  # built once, not once per example
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("p, e", [(2, 2), (3, 2), (7, 2), (2, 8), (37, 2), (2, 12)])
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(data=st.data())
+def test_echelon_rank_span_intersection_match_oracle(p, e, block, data):
+    """``echelon``, ``rank``, ``in_span`` and ``rowspace_intersection``
+    against the scalar oracle, over GF(4), GF(9), GF(49), GF(256) (table
+    path) and GF(37^2), GF(2^12) (digit loop).  Inputs are products of a
+    random (rows, j) and (j, cols) matrix, so zero (j = 0) and
+    rank-deficient; on the table path 2q + 1 rows put pivot steps on both
+    sides of the q-row rule.  Row updates in one block and in blocks of 3."""
+    fld = _cached_field(p, e)
+    tall = 2 * fld.q + 1 if fld.mul_table is not None else 40
+    rows, rows_b = (data.draw(st.sampled_from([0, 1, 3, tall])) for _ in range(2))
+    cols, j = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def product_of(r, gens):
+        return gflinalg.matmul(fld, rng.integers(0, fld.q, size=(r, len(gens))), gens).astype(np.int64)
+
+    gens = rng.integers(0, fld.q, size=(j + 2, cols))
+    a = product_of(rows, gens[:j])
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(gflinalg, "ROW_BLOCK", block)
+        reduced, pivots = _rref_oracle(fld, a)
+        forward, _ = _rref_oracle(fld, a, full=False)
+        basis, got_pivots = gflinalg.echelon(fld, a)
+        assert basis.dtype == fld.dtype and basis.shape == (len(pivots), cols)
+        assert got_pivots == pivots and (basis == forward[: len(pivots)]).all()
+        for i, c in enumerate(pivots):
+            assert not basis[i, :c].any() and basis[i, c] == 1 and not basis[i + 1:, c].any()
+        assert (gflinalg.row_basis(fld, basis) == reduced[: len(pivots)]).all()
+        assert gflinalg.rank(fld, a) == len(pivots)
+
+        # rows from the span, then one drawn from a wider space
+        extra = np.vstack([product_of(2, gens[:j]), product_of(1, gens)])
+        for k in (2, 3):
+            spanned = len(_rref_oracle(fld, np.vstack([a, extra[:k]]))[1]) == len(pivots)
+            assert gflinalg.in_span(fld, a, extra[:k]) == spanned
+
+        # B shares the top j - 1 generators of A's span and adds two more
+        b = product_of(rows_b, gens[1:])
+        doubled, dpivots = _rref_oracle(fld, np.vstack([np.hstack([a, a]), np.hstack([b, 0 * b])]))
+        expect = doubled[sum(c < cols for c in dpivots):len(dpivots), cols:]
+        got = gflinalg.rowspace_intersection(fld, a, b)
+        assert got.dtype == fld.dtype and got.shape == expect.shape and (got == expect).all()
+
+
+@pytest.mark.parametrize("full", [True, False])
+def test_pivot_steps_of_q_rows_or_more_use_the_multiples_table(monkeypatch, full):
+    """The row-update rule reads only the step's row count and q: over GF(9)
+    a step that updates at least 9 rows gathers from its table of pivot
+    multiples and never calls ``vec_axpy``; every smaller nonempty step calls
+    it once (one row block).  16 rows of rank 3 over 3 random rows give
+    steps on both sides of the rule, in both depths."""
+    fld = FiniteField(3, 2)
+    rng = np.random.default_rng(9)
+    low = gflinalg.matmul(fld, rng.integers(0, fld.q, size=(16, 3)), rng.integers(0, fld.q, size=(3, 6)))
+    m = np.vstack([low, rng.integers(0, fld.q, size=(3, 6))]).astype(np.int64)
+    calls, axpy = [], fld.vec_axpy
+
+    def counted(y, a, x):
+        calls.append(len(y))
+        return axpy(y, a, x)
+
+    monkeypatch.setattr(fld, "vec_axpy", counted)
+    got, pivots = (gflinalg.rref if full else gflinalg.echelon)(fld, m)
+    steps = []
+    expect, _ = _rref_oracle(fld, m, full, steps)
+    assert (got == expect[: len(got)]).all() and len(steps) == len(pivots)
+    assert min(steps) < fld.q <= max(steps)
+    assert calls == [s for s in steps if 0 < s < fld.q]
 
 
 def _matmul_oracle(fld, a, b):
@@ -293,6 +376,28 @@ def test_matmul_runs_one_fused_update_per_inner_index(monkeypatch):
     got = gflinalg.matmul(fld, a, b)
     assert calls == [(4, 1)] * 7
     assert (got == _matmul_oracle(fld, a, b)).all()
+
+
+@pytest.mark.parametrize("fixture", ["tower_code", "hermitian_code"])
+def test_construct_reduces_to_rref_only_e_and_the_intersection_tail(fixture, request, monkeypatch):
+    """Ranks, split bases and escape checks stop at row echelon: the one
+    Gauss-Jordan pass on the union matrix E and the one on the k-row
+    intersection tail, over E's |P| pivot columns, are the only ``rref``
+    calls of a construction."""
+    code = request.getfixturevalue(fixture)
+    spec, fld = code.spec, code.field
+    evals = _union_rows(spec, code.group1, code.group2, code.dims.budget)[1]
+    width = gflinalg.rank(fld, evals)
+    shapes, rref = [], gflinalg.rref
+
+    def counted(field, mat):
+        shapes.append(np.shape(mat))
+        return rref(field, mat)
+
+    monkeypatch.setattr(gflinalg, "rref", counted)
+    rebuilt = construct_lrc(spec, code.group1, code.group2, code.d_designed)
+    assert (rebuilt.generator_matrix == code.generator_matrix).all()
+    assert shapes == [evals.shape, (code.params.k, width)]
 
 
 @pytest.mark.parametrize("fixture", ["golden_code", "tower_code", "hermitian_code"])

@@ -94,6 +94,20 @@ def test_check_place_rejections(gf9):
     assert not check_place(h, (0, 1))[0]
 
 
+@pytest.mark.parametrize("variant", ["gs96", "gs95"])
+@pytest.mark.parametrize("value", [-1, 9, 99])
+def test_check_place_refuses_codes_outside_the_field(gf9, variant, value):
+    """A coordinate outside [0, q) is refused by name before any table is
+    read: -1 would otherwise wrap to the last code, and 99 index past it."""
+    spec = TowerSpec(variant, gf9, 2)
+    good = spec.places()[0].tolist()
+    for i in range(2):
+        coords = list(good)
+        coords[i] = value
+        assert check_place(spec, coords) == (False, f"coordinate {i + 1} = {value} is outside [0, 9)")
+    assert check_place(TowerSpec(variant, gf9, 1), (value,)) == (False, f"coordinate 1 = {value} is outside [0, 9)")
+
+
 def test_depth_caps(gf9):
     with pytest.raises(UnsupportedDepth):
         TowerSpec("gs96", gf9, 4)
