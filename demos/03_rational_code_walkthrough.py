@@ -26,13 +26,13 @@ h2 = build_recovery_group(spec, "multiplicative", order=2)
 print(f"H1: shifts {h1.shifts} (locality r1 = {h1.r})")
 print(f"H2: scalars {h2.scalars} (locality r2 = {h2.r})")
 
-v1 = spanning_set(spec, h1, budget=4)
-v2 = spanning_set(spec, h2, budget=4)
+v1 = spanning_set(h1, budget=4)
+v2 = spanning_set(h2, budget=4)
 print(f"\n|V1| = {len(v1)} spanning functions, |V2| = {len(v2)}")
 print("V1 evaluations on the 6 places:")
-print(evaluation_matrix(v1, spec.places(), f9))
+print(evaluation_matrix(v1, spec.places(), f9, h1))
 print("V2 evaluations:")
-print(evaluation_matrix(v2, spec.places(), f9))
+print(evaluation_matrix(v2, spec.places(), f9, h2))
 
 code = construct_lrc(spec, h1, h2, d_target=2)
 print(f"\ncode parameters: n={code.params.n} k={code.params.k} "

@@ -43,11 +43,9 @@ from .repair import (
     verify_definition1,
 )
 from .tower import (
-    MonomialFunction,
     TowerSpec,
     check_place,
     genus,
-    pole_degree,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +57,6 @@ __all__ = [
     "LocalityReport",
     "LrcCode",
     "LrcError",
-    "MonomialFunction",
     "RecoveryGroup",
     "TowerSpec",
     "TradeoffLine",
@@ -80,7 +77,6 @@ __all__ = [
     "load_code",
     "norm_one_group",
     "orbit",
-    "pole_degree",
     "regimes",
     "repair",
     "rpdv_bound",

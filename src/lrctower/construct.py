@@ -1,13 +1,16 @@
 """Evaluation-code construction with two disjoint recovery sets.
 
 For each recovery group H the spanning set collects the monomials that are
-H-invariant up to powers of the repair variable w:
+H-invariant up to powers of the repair variable w, each held as its
+expanded exponent vector t, one row of an integer array:
 
 * additive H with shift set W: (monomials in the other generators) *
   g(w)^j * w^l, where g is the monic polynomial with root set W and
-  0 <= l <= |W| - 2;
+  0 <= l <= |W| - 2; g(w)^j is kept unexpanded, and t_w = |W| j + l, so
+  t_w mod |W| <= |W| - 2 and the function at t is read back from t alone;
 * multiplicative H of order u: monomials whose scaled-generator degree sum
-  is divisible by u, times w^l with 0 <= l <= u - 2.
+  is divisible by u, times w^l with 0 <= l <= u - 2; with s the sum of t's
+  scaled-generator exponents mod u, that is s <= u - 2 and t_w >= s.
 
 Every spanning function obeys a pole-degree budget of n - d_target, so both
 spaces sit inside the functions with at most n - d_target zeros and the
@@ -22,14 +25,18 @@ are visited by falling bound and the search stops once no bound can reach
 the best score; a split whose bound only ties it is scored only if it comes
 earlier in profile order.
 
-A split's spanning set is the budget-only one less the monomials whose
+A split's spanning set is the budget-only one less the functions whose
 expanded exponents exceed its caps, in the same order.  So each group's
-monomials are enumerated once, without caps, their union is evaluated once,
-into one union matrix E, and each split's rows of E are a mask over each
-group's list.  E is reduced once to R with pivot columns P.  Every space
-searched lies in rowspace(E), whose RREF pivots are P: a subspace's pivots
-are a subset of P, and v -> v[P] is an isomorphism on rowspace(E) that keeps
-leading positions.  So each split's bases, ranks, score and the winner's
+functions are enumerated once, without caps, and evaluated once; the union
+matrix E keeps each distinct evaluation row once, in first-occurrence order
+over H1's functions then H2's (a function of both groups, or two functions
+that agree on every place, such as y^0 and y^(q-1) on the y-tower, share a
+row).  Each split's rows of E are a mask over each group's list, so its
+matrices equal the group's own evaluation matrices row for row.  E is
+reduced once to R with pivot columns P.  Every space searched lies in
+rowspace(E), whose RREF pivots are P: a subspace's pivots are a subset of
+P, and v -> v[P] is an isomorphism on rowspace(E) that keeps leading
+positions.  So each split's bases, ranks, score and the winner's
 intersection are computed on the |P| columns E[:, P].  A split's bases are
 row-echelon, not reduced: only their lengths and spans are read.  The
 intersection alone is reduced, and the winner's projected RREF basis W is
@@ -40,7 +47,6 @@ intersection tail; every rank stops at row echelon.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, reduce
 from itertools import product
@@ -48,86 +54,56 @@ from itertools import product
 import numpy as np
 
 from . import gflinalg
-from .errors import BudgetTooSmall, EmptyCode, IllegalOrder
+from .errors import BudgetTooSmall, EmptyCode, IllegalOrder, VariantMismatch
 from .field import FiniteField
 from .groups import ADDITIVE, MULTIPLICATIVE, RecoveryGroup, combine, orbit, scaled_generators
-from .tower import GS96, MonomialFunction, TowerSpec, pole_degree
+from .tower import GS96, TowerSpec
 
 
-def spanning_set(spec: TowerSpec, group: RecoveryGroup, budget: int) -> tuple[MonomialFunction, ...]:
-    """Invariant monomials with pole degree <= budget, sorted by pole degree,
-    expanded exponents, g_power and w_power."""
+def spanning_set(group: RecoveryGroup, budget: int) -> np.ndarray:
+    """The group's invariant functions of pole degree <= budget on
+    ``group.spec``, as one (N, m) array of expanded exponent vectors t,
+    sorted by pole degree t . pole_weights, then by t."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    weights = spec.pole_weights()
-    m = spec.m
-    widx = group.w_index
-    r = group.r
-    bounds = [budget // wt for wt in weights]
-    found: list[MonomialFunction] = []
-
+    spec = group.spec
+    weights = np.array(spec.pole_weights())
+    box = np.indices([budget // wt + 1 for wt in weights]).reshape(spec.m, -1).T
+    box = box[box @ weights <= budget]
+    top = max(group.order - 2, 0)
+    t_w = box[:, group.w_index]
     if group.kind == ADDITIVE:
-        roots = group.shifts
-        gdeg = len(roots)
-        other = [i for i in range(m) if i != widx]
-        for evec in product(*(range(bounds[i] + 1) for i in other)):
-            base = sum(weights[i] * e for i, e in zip(other, evec))
-            if base > budget:
-                continue
-            for l in range(max(r, 1)):
-                for j in range(0, bounds[widx] + 1):
-                    if base + weights[widx] * (gdeg * j + l) > budget:
-                        break
-                    exps = [0] * m
-                    for i, e in zip(other, evec):
-                        exps[i] = e
-                    found.append(
-                        MonomialFunction(tuple(exps), widx, w_power=l,
-                                         g_roots=roots, g_power=j)
-                    )
+        keep = t_w % group.order <= top
     elif group.kind == MULTIPLICATIVE:
-        u = group.order
-        scaled = scaled_generators(spec.variant, m)
-        for tvec in product(*(range(b + 1) for b in bounds)):
-            if sum(weights[i] * t for i, t in enumerate(tvec)) > budget:
-                continue
-            s = sum(tvec[i] for i in scaled) % u
-            if s > max(u - 2, 0) or tvec[widx] < s:
-                continue
-            exps = list(tvec)
-            exps[widx] -= s
-            found.append(MonomialFunction(tuple(exps), widx, w_power=s))
+        s = box[:, scaled_generators(spec.variant, spec.m)].sum(axis=1) % group.order
+        keep = (s <= top) & (t_w >= s)
     else:
         raise ValueError(f"unknown group kind {group.kind!r}")
-
-    return tuple(sorted(
-        set(found),
-        key=lambda f: (pole_degree(f, spec), f.total_exponents(), f.g_power, f.w_power),
-    ))
+    box = box[keep]
+    return box[np.lexsort((*box.T[::-1], box @ weights))]
 
 
-def evaluation_matrix(functions: Sequence[MonomialFunction], coords: np.ndarray, fld: FiniteField) -> np.ndarray:
-    """Row per function, column per row of the (n, m) place array ``coords``,
-    in ``fld.dtype``.
+def evaluation_matrix(exps: np.ndarray, coords: np.ndarray, fld: FiniteField,
+                      group: RecoveryGroup | None) -> np.ndarray:
+    """Row per exponent vector of the (N, m) array ``exps``, column per row
+    of the (n, m) place array ``coords``, in ``fld.dtype``.
 
-    Each generator's powers are tabulated once, by repeated products, up to
-    the largest exponent it carries (the w-power folded into the w column),
-    and each distinct root set's g(w)^j likewise; a row is the product of its
-    gathered table rows.
+    A row is the plain monomial x^t (``group`` None or multiplicative),
+    except under an additive group, whose w column t_w reads as
+    g(w)^(t_w div |W|) * w^(t_w mod |W|), g the monic polynomial with the
+    group's shifts as roots.  Each generator's powers, and g's, are
+    tabulated once, by repeated products, up to the largest exponent
+    needed; a row is the product of its gathered table rows.
     """
-    exps = np.zeros((len(functions), coords.shape[1]), dtype=np.intp)
-    for row, f in zip(exps, functions):
-        row[:] = f.exponents
-        row[f.w_index] += f.w_power
+    exps = np.array(exps, dtype=np.intp)  # a copy: an additive group splits its w column
+    g_power = None
+    if group is not None and group.kind == ADDITIVE:
+        w = group.w_index
+        g_power, exps[:, w] = np.divmod(exps[:, w], group.order)
     out = reduce(fld.vec_mul, (_powers(fld, x, e.max(initial=0))[e] for x, e in zip(coords.T, exps.T)))
-    by_roots: dict[tuple, list[int]] = {}
-    for i, f in enumerate(functions):
-        if f.g_power and f.g_roots:
-            by_roots.setdefault((f.g_roots, f.w_index), []).append(i)
-    for (roots, w), rows in by_roots.items():
-        g = reduce(fld.vec_mul, (fld.vec_sub(coords[:, w], root) for root in roots))
-        j = [functions[i].g_power for i in rows]
-        out[rows] = fld.vec_mul(out[rows], _powers(fld, g, max(j))[j])
+    if g_power is not None and g_power.any():
+        g = reduce(fld.vec_mul, (fld.vec_sub(coords[:, w], root) for root in group.shifts))
+        out = fld.vec_mul(out, _powers(fld, g, g_power.max())[g_power])
     return out
 
 
@@ -219,25 +195,29 @@ def _cap_profiles(spec: TowerSpec, budget: int) -> list[tuple[int, ...] | None]:
     return [None]
 
 
-def _union_rows(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, budget: int):
-    """Both groups' spanning monomials, evaluated once, and every cap split's
+def _union_rows(h1: RecoveryGroup, h2: RecoveryGroup, budget: int):
+    """Both groups' spanning functions, evaluated once, and every cap split's
     rows of them.
 
-    Returns (splits, E): E has one row per distinct monomial, H1's first,
-    and each split is (caps, (rows1, rows2)), the rows of E that span V1 and
-    V2 under those caps: the group's monomials whose expanded exponents are
-    all <= caps (every one for caps None), in ``spanning_set`` order.
+    Returns (splits, E): E holds each distinct evaluation row once, in
+    first-occurrence order over H1's functions then H2's, and each split is
+    (caps, (rows1, rows2)), the rows of E that span V1 and V2 under those
+    caps: the E row of each of the group's functions whose expanded
+    exponents are all <= caps (every one for caps None), in ``spanning_set``
+    order.
     """
-    spaces = [spanning_set(spec, h, budget) for h in (h1, h2)]
-    union = list(dict.fromkeys(spaces[0] + spaces[1]))
-    row_of = {f: i for i, f in enumerate(union)}
-    indexed = [(np.array([row_of[f] for f in fs], dtype=np.intp),
-                np.array([f.total_exponents() for f in fs])) for fs in spaces]
+    spec = h1.spec
+    exps = [spanning_set(h, budget) for h in (h1, h2)]
+    stacked = np.vstack([evaluation_matrix(t, spec.places(), spec.field, h) for t, h in zip(exps, (h1, h2))])
+    seen: dict[bytes, int] = {}
+    first = [seen.setdefault(row.tobytes(), i) for i, row in enumerate(stacked)]
+    kept, row_of = np.unique(first, return_inverse=True)
+    indexed = list(zip(np.split(row_of, [len(exps[0])]), exps))
     splits = [
-        (caps, tuple(rows if caps is None else rows[(exps <= caps).all(axis=1)] for rows, exps in indexed))
+        (caps, tuple(rows if caps is None else rows[(t <= caps).all(axis=1)] for rows, t in indexed))
         for caps in _cap_profiles(spec, budget)
     ]
-    return splits, evaluation_matrix(union, spec.places(), spec.field)
+    return splits, stacked[kept]
 
 
 def _split_bases(fld: FiniteField, projected: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray, int]:
@@ -249,6 +229,9 @@ def _split_bases(fld: FiniteField, projected: np.ndarray, rows) -> tuple[np.ndar
 def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_target: int) -> LrcCode:
     """Build the two invariant spaces, intersect their evaluation images and
     assemble the finished code with per-coordinate recovery sets."""
+    for h in (h1, h2):
+        if h.spec != spec:
+            raise VariantMismatch(f"recovery group built on {h.spec!r}, but the code is on {spec!r}")
     combine(h1, h2)  # validates the pair: trivial intersection, H2 normalizes H1
     if h1.order < 2 or h2.order < 2:
         raise IllegalOrder("recovery groups must have order >= 2")
@@ -265,7 +248,7 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
             )
 
     fld = spec.field
-    splits, evals = _union_rows(spec, h1, h2, budget)
+    splits, evals = _union_rows(h1, h2, budget)
     reduced, pivots = gflinalg.rref(fld, evals)
     projected = evals[:, pivots]
     # k <= min(|rows1|, |rows2|); the stable sort keeps profile order among

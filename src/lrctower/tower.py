@@ -12,8 +12,6 @@ A completely-splitting rational place is identified with its coordinates
 the rows whose first coordinate avoids the Artin-Schreier kernel and which
 satisfy the recursion level by level; the xz-tower places need only a
 nonzero first coordinate.
-Functions are polynomial monomials in the generators, optionally carrying
-an unexpanded factor g(w)^j where g has the recovery-group shifts as roots.
 """
 
 from __future__ import annotations
@@ -148,32 +146,3 @@ def genus(spec: TowerSpec) -> int:
     if m % 2 == 0:
         return (ell ** (m // 2) - 1) ** 2
     return (ell ** ((m + 1) // 2) - 1) * (ell ** ((m - 1) // 2) - 1)
-
-
-@dataclass(frozen=True)
-class MonomialFunction:
-    """Monomial in the tower generators.
-
-    ``exponents`` holds one exponent per generator.  ``g_roots``/``g_power``
-    describe an optional factor g(w)^j kept unexpanded, where g is the monic
-    polynomial whose roots are the recovery shifts, and ``w_power`` is the
-    extra exponent on the repair variable (generator ``w_index``).
-    """
-
-    exponents: tuple[int, ...]
-    w_index: int
-    w_power: int = 0
-    g_roots: tuple[int, ...] = ()
-    g_power: int = 0
-
-    def total_exponents(self) -> tuple[int, ...]:
-        """Per-generator degree after conceptually expanding g(w)^j * w^l."""
-        tot = list(self.exponents)
-        tot[self.w_index] += len(self.g_roots) * self.g_power + self.w_power
-        return tuple(tot)
-
-
-def pole_degree(f: MonomialFunction, spec: TowerSpec) -> int:
-    """Degree of the pole divisor: weighted sum of expanded exponents."""
-    weights = spec.pole_weights()
-    return sum(w * t for w, t in zip(weights, f.total_exponents()))

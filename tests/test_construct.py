@@ -15,15 +15,16 @@ from lrctower import (
     spanning_set,
 )
 from lrctower.construct import CodeDims, _cap_profiles, _split_bases, _union_rows
-from lrctower.errors import BudgetTooSmall, IllegalOrder
+from lrctower.errors import BudgetTooSmall, IllegalOrder, VariantMismatch
+from lrctower.groups import scaled_generators
 from lrctower import construct, gflinalg
 
 
-def _capped(spec, h, budget, caps):
-    """A cap split's spanning set: the monomials whose expanded exponents
-    are all <= caps, every one for caps None."""
-    return [f for f in spanning_set(spec, h, budget)
-            if caps is None or all(t <= c for t, c in zip(f.total_exponents(), caps))]
+def _capped(h, budget, caps):
+    """A cap split's spanning set: the expanded exponent vectors that are
+    all <= caps, every one for caps None."""
+    t = spanning_set(h, budget)
+    return t if caps is None else t[(t <= caps).all(axis=1)]
 
 
 def _groups_m1(gf9):
@@ -34,25 +35,103 @@ def _groups_m1(gf9):
 
 
 def test_spanning_set_additive_worked_example(gf9):
-    spec, h1, _ = _groups_m1(gf9)
-    v = spanning_set(spec, h1, 4)
-    shapes = [(f.g_power, f.w_power) for f in v]
-    # {1, x, g, g*x} with g of degree 3
+    _, h1, _ = _groups_m1(gf9)
+    v = spanning_set(h1, 4)
+    shapes = [divmod(int(t_w), h1.order) for (t_w,) in v]
+    # {1, x, g, g*x} with g of degree 3: (g power, w power) read off t_w
     assert sorted(shapes) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert all(f.g_roots in ((), (0, 3, 6)) for f in v)
+    assert v.tolist() == [[0], [1], [3], [4]]
+    assert h1.shifts == (0, 3, 6)
 
 
 def test_spanning_set_multiplicative_worked_example(gf9):
-    spec, _, h2 = _groups_m1(gf9)
-    v = spanning_set(spec, h2, 4)
-    assert [f.total_exponents() for f in v] == [(0,), (2,), (4,)]
+    _, _, h2 = _groups_m1(gf9)
+    v = spanning_set(h2, 4)
+    assert v.tolist() == [[0], [2], [4]]
 
 
 def test_spanning_set_budget_zero(gf9):
-    spec, h1, h2 = _groups_m1(gf9)
+    _, h1, h2 = _groups_m1(gf9)
     for h in (h1, h2):
-        v = spanning_set(spec, h, 0)
-        assert len(v) == 1 and v[0].total_exponents() == (0,)
+        v = spanning_set(h, 0)
+        assert v.tolist() == [[0]]
+
+
+def _spanning_oracle(h, budget):
+    """The loop enumerator: additive H with shift set W gives (monomials in
+    the other generators) * g(w)^j * w^l with 0 <= l <= |W| - 2, a
+    multiplicative H of order u the monomials whose scaled-generator
+    degree sum s is divisible by u, times w^s with s <= u - 2; each as its
+    expanded exponent vector, sorted by (pole degree, t, j, l)."""
+    spec = h.spec
+    weights, m, widx = spec.pole_weights(), spec.m, h.w_index
+    bounds = [budget // wt for wt in weights]
+    found = []
+    if h.kind == "additive":
+        gdeg = h.order
+        other = [i for i in range(m) if i != widx]
+        for evec in product(*(range(bounds[i] + 1) for i in other)):
+            base = sum(weights[i] * e for i, e in zip(other, evec))
+            if base > budget:
+                continue
+            for l in range(max(h.r, 1)):
+                for j in range(0, bounds[widx] + 1):
+                    if base + weights[widx] * (gdeg * j + l) > budget:
+                        break
+                    t = [0] * m
+                    for i, e in zip(other, evec):
+                        t[i] = e
+                    t[widx] = gdeg * j + l
+                    found.append((tuple(t), j, l))
+    else:
+        u = h.order
+        scaled = range(m) if spec.variant == "gs96" else range(1)
+        for tvec in product(*(range(b + 1) for b in bounds)):
+            if sum(weights[i] * t for i, t in enumerate(tvec)) > budget:
+                continue
+            s = sum(tvec[i] for i in scaled) % u
+            if s > max(u - 2, 0) or tvec[widx] < s:
+                continue
+            found.append((tvec, 0, s))
+    found.sort(key=lambda f: (sum(w * t for w, t in zip(weights, f[0])), *f))
+    return np.array([t for t, _, _ in found], dtype=np.int64).reshape(-1, m)
+
+
+def _oracle_groups():
+    """(spec, group) over gs96 at l = 2..5 (m = 1..3 for l <= 3) and gs95 at l = 3,
+    4, 5 (m = 1, 2): kernel shifts, a proper shift subgroup, the trivial
+    shift group and every scalar order the tower admits."""
+    for variant, (p, e), depths in [("gs96", (2, 2), (1, 2, 3)), ("gs96", (3, 2), (1, 2, 3)),
+                                    ("gs96", (2, 4), (1, 2)), ("gs96", (5, 2), (1, 2)),
+                                    ("gs95", (3, 2), (1, 2)),
+                                    ("gs95", (2, 4), (1, 2)), ("gs95", (5, 2), (1, 2))]:
+        fld = FiniteField(p, e)
+        ambient = fld.ell - 1 if variant == "gs96" else fld.ell + 1
+        for m in depths:
+            spec = TowerSpec(variant, fld, m)
+            groups = [build_recovery_group(spec, "multiplicative", order=u)
+                      for u in range(1, ambient + 1) if ambient % u == 0]
+            if variant == "gs96" or m == 2:
+                ker = [a for a in artin_schreier_kernel(fld) if a]
+                groups += [build_recovery_group(spec, "additive", shifts="kernel"),
+                           build_recovery_group(spec, "additive", shifts=ker[:1]),
+                           build_recovery_group(spec, "additive", shifts=[0])]
+            for h in groups:
+                yield spec, h
+
+
+def test_spanning_set_matches_loop_oracle():
+    """Row for row, over both variants, l = 2..5, every depth, additive and
+    multiplicative groups of every order (the trivial ones included) and
+    budgets from 0 to 1.5 n."""
+    cases = 0
+    for spec, h in _oracle_groups():
+        n = len(spec.places())
+        for budget in sorted({*range(0, 3 * n // 2 + 1, max(1, n // 8)), 3 * n // 2}):
+            got, expect = spanning_set(h, budget), _spanning_oracle(h, budget)
+            assert got.shape == expect.shape and (got == expect).all(), (spec, h.kind, h.order, budget)
+            cases += 1
+    assert cases > 1000
 
 
 def closed_form_dim(budget, r, order):
@@ -70,8 +149,8 @@ def test_rational_level_dimension_formula(gf9, budget):
     spec, h1, h2 = _groups_m1(gf9)
     places = spec.places()
     for h in (h1, h2):
-        v = spanning_set(spec, h, budget)
-        mat = evaluation_matrix(v, places, gf9)
+        v = spanning_set(h, budget)
+        mat = evaluation_matrix(v, places, gf9, h)
         expect = closed_form_dim(budget, h.r, h.order)
         # dimension == count at the rational level (distinct monomial degrees)
         assert len(v) == expect
@@ -82,8 +161,8 @@ def test_rational_level_dimension_formula(gf9, budget):
 def test_evaluation_matrix_rows(gf9):
     spec, h1, _ = _groups_m1(gf9)
     places = spec.places()
-    v = spanning_set(spec, h1, 4)
-    mat = evaluation_matrix(v, places, gf9)
+    v = spanning_set(h1, 4)
+    mat = evaluation_matrix(v, places, gf9, h1)
     assert mat.shape == (len(v), 6)
     assert (mat[0] == 1).all()  # constant row
     assert (mat[1] == places[:, 0]).all()  # projection row
@@ -386,7 +465,7 @@ def test_construct_reduces_to_rref_only_e_and_the_intersection_tail(fixture, req
     calls of a construction."""
     code = request.getfixturevalue(fixture)
     spec, fld = code.spec, code.field
-    evals = _union_rows(spec, code.group1, code.group2, code.dims.budget)[1]
+    evals = _union_rows(code.group1, code.group2, code.dims.budget)[1]
     width = gflinalg.rank(fld, evals)
     shapes, rref = [], gflinalg.rref
 
@@ -407,19 +486,56 @@ def test_projected_split_dims_equal_full_width_ranks(fixture, request):
     own evaluation matrices, whose rows the union matrix holds."""
     code = request.getfixturevalue(fixture)
     spec, fld, budget = code.spec, code.field, code.dims.budget
-    splits, evals = _union_rows(spec, code.group1, code.group2, budget)
+    splits, evals = _union_rows(code.group1, code.group2, budget)
     assert [caps for caps, _ in splits] == _cap_profiles(spec, budget)
     _, pivots = gflinalg.rref(fld, evals)
     assert len(pivots) < evals.shape[1]  # the projection drops columns
     # no row of E lies outside every split
     assert set().union(*(set(r.tolist()) for _, rows in splits for r in rows)) == set(range(len(evals)))
     for caps, rows in splits:
-        m1, m2 = (evaluation_matrix(_capped(spec, h, budget, caps), spec.places(), fld)
+        m1, m2 = (evaluation_matrix(_capped(h, budget, caps), spec.places(), fld, h)
                   for h in (code.group1, code.group2))
         assert (evals[rows[0]] == m1).all() and (evals[rows[1]] == m2).all()
         b1, b2, dim_sum = _split_bases(fld, evals[:, pivots], rows)
         ranks = (gflinalg.rank(fld, m1), gflinalg.rank(fld, m2), gflinalg.rank(fld, np.vstack([m1, m2])))
         assert (len(b1), len(b2), dim_sum) == ranks
+
+
+@pytest.mark.parametrize("fixture, functions, rows", [("golden_code", 7, 6), ("tower_code", 21, 16),
+                                                      ("hermitian_code", 16, 11)])
+def test_union_matrix_keeps_each_distinct_row_once(fixture, functions, rows, request):
+    """E has one row per distinct evaluation, in first-occurrence order over
+    H1's functions then H2's, and each split row list points every
+    function at the row of E that equals its evaluation."""
+    code = request.getfixturevalue(fixture)
+    spec, fld, budget = code.spec, code.field, code.dims.budget
+    splits, evals = _union_rows(code.group1, code.group2, budget)
+    stacked = np.vstack([evaluation_matrix(spanning_set(h, budget), spec.places(), fld, h)
+                         for h in (code.group1, code.group2)])
+    assert len(stacked) == functions and evals.shape == (rows, len(spec.places()))
+    _, first = np.unique(stacked, axis=0, return_index=True)
+    assert (evals == stacked[np.sort(first)]).all()
+    for caps, split in splits:
+        for h, r in zip((code.group1, code.group2), split):
+            assert (evals[r] == evaluation_matrix(_capped(h, budget, caps), spec.places(), fld, h)).all()
+
+
+@pytest.mark.parametrize("spec_m, group_m, d", [(2, 1, 6), (1, 2, 2)])
+def test_construct_refuses_groups_of_another_spec(gf9, monkeypatch, spec_m, group_m, d):
+    """Groups built on another level of the y-tower over GF(9) are refused
+    by name, both ways round, before any spanning set is enumerated."""
+    spec = TowerSpec("gs96", gf9, spec_m)
+    other = TowerSpec("gs96", gf9, group_m)
+    h1 = build_recovery_group(other, "additive", shifts="kernel")
+    h2 = build_recovery_group(other, "multiplicative", order=2)
+
+    def forbidden(*args):
+        raise AssertionError("construct_lrc started work on mismatched specs")
+
+    monkeypatch.setattr(construct, "spanning_set", forbidden)
+    with pytest.raises(VariantMismatch) as err:
+        construct_lrc(spec, h1, h2, d)
+    assert repr(spec) in str(err.value) and repr(other) in str(err.value)
 
 
 def test_spanning_set_runs_once_per_group(tower_code, monkeypatch):
@@ -445,7 +561,7 @@ def test_cap_profile_choice_matches_per_profile_zassenhaus(tower_code):
     spec, fld, budget = tower_code.spec, tower_code.field, tower_code.dims.budget
 
     def matrices(caps):
-        return [evaluation_matrix(_capped(spec, h, budget, caps), spec.places(), fld)
+        return [evaluation_matrix(_capped(h, budget, caps), spec.places(), fld, h)
                 for h in (tower_code.group1, tower_code.group2)]
 
     profiles = _cap_profiles(spec, budget)
@@ -476,7 +592,7 @@ def _exhaustive_choice(spec, h1, h2, d_target):
     patched ``_union_rows`` applies here too."""
     fld = spec.field
     budget = len(spec.places()) - d_target
-    splits, evals = construct._union_rows(spec, h1, h2, budget)
+    splits, evals = construct._union_rows(h1, h2, budget)
     _, pivots = gflinalg.rref(fld, evals)
     scored = []
     for caps, rows in splits:
@@ -578,8 +694,8 @@ def test_generator_rows_live_in_both_spaces(golden_code, tower_code):
     for code in (golden_code, tower_code):
         fld = code.field
         for h, caps in ((code.group1, code.dims.caps), (code.group2, code.dims.caps)):
-            v = _capped(code.spec, h, code.dims.budget, caps)
-            mat = evaluation_matrix(v, code.spec.places(), fld)
+            v = _capped(h, code.dims.budget, caps)
+            mat = evaluation_matrix(v, code.spec.places(), fld, h)
             for row in code.generator_matrix:
                 assert gflinalg.in_span(fld, mat, row)
 
@@ -643,8 +759,6 @@ def test_xz_tower_additive_pair_code(gf16):
 
 
 def test_spanning_functions_respect_budget(gf9, gf25):
-    from lrctower import pole_degree
-
     cases = [
         (TowerSpec("gs96", gf9, 2), "additive", {"shifts": "kernel"}),
         (TowerSpec("gs96", gf9, 2), "multiplicative", {"order": 2}),
@@ -653,9 +767,14 @@ def test_spanning_functions_respect_budget(gf9, gf25):
     for spec, kind, kwargs in cases:
         h = build_recovery_group(spec, kind, **kwargs)
         for budget in (0, 5, 11, 20):
-            for f in spanning_set(spec, h, budget):
-                assert pole_degree(f, spec) <= budget
-                assert 0 <= f.w_power <= max(h.r - 1, 0)
+            t = spanning_set(h, budget)
+            assert (t @ spec.pole_weights() <= budget).all()
+            # the power of w beside g(w)^j, or beside the scalar-invariant monomial
+            if kind == "additive":
+                w_power = t[:, h.w_index] % h.order
+            else:
+                w_power = t[:, scaled_generators(spec.variant, spec.m)].sum(axis=1) % h.order
+            assert ((0 <= w_power) & (w_power <= max(h.r - 1, 0))).all()
 
 
 def test_scalar_pair_on_y_tower_gf49():

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrctower import FiniteField, TowerSpec, check_place, evaluation_matrix, genus, pole_degree
+from lrctower import (FiniteField, TowerSpec, artin_schreier_kernel, build_recovery_group, check_place,
+                      evaluation_matrix, genus, spanning_set)
 from lrctower import tower
 from lrctower.errors import UnsupportedDepth
-from lrctower.tower import MonomialFunction
 
 
-def _value_at(f, coords, fld):
-    """evaluation_matrix on a one-row coordinate array."""
-    return int(evaluation_matrix([f], np.array([coords], dtype=np.int64), fld)[0, 0])
+def _value_at(t, coords, fld, group=None):
+    """evaluation_matrix of one exponent vector on a one-row coordinate array."""
+    return int(evaluation_matrix(np.array([t]), np.array([coords], dtype=np.int64), fld, group)[0, 0])
 
 
 def test_rational_level_places_gf9(gf9):
@@ -132,28 +132,28 @@ def test_genus_table():
 
 
 def test_pole_degrees(gf9, gf25):
+    """Pole degree t . pole_weights of an expanded exponent vector t: g * w
+    over the kernel of GF(9) has t = (4,)."""
     s1 = TowerSpec("gs96", gf9, 1)
-    f = MonomialFunction(exponents=(0,), w_index=0, w_power=1, g_roots=(0, 3, 6), g_power=1)
-    assert pole_degree(f, s1) == 4
+    g_times_w = spanning_set(build_recovery_group(s1, "additive", shifts="kernel"), 4)[-1]
+    assert g_times_w.tolist() == [4] and g_times_w @ s1.pole_weights() == 4
     s2 = TowerSpec("gs96", gf9, 2)
-    assert pole_degree(MonomialFunction((1, 1), w_index=1), s2) == 6
-    h = TowerSpec("gs95", gf25, 2)
-    assert pole_degree(MonomialFunction((2, 1), w_index=0), h) == 16
+    assert np.array([1, 1]) @ s2.pole_weights() == 6
+    herm = TowerSpec("gs95", gf25, 2)
+    assert np.array([2, 1]) @ herm.pole_weights() == 16
     h1 = TowerSpec("gs95", gf25, 1)
-    assert pole_degree(MonomialFunction((3,), w_index=0, w_power=1), h1) == 4
+    assert np.array([4]) @ h1.pole_weights() == 4
 
 
 def test_evaluate_examples(gf9):
     spec = TowerSpec("gs96", gf9, 2)
     p = spec.places()[0]
-    proj = MonomialFunction((1, 0), w_index=1)
-    assert _value_at(proj, p, gf9) == p[0]
-    const = MonomialFunction((0, 0), w_index=1)
-    assert _value_at(const, p, gf9) == 1
-    # g vanishes exactly on the kernel
-    g = MonomialFunction((0,), w_index=0, g_roots=(0, 3, 6), g_power=1)
-    assert _value_at(g, (3,), gf9) == 0
-    assert _value_at(g, (1,), gf9) != 0
+    assert _value_at((1, 0), p, gf9) == p[0]
+    assert _value_at((0, 0), p, gf9) == 1
+    # g vanishes exactly on the kernel: t_w = |W| reads as g(w)^1
+    h = build_recovery_group(TowerSpec("gs96", gf9, 1), "additive", shifts="kernel")
+    assert _value_at((3,), (3,), gf9, h) == 0
+    assert _value_at((3,), (1,), gf9, h) != 0
 
 
 @pytest.mark.parametrize("variant,pk,m", [("gs96", (3, 2), 1), ("gs96", (3, 2), 2),
@@ -168,10 +168,9 @@ def test_zero_counts_respect_pole_degree(variant, pk, m):
         exps = tuple(rng.randrange(3) for _ in range(m))
         if not any(exps):
             exps = (1,) + exps[1:]
-        mono = MonomialFunction(exps, w_index=m - 1)
         v0 = rng.randrange(f.q)
-        zeros = sum(1 for p in places if _value_at(mono, p, f) == v0)
-        assert zeros <= pole_degree(mono, spec)
+        zeros = sum(1 for p in places if _value_at(exps, p, f) == v0)
+        assert zeros <= np.array(exps) @ spec.pole_weights()
 
 
 # the table path (q <= TABLE_CAP) and the digit-loop path (GF(37^2), GF(2^12))
@@ -208,33 +207,48 @@ def _field(pk):
     return FiniteField(*pk)
 
 
-def _scalar_value(f, row, fld):
-    """The monomial at one coordinate row by scalar field ops, with
+@functools.cache
+def _additive_groups(pk, m):
+    """The trivial shift group and the whole kernel of GF(p^2) (its only
+    two additive subgroups), on the y-tower at level m."""
+    spec = TowerSpec("gs96", _field(pk), m)
+    return tuple(build_recovery_group(spec, "additive", shifts=s) for s in ([0], "kernel"))
+
+
+def _scalar_value(t, row, fld, group):
+    """x^t at one coordinate row by scalar field ops; under an additive
+    group the w column is g(w)^j * w^l, (j, l) = divmod(t_w, |W|), with
     g(w) = prod (w - root) multiplied out."""
     value = 1
-    for a, e in zip(row, f.exponents):
+    for i, (a, e) in enumerate(zip(row, t)):
+        if group is not None and group.kind == "additive" and i == group.w_index:
+            j, e = divmod(e, group.order)
+            g = 1
+            for root in group.shifts:
+                g = fld.mul(g, fld.sub(a, root))
+            value = fld.mul(value, fld.pow(g, j))
         value = fld.mul(value, fld.pow(a, e))
-    w, g = row[f.w_index], 1
-    for root in f.g_roots:
-        g = fld.mul(g, fld.sub(w, root))
-    return fld.mul(fld.mul(value, fld.pow(g, f.g_power)), fld.pow(w, f.w_power))
+    return value
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(data=st.data())
 def test_evaluation_matrix_matches_scalar_oracle(data):
-    """On GF(9), GF(25) and GF(37^2) (the digit-loop path), random monomials
-    with and without g-factors, at random coordinate rows, take the values
-    of a scalar pow/mul/sub evaluation."""
-    fld = _field(data.draw(st.sampled_from([(3, 2), (5, 2), (37, 2)])))
+    """On GF(9), GF(25) and GF(37^2) (the digit-loop path), random exponent
+    arrays, plain, under a scalar group and under shift groups from the
+    field's kernel (g-powers 0..3), at random coordinate rows, take the
+    values of a scalar pow/mul/sub evaluation."""
+    pk = data.draw(st.sampled_from([(3, 2), (5, 2), (37, 2)]))
+    fld = _field(pk)
     m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
     elem = st.integers(0, fld.q - 1)
     coords = np.array(data.draw(st.lists(st.lists(elem, min_size=m, max_size=m), min_size=n, max_size=n)))
-    monomial = st.builds(
-        MonomialFunction, exponents=st.tuples(*[st.integers(0, 7)] * m), w_index=st.integers(0, m - 1),
-        w_power=st.integers(0, 4), g_roots=st.lists(elem, max_size=4, unique=True).map(tuple),
-        g_power=st.integers(0, 3))
-    functions = data.draw(st.lists(monomial, max_size=8))
-    got = evaluation_matrix(functions, coords, fld)
-    assert got.dtype == fld.dtype and got.shape == (len(functions), n)
-    assert got.tolist() == [[_scalar_value(f, row, fld) for row in coords.tolist()] for f in functions]
+    scalars = build_recovery_group(TowerSpec("gs96", fld, m), "multiplicative", order=2)
+    group = data.draw(st.sampled_from((None, scalars, *_additive_groups(pk, m))))
+    order = group.order if group is not None else 1
+    column = [st.integers(0, 7)] * (m - 1) + [st.integers(0, 4 * max(order, 2) - 1)]
+    exps = np.array(data.draw(st.lists(st.tuples(*column), max_size=8)), dtype=np.int64).reshape(-1, m)
+    got = evaluation_matrix(exps, coords, fld, group)
+    assert got.dtype == fld.dtype and got.shape == (len(exps), n)
+    assert got.tolist() == [[_scalar_value(t, row, fld, group) for row in coords.tolist()]
+                            for t in exps.tolist()]
