@@ -27,22 +27,13 @@ earlier in profile order.
 
 A split's spanning set is the budget-only one less the functions whose
 expanded exponents exceed its caps, in the same order.  So each group's
-functions are enumerated once, without caps, and evaluated once; the union
-matrix E keeps each distinct evaluation row once, in first-occurrence order
-over H1's functions then H2's (a function of both groups, or two functions
-that agree on every place, such as y^0 and y^(q-1) on the y-tower, share a
-row).  Each split's rows of E are a mask over each group's list, so its
-matrices equal the group's own evaluation matrices row for row.  E is
-reduced once to R with pivot columns P.  Every space searched lies in
-rowspace(E), whose RREF pivots are P: a subspace's pivots are a subset of
-P, and v -> v[P] is an isomorphism on rowspace(E) that keeps leading
-positions.  So each split's bases, ranks, score and the winner's
-intersection are computed on the |P| columns E[:, P].  A split's bases are
+functions are enumerated once, without caps, and evaluated once, and a
+split is a list of row indices into each group's evaluation matrix.  Rows
+are gathered only for the splits the search scores.  A split's bases are
 row-echelon, not reduced: only their lengths and spans are read.  The
-intersection alone is reduced, and the winner's projected RREF basis W is
-lifted once, as W * R[:|P|], which already is the full-width RREF basis.
-So a construction runs Gauss-Jordan twice, on E and on the k-row
-intersection tail; every rank stops at row echelon.
+intersection alone is reduced, on the winner's full-width bases, so a
+construction runs Gauss-Jordan once, on the k-row intersection tail; every
+rank stops at row echelon.
 """
 
 from __future__ import annotations
@@ -195,34 +186,29 @@ def _cap_profiles(spec: TowerSpec, budget: int) -> list[tuple[int, ...] | None]:
     return [None]
 
 
-def _union_rows(h1: RecoveryGroup, h2: RecoveryGroup, budget: int):
+def _split_rows(h1: RecoveryGroup, h2: RecoveryGroup, budget: int):
     """Both groups' spanning functions, evaluated once, and every cap split's
     rows of them.
 
-    Returns (splits, E): E holds each distinct evaluation row once, in
-    first-occurrence order over H1's functions then H2's, and each split is
-    (caps, (rows1, rows2)), the rows of E that span V1 and V2 under those
-    caps: the E row of each of the group's functions whose expanded
-    exponents are all <= caps (every one for caps None), in ``spanning_set``
-    order.
+    Returns (splits, evals): evals holds each group's evaluation matrix, and
+    each split is (caps, (rows1, rows2)), the indices of the group's
+    functions whose expanded exponents are all <= caps (every one for caps
+    None), in ``spanning_set`` order.
     """
     spec = h1.spec
     exps = [spanning_set(h, budget) for h in (h1, h2)]
-    stacked = np.vstack([evaluation_matrix(t, spec.places(), spec.field, h) for t, h in zip(exps, (h1, h2))])
-    seen: dict[bytes, int] = {}
-    first = [seen.setdefault(row.tobytes(), i) for i, row in enumerate(stacked)]
-    kept, row_of = np.unique(first, return_inverse=True)
-    indexed = list(zip(np.split(row_of, [len(exps[0])]), exps))
+    evals = tuple(evaluation_matrix(t, spec.places(), spec.field, h) for t, h in zip(exps, (h1, h2)))
     splits = [
-        (caps, tuple(rows if caps is None else rows[(t <= caps).all(axis=1)] for rows, t in indexed))
+        (caps, tuple(np.arange(len(t)) if caps is None else np.flatnonzero((t <= caps).all(axis=1))
+                     for t in exps))
         for caps in _cap_profiles(spec, budget)
     ]
-    return splits, stacked[kept]
+    return splits, evals
 
 
-def _split_bases(fld: FiniteField, projected: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray, int]:
-    """Row-echelon bases of one split's two spaces and dim(V1 + V2), on E[:, P]."""
-    b1, b2 = (gflinalg.echelon(fld, projected[r])[0] for r in rows)
+def _split_bases(fld: FiniteField, evals, rows) -> tuple[np.ndarray, np.ndarray, int]:
+    """Row-echelon bases of one split's two spaces and dim(V1 + V2)."""
+    b1, b2 = (gflinalg.echelon(fld, m[r])[0] for m, r in zip(evals, rows))
     return b1, b2, gflinalg.rank(fld, np.vstack([b1, b2]))
 
 
@@ -248,9 +234,7 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
             )
 
     fld = spec.field
-    splits, evals = _union_rows(h1, h2, budget)
-    reduced, pivots = gflinalg.rref(fld, evals)
-    projected = evals[:, pivots]
+    splits, evals = _split_rows(h1, h2, budget)
     # k <= min(|rows1|, |rows2|); the stable sort keeps profile order among
     # equal bounds, and equal scores go to the lower index
     bounds = [min(len(r) for r in rows) for _, rows in splits]
@@ -262,7 +246,7 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
             if bounds[i] == best[0] and i > best[1]:
                 continue
         caps, rows = splits[i]
-        b1, b2, dim_sum = _split_bases(fld, projected, rows)
+        b1, b2, dim_sum = _split_bases(fld, evals, rows)
         score = len(b1) + len(b2) - dim_sum
         if best is None or (score, -i) > (best[0], -best[1]):
             best = (score, i, b1, b2, dim_sum, caps, rows)
@@ -272,13 +256,11 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
         raise AssertionError("Zassenhaus intersection disagrees with the rank identity")
     if k == 0:
         raise EmptyCode("the two evaluation spaces only meet in zero")
-    basis = gflinalg.matmul(fld, basis, reduced[: len(pivots)])
 
-    # Stacked on a factor space's raw full-width rows, the basis must keep
-    # the rank at the projected dimension: so the basis lies in the space,
-    # and the projection lost no dimension of it.
-    for r, b in zip(rows, (b1, b2)):
-        if gflinalg.rank(fld, np.vstack([evals[r], basis])) != len(b):
+    # Stacked on a factor space's raw evaluation rows, the basis must keep
+    # the rank at that space's dimension: so the basis lies in the space.
+    for m, r, b in zip(evals, rows, (b1, b2)):
+        if gflinalg.rank(fld, np.vstack([m[r], basis])) != len(b):
             raise AssertionError("intersection basis escaped a factor space")
 
     # place i's recovery sets: column i of each orbit table, less i itself

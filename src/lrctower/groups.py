@@ -140,10 +140,10 @@ def build_recovery_group(spec: TowerSpec, kind: str, *, shifts=None, order: int 
                     (xz-tower).
     """
     f = spec.field
-    kernel = set(artin_schreier_kernel(f))
     if kind == ADDITIVE:
         if spec.variant == GS95 and spec.m < 2:
             raise UnsupportedDepth("additive recovery groups need level m >= 2 on the xz-tower")
+        kernel = set(artin_schreier_kernel(f))
         if shifts == "kernel":
             w = sorted(kernel)
         else:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from functools import cached_property
 
 import numpy as np
@@ -369,8 +369,12 @@ class VerificationReport:
     failures: list[str]
 
     def to_json(self) -> dict:
-        return {**asdict(self), "locality_checks": [list(c) for c in self.locality_checks],
-                "runtimes": {k: round(v, 6) for k, v in self.runtimes.items()}}
+        # shallow, field by field: asdict would deep-copy the n pairs of
+        # locality_checks only for them to be replaced
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "locality_checks": [list(c) for c in self.locality_checks],
+                "runtimes": {k: round(v, 6) for k, v in self.runtimes.items()},
+                "failures": list(self.failures)}
 
 
 def verify_code(

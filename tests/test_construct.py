@@ -14,7 +14,7 @@ from lrctower import (
     evaluation_matrix,
     spanning_set,
 )
-from lrctower.construct import CodeDims, _cap_profiles, _split_bases, _union_rows
+from lrctower.construct import CodeDims, _cap_profiles, _split_bases, _split_rows
 from lrctower.errors import BudgetTooSmall, IllegalOrder, VariantMismatch
 from lrctower.groups import scaled_generators
 from lrctower import construct, gflinalg
@@ -459,65 +459,43 @@ def test_matmul_runs_one_fused_update_per_inner_index(monkeypatch):
 
 @pytest.mark.parametrize("fixture", ["tower_code", "hermitian_code"])
 def test_construct_reduces_to_rref_only_e_and_the_intersection_tail(fixture, request, monkeypatch):
-    """Ranks, split bases and escape checks stop at row echelon: the one
-    Gauss-Jordan pass on the union matrix E and the one on the k-row
-    intersection tail, over E's |P| pivot columns, are the only ``rref``
-    calls of a construction."""
+    """Ranks, split bases and escape checks stop at row echelon, and the
+    search runs at full width with no lift: the one Gauss-Jordan pass on
+    the k x n intersection tail is the only ``rref`` call of a construction,
+    and no ``matmul`` runs."""
     code = request.getfixturevalue(fixture)
-    spec, fld = code.spec, code.field
-    evals = _union_rows(code.group1, code.group2, code.dims.budget)[1]
-    width = gflinalg.rank(fld, evals)
     shapes, rref = [], gflinalg.rref
 
     def counted(field, mat):
         shapes.append(np.shape(mat))
         return rref(field, mat)
 
+    def forbidden(*args):
+        raise AssertionError("construct_lrc ran a matrix product")
+
     monkeypatch.setattr(gflinalg, "rref", counted)
-    rebuilt = construct_lrc(spec, code.group1, code.group2, code.d_designed)
+    monkeypatch.setattr(gflinalg, "matmul", forbidden)
+    rebuilt = construct_lrc(code.spec, code.group1, code.group2, code.d_designed)
     assert (rebuilt.generator_matrix == code.generator_matrix).all()
-    assert shapes == [evals.shape, (code.params.k, width)]
+    assert shapes == [(code.params.k, code.params.n)]
 
 
 @pytest.mark.parametrize("fixture", ["golden_code", "tower_code", "hermitian_code"])
 def test_projected_split_dims_equal_full_width_ranks(fixture, request):
-    """Every cap split's (dim V1, dim V2, dim sum) computed on the pivot
-    columns of the union matrix equals the full-width rank of the split's
-    own evaluation matrices, whose rows the union matrix holds."""
+    """Every cap split's rows of each group's evaluation matrix are the
+    evaluations of its capped spanning set, and its (dim V1, dim V2, dim
+    sum) are the ranks of those two matrices and of their stack."""
     code = request.getfixturevalue(fixture)
     spec, fld, budget = code.spec, code.field, code.dims.budget
-    splits, evals = _union_rows(code.group1, code.group2, budget)
+    splits, evals = _split_rows(code.group1, code.group2, budget)
     assert [caps for caps, _ in splits] == _cap_profiles(spec, budget)
-    _, pivots = gflinalg.rref(fld, evals)
-    assert len(pivots) < evals.shape[1]  # the projection drops columns
-    # no row of E lies outside every split
-    assert set().union(*(set(r.tolist()) for _, rows in splits for r in rows)) == set(range(len(evals)))
     for caps, rows in splits:
         m1, m2 = (evaluation_matrix(_capped(h, budget, caps), spec.places(), fld, h)
                   for h in (code.group1, code.group2))
-        assert (evals[rows[0]] == m1).all() and (evals[rows[1]] == m2).all()
-        b1, b2, dim_sum = _split_bases(fld, evals[:, pivots], rows)
+        assert (evals[0][rows[0]] == m1).all() and (evals[1][rows[1]] == m2).all()
+        b1, b2, dim_sum = _split_bases(fld, evals, rows)
         ranks = (gflinalg.rank(fld, m1), gflinalg.rank(fld, m2), gflinalg.rank(fld, np.vstack([m1, m2])))
         assert (len(b1), len(b2), dim_sum) == ranks
-
-
-@pytest.mark.parametrize("fixture, functions, rows", [("golden_code", 7, 6), ("tower_code", 21, 16),
-                                                      ("hermitian_code", 16, 11)])
-def test_union_matrix_keeps_each_distinct_row_once(fixture, functions, rows, request):
-    """E has one row per distinct evaluation, in first-occurrence order over
-    H1's functions then H2's, and each split row list points every
-    function at the row of E that equals its evaluation."""
-    code = request.getfixturevalue(fixture)
-    spec, fld, budget = code.spec, code.field, code.dims.budget
-    splits, evals = _union_rows(code.group1, code.group2, budget)
-    stacked = np.vstack([evaluation_matrix(spanning_set(h, budget), spec.places(), fld, h)
-                         for h in (code.group1, code.group2)])
-    assert len(stacked) == functions and evals.shape == (rows, len(spec.places()))
-    _, first = np.unique(stacked, axis=0, return_index=True)
-    assert (evals == stacked[np.sort(first)]).all()
-    for caps, split in splits:
-        for h, r in zip((code.group1, code.group2), split):
-            assert (evals[r] == evaluation_matrix(_capped(h, budget, caps), spec.places(), fld, h)).all()
 
 
 @pytest.mark.parametrize("spec_m, group_m, d", [(2, 1, 6), (1, 2, 2)])
@@ -589,17 +567,16 @@ def _exhaustive_choice(spec, h1, h2, d_target):
     """Score every cap split, keep the first of largest score and intersect
     its two full-width evaluation matrices: the search construct_lrc prunes,
     written out with no bound.  Reads the splits through the module, so a
-    patched ``_union_rows`` applies here too."""
+    patched ``_split_rows`` applies here too."""
     fld = spec.field
     budget = len(spec.places()) - d_target
-    splits, evals = construct._union_rows(h1, h2, budget)
-    _, pivots = gflinalg.rref(fld, evals)
+    splits, evals = construct._split_rows(h1, h2, budget)
     scored = []
     for caps, rows in splits:
-        b1, b2, dim_sum = _split_bases(fld, evals[:, pivots], rows)
+        b1, b2, dim_sum = _split_bases(fld, evals, rows)
         scored.append((len(b1) + len(b2) - dim_sum, caps, rows, (len(b1), len(b2), dim_sum)))
     _, caps, rows, dims = max(scored, key=lambda s: s[0])  # max keeps the first maximum
-    gen = _doubled_block_intersection(fld, evals[rows[0]], evals[rows[1]])
+    gen = _doubled_block_intersection(fld, evals[0][rows[0]], evals[1][rows[1]])
     return CodeDims(*dims, budget=budget, caps=caps), gen
 
 
@@ -620,7 +597,7 @@ def test_equal_scores_go_to_the_lower_index(monkeypatch, layout):
     bound (a copy) or a larger one (each row list doubled, so it is visited
     and scored first)."""
     spec, h1, h2 = _kernel_scalar_pair(3, 2, 2)
-    real = construct._union_rows
+    real = construct._split_rows
 
     def tied(*args):
         splits, evals = real(*args)
@@ -628,7 +605,7 @@ def test_equal_scores_go_to_the_lower_index(monkeypatch, layout):
         later = rows if layout == "same-bound" else tuple(np.concatenate([r, r]) for r in rows)
         return [splits[0], ("first", rows), ("second", later)], evals
 
-    monkeypatch.setattr(construct, "_union_rows", tied)
+    monkeypatch.setattr(construct, "_split_rows", tied)
     code = construct_lrc(spec, h1, h2, 6)
     dims, gen = _exhaustive_choice(spec, h1, h2, 6)
     assert code.dims.caps == dims.caps == "first" and code.params.k == 4

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import re
 from itertools import product
 from types import SimpleNamespace
@@ -620,6 +621,23 @@ def test_verify_code_reports(golden_code, tower_code):
     blob = rep.to_json()
     assert blob["ok"] is True and blob["repair_mismatches"] == 0 and "runtimes" in blob
     assert blob["locality_checks"] == [[True, True]] * 6
+
+
+@pytest.mark.parametrize("fixture", ["golden_code", "tower_code", "hermitian_code"])
+def test_report_json_matches_asdict_form(fixture, request):
+    """``to_json`` gives the JSON bytes of the ``dataclasses.asdict`` form,
+    on a passing report and on one with failures, and shares no list with
+    the report."""
+    rep = verify_code(request.getfixturevalue(fixture))
+    failed = dataclasses.replace(rep, ok=False, failures=["distance 3 below designed 4"],
+                                 locality_checks=[(True, False)] + rep.locality_checks[1:])
+    for r in (rep, failed):
+        deep = {**dataclasses.asdict(r), "locality_checks": [list(c) for c in r.locality_checks],
+                "runtimes": {k: round(v, 6) for k, v in r.runtimes.items()}}
+        blob = r.to_json()
+        assert json.dumps(blob, sort_keys=True, indent=2) == json.dumps(deep, sort_keys=True, indent=2)
+        blob["failures"].append("x")
+        assert "x" not in r.failures
 
 
 def test_repair_exact_needs_no_sampled_words(hermitian_code):
