@@ -89,7 +89,10 @@ def validate_regime(spec: TowerSpec, g1: RecoveryGroup, g2: RecoveryGroup) -> st
 
 
 def _enum_cap() -> int:
-    return int(os.environ.get("LRC_MAX_ENUM", DEFAULT_ENUM_CAP))
+    cap = _integer("LRC_MAX_ENUM", os.environ.get("LRC_MAX_ENUM", str(DEFAULT_ENUM_CAP)))
+    if cap < 0:
+        raise ValueError("LRC_MAX_ENUM must be >= 0")
+    return cap
 
 
 def cmd_construct(args) -> int:

@@ -39,9 +39,9 @@ weight does not change under multiplication by a nonzero scalar, so the
 messages whose leading nonzero symbol is 1 reach every weight, and the
 sweep costs (q^k - 1)/(q - 1) codewords instead of q^k.  The enumeration
 cap is still compared with q^k.  No codeword is formed: ``span_parts``
-splits each lead row's words into one prefix block and a stream of shifts,
-and the weight of prefix + s is n minus the number of positions where the
-prefix equals -s, so each shift costs one comparison and one row sum.
+splits each lead row's words into an (n, B) prefix block, a word per column,
+and a stream of shifts s; the weight of column + s is n minus its agreements
+with -s, so each shift costs one comparison and one column-wise sum.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .construct import LrcCode
 from .errors import DuplicateWValues, NotACodeword, TooLarge
 
 DEFAULT_ENUM_CAP = 10**7
-BLOCK_ROWS = 1 << 14  # rows per enumeration block; bounds its memory, not its result
+BLOCK_ROWS = 1 << 14  # words (columns) per enumeration block; bounds its memory, not its result
 
 
 @dataclass(frozen=True)
@@ -175,36 +175,32 @@ def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> int:
 # codeword enumeration and sampling
 # ---------------------------------------------------------------------------
 
-def span_parts(fld, rows, offset=None, block_rows: int = BLOCK_ROWS):
-    """``(prefix, suffixes)`` whose sums ``prefix + s`` are ``offset`` plus
-    every GF(q)-combination of ``rows`` (q^len(rows) words, offset alone
-    first; zero offset by default), in ``fld.dtype``.
+def span_parts(fld, rows, offset=None):
+    """``(prefix, suffixes)``: the columns of ``prefix + s[:, None]`` over the
+    suffixes s are ``offset`` plus every GF(q)-combination of ``rows``
+    (q^len(rows) words, offset alone first; zero offset by default), in
+    ``fld.dtype``; an entry outside [0, q) raises ValueError.
 
-    The first j rows, with q^j <= block_rows, span the prefix block (offset
-    included); ``suffixes`` is an odometer over the coefficients of the
-    remaining rows, yielding one n-vector per coefficient tuple, the zero
-    vector first.
+    ``prefix`` is (n, q^j), a word per column, spanned by the first j rows
+    (q^j <= BLOCK_ROWS, j >= 1 if there is a row) with one ``vec_axpy`` per
+    row and nonzero scalar; ``suffixes`` is an odometer over the coefficients
+    of the other rows, one n-vector per coefficient tuple, the zero first.
     """
-    rows = np.asarray(rows)
-    k, n = rows.shape
-    q = fld.q
-    j = 0
-    while j < k and q ** (j + 1) <= block_rows:
-        j += 1
-    j = max(j, 1) if k >= 1 else 0
-    zero = np.zeros(n, dtype=fld.dtype)
-    prefix = (zero if offset is None else fld.vec_add(zero, offset))[None, :]
-    scalars = np.arange(q, dtype=fld.dtype)[:, None]
-    for row in rows[:j]:
-        scaled = fld.vec_mul(scalars, row[None, :])
-        prefix = fld.vec_add(prefix[:, None, :], scaled[None, :, :]).reshape(-1, n)
+    rows = gflinalg.as_matrix(fld, rows)
+    (k, n), q = rows.shape, fld.q
+    j = min(k, max(1, next(i for i in itertools.count() if q ** (i + 1) > BLOCK_ROWS)))
+    prefix = np.empty((n, q**j), dtype=fld.dtype)
+    prefix[:, 0] = 0 if offset is None else gflinalg.as_matrix(fld, offset)[0]
+    for t, row in enumerate(rows[:j]):
+        w = q**t  # columns [c w, (c + 1) w) are the first w plus c * row
+        for c in range(1, q):
+            prefix[:, c * w:(c + 1) * w] = fld.vec_axpy(prefix[:, :w], c, row[:, None])
 
     def suffixes():
         for tail in itertools.product(range(q), repeat=k - j):
             suffix = np.zeros(n, dtype=fld.dtype)
             for c, row in zip(tail, rows[j:]):
-                if c:
-                    suffix = fld.vec_add(suffix, fld.vec_mul(c, row))
+                suffix = fld.vec_axpy(suffix, c, row)
             yield suffix
 
     return prefix, suffixes()
@@ -331,25 +327,26 @@ def brute_force_distance(code: LrcCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     codes are enumerated or raise TooLarge.
 
     Weights are counted by agreement, with no codeword formed: ``span_parts``
-    splits each lead's words into a prefix block and shifts s, and
-    wt(prefix + s) = n - #{j : prefix[:, j] = -s_j}.  Each shift costs one
-    comparison with the block, into one reused bool buffer, and one row sum
-    in the narrowest unsigned type that holds n.
+    splits each lead's words into an (n, B) prefix block, a word per column,
+    and shifts s, and wt(col + s) = n - #{i : col_i = -s_i}.  Each shift
+    costs one comparison with the block, into the bool view of one reused
+    uint8 buffer, and one column-wise sum in the narrowest unsigned type that
+    holds n; a lead's block and buffer go before the next lead's are built.
     """
     fld = code.field
     g = code.generator_matrix
     q, (k, width) = fld.q, g.shape
-    total = q**k
-    if total > cap:
-        raise TooLarge(f"q^k = {total} exceeds enumeration cap {cap}")
+    if q**k > cap:
+        raise TooLarge(f"q^k = {q**k} exceeds enumeration cap {cap}")
     count = np.min_scalar_type(width)
     best = code.params.n
     for lead in range(k):
         prefix, suffixes = span_parts(fld, g[lead + 1:], offset=g[lead])
-        same = np.empty(prefix.shape, dtype=bool)
+        agree = np.empty(prefix.shape, dtype=np.uint8)
         for suffix in suffixes:
-            np.equal(prefix, fld.vec_neg(suffix), out=same)
-            best = min(best, width - int(same.sum(axis=1, dtype=count).max()))
+            np.equal(prefix, fld.vec_neg(suffix)[:, None], out=agree.view(bool))
+            best = min(best, width - int(agree.sum(axis=0, dtype=count).max()))
+        del prefix, agree
     return best
 
 

@@ -13,9 +13,9 @@ def all_codewords(code, cap: int = 10**4) -> np.ndarray:
     q, k = fld.q, code.generator_matrix.shape[0]
     if q**k > cap:
         raise TooLarge(f"q^k = {q**k} exceeds cap {cap}")
-    prefix, suffixes = span_parts(fld, code.generator_matrix)
+    prefix, suffixes = span_parts(fld, code.generator_matrix)  # (n, B), one word per column
     next(suffixes)  # the zero shift: the prefix block itself
-    return np.vstack([prefix, *(fld.vec_add(prefix, s[None, :]) for s in suffixes)])
+    return np.hstack([prefix, *(fld.vec_add(prefix, s[:, None]) for s in suffixes)]).T
 
 
 @pytest.fixture(scope="session")

@@ -166,6 +166,22 @@ def test_verify_caps_count_generator_rows(tmp_path, capsys, monkeypatch):
     assert dataclasses.replace(code, generator_matrix=code.generator_matrix[:1]).params.k == 1
 
 
+@pytest.mark.parametrize("value, message", [
+    ("abc", "LRC_MAX_ENUM 'abc' is not an integer"),
+    ("1e3", "LRC_MAX_ENUM '1e3' is not an integer"),
+    ("-5", "LRC_MAX_ENUM must be >= 0"),
+])
+@pytest.mark.parametrize("exact", [[], ["--exact-distance"]])
+def test_verify_refuses_bad_enum_cap_by_name(tmp_path, capsys, monkeypatch, value, message, exact):
+    out = tmp_path / "code.json"
+    main(GOLDEN_ARGS + ["--out", str(out)])
+    capsys.readouterr()
+    monkeypatch.setenv("LRC_MAX_ENUM", value)
+    assert main(["verify", "--in", str(out), *exact]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_verify_skips_phases_on_short_generator(tmp_path, capsys, golden_code):
     # 3 generator columns for 6 places: a descriptor is refused on load, and
     # no code can be built in memory, so no later phase indexes past them

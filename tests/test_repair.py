@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import importlib
 import json
 import re
 from itertools import product
@@ -29,20 +30,22 @@ from lrctower.repair import (
 
 from conftest import all_codewords
 
+repair_module = importlib.import_module("lrctower.repair")  # the name `repair` is the function
+
 
 def scalar_min_distance(code):
     """Independent oracle: per-symbol scalar enumeration of all codewords."""
     f = code.field
-    g = code.generator_matrix
+    cols = code.generator_matrix.T.tolist()
     best = None
     for msg in product(range(f.q), repeat=code.params.k):
         if not any(msg):
             continue
         weight = 0
-        for col in range(code.params.n):
-            s = 0
-            for i, m in enumerate(msg):
-                s = f.add(s, f.mul(m, int(g[i, col])))
+        for col in cols:
+            s = f.mul(msg[0], col[0])
+            for m, x in zip(msg[1:], col[1:]):
+                s = f.add(s, f.mul(m, x))
             weight += s != 0
         best = weight if best is None else min(best, weight)
     return best
@@ -70,31 +73,52 @@ def _reed_solomon(fld, n, k):
     return np.array([fld.vec_pow(pts, i) for i in range(k)], dtype=np.int64)
 
 
-@pytest.mark.parametrize("p, e, k, n", [(2, 2, 5, 9), (3, 2, 4, 8), (5, 2, 3, 7)])
-def test_projective_enumeration_matches_scalar_oracle_on_random_codes(p, e, k, n):
+@pytest.mark.parametrize("p, e, k, n", [
+    (2, 2, 5, 9), (3, 2, 4, 8), (5, 2, 3, 7), (257, 1, 2, 5),  # table path
+    (1031, 1, 2, 3),  # digit loop: its scalar oracle takes several seconds
+])
+def test_projective_enumeration_matches_scalar_oracle_on_random_codes(p, e, k, n, monkeypatch):
+    """Seeded random generators, three per field below q = 256 and one
+    above.  With ``BLOCK_ROWS`` at 1 and at q the prefix block holds one
+    row's span, so for k >= 3 the odometer yields many suffixes."""
     fld = FiniteField(p, e)
     rng = np.random.default_rng(1000 * p + e)
-    for _ in range(3):
+    for _ in range(3 if fld.q < 256 else 1):
         gen = rng.integers(0, fld.q, size=(k, n))
         while rank(fld, gen) < k:
             gen = rng.integers(0, fld.q, size=(k, n))
         code = _bare_code(fld, gen)
-        assert brute_force_distance(code) == scalar_min_distance(code)
+        want = scalar_min_distance(code)
+        for block_rows in (1, fld.q, repair_module.BLOCK_ROWS):
+            monkeypatch.setattr(repair_module, "BLOCK_ROWS", block_rows)
+            assert brute_force_distance(code) == want
 
 
 @pytest.mark.parametrize("block_rows", [1, 10, 100, 10**6])
-def test_span_blocks_cover_offset_plus_span(gf9, block_rows):
-    """The prefix block shifted by each of ``span_parts``' suffixes."""
+def test_span_blocks_cover_offset_plus_span(gf9, block_rows, monkeypatch):
+    """The prefix block, one word per column, shifted by each of
+    ``span_parts``' suffixes."""
     rng = np.random.default_rng(5)
     rows = rng.integers(0, 9, size=(3, 7))
     offset = rng.integers(0, 9, size=7)
-    prefix, suffixes = span_parts(gf9, rows, offset, block_rows=block_rows)
-    got = np.vstack([gf9.vec_add(prefix, s[None, :]) for s in suffixes])
+    monkeypatch.setattr(repair_module, "BLOCK_ROWS", block_rows)
+    prefix, suffixes = span_parts(gf9, rows, offset)
+    got = np.hstack([gf9.vec_add(prefix, s[:, None]) for s in suffixes]).T
     assert prefix.dtype == got.dtype == gf9.dtype == np.uint8
     msgs = np.array(list(product(range(9), repeat=3)), dtype=np.int64)
     want = gf9.vec_add(matmul(gf9, msgs, rows), offset[None, :])
     assert got[0].tolist() == offset.tolist()
     assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
+
+
+@pytest.mark.parametrize("bad", ["row", "offset"])
+@pytest.mark.parametrize("value", [-1, 9])
+def test_span_parts_refuses_entries_outside_the_field(gf9, bad, value):
+    rows = np.ones((2, 4), dtype=np.int64)
+    offset = np.zeros(4, dtype=np.int64)
+    (rows[1] if bad == "row" else offset)[2] = value
+    with pytest.raises(ValueError, match="outside field range"):
+        span_parts(gf9, rows, offset)
 
 
 def test_distance_uint16_tables_reed_solomon():
@@ -140,11 +164,13 @@ def test_rank_deficient_generator_has_distance_zero(p, e, dtype, tables, deficie
 
 
 def test_agreement_count_holds_n_above_255(gf9):
-    """n = 300 agreements do not fit in uint8: a wrapped row sum would read
-    the zero word of a repeated row as weight 256."""
-    u = np.ones(300, dtype=np.int64)
-    assert brute_force_distance(_bare_code(gf9, [u])) == 300
-    assert brute_force_distance(_bare_code(gf9, [u, u])) == 0
+    """The agreement count is uint8 up to n = 255 and uint16 from n = 256:
+    a uint8 column sum would wrap and read the zero word of a repeated row
+    as weight 256 at n = 256 and at n = 300."""
+    for n in (255, 256, 300):
+        u = np.ones(n, dtype=np.int64)
+        assert brute_force_distance(_bare_code(gf9, [u])) == n
+        assert brute_force_distance(_bare_code(gf9, [u, u])) == 0
 
 
 @pytest.mark.parametrize("p, e, n", [(3, 2, 6), (257, 1, 5)])
@@ -163,17 +189,20 @@ def test_all_codewords_match_message_oracle(p, e, n):
 
 def test_distance_forms_no_codewords(hermitian_code, monkeypatch):
     """Structural guard: forming each of the Hermitian code's 406,901
-    enumerated codewords would add 406,901 x 120 = 48.8 M elements; the
-    agreement count adds only to build the prefix blocks (about 4 M)."""
+    enumerated codewords would add 406,901 x 120 = 48.8 M elements, through
+    ``vec_add`` or ``vec_axpy``; the agreement count adds only to build the
+    prefix blocks (about 4 M)."""
     elems = []
-    vec_add = FiniteField.vec_add
 
-    def counting(self, a, b):
-        out = vec_add(self, a, b)
-        elems.append(out.size)
-        return out
+    def counting(method):
+        def counted(self, *args):
+            out = method(self, *args)
+            elems.append(out.size)
+            return out
+        return counted
 
-    monkeypatch.setattr(FiniteField, "vec_add", counting)
+    for name in ("vec_add", "vec_axpy"):
+        monkeypatch.setattr(FiniteField, name, counting(getattr(FiniteField, name)))
     assert brute_force_distance(hermitian_code) == 100
     assert sum(elems) < 5_000_000
 
