@@ -240,9 +240,6 @@ class FiniteField:
     def neg(self, a: int) -> int:
         return self._neg[a]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self._mul is not None:
             return self._mul[a, b]

@@ -103,12 +103,6 @@ def rank(field: FiniteField, mat) -> int:
     return len(echelon(field, mat)[1])
 
 
-def row_basis(field: FiniteField, mat) -> np.ndarray:
-    """Canonical (RREF) basis of the row space, zero rows dropped."""
-    r, pivots = rref(field, mat)
-    return r[: len(pivots)]
-
-
 def in_span(field: FiniteField, mat, rows) -> bool:
     """True iff every row of ``rows`` lies in the row space of ``mat``."""
     m = as_matrix(field, mat)

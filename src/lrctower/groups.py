@@ -29,7 +29,7 @@ from .errors import (
     VariantMismatch,
 )
 from .field import FiniteField, artin_schreier_kernel, norm_one_group, subfield_units
-from .tower import GS95, GS96, TowerSpec
+from .tower import GS95, GS96, TowerSpec, place_keys
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -212,13 +212,12 @@ def orbit(h: RecoveryGroup) -> np.ndarray:
     spec = h.spec
     f = spec.field
     coords = spec.places()
-    weights = f.q ** np.arange(spec.m - 1, -1, -1, dtype=np.int64)
-    keys = coords @ weights
+    keys = place_keys(f.q, coords)
     scaled = list(scaled_generators(spec.variant, spec.m))
     images = np.repeat(coords[None], h.order, axis=0)
     images[:, :, scaled] = f.vec_mul(np.array(h.scalars)[:, None, None], images[:, :, scaled])
     images[:, :, -1] = f.vec_add(images[:, :, -1], np.array(h.shifts)[:, None])
-    image_keys = images @ weights
+    image_keys = place_keys(f.q, images)
     table = np.searchsorted(keys, image_keys).clip(max=len(coords) - 1)
     off = keys[table] != image_keys
     if off.any():

@@ -11,7 +11,9 @@ A completely-splitting rational place is identified with its coordinates
 (a_1, ..., a_m), one row of the spec's place array.  The y-tower places are
 the rows whose first coordinate avoids the Artin-Schreier kernel and which
 satisfy the recursion level by level; the xz-tower places need only a
-nonzero first coordinate.
+nonzero first coordinate.  Only ``_enumerate`` evaluates the recursion;
+``check_place`` looks a tuple's prefixes up in the enumeration by their
+base-q keys (``place_keys``, which ``groups.orbit`` also uses).
 """
 
 from __future__ import annotations
@@ -80,11 +82,6 @@ class TowerSpec:
         return places
 
 
-def _trace(field: FiniteField, a):
-    """a^l + a elementwise: the trace from GF(l^2) onto GF(l)."""
-    return field.vec_add(field.vec_pow(a, field.ell), a)
-
-
 def _gs96_rhs(field: FiniteField, alpha):
     """y^l / (y^(l-1) + 1) at alpha, elementwise; defined off the kernel."""
     ell = field.ell
@@ -97,7 +94,7 @@ def _enumerate(spec: TowerSpec) -> np.ndarray:
     x^l + x = beta, read from a (q, l) table of every trace fibre."""
     f = spec.field
     codes = np.arange(f.q)
-    trace = _trace(f, codes)
+    trace = f.vec_add(f.vec_pow(codes, f.ell), codes)  # the trace onto GF(l)
     by_trace = np.argsort(trace, kind="stable").reshape(-1, f.ell)  # each fibre has l elements
     roots = np.full((f.q, f.ell), -1, dtype=np.int64)
     roots[trace[by_trace[:, 0]]] = by_trace
@@ -112,29 +109,32 @@ def _enumerate(spec: TowerSpec) -> np.ndarray:
     return places
 
 
+def place_keys(q: int, rows) -> np.ndarray:
+    """Base-q key of each coordinate row (the last axis), first coordinate
+    most significant, so keys sort like the rows."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return rows @ q ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
 def check_place(spec: TowerSpec, coords) -> tuple[bool, str]:
-    """Membership test for a coordinate tuple, with a diagnostic string."""
-    f = spec.field
-    ell = f.ell
+    """Membership test for a coordinate tuple, with a diagnostic string.
+
+    The tuple's prefix at each level i is looked up by key among the
+    i-column prefixes of ``spec.places()``; the first level whose prefix is
+    absent names the failure."""
+    q = spec.q
     coords = tuple(int(c) for c in coords)
     if len(coords) != spec.m:
         return False, f"expected {spec.m} coordinates, got {len(coords)}"
     for i, v in enumerate(coords):
-        if not 0 <= v < f.q:
-            return False, f"coordinate {i + 1} = {v} is outside [0, {f.q})"
-    trace = _trace(f, coords)
-    if spec.variant == GS96:
-        for i in range(spec.m):
-            if trace[i] == 0:
-                return False, f"coordinate {i + 1} lies in the additive kernel"
-            if i > 0 and trace[i] != _gs96_rhs(f, coords[i - 1]):
-                return False, f"level {i + 1} recursion equation fails"
-    else:
-        if coords[0] == 0:
-            return False, "first coordinate is zero"
-        for i in range(1, spec.m):
-            if trace[i] != f.pow(coords[0], ell + 1):
-                return False, f"level {i + 1} recursion equation fails"
+        if not 0 <= v < q:
+            return False, f"coordinate {i + 1} = {v} is outside [0, {q})"
+    for i in range(1, spec.m + 1):
+        if place_keys(q, coords[:i]) not in place_keys(q, spec.places()[:, :i]):
+            if i == 1:
+                return False, ("coordinate 1 lies in the additive kernel" if spec.variant == GS96
+                               else "first coordinate is zero")
+            return False, f"level {i} recursion equation fails"
     return True, "ok"
 
 

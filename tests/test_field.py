@@ -262,8 +262,8 @@ def test_vec_inv_matches_scalar_inv(p, k):
 
 @pytest.mark.parametrize("p, k", [(1031, 1), (3, 7), (65521, 1)])
 def test_scalar_add_sub_on_numpy_scalars(p, k):
-    """Above TABLE_CAP, add and sub on numpy ``dtype`` scalars equal the
-    Python-int results and vec_add/vec_sub: on GF(65521) a sum near q must
+    """Above TABLE_CAP, add and add(a, neg(b)) on numpy ``dtype`` scalars
+    equal the Python-int results and vec_add/vec_sub: on GF(65521) a sum near q must
     not wrap in uint16 (65000 + 1000 is 479, not 464)."""
     f = FiniteField(p, k)
     assert f.add_table is None
@@ -274,7 +274,7 @@ def test_scalar_add_sub_on_numpy_scalars(p, k):
     va, vs = f.vec_add(a, b), f.vec_sub(a, b)
     for x, y, s, d in zip(a, b, va, vs):
         assert f.add(x, y) == f.add(int(x), int(y)) == int(s)
-        assert f.sub(x, y) == f.sub(int(x), int(y)) == int(d)
+        assert f.add(x, f.neg(y)) == f.add(int(x), f.neg(int(y))) == int(d)
     if f.q == 65521:
         assert f.add(np.uint16(65000), np.uint16(1000)) == 479
 
@@ -298,8 +298,8 @@ def _vec(op, *args):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(data=st.data())
 def test_scalar_ops_match_vector_ops_and_axioms(p, k, data):
-    """add, neg, sub, mul, inv and pow return Python ints equal to vec_add,
-    vec_neg, vec_mul, vec_inv and vec_pow, whether the codes come as Python
+    """add, neg, mul, inv and pow return Python ints equal to vec_add,
+    vec_neg, vec_mul, vec_inv and vec_pow (and add(a, neg(b)) to vec_sub), whether the codes come as Python
     ints or as numpy ``dtype`` scalars (uint8 or uint16, which must not
     wrap), and satisfy the field axioms."""
     f = _field(p, k)
@@ -309,7 +309,7 @@ def test_scalar_ops_match_vector_ops_and_axioms(p, k, data):
     e, e2 = data.draw(st.integers(-3 * q, 3 * q)), data.draw(st.integers(0, 3 * q))
     cast = data.draw(st.sampled_from([int, f.dtype.type]))
     x, y, z = cast(a), cast(b), cast(c)
-    results = [f.add(x, y), f.neg(x), f.sub(x, y), f.mul(x, y), f.pow(x, e)]
+    results = [f.add(x, y), f.neg(x), f.add(x, f.neg(y)), f.mul(x, y), f.pow(x, e)]
     assert all(type(r) is int for r in results)
     assert results == [_vec(f.vec_add, a, b), _vec(f.vec_neg, a), _vec(f.vec_sub, a, b),
                        _vec(f.vec_mul, a, b), int(f.vec_pow(np.array([a]), e)[0])]
@@ -325,7 +325,7 @@ def test_scalar_ops_match_vector_ops_and_axioms(p, k, data):
     assert f.mul(x, f.mul(y, z)) == f.mul(f.mul(x, y), z)
     assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
     assert f.add(x, 0) == f.mul(x, 1) == a and f.mul(x, 0) == 0
-    assert f.add(x, f.neg(x)) == 0 and f.sub(x, y) == f.add(x, f.neg(y))
+    assert f.add(x, f.neg(x)) == 0 and f.add(f.add(x, f.neg(y)), y) == a
     assert f.pow(x, q) == a and f.pow(x, 0) == 1
     assert f.pow(x, e2 + 5) == f.mul(f.pow(x, e2), f.pow(x, 5))
 
@@ -334,12 +334,12 @@ def test_scalar_ops_match_vector_ops_and_axioms(p, k, data):
 def test_scalar_ops_reject_codes_past_q(p, k):
     """A code >= q is an IndexError, never a wrapped or invented element: on
     the table path for every op, as a Python int or a numpy uint16 scalar;
-    above TABLE_CAP the log and neg tables still refuse it in neg, sub, inv
-    and pow (add and mul take the digit loop and its zero test there)."""
+    above TABLE_CAP the log and neg tables still refuse it in neg, inv and
+    pow (add and mul take the digit loop and its zero test there)."""
     f = _field(p, k)
     q = f.q
     bad = [q, q + 1, 2 * q - 1] + ([np.uint16(q)] if f.dtype == np.uint16 else [])
-    ops = [lambda v: f.neg(v), lambda v: f.sub(0, v), lambda v: f.inv(v), lambda v: f.pow(v, 2)]
+    ops = [lambda v: f.neg(v), lambda v: f.inv(v), lambda v: f.pow(v, 2)]
     if f.add_table is not None:
         ops += [lambda v: f.add(v, 1), lambda v: f.add(0, v), lambda v: f.mul(v, 0),
                 lambda v: f.mul(1, v)]

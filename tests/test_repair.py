@@ -299,7 +299,7 @@ def oracle_weights(code, i, s):
         v = 1
         for h2, x2 in enumerate(xs):
             if h2 != h:
-                v = fld.mul(v, fld.mul(fld.sub(x0, x2), fld.inv(fld.sub(xh, x2))))
+                v = fld.mul(v, fld.mul(fld.add(x0, fld.neg(x2)), fld.inv(fld.add(xh, fld.neg(x2)))))
         lam.append(v)
     return idx, lam
 

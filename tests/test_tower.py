@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import random
 
 import numpy as np
@@ -15,6 +16,32 @@ from lrctower.errors import UnsupportedDepth
 def _value_at(t, coords, fld, group=None):
     """evaluation_matrix of one exponent vector on a one-row coordinate array."""
     return int(evaluation_matrix(np.array([t]), np.array([coords], dtype=np.int64), fld, group)[0, 0])
+
+
+def _scalar_check_place(spec, coords):
+    """The reference membership test: the tower recursion checked level by
+    level with scalar pow/add/mul/inv, in place of a lookup in the
+    enumeration.  Level 1 is each variant's filter (y_1 off the
+    Artin-Schreier kernel, x_1 nonzero); level i > 1 tests a_i^l + a_i
+    against y_{i-1}^l / (y_{i-1}^(l-1) + 1) on the y-tower and x_1^(l+1) on
+    the xz-tower, which is exact to its Hermitian level."""
+    f, ell = spec.field, spec.ell
+    trace = [f.add(f.pow(a, ell), a) for a in coords]
+    if spec.variant == "gs96":
+        for i in range(spec.m):
+            if trace[i] == 0:
+                return False, f"coordinate {i + 1} lies in the additive kernel"
+            if i > 0:
+                y = coords[i - 1]
+                if trace[i] != f.mul(f.pow(y, ell), f.inv(f.add(f.pow(y, ell - 1), 1))):
+                    return False, f"level {i + 1} recursion equation fails"
+    else:
+        if coords[0] == 0:
+            return False, "first coordinate is zero"
+        for i in range(1, spec.m):
+            if trace[i] != f.pow(coords[0], ell + 1):
+                return False, f"level {i + 1} recursion equation fails"
+    return True, "ok"
 
 
 def test_rational_level_places_gf9(gf9):
@@ -92,6 +119,37 @@ def test_check_place_rejections(gf9):
     assert not ok and "recursion" in why
     h = TowerSpec("gs95", gf9, 2)
     assert not check_place(h, (0, 1))[0]
+
+
+@pytest.mark.parametrize("variant,pk,m", [
+    ("gs96", (2, 2), 1), ("gs96", (2, 2), 2), ("gs96", (2, 2), 3),
+    ("gs96", (3, 2), 1), ("gs96", (3, 2), 2), ("gs96", (3, 2), 3),
+    ("gs95", (2, 2), 2), ("gs95", (3, 2), 1), ("gs95", (3, 2), 2), ("gs95", (5, 2), 2),
+])
+def test_check_place_matches_scalar_oracle_on_the_whole_box(variant, pk, m):
+    """Over every tuple of GF(q)^m the scalar oracle accepts exactly the rows
+    of spec.places(), in order, and check_place gives its verdict and its
+    message; the one difference is a y-tower coordinate in the kernel above
+    level 1, which check_place names as that level's recursion failing."""
+    spec = TowerSpec(variant, FiniteField(*pk), m)
+    box = list(itertools.product(range(spec.q), repeat=m))
+    oracle = [_scalar_check_place(spec, coords) for coords in box]
+    assert [list(c) for c, (ok, _) in zip(box, oracle) if ok] == spec.places().tolist()
+    for coords, (ok, why) in zip(box, oracle):
+        if why.startswith("coordinate") and not why.startswith("coordinate 1 "):
+            why = f"level {why.split()[1]} recursion equation fails"
+        assert check_place(spec, coords) == (ok, why)
+
+
+def test_check_place_names_the_level_of_a_kernel_coordinate(gf9):
+    """A y-tower coordinate in the kernel {0, 3, 6} above level 1 fails that
+    level's recursion: the prefix lookup names the level, not the kernel."""
+    spec = TowerSpec("gs96", gf9, 3)
+    a1, a2, _ = spec.places()[0].tolist()
+    for kernel in (0, 3, 6):
+        assert _scalar_check_place(spec, (a1, kernel, 1)) == (False, "coordinate 2 lies in the additive kernel")
+        assert check_place(spec, (a1, kernel, 1)) == (False, "level 2 recursion equation fails")
+        assert check_place(spec, (a1, a2, kernel)) == (False, "level 3 recursion equation fails")
 
 
 @pytest.mark.parametrize("variant", ["gs96", "gs95"])
@@ -184,8 +242,8 @@ ENUMERATION_CASES = [
 @pytest.mark.parametrize("variant,pk,m", ENUMERATION_CASES)
 def test_enumeration_on_both_arithmetic_paths(variant, pk, m):
     """The closed-form count of rows, strictly increasing in lexicographic
-    order, a sample of them accepted by check_place, and one read-only
-    array however often it is asked for."""
+    order, a sample of them accepted by the scalar oracle and by
+    check_place, and one read-only array however often it is asked for."""
     f = FiniteField(*pk)
     spec = TowerSpec(variant, f, m)
     places = spec.places()
@@ -196,7 +254,7 @@ def test_enumeration_on_both_arithmetic_paths(variant, pk, m):
     first = (step != 0).argmax(axis=1)
     assert (step[np.arange(len(step)), first] > 0).all()
     for row in places[np.random.default_rng(m).choice(len(places), 25, replace=False)]:
-        assert check_place(spec, row) == (True, "ok")
+        assert _scalar_check_place(spec, row.tolist()) == check_place(spec, row) == (True, "ok")
     assert spec.places() is places and not places.flags.writeable
     with pytest.raises(ValueError):
         places[0, 0] = 0
@@ -225,7 +283,7 @@ def _scalar_value(t, row, fld, group):
             j, e = divmod(e, group.order)
             g = 1
             for root in group.shifts:
-                g = fld.mul(g, fld.sub(a, root))
+                g = fld.mul(g, fld.add(a, fld.neg(root)))
             value = fld.mul(value, fld.pow(g, j))
         value = fld.mul(value, fld.pow(a, e))
     return value
@@ -237,7 +295,7 @@ def test_evaluation_matrix_matches_scalar_oracle(data):
     """On GF(9), GF(25) and GF(37^2) (the digit-loop path), random exponent
     arrays, plain, under a scalar group and under shift groups from the
     field's kernel (g-powers 0..3), at random coordinate rows, take the
-    values of a scalar pow/mul/sub evaluation."""
+    values of a scalar pow/mul/add/neg evaluation."""
     pk = data.draw(st.sampled_from([(3, 2), (5, 2), (37, 2)]))
     fld = _field(pk)
     m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
