@@ -236,15 +236,13 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
     fld = spec.field
     splits, evals = _split_rows(h1, h2, budget)
     # k <= min(|rows1|, |rows2|); the stable sort keeps profile order among
-    # equal bounds, and equal scores go to the lower index
+    # equal bounds, so once a split cannot beat the best score (equal scores
+    # go to the lower index), no later split can
     bounds = [min(len(r) for r in rows) for _, rows in splits]
     best = None
     for i in sorted(range(len(splits)), key=lambda i: -bounds[i]):
-        if best is not None:
-            if bounds[i] < best[0]:
-                break
-            if bounds[i] == best[0] and i > best[1]:
-                continue
+        if best is not None and (bounds[i], -i) < (best[0], -best[1]):
+            break
         caps, rows = splits[i]
         b1, b2, dim_sum = _split_bases(fld, evals, rows)
         score = len(b1) + len(b2) - dim_sum

@@ -12,7 +12,9 @@ A recovery group is either additive (scalar part trivial, shifts form an
 additive subgroup W of the kernel) or multiplicative (shift part trivial,
 scalars form a cyclic group).  ``orbit`` acts with a whole group on the
 coordinate array of the places at once; each column of its table is one
-place's orbit, and becomes that coordinate's recovery set.
+place's orbit, and becomes that coordinate's recovery set.  The action is
+stated there alone: ``combine`` checks a pair on its two orbit tables,
+where each element is known by its image of place 0.
 """
 
 from __future__ import annotations
@@ -41,11 +43,6 @@ def scaled_generators(variant: str, m: int) -> range:
     return range(m) if variant == GS96 else range(1)
 
 
-def _scales_shift(variant: str) -> bool:
-    """Whether a scalar multiplies the shifted generator: the last one, at m = 2 on the xz-tower."""
-    return 1 in scaled_generators(variant, 2)
-
-
 @dataclass(frozen=True)
 class Automorphism:
     """Group element (scalar, shift) for one tower variant."""
@@ -53,31 +50,9 @@ class Automorphism:
     variant: str
     scalar: int
     shift: int
-    field: FiniteField
-
-    def is_identity(self) -> bool:
-        return self.scalar == 1 and self.shift == 0
 
     def __repr__(self):
         return f"Aut({self.variant}, c={self.scalar}, a={self.shift})"
-
-
-def compose(s: Automorphism, t: Automorphism) -> Automorphism:
-    """Composition as field maps: (s o t)(z) = s(t(z)).  On the shifted
-    generator t(z) = c_t z + a_t, with c_t = 1 where scalars leave it
-    alone, so s o t shifts by c_t a_s + a_t."""
-    if (s.variant, s.field) != (t.variant, t.field):
-        raise VariantMismatch("cannot compose automorphisms of different towers")
-    f = s.field
-    lift = t.scalar if _scales_shift(s.variant) else 1
-    return Automorphism(s.variant, f.mul(s.scalar, t.scalar), f.add(f.mul(lift, s.shift), t.shift), f)
-
-
-def inverse(s: Automorphism) -> Automorphism:
-    f = s.field
-    ci = f.inv(s.scalar)
-    lift = ci if _scales_shift(s.variant) else 1
-    return Automorphism(s.variant, ci, f.neg(f.mul(lift, s.shift)), f)
 
 
 @dataclass(frozen=True)
@@ -154,7 +129,7 @@ def build_recovery_group(spec: TowerSpec, kind: str, *, shifts=None, order: int 
             if bad:
                 raise NotASubgroup(f"shift {bad[0]} is outside the additive kernel")
             w = _additive_closure(f, gens)
-        elems = tuple(Automorphism(spec.variant, 1, a, f) for a in w)
+        elems = tuple(Automorphism(spec.variant, 1, a) for a in w)
         return RecoveryGroup(ADDITIVE, spec, elems)
     if kind == MULTIPLICATIVE:
         if order is None or order < 1:
@@ -170,7 +145,7 @@ def build_recovery_group(spec: TowerSpec, kind: str, *, shifts=None, order: int 
         scal = sorted(c for c in pool if f.pow(c, order) == 1)
         if len(scal) != order:
             raise NotASubgroup("scalar pool does not contain the requested subgroup")
-        elems = tuple(Automorphism(spec.variant, c, 0, f) for c in scal)
+        elems = tuple(Automorphism(spec.variant, c, 0) for c in scal)
         return RecoveryGroup(MULTIPLICATIVE, spec, elems)
     raise ValueError(f"unknown recovery-group kind {kind!r}")
 
@@ -178,28 +153,27 @@ def build_recovery_group(spec: TowerSpec, kind: str, *, shifts=None, order: int 
 def combine(h1: RecoveryGroup, h2: RecoveryGroup) -> str:
     """Check that G = H1*H2 is a group of order |H1|*|H2|; return "direct" or "semidirect".
 
-    H1 and H2 are subgroups, as ``build_recovery_group`` builds every
-    RecoveryGroup; meeting only in the identity, they give |H1|*|H2|
-    distinct products.  One pass over H1 x H2 requires t^-1 s t in H1 for
-    s in H1, t in H2.  That makes G a group: if H2 normalizes H1, then
+    Every automorphism but the identity moves every place (c != 1 scales a
+    nonzero first coordinate; c = 1, a != 0 shifts the last), so an element
+    is known by its image of place 0, read off the orbit tables.  H1 and H2
+    are subgroups, as ``build_recovery_group`` builds every RecoveryGroup;
+    meeting only in the identity, they give |H1|*|H2| distinct products.
+    Each conjugate t^-1 s t (s in H1, t in H2; composed as field maps, so
+    it sends place 0 to t(s(t^-1(0))) on the coordinates) must lie in H1.  That makes G a group: if H2 normalizes H1, then
     (ab)(a'b') = a (b a' b^-1) (b b') lies in H1*H2.  The pair is direct
     iff every such conjugate is s itself.
     """
     if h1.spec != h2.spec:
         raise VariantMismatch("recovery groups built for different towers")
-    s1 = {(e.scalar, e.shift) for e in h1.elements}
-    inter = s1 & {(e.scalar, e.shift) for e in h2.elements}
-    if inter != {(1, 0)}:
+    t1, t2 = orbit(h1), orbit(h2)
+    inter = set(t1[:, 0].tolist()) & set(t2[:, 0].tolist())
+    if inter != {0}:
         raise NontrivialIntersection(f"groups share {len(inter)} elements; only the identity is allowed")
-    direct = True
-    for t in h2.elements:
-        t_inv = inverse(t)
-        for s in h1.elements:
-            conj = compose(t_inv, compose(s, t))  # t^-1 s t
-            if (conj.scalar, conj.shift) not in s1:
-                raise NotASubgroup("H2 does not normalize H1")
-            direct = direct and (conj.scalar, conj.shift) == (s.scalar, s.shift)
-    return "direct" if direct else "semidirect"
+    pre = (t2 == 0).argmax(axis=1)  # t^-1(0) for each t in H2
+    conj = t2[np.arange(h2.order), t1[:, pre]]  # [s, t]: t(s(t^-1(0)))
+    if not np.isin(conj, t1[:, 0]).all():
+        raise NotASubgroup("H2 does not normalize H1")
+    return "direct" if (conj == t1[:, :1]).all() else "semidirect"
 
 
 def orbit(h: RecoveryGroup) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 
 from lrctower import FiniteField, TowerSpec, build_recovery_group, construct_lrc
 from lrctower.errors import TooLarge
+from lrctower.groups import Automorphism
 from lrctower.repair import span_parts
 
 
@@ -16,6 +17,21 @@ def all_codewords(code, cap: int = 10**4) -> np.ndarray:
     prefix, suffixes = span_parts(fld, code.generator_matrix)  # (n, B), one word per column
     next(suffixes)  # the zero shift: the prefix block itself
     return np.hstack([prefix, *(fld.vec_add(prefix, s[:, None]) for s in suffixes)]).T
+
+
+def compose(f, s, t):
+    """Reference group law, as field maps: (s o t)(z) = s(t(z)).  On the
+    shifted generator t(z) = c_t z + a_t, with c_t = 1 where scalars leave it
+    alone (the xz-tower scales x_1 only), so s o t shifts by c_t a_s + a_t."""
+    lift = t.scalar if s.variant == "gs96" else 1
+    return Automorphism(s.variant, f.mul(s.scalar, t.scalar), f.add(f.mul(lift, s.shift), t.shift))
+
+
+def inverse(f, s):
+    """Reference inverse under ``compose``."""
+    ci = f.inv(s.scalar)
+    lift = ci if s.variant == "gs96" else 1
+    return Automorphism(s.variant, ci, f.neg(f.mul(lift, s.shift)))
 
 
 @pytest.fixture(scope="session")

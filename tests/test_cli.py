@@ -628,6 +628,25 @@ def test_verify_rejects_inconsistent_design(tmp_path, capsys, golden_code, edits
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda groups: groups[::-1], "H2 does not normalize H1", id="swapped"),
+    pytest.param(lambda groups: [groups[1], groups[1]],
+                 "groups share 2 elements; only the identity is allowed", id="scalars-twice"),
+])
+def test_verify_refuses_bad_group_pair_on_load(tmp_path, capsys, golden_code, edit, message):
+    """The loader checks the pair with ``combine``: the golden groups
+    swapped (shifts do not normalize the scalars), or the scalar group given
+    twice, fail verify by name."""
+    desc = code_to_descriptor(golden_code)
+    desc["groups"] = edit(desc["groups"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    assert main(["verify", "--in", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.err
+
+
 # (variant, ell, m, group1, group2): builds that take milliseconds
 SMALL_BUILDS = [
     ("gs96", 3, 1, "add:kernel", "mul:2"),

@@ -12,10 +12,21 @@ from lrctower import (
     artin_schreier_kernel,
     build_recovery_group,
     combine,
+    norm_one_group,
     orbit,
+    subfield_units,
 )
-from lrctower.errors import IllegalOrder, LrcError, NontrivialIntersection, NotASubgroup, UnsupportedDepth
-from lrctower.groups import Automorphism, compose, inverse
+from lrctower.errors import (
+    IllegalOrder,
+    LrcError,
+    NontrivialIntersection,
+    NotASubgroup,
+    UnsupportedDepth,
+    VariantMismatch,
+)
+from lrctower.groups import Automorphism
+
+from conftest import compose, inverse
 
 
 def test_builders_gf9(gf9):
@@ -79,8 +90,9 @@ def test_apply_worked_example(gf9):
     spec = TowerSpec("gs96", gf9, 2)
     places = spec.places().tolist()
     j = next(j for j, x in enumerate(places) if x[0] == 1)
-    sigma = Automorphism("gs96", 2, 3, gf9)
-    table = orbit(RecoveryGroup("multiplicative", spec, (Automorphism("gs96", 1, 0, gf9), sigma)))
+    sigma = Automorphism("gs96", 2, 3)
+    assert [f.name for f in dataclasses.fields(sigma)] == ["variant", "scalar", "shift"]
+    table = orbit(RecoveryGroup("multiplicative", spec, (Automorphism("gs96", 1, 0), sigma)))
     assert places[table[1, j]] == [2, gf9.add(gf9.mul(2, places[j][1]), 3)]
     assert table[0, j] == j
 
@@ -98,35 +110,36 @@ def test_apply_preserves_membership(gf9, gf25):
 
 
 def test_group_axioms_and_composition(gf9):
+    """G = H1*H2 as place permutations, read off the orbit tables: the
+    |H1|*|H2| products (s, then t) are distinct, hold the identity, and are
+    closed under composition and inversion."""
     spec = TowerSpec("gs96", gf9, 2)
     h1 = build_recovery_group(spec, "additive", shifts="kernel")
     h2 = build_recovery_group(spec, "multiplicative", order=2)
     assert combine(h1, h2) == "semidirect"
-    elems = [compose(s, t) for s in h1.elements for t in h2.elements]
-    keyset = {(g.scalar, g.shift) for g in elems}
-    assert len(keyset) == h1.order * h2.order == 6
-    for a in elems:
-        assert (inverse(a).scalar, inverse(a).shift) in keyset
-        for b in elems:
-            c = compose(a, b)
-            assert (c.scalar, c.shift) in keyset
-    ident = Automorphism("gs96", 1, 0, gf9)
-    for a in elems:
-        assert compose(a, ident) == a == compose(ident, a)
-        inv = inverse(a)
-        assert compose(a, inv).is_identity() and compose(inv, a).is_identity()
+    t1, t2 = orbit(h1), orbit(h2)
+    perms = {tuple(t[s].tolist()) for s in t1 for t in t2}
+    assert len(perms) == h1.order * h2.order == 6
+    assert tuple(range(t1.shape[1])) in perms
+    for a in map(np.array, perms):
+        assert tuple(np.argsort(a).tolist()) in perms
+        for b in map(np.array, perms):
+            assert tuple(a[b].tolist()) in perms
 
 
 def test_semidirect_conjugation_identity(gf9):
+    """t^-1 s t, read off the tables as t(s(t^-1(P))), is the row of the H1
+    element that shifts by c_t * a_s."""
     spec = TowerSpec("gs96", gf9, 2)
     h1 = build_recovery_group(spec, "additive", shifts="kernel")
     h2 = build_recovery_group(spec, "multiplicative", order=2)
     assert combine(h1, h2) == "semidirect"
-    for s in h1.elements:
-        for t in h2.elements:
-            conj = compose(compose(inverse(t), s), t)
-            assert conj.scalar == 1
-            assert conj.shift == gf9.mul(t.scalar, s.shift)
+    t1, t2 = orbit(h1), orbit(h2)
+    row_of_shift = {s.shift: row for s, row in zip(h1.elements, t1.tolist())}
+    for s, srow in zip(h1.elements, t1):
+        for t, trow in zip(h2.elements, t2):
+            conj = trow[srow[np.argsort(trow)]]
+            assert conj.tolist() == row_of_shift[gf9.mul(t.scalar, s.shift)]
 
 
 def test_combine_rejects_overlap(gf9):
@@ -154,32 +167,39 @@ def test_combine_direct_product_gf64_additive_pair():
     leftover = [a for a in ker if a not in w1.shifts]
     w2 = build_recovery_group(spec, "additive", shifts=leftover[:1])
     assert combine(w1, w2) == "direct"
-    assert len({compose(s, t).shift for s in w1.elements for t in w2.elements}) == 8
+    assert len({tuple(t[s].tolist()) for s in orbit(w1) for t in orbit(w2)}) == 8
+
+
+def test_combine_refuses_groups_on_different_specs(gf9):
+    h1, h2 = (build_recovery_group(TowerSpec("gs96", gf9, m), "additive", shifts="kernel") for m in (1, 2))
+    with pytest.raises(VariantMismatch, match="recovery groups built for different towers"):
+        combine(h1, h2)
 
 
 def _closure_combine(h1, h2):
     """Reference for ``combine``: sweep all |G|^2 products of G = H1*H2 for
-    closure, then survey t^-1 s t over s in H1, t in H2; returns the
-    structure."""
+    closure, then survey t^-1 s t over s in H1, t in H2, all by the
+    reference group law; returns the structure."""
+    f = h1.spec.field
     s1 = {(e.scalar, e.shift) for e in h1.elements}
     if s1 & {(e.scalar, e.shift) for e in h2.elements} != {(1, 0)}:
         raise NontrivialIntersection("the groups share more than the identity")
     products = {}
     for a in h1.elements:
         for b in h2.elements:
-            g = compose(a, b)
+            g = compose(f, a, b)
             products[(g.scalar, g.shift)] = g
     if len(products) != h1.order * h2.order:
         raise NontrivialIntersection("product set is smaller than |H1|*|H2|")
     for x in products.values():
         for y in products.values():
-            g = compose(x, y)
+            g = compose(f, x, y)
             if (g.scalar, g.shift) not in products:
                 raise NotASubgroup("H1*H2 is not closed under composition")
     all_fixed = True
     for s in h1.elements:
         for t in h2.elements:
-            conj = compose(compose(inverse(t), s), t)
+            conj = compose(f, compose(f, inverse(f, t), s), t)
             if (conj.scalar, conj.shift) not in s1:
                 raise NotASubgroup("H2 does not normalize H1")
             all_fixed = all_fixed and (conj.scalar, conj.shift) == (s.scalar, s.shift)
@@ -268,6 +288,21 @@ def _image(spec, g, coords):
     return (f.mul(g.scalar, coords[0]), *coords[1:-1], f.add(coords[-1], g.shift))
 
 
+def test_every_other_automorphism_moves_every_place():
+    """Why ``combine`` may know an element by its image of place 0: on the
+    sweep grid and on gs96 at m = 3, every (c, a) but (1, 0) in the full
+    scalar pool x kernel moves every place, by the closed form."""
+    for variant, (p, e), m in [*SWEEP, *itertools.product(["gs96"], SWEEP_FIELDS, [3])]:
+        spec = TowerSpec(variant, FiniteField(p, e), m)
+        f = spec.field
+        pool = subfield_units(f) if variant == "gs96" else norm_one_group(f)
+        places = [tuple(x) for x in spec.places().tolist()]
+        for c, a in itertools.product(pool, artin_schreier_kernel(f)):
+            if (c, a) != (1, 0):
+                g = Automorphism(variant, c, a)
+                assert all(_image(spec, g, x) != x for x in places), (spec, g)
+
+
 def test_orbit_matches_closed_form_action():
     """On every canonical subgroup of the sweep grid and of gs96 at m = 3,
     entry [e, j] of the orbit table indexes the e-th element's image of
@@ -292,11 +327,11 @@ def test_orbit_matches_closed_form_action():
 def test_orbit_refuses_off_tower_images_and_collapsed_orbits(gf9, gf25):
     """An element that maps a place off the tower, or two elements that map
     one place to the same image, raise NotASubgroup naming the elements."""
-    one = Automorphism("gs96", 1, 0, gf9)
+    one = Automorphism("gs96", 1, 0)
     y1, y2 = TowerSpec("gs96", gf9, 1), TowerSpec("gs96", gf9, 2)
-    off = [(y1, Automorphism("gs96", 3, 0, gf9)),  # 3 is in the kernel, not in GF(3)*
-           (y2, Automorphism("gs96", 4, 0, gf9)),  # 4 is outside GF(3)*: y_2 leaves the recursion
-           (y1, Automorphism("gs96", 1, 1, gf9))]  # 1 is outside the kernel
+    off = [(y1, Automorphism("gs96", 3, 0)),  # 3 is in the kernel, not in GF(3)*
+           (y2, Automorphism("gs96", 4, 0)),  # 4 is outside GF(3)*: y_2 leaves the recursion
+           (y1, Automorphism("gs96", 1, 1))]  # 1 is outside the kernel
     for spec, g in off:
         with pytest.raises(NotASubgroup, match=re.escape(f"{g!r} maps place (")):
             orbit(RecoveryGroup("multiplicative", spec, (one, g)))
@@ -305,4 +340,4 @@ def test_orbit_refuses_off_tower_images_and_collapsed_orbits(gf9, gf25):
     spec = TowerSpec("gs95", gf25, 2)
     s = next(c for c in build_recovery_group(spec, "multiplicative", order=3).scalars if c != 1)
     with pytest.raises(NotASubgroup, match="collapsed"):
-        orbit(RecoveryGroup("multiplicative", spec, (Automorphism("gs95", s, 0, gf25),) * 2))
+        orbit(RecoveryGroup("multiplicative", spec, (Automorphism("gs95", s, 0),) * 2))
