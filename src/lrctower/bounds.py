@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DenominatorZero, NotAPrimePower, RegimeViolation
-from .field import is_prime
+from .errors import DenominatorZero, FieldTooLarge, NotAPrimePower, RegimeViolation
+from .field import MAX_ORDER, prime_factors
 
 REGIME_CAP = 64
 
@@ -166,23 +166,12 @@ TRADEOFF_CSV_HEADER = [
 
 
 def is_prime_power(n: int) -> tuple[int, int] | None:
-    """(p, w) with n = p^w, or None."""
-    if n < 2:
-        return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return (n, 1)
-        if n % p:
-            continue
-        if not is_prime(p):
-            return None
-        w = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            w += 1
-        return (p, w) if m == 1 else None
-    return None
+    """(p, w) with n = p^w, or None; an n above MAX_ORDER is refused before
+    it is factored."""
+    if n > MAX_ORDER:
+        raise FieldTooLarge(f"l = {n} exceeds cap {MAX_ORDER}")
+    f = prime_factors(n)
+    return (f[0], len(f)) if f and f[0] == f[-1] else None
 
 
 def btv_line(ell: int, r1: int, r2: int, check: bool = True) -> TradeoffLine:

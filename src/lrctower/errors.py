@@ -12,7 +12,8 @@ class NonPrimeCharacteristic(LrcError):
 
 
 class FieldTooLarge(LrcError):
-    """Field order exceeds the desk-scale cap (2**16)."""
+    """Field order, characteristic or tower parameter l exceeds the
+    desk-scale cap (2**16); an oversized l is refused before it is factored."""
 
 
 class NotASquareField(LrcError):

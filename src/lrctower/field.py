@@ -33,19 +33,16 @@ MAX_ORDER = 1 << 16
 TABLE_CAP = 1024
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def prime_factors(n: int) -> list[int]:
+    """Prime factors of n with multiplicity, ascending, by trial division;
+    [] for n < 2."""
+    out, f = [], 2
     while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+        while n % f == 0:
+            out.append(f)
+            n //= f
+        f += 1
+    return out + [n] if n > 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +115,7 @@ class FiniteField:
     def __init__(self, p: int, k: int):
         if p > MAX_ORDER:  # before trial division, which would not end for a huge p
             raise FieldTooLarge(f"characteristic {p} exceeds cap {MAX_ORDER}")
-        if not is_prime(p):
+        if prime_factors(p) != [p]:
             raise NonPrimeCharacteristic(f"{p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
@@ -160,15 +157,7 @@ class FiniteField:
 
     def _find_generator(self) -> int:
         n = self.q - 1
-        factors = set()
-        m, f = n, 2
-        while f * f <= m:
-            while m % f == 0:
-                factors.add(f)
-                m //= f
-            f += 1
-        if m > 1:
-            factors.add(m)
+        factors = set(prime_factors(n))
 
         def pow_poly(g, e):
             acc, base = 1, g

@@ -89,18 +89,9 @@ class RecoveryGroup:
 
 def _additive_closure(field: FiniteField, gens) -> list[int]:
     w = {0}
-    frontier = set(gens)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in list(w):
-                c = field.add(a, b)
-                if c not in w:
-                    new.add(c)
-            if a not in w:
-                new.add(a)
-        w |= new
-        frontier = new
+    for a in gens:  # w + {0, a, 2a, ...}: add a until nothing new appears
+        while (step := {field.add(a, b) for b in w}) - w:
+            w |= step
     return sorted(w)
 
 

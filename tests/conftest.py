@@ -34,6 +34,17 @@ def inverse(f, s):
     return Automorphism(s.variant, ci, f.neg(f.mul(lift, s.shift)))
 
 
+def primes_upto(n: int) -> list[int]:
+    """Every prime <= n, by the sieve of Eratosthenes: an oracle that does
+    not trial-divide."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for d in range(2, int(n**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, n + 1, d)))
+    return [i for i, flag in enumerate(sieve) if flag]
+
+
 @pytest.fixture(scope="session")
 def gf4():
     return FiniteField(2, 2)

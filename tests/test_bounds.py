@@ -14,7 +14,9 @@ from lrctower import (
     wz_bound,
 )
 from lrctower.bounds import is_prime_power, regimes_csv, tradeoff_csv
-from lrctower.errors import DenominatorZero, NotAPrimePower, RegimeViolation
+from lrctower.errors import DenominatorZero, FieldTooLarge, NotAPrimePower, RegimeViolation
+
+from conftest import primes_upto
 
 
 def test_frozen_examples():
@@ -204,6 +206,19 @@ def test_prime_power_decomposition():
     assert is_prime_power(7) == (7, 1)
     assert is_prime_power(6) is None
     assert is_prime_power(1) is None
+    assert is_prime_power(2**16) == (2, 16)  # the largest l that is factored
+
+
+def test_prime_power_against_sieve():
+    oracle = {p**w: (p, w) for p in primes_upto(10**4) for w in range(1, 14) if p**w <= 10**4}
+    for n in range(-5, 10**4 + 1):
+        assert is_prime_power(n) == oracle.get(n), n
+
+
+@pytest.mark.parametrize("n", [2**16 + 1, 2**61 - 1])
+def test_prime_power_refuses_oversized_l_before_factoring(n):
+    with pytest.raises(FieldTooLarge, match=f"^l = {n} exceeds cap 65536$"):
+        is_prime_power(n)
 
 
 def test_csv_emission():

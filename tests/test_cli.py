@@ -305,6 +305,46 @@ def test_construct_refuses_multiplicative_first_y_tower_pair(tmp_path, capsys, g
         construct_lrc(spec, mul, add, 2)
 
 
+def test_construct_refuses_mixed_xz_tower_pair(tmp_path, capsys):
+    out = tmp_path / "mixed.json"
+    args = ["construct", "--variant", "gs95", "--ell", "3", "--m", "2", "--group1", "norm1:4",
+            "--group2", "add:kernel", "--distance", "2", "--out", str(out)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: xz-tower pairs must be norm1/norm1 or add/add (no mixed regime)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ell", [2**16 + 1, 2**61 - 1])
+@pytest.mark.parametrize("argv", [
+    ["construct", "--variant", "gs96", "--m", "1", "--group1", "add:kernel", "--group2", "mul:2",
+     "--distance", "2"],
+    ["regimes"],
+    ["tradeoff", "--r1", "1", "--r2", "3", "--variant", "thm34"],
+], ids=lambda argv: argv[0])
+def test_oversized_ell_is_refused_before_factoring(tmp_path, capsys, argv, ell):
+    """An l above 2^16 is refused at once, before trial division, which
+    would not end at 2^61 - 1: one error line and no output."""
+    out = tmp_path / "x.json"
+    argv = argv + ["--ell", str(ell)] + (["--out", str(out)] if argv[0] == "construct" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: l = {ell} exceeds cap 65536\n"
+    assert not out.exists()
+
+
+def test_ell_at_cap_is_factored(capsys):
+    """l = 2^16 is the largest l that is factored: a line is drawn, and
+    regimes refuses it by its own cap."""
+    assert main(["tradeoff", "--ell", "65536", "--r1", "1", "--r2", "3", "--variant", "thm34"]) == 0
+    assert capsys.readouterr().out == ("family thm34 ell=65536 r1=1 r2=3\nslope 4/1 (4)\n"
+                                       "intercept 2147418109/2147450880 (0.999984739581)\n")
+    assert main(["regimes", "--ell", "65536"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: l capped at 64\n"
+
+
 def test_exact_distance_cap(tmp_path, capsys, monkeypatch):
     out = tmp_path / "code.json"
     main(GOLDEN_ARGS + ["--out", str(out)])

@@ -1,5 +1,6 @@
 import copy
 import functools
+import math
 import pickle
 import random
 from itertools import product
@@ -11,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from lrctower import FiniteField, artin_schreier_kernel, norm_one_group, subfield_units
 from lrctower.descriptor import code_from_descriptor, code_to_descriptor
 from lrctower.errors import FieldTooLarge, NonPrimeCharacteristic, NotASquareField
-from lrctower.field import _first_irreducible
+from lrctower.field import _first_irreducible, prime_factors
+
+from conftest import primes_upto
 
 
 def naive_irreducible(poly, p):
@@ -157,6 +160,44 @@ def test_construction_errors():
         FiniteField(2, 17)
     with pytest.raises(TypeError):  # the modulus is derived, never given
         FiniteField(3, 2, (2, 1, 1))
+
+
+def test_prime_factors_against_sieve():
+    """Ascending prime factors whose product is n, and [] below 2."""
+    primes = set(primes_upto(10**4))
+    for n in range(-5, 10**4 + 1):
+        f = prime_factors(n)
+        assert f == sorted(f) and all(x in primes for x in f), n
+        assert math.prod(f) == n if n >= 2 else f == [], n
+
+
+def test_composite_characteristic_is_refused():
+    primes = set(primes_upto(2000))
+    for p in [-1, 0, 1] + [n for n in range(4, 2001) if n not in primes]:
+        with pytest.raises(NonPrimeCharacteristic, match=f"^{p} is not prime$"):
+            FiniteField(p, 1)
+
+
+FIELDS_UPTO_256 = [(p, k) for p in primes_upto(256) for k in range(1, 9) if p**k <= 256]
+
+
+@pytest.mark.parametrize("p, k", FIELDS_UPTO_256)
+def test_generator_is_smallest_primitive_code(p, k):
+    """exp_table[1] is the smallest code g >= 2 whose powers, multiplied out
+    as polynomials, visit all q - 1 units."""
+    f = FiniteField(p, k)
+
+    def order(g):
+        x, n = f._mul_poly(1, g), 1
+        while x != 1:
+            x, n = f._mul_poly(x, g), n + 1
+        return n
+
+    if f.q == 2:
+        assert f.exp_table.tolist() == [1]
+        return
+    g = next(g for g in range(2, f.q) if order(g) == f.q - 1)
+    assert f.exp_table[1] == g
 
 
 @pytest.mark.parametrize("p, k", [(3, 2), (1031, 1)])

@@ -24,7 +24,7 @@ from lrctower.errors import (
     UnsupportedDepth,
     VariantMismatch,
 )
-from lrctower.groups import Automorphism
+from lrctower.groups import Automorphism, _additive_closure
 
 from conftest import compose, inverse
 
@@ -83,6 +83,23 @@ def test_additive_closure_from_generators(gf16):
     assert h.order == 2 and 0 in h.shifts
     h2 = build_recovery_group(spec, "additive", shifts=nz[:2])
     assert h2.order == 4
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (2, 4), (5, 2), (2, 6)])
+def test_additive_closure_is_span_over_prime_field(p, k):
+    """For every set of at most two kernel elements, the closure is the set
+    of all GF(p)-combinations of the set."""
+    f = FiniteField(p, k)
+    ker = artin_schreier_kernel(f)
+    for r in range(3):
+        for gens in itertools.combinations(ker, r):
+            span = {0}
+            for coeffs in itertools.product(range(p), repeat=r):
+                acc = 0
+                for c, g in zip(coeffs, gens):
+                    acc = f.add(acc, f.mul(c, g))
+                span.add(acc)
+            assert _additive_closure(f, gens) == sorted(span), gens
 
 
 def test_apply_worked_example(gf9):
