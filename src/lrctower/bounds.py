@@ -63,8 +63,7 @@ def check_regime(family: str, ell: int, r1: int, r2: int) -> None:
     cases = [t for t in REGIME_TABLE if family in (t, t.partition(".")[0])]
     if not cases:
         raise ValueError(f"unknown regime {family!r}")
-    if is_prime_power(ell) is None:
-        raise NotAPrimePower(f"{ell} is not a prime power")
+    prime_power(ell)
     if not any(REGIME_TABLE[t][0](ell, r1 + 1, r2 + 1) for t in cases):
         need = " or ".join(REGIME_TABLE[t][1] for t in cases)
         raise RegimeViolation(f"{family}: need {need} (l={ell}, r1={r1}, r2={r2})")
@@ -174,6 +173,15 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
     return (f[0], len(f)) if f and f[0] == f[-1] else None
 
 
+def prime_power(ell: int) -> tuple[int, int]:
+    """(p, w) with l = p^w; NotAPrimePower otherwise, the one refusal of
+    such an l."""
+    pw = is_prime_power(ell)
+    if pw is None:
+        raise NotAPrimePower(f"l = {ell} is not a prime power")
+    return pw
+
+
 def btv_line(ell: int, r1: int, r2: int, check: bool = True) -> TradeoffLine:
     """Direct-product line on the xz-tower: slope (r1+1)(r2+1)/(r1 r2),
     intercept (l-2)/(l-1) - (r1+r2-2)/(q-1)."""
@@ -228,8 +236,7 @@ def regimes(ell: int) -> list[RegimeRow]:
     Rows where the trade-off line is undefined (r1 = r2 = 1) are kept and
     footnoted via ``line_defined``; btv never admits r1 = r2 = 1.
     """
-    if is_prime_power(ell) is None:
-        raise NotAPrimePower(f"{ell} is not a prime power")
+    prime_power(ell)
     if ell > REGIME_CAP:
         raise ValueError(f"l capped at {REGIME_CAP}")
     return [

@@ -10,13 +10,14 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import bounds as bnd
 from .construct import construct_lrc
 from .descriptor import load_code, write_descriptor
-from .errors import LrcError, NotAPrimePower, RegimeViolation, VariantMismatch
-from .field import FiniteField
+from .errors import LrcError, RegimeViolation, VariantMismatch
+from .field import FiniteField, shared_field
 from .groups import ADDITIVE, MULTIPLICATIVE, RecoveryGroup, build_recovery_group
 from .repair import (
     DEFAULT_ENUM_CAP, ErasurePattern, check_coord, random_codewords, repair, verify_code,
@@ -24,12 +25,9 @@ from .repair import (
 from .tower import GS95, GS96, TowerSpec
 
 
-def _field_for_ell(ell: int):
-    pw = bnd.is_prime_power(ell)
-    if pw is None:
-        raise NotAPrimePower(f"l = {ell} is not a prime power")
-    p, w = pw
-    return FiniteField(p, 2 * w)
+def _field_for_ell(ell: int) -> FiniteField:
+    p, w = bnd.prime_power(ell)
+    return shared_field(p, 2 * w)
 
 
 def _integer(what: str, text: str) -> int:
@@ -203,7 +201,11 @@ def cmd_tradeoff(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one in the process (``build_parser.__wrapped__()`` builds a new
+    one)."""
     ap = argparse.ArgumentParser(prog="lrctower")
     sub = ap.add_subparsers(dest="cmd", required=True)
 

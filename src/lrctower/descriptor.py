@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .construct import CodeDims, LrcCode
-from .field import FiniteField
+from .field import shared_field
 from .groups import ADDITIVE, MULTIPLICATIVE, build_recovery_group, combine
 from .tower import GS95, GS96, TowerSpec
 
@@ -210,7 +210,7 @@ def code_from_descriptor(desc: dict) -> LrcCode:
     _read(desc, "format")
     _known(desc, "descriptor", TOP_KEYS)
     field = _block(desc, "field")
-    fld = FiniteField(field["p"], field["k"])
+    fld = shared_field(field["p"], field["k"])
     if field["modulus"] != fld.modulus:
         raise ValueError(f"field.modulus = {list(field['modulus'])} is not the modulus {list(fld.modulus)} of {fld}")
     tower = _block(desc, "tower")

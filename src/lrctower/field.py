@@ -7,7 +7,10 @@ polynomial of degree k in lexicographic order of coefficient vectors
 (constant term first), t itself when k = 1.  So a field is named by (p, k)
 alone, and the encoding is reproducible everywhere.
 
-Multiplication runs on dense log/antilog tables.  For small fields
+Multiplication runs on dense log/antilog tables, the antilog table built in
+blocks of about sqrt(q - 1) powers of the generator.  Every table is
+read-only, and ``shared_field(p, k)`` keeps one field per (p, k) for the
+whole process.  For small fields
 (q <= TABLE_CAP) full q x q add/mul tables back the vectorized numpy paths
 used by the linear-algebra and enumeration layers.  Every table of element
 codes, and so every vectorized result, is stored in ``FiniteField.dtype``:
@@ -24,6 +27,9 @@ raises IndexError), but builds no numpy scalar.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from math import isqrt
 
 import numpy as np
 
@@ -173,16 +179,32 @@ class FiniteField:
                 return g
         return 1  # q == 2
 
+    def _generator_powers(self, g: int) -> np.ndarray:
+        """g^0, ..., g^(q-2) as int64 codes, in blocks of B ~ sqrt(q - 1).
+
+        Multiplication by g is GF(p)-linear on coefficient vectors.  The
+        first block is taken one product at a time; each later block is the
+        previous one, as a (k, B) array of coefficient columns, times the
+        k x k matrix of g^B, mod p."""
+        n = max(self.q - 1, 1)
+        b = isqrt(n - 1) + 1  # ceil(sqrt(n))
+        powers = [1]
+        for _ in range(b):
+            powers.append(self._mul_poly(powers[-1], g))
+        g_b = powers.pop()
+        block = np.array([self.to_coeffs(x) for x in powers], dtype=np.int64).T
+        step = np.array([self.to_coeffs(self._mul_poly(g_b, self.p**j)) for j in range(self.k)],
+                        dtype=np.int64).T  # column j: g^B * t^j
+        blocks = [block]
+        for _ in range(-(-n // b) - 1):
+            blocks.append(step @ blocks[-1] % self.p)
+        return self.p ** np.arange(self.k, dtype=np.int64) @ np.hstack(blocks)[:, :n]
+
     def _build_tables(self):
         q = self.q
-        g = self._find_generator()
-        exp = np.zeros(max(q - 1, 1), dtype=np.int64)
+        exp = self._generator_powers(self._find_generator())
         log = np.full(q, -1, dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = self._mul_poly(x, g)
+        log[exp] = np.arange(len(exp))
         self.exp_table = exp.astype(self.dtype)
         self.log_table = log
         # negation: digitwise p-complement
@@ -192,23 +214,26 @@ class FiniteField:
             d = (codes // self.p**i) % self.p
             neg += ((self.p - d) % self.p) * self.p**i
         self.neg_table = neg.astype(self.dtype)
-        self._exp, self._log, self._neg = map(memoryview, (self.exp_table, log, self.neg_table))
-        self._add = self._mul = None  # 2-D views of add_table / mul_table on the table path
+        self.add_table = self.mul_table = None
         if q <= TABLE_CAP:
             self.add_table = self._digit_add(codes[:, None], codes[None, :]).astype(self.dtype)
             lg = np.where(log < 0, 0, log)
             mul = exp[(lg[:, None] + lg[None, :]) % (q - 1)] if q > 2 else np.array([[0, 0], [0, 1]])
             mul = np.where((codes[:, None] == 0) | (codes[None, :] == 0), 0, mul)
             self.mul_table = mul.astype(self.dtype)
+        # read-only before any view is taken: one field may serve a whole process (shared_field)
+        for table in (self.exp_table, log, self.neg_table, self.add_table, self.mul_table):
+            if table is not None:
+                table.flags.writeable = False
+        self._exp, self._log, self._neg = map(memoryview, (self.exp_table, log, self.neg_table))
+        self._add = self._mul = None  # 2-D views of add_table / mul_table on the table path
+        if self.add_table is not None:
             self._add_flat = self.add_table.ravel()
             self._mul_flat = self.mul_table.ravel()
             self._flat_index = np.dtype(np.uint16 if q <= 256 else np.uint32)
             # q as an index-typed numpy scalar: a Python int costs every call a scalar conversion
             self._flat_q = self._flat_index.type(q)
             self._add, self._mul = memoryview(self.add_table), memoryview(self.mul_table)
-        else:
-            self.add_table = None
-            self.mul_table = None
 
     def _digit_add(self, a, b):
         """Digit-wise sum mod p of codes: Python ints, or int64 arrays that
@@ -325,6 +350,14 @@ class FiniteField:
 
     def __repr__(self):
         return f"GF({self.q})"
+
+
+@cache
+def shared_field(p: int, k: int) -> FiniteField:
+    """The process's one FiniteField for (p, k), built on first use and
+    kept; its tables are read-only.  ``FiniteField(p, k)`` itself always
+    builds tables of its own."""
+    return FiniteField(p, k)
 
 
 def _square_scan(field: FiniteField, predicate) -> list[int]:

@@ -12,14 +12,16 @@ A recovery group is either additive (scalar part trivial, shifts form an
 additive subgroup W of the kernel) or multiplicative (shift part trivial,
 scalars form a cyclic group).  ``orbit`` acts with a whole group on the
 coordinate array of the places at once; each column of its table is one
-place's orbit, and becomes that coordinate's recovery set.  The action is
-stated there alone: ``combine`` checks a pair on its two orbit tables,
+place's orbit, and becomes that coordinate's recovery set.  The table is
+built once per group, on first use, and kept on it read-only.  The action
+is stated there alone: ``combine`` checks a pair on its two orbit tables,
 where each element is known by its image of place 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +87,12 @@ class RecoveryGroup:
     @property
     def scalars(self) -> tuple[int, ...]:
         return tuple(e.scalar for e in self.elements)
+
+    @cached_property
+    def _orbits(self) -> np.ndarray:
+        table = _orbit_table(self)
+        table.flags.writeable = False
+        return table
 
 
 def _additive_closure(field: FiniteField, gens) -> list[int]:
@@ -168,8 +176,14 @@ def combine(h1: RecoveryGroup, h2: RecoveryGroup) -> str:
 
 
 def orbit(h: RecoveryGroup) -> np.ndarray:
-    """Table (|H|, n) of H on the canonical places: [e, j] indexes the e-th
-    element's image of place j, so column j is place j's orbit.
+    """Read-only table (|H|, n) of H on the canonical places: [e, j] indexes
+    the e-th element's image of place j, so column j is place j's orbit.
+    Built on first use and kept on ``h``."""
+    return h._orbits
+
+
+def _orbit_table(h: RecoveryGroup) -> np.ndarray:
+    """The action of ``h`` on the places, as ``orbit`` returns it.
 
     Image rows are found by their base-q keys, which sort like the places.
     An image off the tower or a collapsed orbit (the action is not free)

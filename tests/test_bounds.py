@@ -196,7 +196,7 @@ def test_regime_tables_spot_checks():
     assert any(r.theorem == "thm35.1" and (r.r1, r.r2) == (1, 2) for r in r5)
     with pytest.raises(NotAPrimePower):
         regimes(6)
-    with pytest.raises(NotAPrimePower, match="^6 is not a prime power$"):
+    with pytest.raises(NotAPrimePower, match="^l = 6 is not a prime power$"):
         gs_line(6, 1, 2, "thm34")  # a line's regime check refuses the same l
 
 

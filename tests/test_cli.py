@@ -1,13 +1,20 @@
+import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lrctower import FiniteField, LrcError, TowerSpec, construct_lrc
+from lrctower import cli
 from lrctower.cli import build_parser, main, parse_group_spec
 from lrctower.descriptor import (
     FIELDS,
@@ -17,6 +24,7 @@ from lrctower.descriptor import (
     load_code,
 )
 from lrctower.errors import IllegalOrder, NotASubgroup
+from lrctower.field import shared_field
 
 
 GOLDEN_ARGS = [
@@ -402,7 +410,7 @@ def test_tradeoff_btv_zero_locality(capsys):
     (["--ell", "8", "--r1", "-1", "--r2", "-1", "--variant", "btv"], "locality must be >= 1"),
     (["--ell", "8", "--r1", "-1", "--r2", "2", "--variant", "thm34"], "locality must be >= 1"),
     (["--ell", "8", "--r1", "0", "--r2", "6", "--variant", "thm33"], "locality must be >= 1"),
-    (["--ell", "6", "--r1", "1", "--r2", "2", "--variant", "thm34"], "6 is not a prime power"),
+    (["--ell", "6", "--r1", "1", "--r2", "2", "--variant", "thm34"], "l = 6 is not a prime power"),
 ])
 def test_tradeoff_rejects_impossible_line(capsys, argv, message):
     """A locality below 1 or an l that is not a prime power has no line: one
@@ -765,3 +773,111 @@ def test_repair_demo_rejects_params_n_mismatch(tmp_path, capsys, golden_code):
         dataclasses.replace(golden_code, generator_matrix=golden_code.generator_matrix[:, [*range(6), 0]])
     with pytest.raises(ValueError, match="params.n = 6 does not match the 5 entries of recovery_sets"):
         dataclasses.replace(golden_code, recovery_sets=golden_code.recovery_sets[:5])
+
+
+def _session(out_dir, capsys):
+    """All six subcommands in one process, a usage error and a refusal
+    among them: each call's (exit code, stdout, stderr), and every file
+    written by name (a report without its runtimes)."""
+    golden, ytower = out_dir / "g.json", out_dir / "y.json"
+    calls = [
+        GOLDEN_ARGS + ["--out", str(golden)],
+        ["verify", "--in", str(golden), "--report", str(out_dir / "g.report.json")],
+        ["construct", "--variant", "gs96", "--ell", "3"],  # usage error: required flags missing
+        ["repair-demo", "--in", str(golden), "--seed", "5"],
+        ["construct", *GOLDEN_ARGS[1:4], "6", *GOLDEN_ARGS[5:], "--out", str(out_dir / "six.json")],
+        ["bounds", "--n", "18", "--k", "8", "--t", "2", "--r", "2,2", "--csv", str(out_dir / "b.csv")],
+        ["regimes", "--ell", "4", "--csv", str(out_dir / "r.csv")],
+        ["tradeoff", "--ell", "8", "--r1", "3", "--r2", "1", "--variant", "thm35",
+         "--csv", str(out_dir / "t.csv")],
+        ["construct", *DESCRIPTOR_PINS["ytower18"][0], "--out", str(ytower), "--verbose"],
+        ["verify", "--in", str(ytower), "--skip-distance", "--report", str(out_dir / "y.report.json")],
+        ["verify", "--in", str(golden)],
+    ]
+    results, files = [], {}
+    for argv in calls:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        results.append((rc, captured.out, captured.err))
+    for path in sorted(out_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name.endswith(".report.json"):
+            report = json.loads(data)
+            report.pop("runtimes")
+            data = json.dumps(report, sort_keys=True).encode()
+        files[path.name] = data
+    return results, files
+
+
+def test_shared_parser_runs_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    """A process that runs every subcommand on the one shared parser, with a
+    usage error (exit 2) and an LrcError refusal between good calls, prints
+    and writes what a fresh parser per call does."""
+    (tmp_path / "shared").mkdir()
+    (tmp_path / "fresh").mkdir()
+    shared = _session(tmp_path / "shared", capsys)
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = _session(tmp_path / "fresh", capsys)
+    assert shared == fresh
+    calls, files = shared
+    assert [rc for rc, _, _ in calls] == [0, 0, 2, 0, 1, 0, 0, 0, 0, 0, 0]
+    assert calls[2][2].startswith("usage: lrctower construct")
+    assert calls[4][2] == "error: l = 6 is not a prime power\n"
+    assert sorted(files) == ["b.csv", "g.json", "g.report.json", "r.csv", "t.csv", "y.json", "y.report.json"]
+    assert hashlib.sha256(files["g.json"]).hexdigest() == DESCRIPTOR_PINS["golden"][1]
+    assert hashlib.sha256(files["y.json"]).hexdigest() == DESCRIPTOR_PINS["ytower18"][1]
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    """The first main() builds the parser; no later call, good or refused,
+    builds another."""
+    built = []
+
+    class Spy(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=Spy))
+    build_parser.cache_clear()
+    try:
+        out = tmp_path / "g.json"
+        for _ in range(3):
+            assert main(GOLDEN_ARGS + ["--out", str(out)]) == 0
+            assert main(["verify", "--in", str(out)]) == 0
+            assert main(["regimes", "--ell", "6"]) == 1
+            with pytest.raises(SystemExit):
+                main(["verify"])
+        assert built.count("lrctower") == 1
+    finally:
+        build_parser.cache_clear()  # the next main() builds a real parser
+    capsys.readouterr()
+
+
+def test_parser_is_not_built_on_import():
+    code = "import lrctower.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "0\n"
+
+
+def test_loads_and_construct_share_one_field(tmp_path, monkeypatch):
+    """Two loads of one descriptor and a construct at the same l all read
+    the process's one GF(9)."""
+    out = tmp_path / "g.json"
+    assert main(GOLDEN_ARGS + ["--out", str(out)]) == 0
+    a, b = load_code(out), load_code(out)
+    assert a.field is b.field is shared_field(3, 2)
+    seen = []
+
+    def spy(spec, *rest):
+        seen.append(spec.field)
+        return construct_lrc(spec, *rest)
+
+    monkeypatch.setattr(cli, "construct_lrc", spy)
+    assert main(GOLDEN_ARGS + ["--out", str(tmp_path / "again.json")]) == 0
+    assert seen[0] is a.field
+    assert FiniteField(3, 2) is not a.field

@@ -1,4 +1,3 @@
-import functools
 from itertools import product
 
 import numpy as np
@@ -16,6 +15,7 @@ from lrctower import (
 )
 from lrctower.construct import CodeDims, _cap_profiles, _split_bases, _split_rows
 from lrctower.errors import BudgetTooSmall, IllegalOrder, VariantMismatch
+from lrctower.field import shared_field
 from lrctower.groups import scaled_generators
 from lrctower import construct, gflinalg
 
@@ -303,9 +303,6 @@ def test_rref_invariant_under_row_permutation(p, e, data):
     assert (got == expect).all()
 
 
-_cached_field = functools.cache(FiniteField)  # built once, not once per example
-
-
 @pytest.mark.parametrize("block", [None, 3])
 @pytest.mark.parametrize("p, e", [(2, 2), (3, 2), (7, 2), (2, 8), (37, 2), (2, 12)])
 @settings(derandomize=True, deadline=None, max_examples=15)
@@ -317,7 +314,7 @@ def test_echelon_rank_span_intersection_match_oracle(p, e, block, data):
     random (rows, j) and (j, cols) matrix, so zero (j = 0) and
     rank-deficient; on the table path 2q + 1 rows put pivot steps on both
     sides of the q-row rule.  Row updates in one block and in blocks of 3."""
-    fld = _cached_field(p, e)
+    fld = shared_field(p, e)
     tall = 2 * fld.q + 1 if fld.mul_table is not None else 40
     rows, rows_b = (data.draw(st.sampled_from([0, 1, 3, tall])) for _ in range(2))
     cols, j = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 5))

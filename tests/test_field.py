@@ -1,5 +1,4 @@
 import copy
-import functools
 import math
 import pickle
 import random
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from lrctower import FiniteField, artin_schreier_kernel, norm_one_group, subfield_units
 from lrctower.descriptor import code_from_descriptor, code_to_descriptor
 from lrctower.errors import FieldTooLarge, NonPrimeCharacteristic, NotASquareField
-from lrctower.field import _first_irreducible, prime_factors
+from lrctower.field import _first_irreducible, prime_factors, shared_field
 
 from conftest import primes_upto
 
@@ -200,6 +199,53 @@ def test_generator_is_smallest_primitive_code(p, k):
     assert f.exp_table[1] == g
 
 
+def _powers_by_products(f):
+    """Oracle: g^0, ..., g^(q-2) by the per-unit product loop, one
+    polynomial product per unit."""
+    g = f._find_generator()
+    out, x = [], 1
+    for _ in range(max(f.q - 1, 1)):
+        out.append(x)
+        x = f._mul_poly(x, g)
+    return out
+
+
+def _assert_tables_match_products(f):
+    exp = _powers_by_products(f)
+    log = [-1] * f.q
+    for i, x in enumerate(exp):
+        log[x] = i
+    assert f.exp_table.tolist() == exp, f
+    assert f.log_table.tolist() == log, f
+
+
+def test_exp_table_in_blocks_matches_products_up_to_5000():
+    """The exp table, built in blocks of powers, is the per-unit product
+    loop's on every field of order <= 5000."""
+    for p in primes_upto(5000):
+        for k in range(1, 13):
+            if p**k <= 5000:
+                _assert_tables_match_products(FiniteField(p, k))
+
+
+@pytest.mark.parametrize("p, k", [(2, 13), (3, 8), (5, 6), (13, 4), (251, 2), (4099, 1), (65521, 1)])
+def test_exp_table_in_blocks_matches_products_on_large_fields(p, k):
+    _assert_tables_match_products(FiniteField(p, k))
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (2, 11)])
+def test_shared_field_is_one_read_only_field_per_order(p, k):
+    """shared_field keeps one field per (p, k); FiniteField builds its own.
+    The tables are read-only, so no caller can change another's field."""
+    f = shared_field(p, k)
+    assert shared_field(p, k) is f and FiniteField(p, k) is not f and FiniteField(p, k) == f
+    tables = [f.exp_table, f.log_table, f.neg_table] + [t for t in (f.add_table, f.mul_table) if t is not None]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
+    assert f.mul(2, f.inv(2)) == 1
+
+
 @pytest.mark.parametrize("p, k", [(3, 2), (1031, 1)])
 def test_field_pickles_and_copies(p, k):
     """The scalar ops' memoryviews do not pickle; a field still does, and
@@ -325,11 +371,6 @@ def test_scalar_add_sub_on_numpy_scalars(p, k):
 SCALAR_FIELDS = [(3, 2), (7, 2), (2, 8), (2, 10), (1031, 1), (2, 11)]
 
 
-@functools.lru_cache(maxsize=None)
-def _field(p, k):
-    return FiniteField(p, k)
-
-
 def _vec(op, *args):
     """One element through the vectorized op, back as a Python int."""
     return int(op(*(np.array([x]) for x in args))[0])
@@ -343,7 +384,7 @@ def test_scalar_ops_match_vector_ops_and_axioms(p, k, data):
     vec_neg, vec_mul, vec_inv and vec_pow (and add(a, neg(b)) to vec_sub), whether the codes come as Python
     ints or as numpy ``dtype`` scalars (uint8 or uint16, which must not
     wrap), and satisfy the field axioms."""
-    f = _field(p, k)
+    f = shared_field(p, k)
     q = f.q
     codes = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 2, q - 1]))
     a, b, c = (data.draw(codes) for _ in range(3))
@@ -377,7 +418,7 @@ def test_scalar_ops_reject_codes_past_q(p, k):
     the table path for every op, as a Python int or a numpy uint16 scalar;
     above TABLE_CAP the log and neg tables still refuse it in neg, inv and
     pow (add and mul take the digit loop and its zero test there)."""
-    f = _field(p, k)
+    f = shared_field(p, k)
     q = f.q
     bad = [q, q + 1, 2 * q - 1] + ([np.uint16(q)] if f.dtype == np.uint16 else [])
     ops = [lambda v: f.neg(v), lambda v: f.inv(v), lambda v: f.pow(v, 2)]

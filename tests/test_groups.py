@@ -12,6 +12,7 @@ from lrctower import (
     artin_schreier_kernel,
     build_recovery_group,
     combine,
+    construct_lrc,
     norm_one_group,
     orbit,
     subfield_units,
@@ -24,6 +25,7 @@ from lrctower.errors import (
     UnsupportedDepth,
     VariantMismatch,
 )
+from lrctower import groups
 from lrctower.groups import Automorphism, _additive_closure
 
 from conftest import compose, inverse
@@ -358,3 +360,31 @@ def test_orbit_refuses_off_tower_images_and_collapsed_orbits(gf9, gf25):
     s = next(c for c in build_recovery_group(spec, "multiplicative", order=3).scalars if c != 1)
     with pytest.raises(NotASubgroup, match="collapsed"):
         orbit(RecoveryGroup("multiplicative", spec, (Automorphism("gs95", s, 0),) * 2))
+
+
+@pytest.mark.parametrize("variant, ell, m, kinds, d", [
+    ("gs96", 3, 2, ({"shifts": "kernel"}, {"order": 2}), 6),
+    ("gs95", 5, 2, ({"order": 2}, {"order": 3}), 100),
+])
+def test_orbit_table_is_built_once_per_group(monkeypatch, variant, ell, m, kinds, d):
+    """combine and the recovery sets of construct_lrc read one kept table
+    per group: 2 actions per construction; the table is read-only."""
+    calls = []
+    act = groups._orbit_table
+
+    def spy(h):
+        calls.append(h)
+        return act(h)
+
+    monkeypatch.setattr(groups, "_orbit_table", spy)
+    spec = TowerSpec(variant, FiniteField(ell, 2), m)
+    h1, h2 = (build_recovery_group(spec, "additive" if "shifts" in kw else "multiplicative", **kw)
+              for kw in kinds)
+    construct_lrc(spec, h1, h2, d)
+    assert calls == [h1, h2]
+    assert orbit(h1) is orbit(h1)
+    for h in (h1, h2):
+        with pytest.raises(ValueError, match="read-only"):
+            orbit(h)[0, 0] = 1
+    construct_lrc(spec, h1, h2, d)
+    assert len(calls) == 2

@@ -11,6 +11,7 @@ from lrctower import (FiniteField, TowerSpec, artin_schreier_kernel, build_recov
                       evaluation_matrix, genus, spanning_set)
 from lrctower import tower
 from lrctower.errors import UnsupportedDepth
+from lrctower.field import shared_field
 
 
 def _value_at(t, coords, fld, group=None):
@@ -261,15 +262,10 @@ def test_enumeration_on_both_arithmetic_paths(variant, pk, m):
 
 
 @functools.cache
-def _field(pk):
-    return FiniteField(*pk)
-
-
-@functools.cache
 def _additive_groups(pk, m):
     """The trivial shift group and the whole kernel of GF(p^2) (its only
     two additive subgroups), on the y-tower at level m."""
-    spec = TowerSpec("gs96", _field(pk), m)
+    spec = TowerSpec("gs96", shared_field(*pk), m)
     return tuple(build_recovery_group(spec, "additive", shifts=s) for s in ([0], "kernel"))
 
 
@@ -297,7 +293,7 @@ def test_evaluation_matrix_matches_scalar_oracle(data):
     field's kernel (g-powers 0..3), at random coordinate rows, take the
     values of a scalar pow/mul/add/neg evaluation."""
     pk = data.draw(st.sampled_from([(3, 2), (5, 2), (37, 2)]))
-    fld = _field(pk)
+    fld = shared_field(*pk)
     m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
     elem = st.integers(0, fld.q - 1)
     coords = np.array(data.draw(st.lists(st.lists(elem, min_size=m, max_size=m), min_size=n, max_size=n)))
