@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, reduce
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -162,6 +162,18 @@ class LrcCode:
     @property
     def field(self) -> FiniteField:
         return self.spec.field
+
+    @cached_property
+    def set_members(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per recovery set, its (n, r_max) intp members padded with -1 (members
+        lie in [0, n)) and its (n,) lengths; one scatter, on first use."""
+        pairs = list(chain.from_iterable(self.recovery_sets))  # set1 of 0, set2 of 0, set1 of 1, ...
+        lengths = np.fromiter(map(len, pairs), dtype=np.intp, count=len(pairs)).reshape(-1, 2)
+        r = lengths.max(axis=0, initial=0).tolist()
+        real = np.arange(max(r)) < lengths[:, :, None]
+        members = np.full(real.shape, -1, dtype=np.intp)
+        members[real] = np.fromiter(chain.from_iterable(pairs), dtype=np.intp, count=int(lengths.sum()))
+        return tuple((members[:, s, :r[s]], lengths[:, s]) for s in range(2))
 
     @cached_property
     def repair_plan(self):

@@ -32,7 +32,10 @@ span of the columns indexed by I.  Where every generator row rebuilds
 exactly and the plan weights only members of I, that is the explicit
 relation g_i = sum_h lambda_h g_{I_h}, checked over all of GF(q), so the
 pair is proven local with no elimination; the rank test runs only on the
-pairs the round trip leaves unproven.
+pairs the round trip leaves unproven.  The plan, the membership test and
+the geometry checks read each set as one (n, r) array padded with -1
+(``LrcCode.set_members``), with no (n, n) mask; only coordinates with a
+fault or an unproven pair are visited in Python.
 
 Exact minimum distance enumerates one codeword per scalar class: Hamming
 weight does not change under multiplication by a nonzero scalar, so the
@@ -113,14 +116,10 @@ def build_repair_plan(code: LrcCode) -> tuple[RepairPlan, RepairPlan]:
     fld = code.field
     coords = code.spec.places()
     plans = []
-    for s, group in enumerate((code.group1, code.group2)):
-        sets = [pair[s] for pair in code.recovery_sets]
-        n, r = len(sets), max(map(len, sets), default=0)
-        index = np.zeros((n, r), dtype=np.intp)
-        real = np.zeros((n, r), dtype=bool)
-        for i, idx in enumerate(sets):
-            index[i, :len(idx)] = idx
-            real[i, :len(idx)] = True
+    for (members, lengths), group in zip(code.set_members, (code.group1, code.group2)):
+        r = members.shape[1]
+        real = np.arange(r) < lengths[:, None]
+        index = np.where(real, members, 0)
         w = coords[:, group.w_index]
         xs = w[index]
         num = fld.vec_sub(w[:, None], xs)                   # [i, h'] = x0 - x_h'
@@ -229,37 +228,49 @@ class LocalityReport:
         return self.geometry_ok and all(a and b for a, b in self.set_checks)
 
 
+def _in_set(values, members, lengths) -> np.ndarray:
+    """(n, c) mask: values[i, j] is one of the lengths[i] members of row i of
+    ``members``.  Column by column: one broadcast (n, c, r) comparison is
+    slower, and numpy's buffered iteration takes about 128 KB for it."""
+    hit = np.zeros(values.shape, dtype=bool)
+    for j, col in enumerate(members.T):
+        hit |= (values == col[:, None]) & (lengths > j)[:, None]
+    return hit
+
+
 def verify_definition1(code: LrcCode, proven: np.ndarray | None = None) -> LocalityReport:
     """Check that each coordinate is determined by each of its two sets.
 
     ``proven`` is an optional (2, n) mask of (set, coordinate) pairs already
     proven local (``locality_certificate``); the rank test runs only on the
     others.  Without it every pair gets the rank test, so codes without
-    recovery groups need no repair plan.
+    recovery groups need no repair plan.  The geometry is checked as masks
+    over ``LrcCode.set_members``, and only coordinates with a fault or a pair
+    left to test are visited, in order.
     """
     fld = code.field
     g = code.generator_matrix
-    report = LocalityReport()
-    for i, (i1, i2) in enumerate(code.recovery_sets):
-        if i in i1 or i in i2:
-            report.geometry_ok = False
+    n = len(code.recovery_sets)
+    (m1, len1), (m2, len2) = code.set_members
+    coords = np.arange(n)[:, None]
+    own = (m1 == coords).any(axis=1) | (m2 == coords).any(axis=1)
+    overlap = _in_set(m1, m2, len2).any(axis=1)  # set 1's padding -1 is no member of set 2
+    large = (len1 > code.params.r1) | (len2 > code.params.r2)
+    bad = own | overlap | large
+    proven = np.zeros((2, n), dtype=bool) if proven is None else proven
+    report = LocalityReport(set_checks=[(True, True)] * n, geometry_ok=not bad.any())
+    for i in np.flatnonzero(bad | ~proven.all(axis=0)).tolist():
+        if own[i]:
             report.failures.append(f"coordinate {i} contained in its own recovery set")
-        if set(i1) & set(i2):
-            report.geometry_ok = False
+        if overlap[i]:
             report.failures.append(f"recovery sets of coordinate {i} overlap")
-        if len(i1) > code.params.r1 or len(i2) > code.params.r2:
-            report.geometry_ok = False
+        if large[i]:
             report.failures.append(f"recovery set of coordinate {i} too large")
-        verdicts = []
-        for s, idx in enumerate((i1, i2)):
-            ok = ((proven is not None and bool(proven[s, i]))
-                  or gflinalg.in_span(fld, g[:, list(idx)].T, g[:, i]))
-            verdicts.append(ok)
-            if not ok:
-                report.failures.append(
-                    f"coordinate {i} not determined by set {len(verdicts)}"
-                )
-        report.set_checks.append((verdicts[0], verdicts[1]))
+        report.set_checks[i] = verdicts = tuple(
+            bool(proven[s, i]) or gflinalg.in_span(fld, g[:, list(idx)].T, g[:, i])
+            for s, idx in enumerate(code.recovery_sets[i]))
+        report.failures += [f"coordinate {i} not determined by set {s}"
+                            for s, ok in enumerate(verdicts, 1) if not ok]
     return report
 
 
@@ -303,15 +314,12 @@ def locality_certificate(code: LrcCode, row_wrong: np.ndarray) -> np.ndarray:
     pair rebuilt exactly on every row satisfies g_i = sum_h w_h g_{index_h}
     as columns; it is proven when every nonzero weight sits on a member of
     its own recovery set, so neither padding (index 0) nor a stale or
-    corrupted plan can prove it.
+    corrupted plan can prove it.  Membership reads ``LrcCode.set_members``
+    through ``_in_set``, with no (n, n) mask.
     """
     proven = ~row_wrong.any(axis=1)
-    for s, plan in enumerate(code.repair_plan):
-        member = np.zeros((len(code.recovery_sets), row_wrong.shape[2]), dtype=bool)
-        for i, pair in enumerate(code.recovery_sets):
-            member[i, list(pair[s])] = True
-        on_set = np.take_along_axis(member, plan.index, axis=1) | (plan.weights == 0)
-        proven[s] &= on_set.all(axis=1)
+    for s, (plan, sets) in enumerate(zip(code.repair_plan, code.set_members)):
+        proven[s] &= (_in_set(plan.index, *sets) | (plan.weights == 0)).all(axis=1)
     return proven
 
 

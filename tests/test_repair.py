@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import json
 import re
+import tracemalloc
 from itertools import product
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ from lrctower import (
 )
 from lrctower.construct import CodeDims, CodeParams, LrcCode
 from lrctower.errors import DuplicateWValues, NotACodeword, TooLarge
-from lrctower.gflinalg import matmul, rank
+from lrctower.gflinalg import in_span, matmul, rank
 from lrctower.repair import (
     locality_certificate, random_codewords, repair_roundtrip_counts, repair_roundtrip_wrong, span_parts,
 )
@@ -734,3 +735,170 @@ def test_generator_rows_see_what_codewords_see(fixture, fault, request):
     assert (repair_roundtrip_counts(code, words) > 0) == (rows > 0) == (fault is not None)
     rep = verify_code(code, exact_distance=False if fixture == "hermitian_code" else None)
     assert rep.ok == (fault is None) and rep.repair_mismatches == rows
+
+
+# ---------------------------------------------------------------------------
+# per-coordinate oracles for the padded set arrays
+# ---------------------------------------------------------------------------
+
+def _oracle_padding(code, s):
+    """The padding loop ``build_repair_plan`` ran before the set arrays: set
+    s's indices padded with 0, and the mask of real entries."""
+    sets = [pair[s] for pair in code.recovery_sets]
+    n, r = len(sets), max(map(len, sets), default=0)
+    index = np.zeros((n, r), dtype=np.intp)
+    real = np.zeros((n, r), dtype=bool)
+    for i, idx in enumerate(sets):
+        index[i, :len(idx)] = idx
+        real[i, :len(idx)] = True
+    return index, real
+
+
+def _oracle_certificate(code, row_wrong):
+    """``locality_certificate`` through one (n, n) membership mask per set,
+    filled one coordinate at a time."""
+    proven = ~row_wrong.any(axis=1)
+    for s, plan in enumerate(code.repair_plan):
+        member = np.zeros((len(code.recovery_sets), row_wrong.shape[2]), dtype=bool)
+        for i, pair in enumerate(code.recovery_sets):
+            member[i, list(pair[s])] = True
+        on_set = np.take_along_axis(member, plan.index, axis=1) | (plan.weights == 0)
+        proven[s] &= on_set.all(axis=1)
+    return proven
+
+
+def _oracle_definition1(code, proven=None):
+    """``verify_definition1`` with every check made per coordinate."""
+    fld = code.field
+    g = code.generator_matrix
+    report = repair_module.LocalityReport()
+    for i, (i1, i2) in enumerate(code.recovery_sets):
+        if i in i1 or i in i2:
+            report.geometry_ok = False
+            report.failures.append(f"coordinate {i} contained in its own recovery set")
+        if set(i1) & set(i2):
+            report.geometry_ok = False
+            report.failures.append(f"recovery sets of coordinate {i} overlap")
+        if len(i1) > code.params.r1 or len(i2) > code.params.r2:
+            report.geometry_ok = False
+            report.failures.append(f"recovery set of coordinate {i} too large")
+        verdicts = []
+        for s, idx in enumerate((i1, i2)):
+            ok = ((proven is not None and bool(proven[s, i]))
+                  or in_span(fld, g[:, list(idx)].T, g[:, i]))
+            verdicts.append(ok)
+            if not ok:
+                report.failures.append(f"coordinate {i} not determined by set {len(verdicts)}")
+        report.set_checks.append((verdicts[0], verdicts[1]))
+    return report
+
+
+def _assert_matches_oracles(code):
+    """Plan, certificate and Definition 1 report equal the oracles', with the
+    rank test on every pair and on the certificate's leftovers; the plan's
+    weights and collisions against the scalar Lagrange loop."""
+    _assert_plan_matches_oracle(code)
+    for s, (plan, (members, _)) in enumerate(zip(code.repair_plan, code.set_members)):
+        index, real = _oracle_padding(code, s)
+        assert plan.index.dtype == index.dtype and plan.index.shape == index.shape
+        assert (plan.index == index).all() and ((members >= 0) == real).all()
+    row_wrong = repair_roundtrip_wrong(code, code.generator_matrix)
+    proven = locality_certificate(code, row_wrong)
+    assert proven.dtype == bool and (proven == _oracle_certificate(code, row_wrong)).all()
+    for given_proven in (None, proven):
+        got, want = verify_definition1(code, given_proven), _oracle_definition1(code, given_proven)
+        assert got.set_checks == want.set_checks
+        assert all(type(v) is bool for pair in got.set_checks for v in pair)
+        assert got.failures == want.failures
+        assert got.geometry_ok is want.geometry_ok
+
+
+def _own_overlap_large(sets):
+    """Hand-made faults on golden (r = (2, 1)): coordinate 1's set 1 holds
+    1, coordinate 3's sets overlap, coordinate 4's set 2 is too large, and
+    coordinate 5 has all three faults at once."""
+    sets[1][0] = (1,) + sets[1][0][1:]
+    sets[3][1] = (sets[3][0][0],)
+    sets[4][1] = sets[4][1] + (next(j for j in range(6) if j != 4 and j not in sets[4][0] + sets[4][1]),)
+    sets[5] = [(5, 0, 1), (0, 2)]
+
+
+def _random_sets(seed):
+    """Seeded layouts of any size up to r + 1, members anywhere in [0, n)
+    (the coordinate itself, the other set's and repeats included)."""
+    def edit(sets):
+        rng = np.random.default_rng(seed)
+        n = len(sets)
+        for pair in sets:
+            for s in (0, 1):
+                pair[s] = tuple(rng.integers(0, n, size=rng.integers(0, len(pair[s]) + 2)).tolist())
+    return edit
+
+
+def test_set_arrays_match_per_coordinate_oracles(golden_code, tower_code, hermitian_code):
+    codes = [golden_code, tower_code, hermitian_code,
+             _with_sets(golden_code, _ragged), _with_sets(tower_code, _ragged),
+             _duplicate_w_code(tower_code), _with_sets(golden_code, _own_overlap_large),
+             *_tampered_codes(golden_code, tower_code), *_unstructured_codes(golden_code),
+             *(_with_sets(c, _random_sets(seed)) for c in (golden_code, tower_code) for seed in range(10))]
+    for code in codes:
+        _assert_matches_oracles(code)
+    faulty = verify_definition1(codes[6])
+    assert not faulty.geometry_ok and [f for f in faulty.failures if "determined" not in f] == [
+        "coordinate 1 contained in its own recovery set",
+        "recovery sets of coordinate 3 overlap",
+        "recovery set of coordinate 4 too large",
+        "coordinate 5 contained in its own recovery set",
+        "recovery sets of coordinate 5 overlap",
+        "recovery set of coordinate 5 too large",
+    ]
+
+
+def test_set_members_are_padded_sets(golden_code, tower_code):
+    for code in (golden_code, _with_sets(tower_code, _ragged), _with_sets(golden_code, _all_empty)):
+        for s, (members, lengths) in enumerate(code.set_members):
+            r = max(len(pair[s]) for pair in code.recovery_sets)
+            assert members.dtype == lengths.dtype == np.intp and members.shape == (code.params.n, r)
+            assert members.tolist() == [list(pair[s]) + [-1] * (r - len(pair[s])) for pair in code.recovery_sets]
+            assert lengths.tolist() == [len(pair[s]) for pair in code.recovery_sets]
+    assert golden_code.set_members is golden_code.set_members  # built once, kept
+
+
+def _last_ragged(sets):
+    sets[-1][0] = sets[-1][0][:1]
+
+
+@pytest.mark.parametrize("coord, edit, index", [(0, _ragged, 0), (5, _last_ragged, -1)],
+                         ids=["padding-index", "index-minus-one"])
+def test_padding_weight_corruption_matches_oracle(golden_code, coord, edit, index):
+    """As in test_locality_certificate_ignores_padding: weight 1 on the plan's
+    padding entry rebuilds the coordinate exactly, and neither certificate
+    proves it; also when that entry is -1, the members' padding value, which
+    the round trip reads as coordinate n - 1, here the erased one itself."""
+    code = _with_sets(golden_code, edit)
+    plan = code.repair_plan[0]
+    plan.index[coord, 1], plan.weights[coord] = index, [0, 1]
+    row_wrong = repair_roundtrip_wrong(code, code.generator_matrix)
+    assert not row_wrong[0, :, coord].any()
+    proven = locality_certificate(code, row_wrong)
+    assert (proven == _oracle_certificate(code, row_wrong)).all() and not proven[0, coord]
+    for given_proven in (None, proven):
+        got, want = verify_definition1(code, given_proven), _oracle_definition1(code, given_proven)
+        assert (got.set_checks, got.failures, got.geometry_ok) == (want.set_checks, want.failures, want.geometry_ok)
+
+
+def test_locality_certificate_allocates_no_n_by_n_mask():
+    # gs96-500: the per-coordinate certificate's (n, n) bool mask per set
+    # peaked at about 2 n^2 bytes; the column-wise membership test stays far below
+    spec = TowerSpec("gs96", FiniteField(5, 2), 3)
+    code = construct_lrc(spec, build_recovery_group(spec, "additive", shifts="kernel"),
+                         build_recovery_group(spec, "multiplicative", order=4), 250)
+    row_wrong = repair_roundtrip_wrong(code, code.generator_matrix)  # builds the plan and the arrays
+    n = code.params.n
+    tracemalloc.start()
+    try:
+        assert locality_certificate(code, row_wrong).all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 500 and peak < n * n // 8
