@@ -7,7 +7,6 @@ environment variable overrides the 10^7 exhaustive-enumeration cap.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -15,7 +14,7 @@ from pathlib import Path
 
 from . import bounds as bnd
 from .construct import construct_lrc
-from .descriptor import load_code, write_descriptor
+from .descriptor import json_text, load_code, write_descriptor
 from .errors import LrcError, RegimeViolation, VariantMismatch
 from .field import FiniteField, shared_field
 from .groups import ADDITIVE, MULTIPLICATIVE, RecoveryGroup, build_recovery_group
@@ -124,9 +123,7 @@ def cmd_verify(args) -> int:
         print(f"failure: {f}")
     print("OK" if report.ok else "FAILED")
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
-        )
+        Path(args.report).write_text(json_text(report.to_json()))
     return 0 if report.ok else 1
 
 

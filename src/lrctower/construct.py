@@ -29,11 +29,23 @@ A split's spanning set is the budget-only one less the functions whose
 expanded exponents exceed its caps, in the same order.  So each group's
 functions are enumerated once, without caps, and evaluated once, and a
 split is a list of row indices into each group's evaluation matrix.  Rows
-are gathered only for the splits the search scores.  A split's bases are
-row-echelon, not reduced: only their lengths and spans are read.  The
-intersection alone is reduced, on the winner's full-width bases, so a
-construction runs Gauss-Jordan once, on the k-row intersection tail; every
-rank stops at row echelon.
+are gathered only for the splits the search scores.
+
+The search and the intersection run one character at a time.  Let H be the
+pair's multiplicative group of larger order (the trivial group, order u = 1,
+for an additive pair), scaling the scaled generators by c.  Every spanning
+function f is an eigenvector of H: f(cP) = c^s f(P), with s the sum of t's
+scaled-generator exponents mod u.  Where H scales an additive group's w (the
+y-tower), it normalizes W, so cW = W and g(cw) = c^|W| g(w), which
+t_w = |W| j + l already counts.  So V1, V2 and V1 ∩ V2 are direct sums over
+the u characters, and a vector of character s is fixed by its values on one
+place per H-orbit: the functions are evaluated on those n/u representatives
+only.  A split's dims are the per-character echelon ranks, summed; the
+winner's intersection is taken per character, each basis lifted to every
+place by v(cP) = c^s v(P), and the k lifted rows reduced once.  RREF is
+canonical, so the generator is the one a full-width elimination gives.  Only
+that reduction is Gauss-Jordan; every rank and every per-character
+intersection stops at row echelon.
 """
 
 from __future__ import annotations
@@ -47,7 +59,9 @@ import numpy as np
 from . import gflinalg
 from .errors import BudgetTooSmall, EmptyCode, IllegalOrder, VariantMismatch
 from .field import FiniteField
-from .groups import ADDITIVE, MULTIPLICATIVE, RecoveryGroup, combine, orbit, scaled_generators
+from .groups import (
+    ADDITIVE, MULTIPLICATIVE, RecoveryGroup, build_recovery_group, combine, orbit, scaled_generators,
+)
 from .tower import GS96, TowerSpec
 
 
@@ -132,8 +146,12 @@ class LrcCode:
     ``params`` is derived, not given: n is the spec's place count, k the
     generator's row count and r1, r2 the groups' localities.  A generator
     without one column per place, ``recovery_sets`` without one entry per
-    place, a ``d_designed`` outside [1, n] or a ``dims.budget`` other than
-    n - d_designed raises ValueError.
+    place, a recovery-set member outside [0, n), a ``d_designed`` outside
+    [1, n] or a ``dims.budget`` other than n - d_designed raises ValueError.
+
+    ``set_members`` holds, per recovery set, its (n, r_max) intp members
+    padded with -1 and its (n,) lengths, built with the range check by one
+    scatter.
     """
 
     spec: TowerSpec
@@ -144,6 +162,7 @@ class LrcCode:
     d_designed: int
     dims: CodeDims
     params: CodeParams = dc_field(init=False)
+    set_members: tuple[tuple[np.ndarray, np.ndarray], ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, (k, cols) = len(self.spec.places()), self.generator_matrix.shape
@@ -158,22 +177,11 @@ class LrcCode:
             raise ValueError(f"dims.budget = {self.dims.budget} does not match "
                              f"n - d_designed = {n - self.d_designed}")
         self.params = CodeParams(n, k, self.d_designed, self.group1.r, self.group2.r)
+        self.set_members = _set_members(self.recovery_sets, n)
 
     @property
     def field(self) -> FiniteField:
         return self.spec.field
-
-    @cached_property
-    def set_members(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per recovery set, its (n, r_max) intp members padded with -1 (members
-        lie in [0, n)) and its (n,) lengths; one scatter, on first use."""
-        pairs = list(chain.from_iterable(self.recovery_sets))  # set1 of 0, set2 of 0, set1 of 1, ...
-        lengths = np.fromiter(map(len, pairs), dtype=np.intp, count=len(pairs)).reshape(-1, 2)
-        r = lengths.max(axis=0, initial=0).tolist()
-        real = np.arange(max(r)) < lengths[:, :, None]
-        members = np.full(real.shape, -1, dtype=np.intp)
-        members[real] = np.fromiter(chain.from_iterable(pairs), dtype=np.intp, count=int(lengths.sum()))
-        return tuple((members[:, s, :r[s]], lengths[:, s]) for s in range(2))
 
     @cached_property
     def repair_plan(self):
@@ -190,6 +198,24 @@ class LrcCode:
         return gflinalg.matmul(self.field, msg, self.generator_matrix)[0]
 
 
+def _set_members(recovery_sets, n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``LrcCode.set_members`` of ``recovery_sets``; a member outside [0, n)
+    raises ValueError naming its coordinate and set."""
+    pairs = list(chain.from_iterable(recovery_sets))  # set1 of 0, set2 of 0, set1 of 1, ...
+    lengths = np.fromiter(map(len, pairs), dtype=np.intp, count=len(pairs)).reshape(-1, 2)
+    r = lengths.max(axis=0, initial=0).tolist()
+    real = np.arange(max(r)) < lengths[:, :, None]
+    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.intp, count=int(lengths.sum()))
+    outside = (flat < 0) | (flat >= n)
+    if outside.any():
+        at = outside.argmax()
+        i, s, _ = np.argwhere(real)[at]
+        raise ValueError(f"recovery_sets[{i}] set {s + 1} has member {flat[at]} outside [0, n) = [0, {n})")
+    members = np.full(real.shape, -1, dtype=np.intp)
+    members[real] = flat
+    return tuple((members[:, s, :r[s]], lengths[:, s]) for s in range(2))
+
+
 def _cap_profiles(spec: TowerSpec, budget: int) -> list[tuple[int, ...] | None]:
     """Cap splits to try; None means the plain budget-only enumeration."""
     if spec.variant == GS96 and spec.m >= 2:
@@ -198,30 +224,76 @@ def _cap_profiles(spec: TowerSpec, budget: int) -> list[tuple[int, ...] | None]:
     return [None]
 
 
-def _split_rows(h1: RecoveryGroup, h2: RecoveryGroup, budget: int):
-    """Both groups' spanning functions, evaluated once, and every cap split's
-    rows of them.
+def _scalar_group(h1: RecoveryGroup, h2: RecoveryGroup) -> RecoveryGroup:
+    """H: the pair's multiplicative group of larger order (the first on a
+    tie), or the trivial one, of order 1, when both groups are additive."""
+    scalar = [h for h in (h1, h2) if h.kind == MULTIPLICATIVE]
+    if not scalar:
+        return build_recovery_group(h1.spec, MULTIPLICATIVE, order=1)
+    return max(scalar, key=lambda h: h.order)
 
-    Returns (splits, evals): evals holds each group's evaluation matrix, and
+
+@dataclass(frozen=True)
+class _Blocks:
+    """Both groups' spanning functions on one place per orbit of the scalar
+    group H of order u: row i of ``mats[g]`` is group g's function i on the
+    representatives, of character ``chars[g][i]``.  A vector v of character
+    s has v(cP) = c^s v(P), so element e of H lifts a representative's value
+    to the place ``columns[e]`` with the factor ``scalars[e]`` ** s."""
+
+    mats: tuple[np.ndarray, np.ndarray]
+    chars: tuple[np.ndarray, np.ndarray]
+    scalars: np.ndarray  # (u,) H's scalars, in orbit-table order
+    columns: np.ndarray  # (u, n/u) orbit(H) at the representatives
+
+
+def _split_rows(h1: RecoveryGroup, h2: RecoveryGroup, budget: int):
+    """Both groups' spanning functions, evaluated once on the representatives,
+    and every cap split's rows of them.
+
+    Returns (splits, blocks): blocks is the ``_Blocks`` of the pair, and
     each split is (caps, (rows1, rows2)), the indices of the group's
     functions whose expanded exponents are all <= caps (every one for caps
-    None), in ``spanning_set`` order.
+    None), in ``spanning_set`` order.  A representative is the first place
+    of its orbit under H, and a row's character is the sum of its
+    scaled-generator exponents mod |H|.
     """
     spec = h1.spec
+    scalar = _scalar_group(h1, h2)
+    table = orbit(scalar)
+    reps = np.flatnonzero(table.min(axis=0) == np.arange(table.shape[1]))
     exps = [spanning_set(h, budget) for h in (h1, h2)]
-    evals = tuple(evaluation_matrix(t, spec.places(), spec.field, h) for t, h in zip(exps, (h1, h2)))
+    blocks = _Blocks(
+        mats=tuple(evaluation_matrix(t, spec.places()[reps], spec.field, h) for t, h in zip(exps, (h1, h2))),
+        chars=tuple(t[:, scaled_generators(spec.variant, spec.m)].sum(axis=1) % scalar.order for t in exps),
+        scalars=np.array(scalar.scalars),
+        columns=table[:, reps],
+    )
     splits = [
         (caps, tuple(np.arange(len(t)) if caps is None else np.flatnonzero((t <= caps).all(axis=1))
                      for t in exps))
         for caps in _cap_profiles(spec, budget)
     ]
-    return splits, evals
+    return splits, blocks
 
 
-def _split_bases(fld: FiniteField, evals, rows) -> tuple[np.ndarray, np.ndarray, int]:
-    """Row-echelon bases of one split's two spaces and dim(V1 + V2)."""
-    b1, b2 = (gflinalg.echelon(fld, m[r])[0] for m, r in zip(evals, rows))
-    return b1, b2, gflinalg.rank(fld, np.vstack([b1, b2]))
+def _split_bases(fld: FiniteField, blocks: _Blocks, rows):
+    """One split's spaces, character by character, on the representatives.
+
+    Returns (per_char, dims): per_char lists (s, b1, b2, raw1, raw2) for
+    each character s of the split's rows, b the row-echelon basis of a
+    space's block of character s and raw its evaluation rows; dims is
+    (dim V1, dim V2, dim(V1 + V2)), each summed over the characters.
+    """
+    chars = [c[r] for c, r in zip(blocks.chars, rows)]
+    per_char, dims = [], np.zeros(3, dtype=int)
+    for s in np.unique(np.concatenate(chars)).tolist():
+        raw1, raw2 = (m[r[c == s]] for m, r, c in zip(blocks.mats, rows, chars))
+        b1, b2 = (gflinalg.echelon(fld, raw)[0] for raw in (raw1, raw2))
+        dim_sum = gflinalg.rank(fld, np.vstack([b1, b2])) if len(b1) and len(b2) else len(b1) + len(b2)
+        dims += (len(b1), len(b2), dim_sum)
+        per_char.append((s, b1, b2, raw1, raw2))
+    return per_char, tuple(dims.tolist())
 
 
 def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_target: int) -> LrcCode:
@@ -246,7 +318,7 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
             )
 
     fld = spec.field
-    splits, evals = _split_rows(h1, h2, budget)
+    splits, blocks = _split_rows(h1, h2, budget)
     # k <= min(|rows1|, |rows2|); the stable sort keeps profile order among
     # equal bounds, so once a split cannot beat the best score (equal scores
     # go to the lower index), no later split can
@@ -256,33 +328,44 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
         if best is not None and (bounds[i], -i) < (best[0], -best[1]):
             break
         caps, rows = splits[i]
-        b1, b2, dim_sum = _split_bases(fld, evals, rows)
-        score = len(b1) + len(b2) - dim_sum
+        per_char, dims = _split_bases(fld, blocks, rows)
+        score = dims[0] + dims[1] - dims[2]
         if best is None or (score, -i) > (best[0], -best[1]):
-            best = (score, i, b1, b2, dim_sum, caps, rows)
-    k, _, b1, b2, dim_sum, caps, rows = best
-    basis = gflinalg.rowspace_intersection(fld, b1, b2)
-    if basis.shape[0] != k:
+            best = (score, i, per_char, dims, caps)
+    k, _, per_char, dims, caps = best
+
+    # Intersect character by character and lift each basis to full width by
+    # v(cP) = c^s v(P).  Stacked on a factor space's raw evaluation rows of
+    # its character, a basis must keep the rank at that block's dimension:
+    # so the basis lies in the space.
+    lifted = [np.zeros((0, n), dtype=fld.dtype)]
+    for s, b1, b2, raw1, raw2 in per_char:
+        if not (len(b1) and len(b2)):
+            continue  # a block of {0} meets the other in {0}
+        tail = gflinalg.zassenhaus(fld, b1, b2)
+        for raw, b in ((raw1, b1), (raw2, b2)):
+            if gflinalg.rank(fld, np.vstack([raw, tail])) != len(b):
+                raise AssertionError("intersection basis escaped a factor space")
+        full = np.zeros((len(tail), n), dtype=fld.dtype)
+        full[:, blocks.columns] = fld.vec_mul(fld.vec_pow(blocks.scalars, s)[:, None], tail[:, None, :])
+        lifted.append(full)
+    basis, pivots = gflinalg.rref(fld, np.vstack(lifted))
+    if len(pivots) != k:
         raise AssertionError("Zassenhaus intersection disagrees with the rank identity")
     if k == 0:
         raise EmptyCode("the two evaluation spaces only meet in zero")
 
-    # Stacked on a factor space's raw evaluation rows, the basis must keep
-    # the rank at that space's dimension: so the basis lies in the space.
-    for m, r, b in zip(evals, rows, (b1, b2)):
-        if gflinalg.rank(fld, np.vstack([m[r], basis])) != len(b):
-            raise AssertionError("intersection basis escaped a factor space")
-
     # place i's recovery sets: column i of each orbit table, less i itself
-    recovery = []
-    for i, cols in enumerate(zip(orbit(h1).T.tolist(), orbit(h2).T.tolist())):
-        sets = tuple(tuple(x for x in col if x != i) for col in cols)
-        if (len(sets[0]), len(sets[1])) != (h1.r, h2.r):
+    sets = []
+    for h in (h1, h2):
+        cols = orbit(h).T
+        own = cols == np.arange(n)[:, None]
+        if (own.sum(axis=1) != 1).any():
             raise AssertionError("malformed recovery orbit")
-        if set(sets[0]) & set(sets[1]):
-            raise AssertionError("recovery sets overlap")
-        recovery.append(sets)
+        sets.append(cols[~own].reshape(n, h.r))
+    if (sets[0][:, :, None] == sets[1][:, None, :]).any():
+        raise AssertionError("recovery sets overlap")
+    recovery = list(zip(map(tuple, sets[0].tolist()), map(tuple, sets[1].tolist())))
 
-    dims = CodeDims(dim_v1=len(b1), dim_v2=len(b2), dim_sum=dim_sum, budget=budget, caps=caps)
-    return LrcCode(spec=spec, group1=h1, group2=h2, generator_matrix=basis,
-                   recovery_sets=recovery, d_designed=d_target, dims=dims)
+    return LrcCode(spec=spec, group1=h1, group2=h2, generator_matrix=basis, recovery_sets=recovery,
+                   d_designed=d_target, dims=CodeDims(*dims, budget=budget, caps=caps))

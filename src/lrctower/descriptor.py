@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii
 from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
@@ -198,8 +199,41 @@ def code_to_descriptor(code: LrcCode, seed: int = 0) -> dict:
     }
 
 
+def json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2) + "\\n"``, the one writer
+    of descriptors and reports.  It walks objects (str keys), lists and
+    tuples itself and joins a list of plain ints once; ``json.dumps`` with
+    ``indent`` would run its pure-Python encoder on every value."""
+    return _json(value, "\n") + "\n"
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _json(value, pad: str) -> str:
+    """``value`` as JSON whose nested lines start with ``pad`` + two spaces."""
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is bool or value is None:
+        return _LITERALS[value]
+    if kind not in (dict, list, tuple):
+        return json.dumps(value)
+    inner = pad + "  "
+    if kind is dict:
+        items = [f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+    elif all(type(x) is int for x in value):
+        items = list(map(str, value))
+    else:
+        items = [_json(x, inner) for x in value]
+    brackets = "{}" if kind is dict else "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 def descriptor_bytes(desc: dict) -> bytes:
-    return (json.dumps(desc, sort_keys=True, indent=2) + "\n").encode()
+    return json_text(desc).encode()
 
 
 def write_descriptor(code: LrcCode, path, seed: int = 0) -> None:

@@ -109,14 +109,13 @@ def in_span(field: FiniteField, mat, rows) -> bool:
     return rank(field, m) == rank(field, np.vstack([m, as_matrix(field, rows)]))
 
 
-def rowspace_intersection(field: FiniteField, mat_a, mat_b) -> np.ndarray:
-    """Canonical (RREF) basis of rowspace(A) ∩ rowspace(B), by the
-    doubled-block (Zassenhaus) elimination.
+def zassenhaus(field: FiniteField, mat_a, mat_b) -> np.ndarray:
+    """Row-echelon basis of rowspace(A) ∩ rowspace(B), by the doubled-block
+    (Zassenhaus) elimination; not canonical.
 
     Stack [[A A], [B 0]] and bring it to row-echelon form.  The rows
     pivoting right of column n have a zero left half, and their right
-    halves are a basis of the intersection; only those k rows are then
-    reduced to RREF, which has no zero row to drop.
+    halves are a basis of the intersection.
     """
     a = as_matrix(field, mat_a)
     b = as_matrix(field, mat_b)
@@ -127,7 +126,13 @@ def rowspace_intersection(field: FiniteField, mat_a, mat_b) -> np.ndarray:
     bot = np.hstack([b, np.zeros_like(b)])
     basis, pivots = echelon(field, np.vstack([top, bot]))
     split = sum(c < n for c in pivots)
-    return rref(field, basis[split:, n:])[0]
+    return basis[split:, n:]
+
+
+def rowspace_intersection(field: FiniteField, mat_a, mat_b) -> np.ndarray:
+    """Canonical (RREF) basis of rowspace(A) ∩ rowspace(B): the k-row
+    ``zassenhaus`` basis reduced, which has no zero row to drop."""
+    return rref(field, zassenhaus(field, mat_a, mat_b))[0]
 
 
 def matmul(field: FiniteField, a, b) -> np.ndarray:

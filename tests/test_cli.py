@@ -21,6 +21,7 @@ from lrctower.descriptor import (
     code_from_descriptor,
     code_to_descriptor,
     descriptor_bytes,
+    json_text,
     load_code,
 )
 from lrctower.errors import IllegalOrder, NotASubgroup
@@ -153,6 +154,40 @@ def test_descriptor_bytes_pinned(name, tmp_path):
     out = tmp_path / f"{name}.json"
     assert main(["construct", *args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(DESCRIPTOR_PINS))
+def test_json_text_writes_what_json_dumps_writes(name, tmp_path, capsys):
+    """The one writer matches json.dumps(sort_keys=True, indent=2) byte for
+    byte on each ladder descriptor and on the golden code's verify report."""
+    args, _ = DESCRIPTOR_PINS[name]
+    out, report = tmp_path / f"{name}.json", tmp_path / "report.json"
+    assert main(["construct", *args, "--out", str(out)]) == 0
+    files = [out]
+    if name == "golden":
+        assert main(["verify", "--in", str(out), "--report", str(report)]) == 0
+        files.append(report)
+    for path in files:
+        value = json.loads(path.read_text())
+        assert path.read_text() == json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_matches_json_dumps_on_any_value(value):
+    """Empty and nested containers, lists mixing ints with bools, floats
+    (NaN and infinities too) and non-ASCII keys and strings; a tuple
+    writes as the list it holds."""
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    if isinstance(value, list):
+        assert json_text(tuple(value)) == json_text(value)
 
 
 def test_verify_caps_count_generator_rows(tmp_path, capsys, monkeypatch):

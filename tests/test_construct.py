@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -18,6 +19,7 @@ from lrctower.errors import BudgetTooSmall, IllegalOrder, VariantMismatch
 from lrctower.field import shared_field
 from lrctower.groups import scaled_generators
 from lrctower import construct, gflinalg
+from lrctower.cli import parse_group_spec
 
 
 def _capped(h, budget, caps):
@@ -462,10 +464,10 @@ def test_matmul_runs_one_fused_update_per_inner_index(monkeypatch):
 
 @pytest.mark.parametrize("fixture", ["tower_code", "hermitian_code"])
 def test_construct_reduces_to_rref_only_e_and_the_intersection_tail(fixture, request, monkeypatch):
-    """Ranks, split bases and escape checks stop at row echelon, and the
-    search runs at full width with no lift: the one Gauss-Jordan pass on
-    the k x n intersection tail is the only ``rref`` call of a construction,
-    and no ``matmul`` runs."""
+    """Ranks, split bases, the per-character intersections and the escape
+    checks stop at row echelon, and the lift is elementwise: the one
+    Gauss-Jordan pass on the k x n lifted intersection is the only ``rref``
+    call of a construction, and no ``matmul`` runs."""
     code = request.getfixturevalue(fixture)
     shapes, rref = [], gflinalg.rref
 
@@ -483,22 +485,31 @@ def test_construct_reduces_to_rref_only_e_and_the_intersection_tail(fixture, req
     assert shapes == [(code.params.k, code.params.n)]
 
 
+def _full_width_dims(spec, groups, budget, rows):
+    """(dim V1, dim V2, dim(V1 + V2)) of a split, as the ranks of its two
+    evaluation matrices on every place of ``spec`` and of their stack, with
+    the matrices."""
+    fld = spec.field
+    m1, m2 = (evaluation_matrix(spanning_set(h, budget)[r], spec.places(), fld, h) for h, r in zip(groups, rows))
+    ranks = (gflinalg.rank(fld, m1), gflinalg.rank(fld, m2), gflinalg.rank(fld, np.vstack([m1, m2])))
+    return ranks, (m1, m2)
+
+
 @pytest.mark.parametrize("fixture", ["golden_code", "tower_code", "hermitian_code"])
 def test_projected_split_dims_equal_full_width_ranks(fixture, request):
-    """Every cap split's rows of each group's evaluation matrix are the
-    evaluations of its capped spanning set, and its (dim V1, dim V2, dim
-    sum) are the ranks of those two matrices and of their stack."""
+    """Every cap split's rows are its capped spanning set, and its (dim V1,
+    dim V2, dim sum), summed over the characters on the representatives, are
+    the ranks of the two evaluation matrices on every place and of their
+    stack."""
     code = request.getfixturevalue(fixture)
     spec, fld, budget = code.spec, code.field, code.dims.budget
-    splits, evals = _split_rows(code.group1, code.group2, budget)
+    groups = (code.group1, code.group2)
+    splits, blocks = _split_rows(*groups, budget)
     assert [caps for caps, _ in splits] == _cap_profiles(spec, budget)
     for caps, rows in splits:
-        m1, m2 = (evaluation_matrix(_capped(h, budget, caps), spec.places(), fld, h)
-                  for h in (code.group1, code.group2))
-        assert (evals[0][rows[0]] == m1).all() and (evals[1][rows[1]] == m2).all()
-        b1, b2, dim_sum = _split_bases(fld, evals, rows)
-        ranks = (gflinalg.rank(fld, m1), gflinalg.rank(fld, m2), gflinalg.rank(fld, np.vstack([m1, m2])))
-        assert (len(b1), len(b2), dim_sum) == ranks
+        for h, r in zip(groups, rows):
+            assert (spanning_set(h, budget)[r] == _capped(h, budget, caps)).all()
+        assert _split_bases(fld, blocks, rows)[1] == _full_width_dims(spec, groups, budget, rows)[0]
 
 
 @pytest.mark.parametrize("spec_m, group_m, d", [(2, 1, 6), (1, 2, 2)])
@@ -568,19 +579,18 @@ def _kernel_scalar_pair(p, e, m):
 
 def _exhaustive_choice(spec, h1, h2, d_target):
     """Score every cap split, keep the first of largest score and intersect
-    its two full-width evaluation matrices: the search construct_lrc prunes,
-    written out with no bound.  Reads the splits through the module, so a
-    patched ``_split_rows`` applies here too."""
-    fld = spec.field
+    its two evaluation matrices, all on every place: the search construct_lrc
+    prunes and splits by character, written out at full width with no bound.
+    Reads the splits through the module, so a patched ``_split_rows`` applies
+    here too."""
     budget = len(spec.places()) - d_target
-    splits, evals = construct._split_rows(h1, h2, budget)
+    splits, _ = construct._split_rows(h1, h2, budget)
     scored = []
     for caps, rows in splits:
-        b1, b2, dim_sum = _split_bases(fld, evals, rows)
-        scored.append((len(b1) + len(b2) - dim_sum, caps, rows, (len(b1), len(b2), dim_sum)))
-    _, caps, rows, dims = max(scored, key=lambda s: s[0])  # max keeps the first maximum
-    gen = _doubled_block_intersection(fld, evals[0][rows[0]], evals[1][rows[1]])
-    return CodeDims(*dims, budget=budget, caps=caps), gen
+        dims, mats = _full_width_dims(spec, (h1, h2), budget, rows)
+        scored.append((dims[0] + dims[1] - dims[2], caps, mats, dims))
+    _, caps, mats, dims = max(scored, key=lambda s: s[0])  # max keeps the first maximum
+    return CodeDims(*dims, budget=budget, caps=caps), _doubled_block_intersection(spec.field, *mats)
 
 
 @pytest.mark.parametrize("p, e, m, d", [(3, 2, 2, 6), (2, 4, 2, 20), (5, 2, 2, 40), (2, 4, 3, 77)],
@@ -632,6 +642,91 @@ def test_bound_pruning_scores_few_splits(monkeypatch, p, e, m, d, profiles, scor
     code = construct_lrc(spec, h1, h2, d)
     assert len(_cap_profiles(spec, code.dims.budget)) == profiles
     assert len(calls) == scored
+
+
+# Small builds for the character split: (variant, (p, e), m, group1, group2,
+# u), the groups in the CLI's spec language and u the order of the pair's
+# scalar group H, its multiplicative group of larger order (1 for an
+# additive pair).  GF(37^2) (q = 1369) runs the digit-loop arithmetic.
+CHARACTER_CASES = {
+    "gs96-l3-m2": ("gs96", (3, 2), 2, "add:kernel", "mul:2", 2),
+    "gs96-l3-m3": ("gs96", (3, 2), 3, "add:kernel", "mul:2", 2),
+    "gs96-l4-m2": ("gs96", (2, 4), 2, "add:kernel", "mul:3", 3),
+    "gs96-l4-m2-add-add": ("gs96", (2, 4), 2, "add:gens=1", "add:gens=10", 1),
+    "gs96-l5-m2": ("gs96", (5, 2), 2, "add:kernel", "mul:4", 4),
+    "gs96-l7-m1-mul-mul": ("gs96", (7, 2), 1, "mul:2", "mul:3", 3),
+    "gs95-l4-m2-add-add": ("gs95", (2, 4), 2, "add:gens=1", "add:gens=10", 1),
+    "gs95-l5-m2": ("gs95", (5, 2), 2, "norm1:2", "norm1:3", 3),
+    "gs96-l37-m1": ("gs96", (37, 2), 1, "add:kernel", "mul:36", 36),
+}
+DIGIT_LOOP_BUDGET = 60  # keeps the q = 1369 case under about a second
+
+
+@cache
+def _character_case(name):
+    variant, (p, e), m, g1, g2, _ = CHARACTER_CASES[name]
+    spec = TowerSpec(variant, shared_field(p, e), m)
+    return spec, parse_group_spec(spec, g1), parse_group_spec(spec, g2)
+
+
+@pytest.mark.parametrize("name", sorted(CHARACTER_CASES))
+def test_representatives_are_one_place_per_orbit(name):
+    """H has the expected order u, and lifting from the n/u representatives
+    reaches every place once: row e of ``columns`` is element e's image of
+    each representative, and the identity's row (scalar 1) holds the
+    representatives, each the least place of its orbit."""
+    spec, h1, h2 = _character_case(name)
+    n, u = len(spec.places()), CHARACTER_CASES[name][-1]
+    _, blocks = _split_rows(h1, h2, 0)
+    assert blocks.columns.shape == (u, n // u) and len(blocks.scalars) == u
+    assert sorted(blocks.columns.ravel().tolist()) == list(range(n))
+    assert blocks.scalars[0] == 1 and (np.diff(blocks.columns[0]) > 0).all()
+    assert (blocks.columns.min(axis=0) == blocks.columns[0]).all()
+    assert all(m.shape[1] == n // u for m in blocks.mats)
+
+
+@pytest.mark.parametrize("name", ["gs96-l4-m2-add-add", "gs95-l4-m2-add-add"])
+def test_additive_pair_is_one_block_of_every_place(name):
+    """No multiplicative group: H is trivial, every place a representative,
+    every row of character 0, and each split one block, whose dims are the
+    full-width ranks."""
+    spec, h1, h2 = _character_case(name)
+    n = len(spec.places())
+    splits, blocks = _split_rows(h1, h2, n // 2)
+    assert blocks.scalars.tolist() == [1] and blocks.columns.tolist() == [list(range(n))]
+    assert not any(c.any() for c in blocks.chars)
+    for _, rows in splits:
+        per_char, dims = _split_bases(spec.field, blocks, rows)
+        assert [s for s, *_ in per_char] == [0]
+        assert dims == _full_width_dims(spec, (h1, h2), n // 2, rows)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_character_dims_sum_to_full_width_ranks(data):
+    """On every cap split of small gs96 and gs95 builds, on both arithmetic
+    paths, the per-character (dim V1, dim V2, dim sum), summed, are the ranks
+    of the split's evaluation matrices on every place and of their stack."""
+    name = data.draw(st.sampled_from(sorted(CHARACTER_CASES)), label="case")
+    spec, h1, h2 = _character_case(name)
+    n = len(spec.places())
+    budget = data.draw(st.integers(0, DIGIT_LOOP_BUDGET if spec.q > 1024 else n), label="budget")
+    splits, blocks = _split_rows(h1, h2, budget)
+    for _, rows in splits:
+        assert _split_bases(spec.field, blocks, rows)[1] == _full_width_dims(spec, (h1, h2), budget, rows)[0]
+
+
+def test_digit_loop_generator_matches_full_width_reference():
+    """q = 1369: the generator built on 37 representatives per character and
+    lifted is the full-width Zassenhaus RREF of the same split, entry for
+    entry, with the same dims."""
+    spec, h1, h2 = _character_case("gs96-l37-m1")
+    assert spec.field.mul_table is None  # the digit-loop path
+    d = len(spec.places()) - DIGIT_LOOP_BUDGET
+    code = construct_lrc(spec, h1, h2, d)
+    dims, gen = _exhaustive_choice(spec, h1, h2, d)
+    assert code.dims == dims and code.params.k == 59
+    assert code.generator_matrix.tolist() == gen.tolist()
 
 
 def test_golden_intersection_matches_coefficient_model(gf9, golden_code):

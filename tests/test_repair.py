@@ -864,6 +864,19 @@ def test_set_members_are_padded_sets(golden_code, tower_code):
     assert golden_code.set_members is golden_code.set_members  # built once, kept
 
 
+@pytest.mark.parametrize("coord, s, members, bad", [(0, 1, (-4, -2), -4), (0, 1, (2, 99), 99), (3, 2, (6,), 6)])
+def test_recovery_set_members_outside_the_places_are_refused(golden_code, coord, s, members, bad):
+    """A member outside [0, n) is refused when the code is made, by
+    coordinate and set: numpy would wrap -4 and -2 (which used to pass
+    verify_code) and fail on 99 with a raw IndexError."""
+    def edit(sets):
+        sets[coord][s - 1] = members
+
+    with pytest.raises(ValueError) as err:
+        _with_sets(golden_code, edit)
+    assert str(err.value) == f"recovery_sets[{coord}] set {s} has member {bad} outside [0, n) = [0, 6)"
+
+
 def _last_ragged(sets):
     sets[-1][0] = sets[-1][0][:1]
 
