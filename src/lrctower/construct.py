@@ -18,12 +18,10 @@ intersection code has designed distance d_target.  On the y-tower at level
 m >= 2 the generators have poles at different places, so a single budget is
 not enough: per-generator degree caps with cap-sum <= budget / l^(m-1) keep
 the joint pole divisor of all spanning functions below the budget.  The
-construction scores cap splits by dim V1 + dim V2 - dim(V1 + V2), keeps the
-first best one in profile order and runs the Zassenhaus intersection on that
-split alone.  A split's score is at most min(|rows1|, |rows2|), so the splits
-are visited by falling bound and the search stops once no bound can reach
-the best score; a split whose bound only ties it is scored only if it comes
-earlier in profile order.
+construction keeps the first cap split, in profile order, of largest score
+dim(V1 ∩ V2) = dim V1 + dim V2 - dim(V1 + V2), visiting the splits by
+falling bound until no bound can reach the best score (a bound that only
+ties it must come earlier in profile order).
 
 A split's spanning set is the budget-only one less the functions whose
 expanded exponents exceed its caps, in the same order.  So each group's
@@ -40,12 +38,15 @@ y-tower), it normalizes W, so cW = W and g(cw) = c^|W| g(w), which
 t_w = |W| j + l already counts.  So V1, V2 and V1 ∩ V2 are direct sums over
 the u characters, and a vector of character s is fixed by its values on one
 place per H-orbit: the functions are evaluated on those n/u representatives
-only.  A split's dims are the per-character echelon ranks, summed; the
-winner's intersection is taken per character, each basis lifted to every
-place by v(cP) = c^s v(P), and the k lifted rows reduced once.  RREF is
-canonical, so the generator is the one a full-width elimination gives.  Only
-that reduction is Gauss-Jordan; every rank and every per-character
-intersection stops at row echelon.
+only.  A split's bound sums min(#rows1, #rows2, n/u) of each character s,
+as V1_s ∩ V2_s sits in GF(q)^(n/u).  Its score takes one Zassenhaus
+elimination of the raw rows per character, whose tail right of column n/u
+is a basis of V1_s ∩ V2_s, and stops once the tails so far plus the bounds
+still to come cannot win.  The winner alone gets its dims, as ranks of its
+raw blocks, and its tails, lifted to every place by v(cP) = c^s v(P), are
+reduced once.  RREF is canonical, so the generator is the one a full-width
+elimination gives.  Only that reduction is Gauss-Jordan; every other
+elimination stops at row echelon.
 """
 
 from __future__ import annotations
@@ -277,23 +278,28 @@ def _split_rows(h1: RecoveryGroup, h2: RecoveryGroup, budget: int):
     return splits, blocks
 
 
-def _split_bases(fld: FiniteField, blocks: _Blocks, rows):
-    """One split's spaces, character by character, on the representatives.
+def _char_bounds(blocks: _Blocks, rows) -> np.ndarray:
+    """(u,) bounds on a split's dim(V1_s ∩ V2_s): min(#rows1, #rows2, n/u) of character s."""
+    counts = [np.bincount(c[r], minlength=len(blocks.scalars)) for c, r in zip(blocks.chars, rows)]
+    return np.minimum(np.minimum(*counts), blocks.columns.shape[1])
 
-    Returns (per_char, dims): per_char lists (s, b1, b2, raw1, raw2) for
-    each character s of the split's rows, b the row-echelon basis of a
-    space's block of character s and raw its evaluation rows; dims is
-    (dim V1, dim V2, dim(V1 + V2)), each summed over the characters.
-    """
+
+def _split_intersection(fld: FiniteField, blocks: _Blocks, rows, bounds: np.ndarray, floor: int):
+    """One split's V1 ∩ V2 on the representatives: (s, raw1, raw2, tail) per
+    character s of its rows, in increasing s, raw a space's rows of character
+    s and tail the Zassenhaus basis of V1_s ∩ V2_s from them (empty, with no
+    elimination, where ``bounds[s]`` is 0).  None as soon as the tails so far
+    plus the bounds still to come fall below ``floor``."""
     chars = [c[r] for c, r in zip(blocks.chars, rows)]
-    per_char, dims = [], np.zeros(3, dtype=int)
+    per_char, reach = [], int(bounds.sum())
     for s in np.unique(np.concatenate(chars)).tolist():
         raw1, raw2 = (m[r[c == s]] for m, r, c in zip(blocks.mats, rows, chars))
-        b1, b2 = (gflinalg.echelon(fld, raw)[0] for raw in (raw1, raw2))
-        dim_sum = gflinalg.rank(fld, np.vstack([b1, b2])) if len(b1) and len(b2) else len(b1) + len(b2)
-        dims += (len(b1), len(b2), dim_sum)
-        per_char.append((s, b1, b2, raw1, raw2))
-    return per_char, tuple(dims.tolist())
+        tail = gflinalg.zassenhaus(fld, raw1, raw2) if bounds[s] else raw1[:0]
+        reach -= int(bounds[s]) - len(tail)
+        if reach < floor:
+            return None
+        per_char.append((s, raw1, raw2, tail))
+    return per_char
 
 
 def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_target: int) -> LrcCode:
@@ -313,38 +319,31 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
     for g in (h1, h2):
         need = (g.r - 1) * weights[g.w_index]
         if budget < need:
-            raise BudgetTooSmall(
-                f"budget {budget} cannot host w^{g.r - 1} (needs {need})"
-            )
+            raise BudgetTooSmall(f"budget {budget} cannot host w^{g.r - 1} (needs {need})")
 
     fld = spec.field
     splits, blocks = _split_rows(h1, h2, budget)
-    # k <= min(|rows1|, |rows2|); the stable sort keeps profile order among
-    # equal bounds, so once a split cannot beat the best score (equal scores
-    # go to the lower index), no later split can
-    bounds = [min(len(r) for r in rows) for _, rows in splits]
-    best = None
-    for i in sorted(range(len(splits)), key=lambda i: -bounds[i]):
-        if best is not None and (bounds[i], -i) < (best[0], -best[1]):
+    # A split must reach the best score, or pass it if the best comes earlier (equal scores go to the lower
+    # index); the stable sort keeps profile order among equal bounds, so once a bound cannot, no later one can.
+    bounds = [_char_bounds(blocks, rows) for _, rows in splits]
+    best = (-1, -1, None)  # (score, index, per_char); the first split scored replaces it
+    for i in sorted(range(len(splits)), key=lambda i: -bounds[i].sum()):
+        floor = best[0] + (best[1] < i)
+        if bounds[i].sum() < floor:
             break
-        caps, rows = splits[i]
-        per_char, dims = _split_bases(fld, blocks, rows)
-        score = dims[0] + dims[1] - dims[2]
-        if best is None or (score, -i) > (best[0], -best[1]):
-            best = (score, i, per_char, dims, caps)
-    k, _, per_char, dims, caps = best
+        per_char = _split_intersection(fld, blocks, splits[i][1], bounds[i], floor)
+        if per_char is not None:
+            best = (sum(len(tail) for *_, tail in per_char), i, per_char)
+    k, i, per_char = best
 
-    # Intersect character by character and lift each basis to full width by
-    # v(cP) = c^s v(P).  Stacked on a factor space's raw evaluation rows of
-    # its character, a basis must keep the rank at that block's dimension:
-    # so the basis lies in the space.
-    lifted = [np.zeros((0, n), dtype=fld.dtype)]
-    for s, b1, b2, raw1, raw2 in per_char:
-        if not (len(b1) and len(b2)):
-            continue  # a block of {0} meets the other in {0}
-        tail = gflinalg.zassenhaus(fld, b1, b2)
-        for raw, b in ((raw1, b1), (raw2, b2)):
-            if gflinalg.rank(fld, np.vstack([raw, tail])) != len(b):
+    # The winner's dims, and each tail lifted to full width by v(cP) = c^s v(P).  Stacked on a factor
+    # space's basis of its character, a tail must keep the rank at that basis's length: so it lies in the space.
+    lifted, dims = [np.zeros((0, n), dtype=fld.dtype)], np.zeros(2, dtype=int)
+    for s, raw1, raw2, tail in per_char:
+        bases = [gflinalg.echelon(fld, raw)[0] for raw in (raw1, raw2)]
+        dims += [len(b) for b in bases]
+        for b in bases:
+            if len(tail) and gflinalg.rank(fld, np.vstack([b, tail])) != len(b):
                 raise AssertionError("intersection basis escaped a factor space")
         full = np.zeros((len(tail), n), dtype=fld.dtype)
         full[:, blocks.columns] = fld.vec_mul(fld.vec_pow(blocks.scalars, s)[:, None], tail[:, None, :])
@@ -368,4 +367,4 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
     recovery = list(zip(map(tuple, sets[0].tolist()), map(tuple, sets[1].tolist())))
 
     return LrcCode(spec=spec, group1=h1, group2=h2, generator_matrix=basis, recovery_sets=recovery,
-                   d_designed=d_target, dims=CodeDims(*dims, budget=budget, caps=caps))
+                   d_designed=d_target, dims=CodeDims(*dims.tolist(), int(dims.sum()) - k, budget, splits[i][0]))

@@ -102,10 +102,10 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 
 
 def _first_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """First monic irreducible of degree k, lexicographic on (c_0,...,c_{k-1})."""
+    """First monic irreducible of degree k >= 2, lexicographic on (c_0,...,c_{k-1}), skipping t's multiples (c_0 = 0)."""
     from itertools import product
 
-    for low in product(range(p), repeat=k):
+    for low in product(range(1, p), *[range(p)] * (k - 1)):
         poly = tuple(low) + (1,)
         if _is_irreducible(poly, p):
             return poly

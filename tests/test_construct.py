@@ -14,7 +14,7 @@ from lrctower import (
     evaluation_matrix,
     spanning_set,
 )
-from lrctower.construct import CodeDims, _cap_profiles, _split_bases, _split_rows
+from lrctower.construct import CodeDims, _cap_profiles, _char_bounds, _split_intersection, _split_rows
 from lrctower.errors import BudgetTooSmall, IllegalOrder, VariantMismatch
 from lrctower.field import shared_field
 from lrctower.groups import scaled_generators
@@ -495,21 +495,39 @@ def _full_width_dims(spec, groups, budget, rows):
     return ranks, (m1, m2)
 
 
+def _check_split_against_full_width(spec, groups, budget, blocks, rows):
+    """Score one split per character with nothing to beat and check it
+    against the full-width ranks: the tails' lengths sum to dim V1 + dim V2
+    - dim(V1 + V2), the per-character bound is at least that score, and the
+    raw blocks' ranks sum to dim V1 and dim V2.  Returns the per-character
+    list."""
+    fld = spec.field
+    bounds = _char_bounds(blocks, rows)
+    per_char = _split_intersection(fld, blocks, rows, bounds, 0)
+    score = sum(len(tail) for *_, tail in per_char)
+    dim_v1, dim_v2, dim_sum = _full_width_dims(spec, groups, budget, rows)[0]
+    assert score == dim_v1 + dim_v2 - dim_sum
+    assert bounds.sum() >= score
+    ranks = [sum(gflinalg.rank(fld, entry[g]) for entry in per_char) for g in (1, 2)]
+    assert ranks == [dim_v1, dim_v2]
+    return per_char
+
+
 @pytest.mark.parametrize("fixture", ["golden_code", "tower_code", "hermitian_code"])
 def test_projected_split_dims_equal_full_width_ranks(fixture, request):
-    """Every cap split's rows are its capped spanning set, and its (dim V1,
-    dim V2, dim sum), summed over the characters on the representatives, are
-    the ranks of the two evaluation matrices on every place and of their
-    stack."""
+    """Every cap split's rows are its capped spanning set, and its score,
+    summed over the characters on the representatives, is dim V1 + dim V2
+    - dim(V1 + V2) from the ranks of the two evaluation matrices on every
+    place and of their stack, under its per-character bound."""
     code = request.getfixturevalue(fixture)
-    spec, fld, budget = code.spec, code.field, code.dims.budget
+    spec, budget = code.spec, code.dims.budget
     groups = (code.group1, code.group2)
     splits, blocks = _split_rows(*groups, budget)
     assert [caps for caps, _ in splits] == _cap_profiles(spec, budget)
     for caps, rows in splits:
         for h, r in zip(groups, rows):
             assert (spanning_set(h, budget)[r] == _capped(h, budget, caps)).all()
-        assert _split_bases(fld, blocks, rows)[1] == _full_width_dims(spec, groups, budget, rows)[0]
+        _check_split_against_full_width(spec, groups, budget, blocks, rows)
 
 
 @pytest.mark.parametrize("spec_m, group_m, d", [(2, 1, 6), (1, 2, 2)])
@@ -625,20 +643,62 @@ def test_equal_scores_go_to_the_lower_index(monkeypatch, layout):
     assert code.dims == dims and (code.generator_matrix == gen).all()
 
 
-@pytest.mark.parametrize("p, e, m, d, profiles, scored", [(7, 2, 2, 150, 21, 8), (5, 2, 3, 250, 66, 5)],
+def test_a_split_that_cannot_win_stops_after_one_character(monkeypatch):
+    """A decoy split behind the l = 4, m = 2 code's winner (caps (3, 4),
+    score 10, bound 11): the winner's rows, but V2's rows of character 0
+    are copies of one row.  Its bound, 11, is above the winner's score, and
+    ties the winner's bound from a later index, so it is visited after the
+    winner; its first Zassenhaus elimination leaves at most 1 + 6 < 11 in
+    reach, so it stops there, and the build is the exhaustive one."""
+    spec, h1, h2 = _kernel_scalar_pair(2, 4, 2)
+    real_rows, real_intersection, real_zassenhaus = construct._split_rows, _split_intersection, gflinalg.zassenhaus
+    scored = []  # per _split_intersection call: [rows, bound, zassenhaus calls, result]
+    made = {}  # the winner's and the decoy's rows of the last _split_rows call
+
+    def with_decoy(*args):
+        splits, blocks = real_rows(*args)
+        rows1, rows2 = made["winner"] = dict(splits)[(3, 4)]
+        zero = blocks.chars[1][rows2] == 0
+        made["decoy"] = (rows1, np.concatenate([np.repeat(rows2[zero][:1], zero.sum()), rows2[~zero]]))
+        return [*splits, ("decoy", made["decoy"])], blocks
+
+    def tracked(fld, blocks, rows, bounds, floor):
+        scored.append([rows, int(bounds.sum()), 0, None])
+        scored[-1][3] = real_intersection(fld, blocks, rows, bounds, floor)
+        return scored[-1][3]
+
+    def counted(*args):
+        scored[-1][2] += 1
+        return real_zassenhaus(*args)
+
+    monkeypatch.setattr(construct, "_split_rows", with_decoy)
+    monkeypatch.setattr(construct, "_split_intersection", tracked)
+    monkeypatch.setattr(gflinalg, "zassenhaus", counted)
+    code = construct_lrc(spec, h1, h2, 20)
+    visits = [next(i for i, (rows, *_) in enumerate(scored) if rows is made[name]) for name in ("winner", "decoy")]
+    assert visits[0] < visits[1]
+    _, bound, zassenhaus_calls, result = scored[visits[1]]
+    assert bound == 11 > code.params.k == 10
+    assert zassenhaus_calls == 1 and result is None
+    dims, gen = _exhaustive_choice(spec, h1, h2, 20)
+    assert code.dims == dims and code.dims.caps == (3, 4)
+    assert code.generator_matrix.shape == gen.shape and (code.generator_matrix == gen).all()
+
+
+@pytest.mark.parametrize("p, e, m, d, profiles, scored", [(7, 2, 2, 150, 21, 7), (5, 2, 3, 250, 66, 1)],
                          ids=["gs96-294", "gs96-500"])
 def test_bound_pruning_scores_few_splits(monkeypatch, p, e, m, d, profiles, scored):
     """Structural guard on the pruning, not a timing test: of the 21 and 66
-    cap splits of the two large ladder codes, the bound-ordered search
-    scores 8 and 5 (exhaustive scoring ran every one)."""
+    cap splits of the two large ladder codes, the search by falling
+    per-character bound scores 7 and 1 (exhaustive scoring ran every one)."""
     spec, h1, h2 = _kernel_scalar_pair(p, e, m)
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return _split_bases(*args)
+        return _split_intersection(*args)
 
-    monkeypatch.setattr(construct, "_split_bases", counted)
+    monkeypatch.setattr(construct, "_split_intersection", counted)
     code = construct_lrc(spec, h1, h2, d)
     assert len(_cap_profiles(spec, code.dims.budget)) == profiles
     assert len(calls) == scored
@@ -688,32 +748,32 @@ def test_representatives_are_one_place_per_orbit(name):
 @pytest.mark.parametrize("name", ["gs96-l4-m2-add-add", "gs95-l4-m2-add-add"])
 def test_additive_pair_is_one_block_of_every_place(name):
     """No multiplicative group: H is trivial, every place a representative,
-    every row of character 0, and each split one block, whose dims are the
-    full-width ranks."""
+    every row of character 0, and each split one block, whose score is the
+    full-width one."""
     spec, h1, h2 = _character_case(name)
     n = len(spec.places())
     splits, blocks = _split_rows(h1, h2, n // 2)
     assert blocks.scalars.tolist() == [1] and blocks.columns.tolist() == [list(range(n))]
     assert not any(c.any() for c in blocks.chars)
     for _, rows in splits:
-        per_char, dims = _split_bases(spec.field, blocks, rows)
+        per_char = _check_split_against_full_width(spec, (h1, h2), n // 2, blocks, rows)
         assert [s for s, *_ in per_char] == [0]
-        assert dims == _full_width_dims(spec, (h1, h2), n // 2, rows)[0]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_character_dims_sum_to_full_width_ranks(data):
     """On every cap split of small gs96 and gs95 builds, on both arithmetic
-    paths, the per-character (dim V1, dim V2, dim sum), summed, are the ranks
-    of the split's evaluation matrices on every place and of their stack."""
+    paths, the per-character score, summed, is dim V1 + dim V2 - dim(V1 +
+    V2) from the ranks of the split's evaluation matrices on every place and
+    of their stack, and the per-character bound is at least that score."""
     name = data.draw(st.sampled_from(sorted(CHARACTER_CASES)), label="case")
     spec, h1, h2 = _character_case(name)
     n = len(spec.places())
     budget = data.draw(st.integers(0, DIGIT_LOOP_BUDGET if spec.q > 1024 else n), label="budget")
     splits, blocks = _split_rows(h1, h2, budget)
     for _, rows in splits:
-        assert _split_bases(spec.field, blocks, rows)[1] == _full_width_dims(spec, (h1, h2), budget, rows)[0]
+        _check_split_against_full_width(spec, (h1, h2), budget, blocks, rows)
 
 
 def test_digit_loop_generator_matches_full_width_reference():

@@ -60,6 +60,16 @@ def test_extension_moduli_pinned(p, k, modulus):
     assert naive_irreducible(modulus, p)
 
 
+@pytest.mark.parametrize("p, k", [(p, k) for p in primes_upto(64) for k in range(2, 13) if p**k <= 4096])
+def test_first_irreducible_matches_first_in_order_scan(p, k):
+    """The search starts at c_0 = 1, since t divides every candidate with
+    c_0 = 0; the modulus is still the first irreducible of the whole
+    lexicographic order, c_0 = 0 included."""
+    candidates = (tuple(low) + (1,) for low in product(range(p), repeat=k))
+    first = next(poly for poly in candidates if naive_irreducible(poly, p))
+    assert _first_irreducible(p, k) == first
+
+
 def test_prime_field_uses_identity_modulus():
     f = FiniteField(2, 1)
     assert f.modulus == (0, 1)
