@@ -43,8 +43,8 @@ print("true minimum distance:", brute_force_distance(code))
 print("dimension accounting (k = dim_v1 + dim_v2 - dim_sum):", code.dims)
 
 print("\nrecovery sets (per coordinate):")
-for i, (s1, s2) in enumerate(code.recovery_sets):
-    print(f"  coordinate {i}: set1 {list(s1)}  set2 {list(s2)}")
+for i, (s1, s2) in enumerate(zip(*code.recovery_sets)):
+    print(f"  coordinate {i}: set1 {s1.tolist()}  set2 {s2.tolist()}")
 
 word = tuple(int(x) for x in code.encode([1, 2]))
 print(f"\ncodeword for message (1, 2): {word}")

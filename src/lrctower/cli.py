@@ -138,10 +138,9 @@ def cmd_repair_demo(args) -> int:
     for j in (1, 2):
         if args.set and j != args.set:
             continue
-        idx = code.recovery_sets[i][j - 1]
         got = repair(code, ErasurePattern(tuple(word), i, j))
         status = "ok" if got == truth else "MISMATCH"
-        print(f"set {j} {list(idx)} -> repaired symbol {got} [{status}]")
+        print(f"set {j} {code.recovery_sets[j - 1][i].tolist()} -> repaired symbol {got} [{status}]")
         if got != truth:
             return 1
     return 0

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, reduce
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -145,40 +145,40 @@ class LrcCode:
     places of ``spec``.
 
     ``params`` is derived, not given: n is the spec's place count, k the
-    generator's row count and r1, r2 the groups' localities.  A generator
-    without one column per place, ``recovery_sets`` without one entry per
-    place, a recovery-set member outside [0, n), a ``d_designed`` outside
-    [1, n] or a ``dims.budget`` other than n - d_designed raises ValueError.
+    generator's row count and r1, r2 the groups' localities.  A group built
+    on another spec raises VariantMismatch; a generator without one column
+    per place, a ``d_designed`` outside [1, n] or a ``dims.budget`` other
+    than n - d_designed raises ValueError.
 
-    ``set_members`` holds, per recovery set, its (n, r_max) intp members
-    padded with -1 and its (n,) lengths, built with the range check by one
-    scatter.
+    ``recovery_sets`` is derived too: per group H_s, a read-only (n, r_s)
+    intp array whose row i is place i's orbit under H_s less i itself,
+    in element order (column i of ``orbit(H_s)`` without i).  The action is
+    free, so each row has |H_s| - 1 members and omits i; H1 and H2 meet
+    only in the identity, and every other automorphism moves every place,
+    so the two rows of a place are disjoint.
     """
 
     spec: TowerSpec
     group1: RecoveryGroup
     group2: RecoveryGroup
     generator_matrix: np.ndarray
-    recovery_sets: list[tuple[tuple[int, ...], tuple[int, ...]]]
     d_designed: int
     dims: CodeDims
     params: CodeParams = dc_field(init=False)
-    set_members: tuple[tuple[np.ndarray, np.ndarray], ...] = dc_field(init=False, repr=False, compare=False)
+    recovery_sets: tuple[np.ndarray, np.ndarray] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_specs(self.spec, self.group1, self.group2)
         n, (k, cols) = len(self.spec.places()), self.generator_matrix.shape
         if cols != n:
             raise ValueError(f"params.n = {n} does not match the column count {cols} of generator_matrix")
-        if len(self.recovery_sets) != n:
-            raise ValueError(f"params.n = {n} does not match the {len(self.recovery_sets)} "
-                             "entries of recovery_sets")
         if not 1 <= self.d_designed <= n:
             raise ValueError(f"params.d_designed = {self.d_designed} is not in [1, n] = [1, {n}]")
         if self.dims.budget != n - self.d_designed:
             raise ValueError(f"dims.budget = {self.dims.budget} does not match "
                              f"n - d_designed = {n - self.d_designed}")
         self.params = CodeParams(n, k, self.d_designed, self.group1.r, self.group2.r)
-        self.set_members = _set_members(self.recovery_sets, n)
+        self.recovery_sets = tuple(map(_orbit_rows, (self.group1, self.group2)))
 
     @property
     def field(self) -> FiniteField:
@@ -199,22 +199,18 @@ class LrcCode:
         return gflinalg.matmul(self.field, msg, self.generator_matrix)[0]
 
 
-def _set_members(recovery_sets, n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """``LrcCode.set_members`` of ``recovery_sets``; a member outside [0, n)
-    raises ValueError naming its coordinate and set."""
-    pairs = list(chain.from_iterable(recovery_sets))  # set1 of 0, set2 of 0, set1 of 1, ...
-    lengths = np.fromiter(map(len, pairs), dtype=np.intp, count=len(pairs)).reshape(-1, 2)
-    r = lengths.max(axis=0, initial=0).tolist()
-    real = np.arange(max(r)) < lengths[:, :, None]
-    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.intp, count=int(lengths.sum()))
-    outside = (flat < 0) | (flat >= n)
-    if outside.any():
-        at = outside.argmax()
-        i, s, _ = np.argwhere(real)[at]
-        raise ValueError(f"recovery_sets[{i}] set {s + 1} has member {flat[at]} outside [0, n) = [0, {n})")
-    members = np.full(real.shape, -1, dtype=np.intp)
-    members[real] = flat
-    return tuple((members[:, s, :r[s]], lengths[:, s]) for s in range(2))
+def _check_specs(spec: TowerSpec, *groups: RecoveryGroup) -> None:
+    for h in groups:
+        if h.spec != spec:
+            raise VariantMismatch(f"recovery group built on {h.spec!r}, but the code is on {spec!r}")
+
+
+def _orbit_rows(h: RecoveryGroup) -> np.ndarray:
+    """Read-only (n, r) array: row i is column i of ``orbit(h)`` less i."""
+    cols = orbit(h).T
+    rows = cols[cols != np.arange(len(cols))[:, None]].reshape(len(cols), h.r)
+    rows.flags.writeable = False
+    return rows
 
 
 def _cap_profiles(spec: TowerSpec, budget: int) -> list[tuple[int, ...] | None]:
@@ -304,10 +300,8 @@ def _split_intersection(fld: FiniteField, blocks: _Blocks, rows, bounds: np.ndar
 
 def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_target: int) -> LrcCode:
     """Build the two invariant spaces, intersect their evaluation images and
-    assemble the finished code with per-coordinate recovery sets."""
-    for h in (h1, h2):
-        if h.spec != spec:
-            raise VariantMismatch(f"recovery group built on {h.spec!r}, but the code is on {spec!r}")
+    assemble the finished code, whose recovery sets are the groups' orbits."""
+    _check_specs(spec, h1, h2)
     combine(h1, h2)  # validates the pair: trivial intersection, H2 normalizes H1
     if h1.order < 2 or h2.order < 2:
         raise IllegalOrder("recovery groups must have order >= 2")
@@ -354,17 +348,5 @@ def construct_lrc(spec: TowerSpec, h1: RecoveryGroup, h2: RecoveryGroup, d_targe
     if k == 0:
         raise EmptyCode("the two evaluation spaces only meet in zero")
 
-    # place i's recovery sets: column i of each orbit table, less i itself
-    sets = []
-    for h in (h1, h2):
-        cols = orbit(h).T
-        own = cols == np.arange(n)[:, None]
-        if (own.sum(axis=1) != 1).any():
-            raise AssertionError("malformed recovery orbit")
-        sets.append(cols[~own].reshape(n, h.r))
-    if (sets[0][:, :, None] == sets[1][:, None, :]).any():
-        raise AssertionError("recovery sets overlap")
-    recovery = list(zip(map(tuple, sets[0].tolist()), map(tuple, sets[1].tolist())))
-
-    return LrcCode(spec=spec, group1=h1, group2=h2, generator_matrix=basis, recovery_sets=recovery,
-                   d_designed=d_target, dims=CodeDims(*dims.tolist(), int(dims.sum()) - k, budget, splits[i][0]))
+    return LrcCode(spec=spec, group1=h1, group2=h2, generator_matrix=basis, d_designed=d_target,
+                   dims=CodeDims(*dims.tolist(), int(dims.sum()) - k, budget, splits[i][0]))

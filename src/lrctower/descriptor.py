@@ -11,7 +11,10 @@ generator, recovery sets) are checked whole; their entries are walked only
 to name a failure.  The checks here name the JSON path at fault.  The field
 is rebuilt from ``field.p`` and ``field.k`` alone; ``field.modulus`` stays in
 the format and must be that field's modulus.  Likewise ``places`` must be the
-tower's canonical enumeration, which the code reads from its spec.
+tower's canonical enumeration, which the code reads from its spec, and
+``recovery_sets`` the groups' orbits, which the code derives
+(``LrcCode.recovery_sets``); ``dims.caps`` must be one of the cap splits
+construction searches for that budget.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .construct import CodeDims, LrcCode
+from .construct import CodeDims, LrcCode, _cap_profiles
 from .field import shared_field
 from .groups import ADDITIVE, MULTIPLICATIVE, build_recovery_group, combine
 from .tower import GS95, GS96, TowerSpec
@@ -158,27 +161,31 @@ def _generator(raw: list, q: int) -> np.ndarray:
     raise ValueError(f"generator_matrix must be a non-empty list of integer rows, got {raw!r}")
 
 
-def _recovery(desc, raw: list, n: int) -> list:
-    """The (set1, set2) of every coordinate: ``raw`` holds each coordinate in
-    [0, n) once, as ``coord``, with two lists of indices in [0, n) and no other key."""
-    keys = {"coord", "set1", "set2"}
-    if not (all(type(e) is dict and e.keys() <= keys and "coord" in e
-                and type(e.get("set1")) is type(e.get("set2")) is list for e in raw)
-            and _ints_below([e["coord"] for e in raw], n) and len({e["coord"] for e in raw}) == n == len(raw)
-            and _ints_below([x for e in raw for x in e["set1"] + e["set2"]], n)):
-        owner: dict[int, int] = {}  # coord -> the recovery_sets entry that holds it
-        for e in range(len(raw)):
-            path = f"recovery_sets[{e}]"
-            i = _in_range(_read(desc, f"{path}.coord", int), f"{path}.coord", n, "n")
-            if owner.setdefault(i, e) != e:
-                raise ValueError(f"{path}.coord = {i} repeats recovery_sets[{owner[i]}].coord")
-            for key in ("set1", "set2"):
-                for h, x in enumerate(_read(desc, f"{path}.{key}", Ints())):
-                    _in_range(x, f"{path}.{key}[{h}]", n, "n")
-            _known(raw[e], path, keys)
-        if len(owner) < n:
-            raise ValueError(f"recovery_sets has no entry with coord {min(set(range(n)) - owner.keys())}")
-    return [(tuple(e["set1"]), tuple(e["set2"])) for e in sorted(raw, key=lambda e: e["coord"])]
+def _recovery_entries(code: LrcCode) -> list[dict]:
+    """The ``recovery_sets`` list of ``code``: entry i holds coordinate i's row of each set array."""
+    sets1, sets2 = (sets.tolist() for sets in code.recovery_sets)
+    return [{"coord": i, "set1": s1, "set2": s2} for i, (s1, s2) in enumerate(zip(sets1, sets2))]
+
+
+def _recovery(desc, code: LrcCode) -> None:
+    """Refuse ``recovery_sets`` unless it is ``code``'s own layout, entry by
+    entry, with every value an int (JSON true and 1.0 equal 1 in Python);
+    else name the first entry that differs, or the count."""
+    raw, want = _read(desc, "recovery_sets"), _recovery_entries(code)
+    if raw == want and ({type(e["coord"]) for e in raw}
+                        | set(map(type, chain.from_iterable(e["set1"] + e["set2"] for e in raw)))) <= {int}:
+        return
+    for e, entry in enumerate(want[:len(raw)]):
+        path = f"recovery_sets[{e}]"
+        _known(_read(desc, path, dict), path, entry)
+        coord = _read(desc, f"{path}.coord", int)
+        if coord != e:
+            raise ValueError(f"{path}.coord = {coord} is not {e}")
+        for key in ("set1", "set2"):
+            got = list(_read(desc, f"{path}.{key}", Ints()))
+            if got != entry[key]:
+                raise ValueError(f"{path}.{key} = {got} is not the orbit set {entry[key]}")
+    raise ValueError(f"recovery_sets has {len(raw)} entries, the code has {len(want)} coordinates")
 
 
 def code_to_descriptor(code: LrcCode, seed: int = 0) -> dict:
@@ -191,8 +198,7 @@ def code_to_descriptor(code: LrcCode, seed: int = 0) -> dict:
                    for g in (code.group1, code.group2)],
         "places": spec.places().tolist(),
         "generator_matrix": code.generator_matrix.tolist(),
-        "recovery_sets": [{"coord": i, "set1": list(s1), "set2": list(s2)}
-                          for i, (s1, s2) in enumerate(code.recovery_sets)],
+        "recovery_sets": _recovery_entries(code),
         "params": asdict(code.params),
         "dims": {**asdict(dims), "caps": None if dims.caps is None else list(dims.caps)},
         "seed": seed,
@@ -256,12 +262,11 @@ def code_from_descriptor(desc: dict) -> LrcCode:
         raise ValueError(f"groups must hold 2 entries, got {len(desc['groups'])}")
     _places(_read(desc, "places"), spec)
     gen = _generator(_read(desc, "generator_matrix"), fld.q)
-    recovery = _recovery(desc, _read(desc, "recovery_sets"), len(spec.places()))
     dims = CodeDims(**_block(desc, "dims", spec.m))
     p = _block(desc, "params")
     combine(g1, g2)  # validates the pair: trivial intersection, H2 normalizes H1
-    code = LrcCode(spec=spec, group1=g1, group2=g2, generator_matrix=gen,
-                   recovery_sets=recovery, d_designed=p["d_designed"], dims=dims)
+    code = LrcCode(spec=spec, group1=g1, group2=g2, generator_matrix=gen, d_designed=p["d_designed"], dims=dims)
+    _recovery(desc, code)
     # the block must state what the code derives
     n, k = code.params.n, code.params.k
     for key, source in (("n", "the {} places"), ("k", "the row count {} of generator_matrix"),
@@ -275,6 +280,9 @@ def code_from_descriptor(desc: dict) -> LrcCode:
         raise ValueError(f"dims.dim_v1 + dims.dim_v2 - dims.dim_sum = {v1 + v2 - total} does not match k = {k}")
     if not max(v1, v2) <= total <= n:
         raise ValueError(f"dims.dim_sum = {total} is not in [max(dim_v1, dim_v2), n] = [{max(v1, v2)}, {n}]")
+    if dims.caps not in _cap_profiles(spec, dims.budget):
+        caps = "null" if dims.caps is None else list(dims.caps)
+        raise ValueError(f"dims.caps = {caps} is not a cap split of budget {dims.budget}")
     return code
 
 

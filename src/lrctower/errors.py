@@ -56,10 +56,6 @@ class BudgetTooSmall(LrcError):
 
 # --- repair / verification ---
 
-class DuplicateWValues(LrcError):
-    """Interpolation nodes of a recovery set collide (construction bug)."""
-
-
 class NotACodeword(LrcError):
     """Strict repair: the unerased symbols are inconsistent with the code."""
 

@@ -11,9 +11,16 @@ of the set's symbols, whose Lagrange weights depend on the code alone.
 ``build_repair_plan`` computes them for every (coordinate, set) at once,
 and ``LrcCode.repair_plan`` builds that plan on first use and keeps it on
 the code, so construction and loading never pay for it.  A code is treated
-as immutable after construction: its plan is not rebuilt if its groups or
-recovery sets are changed in place.  A bulk rebuild is one gather and one
-reduction per set for all coordinates and codewords at once.
+as immutable after construction: its plan is not rebuilt if its groups are
+changed in place.  A bulk rebuild is one gather and one reduction per set
+for all coordinates and codewords at once.
+
+The recovery sets are the groups' orbits (``LrcCode.recovery_sets``, one
+(n, r) array per set), so their geometry holds by construction: each set has
+|H| - 1 members and omits its coordinate (the action is free), the two sets
+of a coordinate are disjoint (H1 and H2 meet only in the identity), and the
+repair-variable values of a set and its coordinate are pairwise distinct.
+Nothing here checks an arbitrary layout; the loader refuses any other.
 
 ``repair`` serves one degraded read, so it runs on Python ints throughout:
 ``RepairPlan.terms`` holds each coordinate's (index, weight) pairs of
@@ -28,14 +35,12 @@ codeword, and no other codeword is formed.
 
 Locality is checked by the linear determination criterion: coordinate i is
 a function of the coordinates in I iff generator column g_i lies in the
-span of the columns indexed by I.  Where every generator row rebuilds
-exactly and the plan weights only members of I, that is the explicit
-relation g_i = sum_h lambda_h g_{I_h}, checked over all of GF(q), so the
-pair is proven local with no elimination; the rank test runs only on the
-pairs the round trip leaves unproven.  The plan, the membership test and
-the geometry checks read each set as one (n, r) array padded with -1
-(``LrcCode.set_members``), with no (n, n) mask; only coordinates with a
-fault or an unproven pair are visited in Python.
+span of the columns indexed by I.  The rebuild gathers only through the
+set arrays, so where every generator row rebuilds exactly that is the
+explicit relation g_i = sum_h lambda_h g_{I_h}, checked over all of GF(q),
+and the pair is proven local with no elimination; the rank test runs only
+on the pairs the round trip leaves unproven, the only coordinates visited
+in Python.
 
 Exact minimum distance enumerates one codeword per scalar class: Hamming
 weight does not change under multiplication by a nonzero scalar, so the
@@ -58,7 +63,7 @@ import numpy as np
 
 from . import gflinalg
 from .construct import LrcCode
-from .errors import DuplicateWValues, NotACodeword, TooLarge
+from .errors import NotACodeword, TooLarge
 
 DEFAULT_ENUM_CAP = 10**7
 BLOCK_ROWS = 1 << 14  # words (columns) per enumeration block; bounds its memory, not its result
@@ -87,22 +92,19 @@ def check_coord(code: LrcCode, i: int) -> None:
 class RepairPlan:
     """Lagrange repair of every coordinate through one of its recovery sets.
 
-    Row i holds the set's indices, padded to the longest set, and weights
-    with symbol i = sum_h weights[i, h] * c[index[i, h]]; padding has index
-    0 and weight 0.  ``collide[i]`` flags a row whose interpolation nodes
-    are not distinct, where no repair exists.
+    Row i holds the set (the code's read-only set array itself) and weights
+    with symbol i = sum_h weights[i, h] * c[index[i, h]].
     """
 
-    index: np.ndarray    # (n, r_max) intp
-    weights: np.ndarray  # (n, r_max) field.dtype
-    collide: np.ndarray  # (n,) bool
+    index: np.ndarray    # (n, r) intp
+    weights: np.ndarray  # (n, r) field.dtype
 
     @cached_property
-    def terms(self) -> list[list[tuple[int, int]] | None]:
+    def terms(self) -> list[list[tuple[int, int]]]:
         """Per coordinate, its (index, weight) pairs of nonzero weight as
-        Python ints, or None where the nodes collide; made on first use."""
-        rows = zip(self.index.tolist(), self.weights.tolist(), self.collide.tolist())
-        return [None if bad else [(h, l) for h, l in zip(idx, lam) if l] for idx, lam, bad in rows]
+        Python ints; made on first use."""
+        return [[(h, l) for h, l in zip(idx, lam) if l]
+                for idx, lam in zip(self.index.tolist(), self.weights.tolist())]
 
 
 def build_repair_plan(code: LrcCode) -> tuple[RepairPlan, RepairPlan]:
@@ -111,27 +113,25 @@ def build_repair_plan(code: LrcCode) -> tuple[RepairPlan, RepairPlan]:
     With nodes x_h (the set's repair-variable values) and x0 (the erased
     place's), lambda_h = prod_{h' != h} (x0 - x_h') / (x_h - x_h'): one
     (n, r) array of numerators, one (n, r, r) array of denominators, one
-    batched inverse and r products.
+    batched inverse and r products.  The nodes of an orbit are distinct, so
+    only the diagonal h = h' is masked; a collision would raise
+    ZeroDivisionError in the inverse rather than give a wrong weight.
     """
     fld = code.field
     coords = code.spec.places()
     plans = []
-    for (members, lengths), group in zip(code.set_members, (code.group1, code.group2)):
-        r = members.shape[1]
-        real = np.arange(r) < lengths[:, None]
-        index = np.where(real, members, 0)
+    for index, group in zip(code.recovery_sets, (code.group1, code.group2)):
+        r = index.shape[1]
         w = coords[:, group.w_index]
         xs = w[index]
         num = fld.vec_sub(w[:, None], xs)                   # [i, h'] = x0 - x_h'
         den = fld.vec_sub(xs[:, :, None], xs[:, None, :])  # [i, h, h'] = x_h - x_h'
-        pair = real[:, :, None] & real[:, None, :] & ~np.eye(r, dtype=bool)
-        collide = (real & (num == 0)).any(axis=1) | (pair & (den == 0)).any(axis=(1, 2))
-        used = pair & (den != 0)
-        factor = np.where(used, fld.vec_mul(num[:, None, :], fld.vec_inv(np.where(used, den, 1))), 1)
-        weights = real.astype(fld.dtype)
+        off = ~np.eye(r, dtype=bool)
+        factor = np.where(off, fld.vec_mul(num[:, None, :], fld.vec_inv(np.where(off, den, 1))), 1)
+        weights = np.ones(index.shape, dtype=fld.dtype)
         for h in range(r):
             weights = fld.vec_mul(weights, factor[:, :, h])
-        plans.append(RepairPlan(index, weights, collide))
+        plans.append(RepairPlan(index, weights))
     return tuple(plans)
 
 
@@ -149,10 +149,6 @@ def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> int:
     if len(word) != code.params.n:
         raise ValueError(f"word has {len(word)} symbols, expected n={code.params.n}")
     terms = code.repair_plan[s - 1].terms[i]
-    if terms is None:
-        widx = (code.group1, code.group2)[s - 1].w_index
-        nodes = code.spec.places()[[*code.recovery_sets[i][s - 1], i], widx].tolist()
-        raise DuplicateWValues(f"repair nodes for coordinate {i} collide: {nodes}")
     if strict:
         known = [h for h in range(code.params.n) if h != i]
         rhs = np.array([word[h] for h in known], dtype=np.int64)
@@ -220,22 +216,11 @@ class LocalityReport:
     """Per-coordinate, per-set verdicts of the determination property."""
 
     set_checks: list[tuple[bool, bool]] = dc_field(default_factory=list)
-    geometry_ok: bool = True
     failures: list[str] = dc_field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return self.geometry_ok and all(a and b for a, b in self.set_checks)
-
-
-def _in_set(values, members, lengths) -> np.ndarray:
-    """(n, c) mask: values[i, j] is one of the lengths[i] members of row i of
-    ``members``.  Column by column: one broadcast (n, c, r) comparison is
-    slower, and numpy's buffered iteration takes about 128 KB for it."""
-    hit = np.zeros(values.shape, dtype=bool)
-    for j, col in enumerate(members.T):
-        hit |= (values == col[:, None]) & (lengths > j)[:, None]
-    return hit
+        return all(a and b for a, b in self.set_checks)
 
 
 def verify_definition1(code: LrcCode, proven: np.ndarray | None = None) -> LocalityReport:
@@ -243,32 +228,18 @@ def verify_definition1(code: LrcCode, proven: np.ndarray | None = None) -> Local
 
     ``proven`` is an optional (2, n) mask of (set, coordinate) pairs already
     proven local (``locality_certificate``); the rank test runs only on the
-    others.  Without it every pair gets the rank test, so codes without
-    recovery groups need no repair plan.  The geometry is checked as masks
-    over ``LrcCode.set_members``, and only coordinates with a fault or a pair
-    left to test are visited, in order.
+    others.  Without it every pair gets the rank test and no repair plan is
+    built.  Only coordinates with a pair left to test are visited, in order.
     """
     fld = code.field
     g = code.generator_matrix
-    n = len(code.recovery_sets)
-    (m1, len1), (m2, len2) = code.set_members
-    coords = np.arange(n)[:, None]
-    own = (m1 == coords).any(axis=1) | (m2 == coords).any(axis=1)
-    overlap = _in_set(m1, m2, len2).any(axis=1)  # set 1's padding -1 is no member of set 2
-    large = (len1 > code.params.r1) | (len2 > code.params.r2)
-    bad = own | overlap | large
+    n = code.params.n
     proven = np.zeros((2, n), dtype=bool) if proven is None else proven
-    report = LocalityReport(set_checks=[(True, True)] * n, geometry_ok=not bad.any())
-    for i in np.flatnonzero(bad | ~proven.all(axis=0)).tolist():
-        if own[i]:
-            report.failures.append(f"coordinate {i} contained in its own recovery set")
-        if overlap[i]:
-            report.failures.append(f"recovery sets of coordinate {i} overlap")
-        if large[i]:
-            report.failures.append(f"recovery set of coordinate {i} too large")
+    report = LocalityReport(set_checks=[(True, True)] * n)
+    for i in np.flatnonzero(~proven.all(axis=0)).tolist():
         report.set_checks[i] = verdicts = tuple(
-            bool(proven[s, i]) or gflinalg.in_span(fld, g[:, list(idx)].T, g[:, i])
-            for s, idx in enumerate(code.recovery_sets[i]))
+            bool(proven[s, i]) or gflinalg.in_span(fld, g[:, sets[i]].T, g[:, i])
+            for s, sets in enumerate(code.recovery_sets))
         report.failures += [f"coordinate {i} not determined by set {s}"
                             for s, ok in enumerate(verdicts, 1) if not ok]
     return report
@@ -279,25 +250,23 @@ def repair_roundtrip_wrong(code: LrcCode, codewords: np.ndarray) -> np.ndarray:
     coordinate i of word b through set s + 1 does not give back its symbol.
 
     Per set, every coordinate of every codeword is rebuilt at once, in
-    ``field.dtype``: for each of the r columns of the plan, one (B, n) gather
-    of the symbols and one ``vec_axpy`` with that column's weights.  Column
-    by column keeps the temporaries at (B, n); a (B, n, r) gather would widen
-    to intp and raise the peak memory of a 128-word rebuild by about 2 MB.
-    A (coordinate, set) whose interpolation nodes collide cannot repair at
-    all, so it is wrong for every codeword.
+    ``field.dtype``: for each of the r columns of the set array, one (B, n)
+    gather of the symbols and one ``vec_axpy`` with the plan's weights for
+    that column.  Column by column keeps the temporaries at (B, n); a
+    (B, n, r) gather would widen to intp and raise the peak memory of a
+    128-word rebuild by about 2 MB.
     """
     fld = code.field
     words = gflinalg.as_matrix(fld, codewords).astype(fld.dtype, copy=False)
-    n = len(code.recovery_sets)
+    n = code.params.n
     if words.shape[1] != n:
         raise ValueError(f"words have {words.shape[1]} symbols, expected n={n}")
     wrong = np.empty((2, *words.shape), dtype=bool)
-    for s, plan in enumerate(code.repair_plan):
+    for s, (sets, plan) in enumerate(zip(code.recovery_sets, code.repair_plan)):
         rebuilt = np.zeros(words.shape, dtype=fld.dtype)
-        for h in range(plan.index.shape[1]):
-            rebuilt = fld.vec_axpy(rebuilt, plan.weights[:, h], words[:, plan.index[:, h]])
+        for h, col in enumerate(sets.T):
+            rebuilt = fld.vec_axpy(rebuilt, plan.weights[:, h], words[:, col])
         np.not_equal(rebuilt, words, out=wrong[s])
-        wrong[s][:, plan.collide] = True
     return wrong
 
 
@@ -306,21 +275,17 @@ def repair_roundtrip_counts(code: LrcCode, codewords: np.ndarray) -> int:
     return int(np.count_nonzero(repair_roundtrip_wrong(code, codewords)))
 
 
-def locality_certificate(code: LrcCode, row_wrong: np.ndarray) -> np.ndarray:
+def locality_certificate(row_wrong: np.ndarray) -> np.ndarray:
     """(2, n) mask of the (set, coordinate) pairs that the round trip on the
     generator rows proves local.
 
-    ``row_wrong`` is ``repair_roundtrip_wrong`` of the generator matrix.  A
-    pair rebuilt exactly on every row satisfies g_i = sum_h w_h g_{index_h}
-    as columns; it is proven when every nonzero weight sits on a member of
-    its own recovery set, so neither padding (index 0) nor a stale or
-    corrupted plan can prove it.  Membership reads ``LrcCode.set_members``
-    through ``_in_set``, with no (n, n) mask.
+    ``row_wrong`` is ``repair_roundtrip_wrong`` of the generator matrix,
+    which gathers only through ``code.recovery_sets``.  A pair rebuilt
+    exactly on every row satisfies g_i = sum_h w_h g_{I_h} as columns, I its
+    recovery set, whatever the plan's weights: the exact round trip proves
+    it by itself.
     """
-    proven = ~row_wrong.any(axis=1)
-    for s, (plan, sets) in enumerate(zip(code.repair_plan, code.set_members)):
-        proven[s] &= (_in_set(plan.index, *sets) | (plan.weights == 0)).all(axis=1)
-    return proven
+    return ~row_wrong.any(axis=1)
 
 
 def brute_force_distance(code: LrcCode, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -392,9 +357,9 @@ def verify_code(
     Repair runs once, right after integrity, on the k generator rows (timed
     under "repair"): by linearity a round trip exact on every row is exact on
     every codeword, and ``repair_mismatches`` counts the wrong row rebuilds.
-    Each pair those round trips rebuild exactly through its own set's members
-    is proven local, so the rank test of ``verify_definition1`` runs only on
-    the rest (certificate and rank test timed under "locality").  The
+    Each pair those round trips rebuild exactly through its set is proven
+    local, so the rank test of ``verify_definition1`` runs only on the rest
+    (certificate and rank test timed under "locality").  The
     verdicts and failure lines are those of the rank test alone.  Distance is
     enumerated exactly when q^k <= distance_cap; ``exact_distance=True``
     forces the attempt (raising TooLarge beyond the cap), ``False`` skips it.
@@ -415,7 +380,7 @@ def verify_code(
     runtimes["repair"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    loc = verify_definition1(code, locality_certificate(code, row_wrong))
+    loc = verify_definition1(code, locality_certificate(row_wrong))
     runtimes["locality"] = time.perf_counter() - t0
     failures.extend(loc.failures)
     if mismatches:

@@ -56,7 +56,7 @@ def test_descriptor_round_trip_no_shared_state(tmp_path, golden_code):
     loaded = load_code(out)
     assert loaded.params == golden_code.params
     assert (loaded.generator_matrix == golden_code.generator_matrix).all()
-    assert loaded.recovery_sets == golden_code.recovery_sets
+    assert all((a == b).all() for a, b in zip(loaded.recovery_sets, golden_code.recovery_sets))
     assert loaded.spec == golden_code.spec
 
 
@@ -73,26 +73,33 @@ def test_tower_descriptor_verifies(tmp_path, capsys):
 
 
 def test_verify_fails_on_corrupted_recovery_index(tmp_path, capsys):
+    # the sets are the groups' orbits: a moved index is refused on load
     out = tmp_path / "code.json"
     main(GOLDEN_ARGS + ["--out", str(out)])
+    capsys.readouterr()
     desc = json.loads(out.read_text())
     desc["recovery_sets"][0]["set1"][0] = (desc["recovery_sets"][0]["set1"][0] + 1) % 6
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(desc))
     assert main(["verify", "--in", str(bad)]) == 1
-    assert "FAILED" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: recovery_sets[0].set1 = [3, 4] is not the orbit set [2, 4]\n"
 
 
 def test_verify_fails_on_repeated_recovery_index(tmp_path, capsys):
-    # the repeated index makes two Lagrange nodes coincide
+    # a repeated index (two Lagrange nodes that coincide) is refused on load
     out = tmp_path / "code.json"
     main(GOLDEN_ARGS + ["--out", str(out)])
+    capsys.readouterr()
     desc = json.loads(out.read_text())
     desc["recovery_sets"][0]["set1"] = [2, 2]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(desc))
     assert main(["verify", "--in", str(bad)]) == 1
-    assert capsys.readouterr().out.strip().endswith("FAILED")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: recovery_sets[0].set1 = [2, 2] is not the orbit set [2, 4]\n"
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -159,10 +166,13 @@ def test_descriptor_bytes_pinned(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(DESCRIPTOR_PINS))
 def test_json_text_writes_what_json_dumps_writes(name, tmp_path, capsys):
     """The one writer matches json.dumps(sort_keys=True, indent=2) byte for
-    byte on each ladder descriptor and on the golden code's verify report."""
+    byte on each ladder descriptor and on the golden code's verify report.
+    Each descriptor also passes the loader's recovery-set and cap checks
+    and writes back its own bytes."""
     args, _ = DESCRIPTOR_PINS[name]
     out, report = tmp_path / f"{name}.json", tmp_path / "report.json"
     assert main(["construct", *args, "--out", str(out)]) == 0
+    assert descriptor_bytes(code_to_descriptor(load_code(out))) == out.read_bytes()
     files = [out]
     if name == "golden":
         assert main(["verify", "--in", str(out), "--report", str(report)]) == 0
@@ -464,14 +474,16 @@ BAD_RECOVERY_INDICES = [
 
 
 def _with_bad_index(desc, entry, key, pos, value):
+    """The descriptor with one index outside [0, n) and the loader's refusal:
+    the entry's coord or set, by path, is not the one the code derives."""
     desc = json.loads(json.dumps(desc))
+    path = f"recovery_sets[{entry}].{key}"
     if pos is None:
         desc["recovery_sets"][entry][key] = value
-        path = f"recovery_sets[{entry}].{key}"
-    else:
-        desc["recovery_sets"][entry][key][pos] = value
-        path = f"recovery_sets[{entry}].{key}[{pos}]"
-    return desc, f"{path} = {value} out of range for n=6"
+        return desc, f"{path} = {value} is not {entry}"
+    want = list(desc["recovery_sets"][entry][key])
+    desc["recovery_sets"][entry][key][pos] = value
+    return desc, f"{path} = {desc['recovery_sets'][entry][key]} is not the orbit set {want}"
 
 
 @pytest.mark.parametrize("entry, key, pos, value", BAD_RECOVERY_INDICES)
@@ -608,8 +620,8 @@ def test_non_canonical_places_are_refused_on_load(tmp_path, capsys, golden_code,
     ("params.n", 5, "params.n = 5 does not match the 6 places"),
     ("generator_matrix", [[1, 2, 3], [4, 5, 6]],
      "params.n = 6 does not match the column count 3 of generator_matrix"),
-    ("recovery_sets[0]", DELETE, "recovery_sets has no entry with coord 0"),
-    ("recovery_sets[4].coord", 2, "recovery_sets[4].coord = 2 repeats recovery_sets[2].coord"),
+    ("recovery_sets[0]", DELETE, "recovery_sets[0].coord = 1 is not 0"),
+    ("recovery_sets[4].coord", 2, "recovery_sets[4].coord = 2 is not 4"),
     ("places", 5, "places must be a list, got 5"),
     ("recovery_sets", {"coord": 0}, "recovery_sets must be a list, got {'coord': 0}"),
     # the dims block: integers, and caps a list of one integer per tower level or null
@@ -661,8 +673,8 @@ def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path
     parameter block at odds with the code it describes: params.k must be the
     generator's row count, params.n its column count and the place count,
     params.r1 and params.r2 the groups' localities, dims.budget must be
-    n - params.d_designed, and recovery_sets must be a list holding every
-    coordinate exactly once.  The dims block is read the same way: golden
+    n - params.d_designed, and recovery_sets must list coordinate i's
+    orbit sets as entry i.  The dims block is read the same way: golden
     is at level m = 1, so its caps, when not null, hold one integer.  A
     third group, or a key the format does not name (in a recovery_sets
     entry too), is refused by path, and so is a field.modulus other than the
@@ -795,7 +807,7 @@ def test_repair_demo_rejects_params_n_mismatch(tmp_path, capsys, golden_code):
     # params.n = 7 over 6 places: coordinate 6 passes a range check on n but
     # has no recovery sets. A descriptor saying so is refused on load by both
     # commands; in memory n is the spec's place count, and a 7th generator
-    # column without a 7th place is refused, as is a place without recovery sets
+    # column without a 7th place is refused; the recovery sets are derived, not given
     message = "error: params.n = 7 does not match the 6 places\n"
     desc = code_to_descriptor(golden_code)
     desc["params"]["n"] = 7
@@ -806,8 +818,6 @@ def test_repair_demo_rejects_params_n_mismatch(tmp_path, capsys, golden_code):
         assert capsys.readouterr().err == message
     with pytest.raises(ValueError, match="params.n = 6 does not match the column count 7 of generator_matrix"):
         dataclasses.replace(golden_code, generator_matrix=golden_code.generator_matrix[:, [*range(6), 0]])
-    with pytest.raises(ValueError, match="params.n = 6 does not match the 5 entries of recovery_sets"):
-        dataclasses.replace(golden_code, recovery_sets=golden_code.recovery_sets[:5])
 
 
 def _session(out_dir, capsys):
@@ -916,3 +926,93 @@ def test_loads_and_construct_share_one_field(tmp_path, monkeypatch):
     assert main(GOLDEN_ARGS + ["--out", str(tmp_path / "again.json")]) == 0
     assert seen[0] is a.field
     assert FiniteField(3, 2) is not a.field
+
+
+def _swap_entries(sets):
+    sets[1], sets[2] = sets[2], sets[1]
+
+
+def _other_coordinates_set(sets):
+    sets[0]["set1"] = sets[3]["set1"]
+
+
+def _swap_set_keys(sets):
+    sets[0]["set1"], sets[0]["set2"] = sets[0]["set2"], sets[0]["set1"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda sets: sets[0].update(set1=[4, 2]),
+                 "recovery_sets[0].set1 = [4, 2] is not the orbit set [2, 4]", id="reordered"),
+    pytest.param(_other_coordinates_set,
+                 "recovery_sets[0].set1 = [5, 1] is not the orbit set [2, 4]", id="another-coordinates-set"),
+    pytest.param(_swap_set_keys, "recovery_sets[0].set1 = [1] is not the orbit set [2, 4]", id="sets-swapped"),
+    pytest.param(_swap_entries, "recovery_sets[1].coord = 2 is not 1", id="entries-swapped"),
+    pytest.param(lambda sets: sets[5].update(set2=[4, 0]),
+                 "recovery_sets[5].set2 = [4, 0] is not the orbit set [2]", id="too-large"),
+    pytest.param(lambda sets: sets[4].update(set1=[]),
+                 "recovery_sets[4].set1 = [] is not the orbit set [0, 2]", id="empty"),
+    pytest.param(lambda sets: sets.pop(), "recovery_sets has 5 entries, the code has 6 coordinates", id="dropped"),
+    pytest.param(lambda sets: sets.append(dict(sets[0])),
+                 "recovery_sets has 7 entries, the code has 6 coordinates", id="extra-entry"),
+    # Python reads true as 1 and 4.0 as 4; the types are checked, not only the values
+    pytest.param(lambda sets: sets[0].update(set2=[True]),
+                 "recovery_sets[0].set2 must be a list of integers, got [True]", id="bool-member"),
+    pytest.param(lambda sets: sets[0].update(set1=[2, 4.0]),
+                 "recovery_sets[0].set1 must be a list of integers, got [2, 4.0]", id="float-member"),
+    pytest.param(lambda sets: sets[1].update(coord=True),
+                 "recovery_sets[1].coord must be an integer, got True", id="bool-coord"),
+    pytest.param(lambda sets: sets.__setitem__(2, 5), "recovery_sets[2] must be an object, got 5",
+                 id="non-object"),
+    pytest.param(lambda sets: sets.__setitem__(2, [2, [4, 0], [5]]),
+                 "recovery_sets[2] must be an object, got [2, [4, 0], [5]]", id="list-entry"),
+    pytest.param(lambda sets: sets[2].update(note="x"), "recovery_sets[2] has unknown key 'note'", id="extra-key"),
+])
+def test_recovery_sets_other_than_the_orbits_are_refused_on_load(tmp_path, capsys, golden_code, edit, message):
+    """``recovery_sets`` must be the layout the code derives from its groups'
+    orbits, entry i holding coordinate i's two sets in element order: any
+    other list is refused on load by verify and repair-demo, with one error
+    line naming the first entry that differs (or the count) and no traceback."""
+    desc = code_to_descriptor(golden_code)
+    assert [e["set1"] for e in desc["recovery_sets"]][3] == [5, 1]
+    edit(desc["recovery_sets"])
+    with pytest.raises(ValueError) as err:
+        code_from_descriptor(json.loads(json.dumps(desc)))
+    assert str(err.value) == message
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    for command in ("verify", "repair-demo"):
+        assert main([command, "--in", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name, caps, message", [
+    # each sums to the ytower18 split's beta = budget 12 // pole weight 3 = 4, or not
+    ("ytower18", [3, 0], "dims.caps = [3, 0] is not a cap split of budget 12"),
+    ("ytower18", [0, 0], "dims.caps = [0, 0] is not a cap split of budget 12"),
+    ("ytower18", [9, 9], "dims.caps = [9, 9] is not a cap split of budget 12"),
+    ("ytower18", [2, 1], "dims.caps = [2, 1] is not a cap split of budget 12"),
+    ("ytower18", [4, 1], "dims.caps = [4, 1] is not a cap split of budget 12"),
+    ("ytower18", None, "dims.caps = null is not a cap split of budget 12"),
+    ("golden", [1], "dims.caps = [1] is not a cap split of budget 4"),
+    # other splits of the same beta load; ROADMAP item 2's pole-divisor certificate would decide them
+    ("ytower18", [2, 2], None),
+    ("ytower18", [4, 0], None),
+])
+def test_dims_caps_must_be_a_cap_split(tmp_path, capsys, golden_code, tower_code, name, caps, message):
+    """dims.caps must be one of the splits construction searches for the
+    budget (``_cap_profiles``), and null exactly where that list is [None];
+    verify refuses any other in one error line."""
+    desc = code_to_descriptor({"golden": golden_code, "ytower18": tower_code}[name])
+    desc["dims"]["caps"] = caps
+    if message is None:
+        assert code_from_descriptor(desc).dims.caps == tuple(caps)
+        return
+    with pytest.raises(ValueError) as err:
+        code_from_descriptor(desc)
+    assert str(err.value) == message
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    assert main(["verify", "--in", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"

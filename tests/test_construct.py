@@ -12,14 +12,15 @@ from lrctower import (
     build_recovery_group,
     construct_lrc,
     evaluation_matrix,
+    regimes,
     spanning_set,
 )
 from lrctower.construct import CodeDims, _cap_profiles, _char_bounds, _split_intersection, _split_rows
-from lrctower.errors import BudgetTooSmall, IllegalOrder, VariantMismatch
+from lrctower.errors import BudgetTooSmall, IllegalOrder, LrcError, VariantMismatch
 from lrctower.field import shared_field
 from lrctower.groups import scaled_generators
 from lrctower import construct, gflinalg
-from lrctower.cli import parse_group_spec
+from lrctower.cli import _field_for_ell, parse_group_spec, validate_regime
 
 
 def _capped(h, budget, caps):
@@ -533,7 +534,8 @@ def test_projected_split_dims_equal_full_width_ranks(fixture, request):
 @pytest.mark.parametrize("spec_m, group_m, d", [(2, 1, 6), (1, 2, 2)])
 def test_construct_refuses_groups_of_another_spec(gf9, monkeypatch, spec_m, group_m, d):
     """Groups built on another level of the y-tower over GF(9) are refused
-    by name, both ways round, before any spanning set is enumerated."""
+    by name, both ways round, before any spanning set is enumerated; so are
+    they by LrcCode, which derives its recovery sets from their orbits."""
     spec = TowerSpec("gs96", gf9, spec_m)
     other = TowerSpec("gs96", gf9, group_m)
     h1 = build_recovery_group(other, "additive", shifts="kernel")
@@ -546,6 +548,10 @@ def test_construct_refuses_groups_of_another_spec(gf9, monkeypatch, spec_m, grou
     with pytest.raises(VariantMismatch) as err:
         construct_lrc(spec, h1, h2, d)
     assert repr(spec) in str(err.value) and repr(other) in str(err.value)
+    n = len(spec.places())
+    with pytest.raises(VariantMismatch, match="recovery group built on"):
+        construct.LrcCode(spec=spec, group1=h1, group2=h2, generator_matrix=np.ones((1, n), dtype=np.int64),
+                          d_designed=n, dims=CodeDims(1, 1, 1, 0, None))
 
 
 def test_spanning_set_runs_once_per_group(tower_code, monkeypatch):
@@ -835,13 +841,109 @@ def test_generator_rows_live_in_both_spaces(golden_code, tower_code):
                 assert gflinalg.in_span(fld, mat, row)
 
 
-def test_recovery_set_geometry(golden_code, tower_code, hermitian_code):
-    for code in (golden_code, tower_code, hermitian_code):
-        for i, (s1, s2) in enumerate(code.recovery_sets):
-            assert len(s1) == code.params.r1
-            assert len(s2) == code.params.r2
-            assert i not in s1 and i not in s2
-            assert not set(s1) & set(s2)
+def _regime_flags(row, fld):
+    """(variant, m, group1 flag, group2 flag) of a code in the regime of
+    ``row``, or None for btv, which the CLI does not build.  An additive
+    group of order p^j is spanned by j kernel elements, the second group's
+    taken after the first's, so the two meet only in 0."""
+    if row.theorem == "btv":
+        return None
+    variant, m = ("gs96", 1) if row.theorem.startswith(("thm33", "thm34")) else ("gs95", 2)
+    basis, span = [], {0}
+    for a in artin_schreier_kernel(fld):
+        if a not in span:
+            basis.append(a)
+            span |= {fld.add(x, fld.mul(c, a)) for x in span for c in range(fld.p)}
+    flags, used = [], 0
+    for order, additive in ((row.r1 + 1, row.theorem.endswith(("33", ".2"))), (row.r2 + 1, row.theorem.endswith(".2"))):
+        if additive:
+            j = next(j for j in range(len(basis) + 1) if fld.p**j == order)
+            flags.append("add:gens=" + ",".join(map(str, basis[used:used + j])))
+            used += j
+        else:
+            flags.append(f"{'mul' if variant == 'gs96' else 'norm1'}:{order}")
+    return variant, m, *flags
+
+
+def _regime_codes():
+    """One code per ``regimes`` row at l <= 5 that the CLI admits, built as
+    ``construct`` builds it at the largest d <= n/2 that gives a code."""
+    codes = {}
+    for ell in (2, 3, 4, 5):
+        fld = _field_for_ell(ell)
+        for row in regimes(ell):
+            flags = _regime_flags(row, fld)
+            if flags is None:
+                continue
+            spec = TowerSpec(flags[0], fld, flags[1])
+            g1, g2 = (parse_group_spec(spec, flag) for flag in flags[2:])
+            assert validate_regime(spec, g1, g2) == row.theorem
+            n = len(spec.places())
+            for d in range(n // 2, 0, -1):
+                try:
+                    codes[row] = construct_lrc(spec, g1, g2, d)
+                    break
+                except LrcError:
+                    continue
+    return codes
+
+
+def _assert_orbit_geometry(code):
+    """The geometry ``verify_definition1`` used to check at run time: each
+    set of place i has r_s members in [0, n), none of them i, the two sets
+    are disjoint, and a set's repair-variable values and i's are pairwise
+    distinct (so its Lagrange nodes never collide)."""
+    n = code.params.n
+    own = np.arange(n)[:, None]
+    sets1, sets2 = code.recovery_sets
+    assert sets1.shape == (n, code.params.r1) and sets2.shape == (n, code.params.r2)
+    assert not (sets1[:, :, None] == sets2[:, None, :]).any()
+    for sets, g in zip(code.recovery_sets, (code.group1, code.group2)):
+        assert sets.dtype == np.intp and ((0 <= sets) & (sets < n)).all()
+        assert not (sets == own).any()
+        nodes = np.sort(code.spec.places()[np.hstack([sets, own]), g.w_index], axis=1)
+        assert not (nodes[:, 1:] == nodes[:, :-1]).any()
+
+
+# the ladder codes' construct flags past the golden and y-tower fixtures, and the two add/add pins
+_GEOMETRY_FLAGS = [
+    ("gs95", 5, 2, "norm1:2", "norm1:3", 100),
+    ("gs96", 7, 2, "add:kernel", "mul:6", 150),
+    ("gs96", 5, 3, "add:kernel", "mul:4", 250),
+    ("gs96", 4, 2, "add:gens=1", "add:gens=10", 24),
+    ("gs95", 4, 2, "add:gens=1", "add:gens=10", 30),
+]
+
+
+def test_recovery_set_geometry(golden_code, tower_code):
+    """The derived sets have the geometry of Definition 1 on every regime
+    the CLI builds at l <= 5, on the five ladder codes and on both add/add
+    pins: the group theory (a free action, H1 and H2 meeting only in the
+    identity) that replaced the run-time checks, tested."""
+    codes = _regime_codes()
+    assert sorted({row.theorem for row in codes}) == ["thm33", "thm34.2", "thm35.1", "thm35.2"]
+    assert len(codes) == 8
+    codes = [*codes.values(), golden_code, tower_code]
+    for variant, ell, m, flag1, flag2, d in _GEOMETRY_FLAGS:
+        spec = TowerSpec(variant, _field_for_ell(ell), m)
+        codes.append(construct_lrc(spec, parse_group_spec(spec, flag1), parse_group_spec(spec, flag2), d))
+    for code in codes:
+        _assert_orbit_geometry(code)
+
+
+def test_char_bounds_cap_a_character_at_its_representatives():
+    """The bound of character s is min(#rows1, #rows2, n/u): character 0
+    has 5 and 4 rows on 3 representatives, so at most 3 independent vectors
+    lie in V1_0 ∩ V2_0, where min(#rows1, #rows2) alone would allow 4."""
+    blocks = construct._Blocks(
+        mats=(np.zeros((6, 3), dtype=np.uint8), np.zeros((6, 3), dtype=np.uint8)),
+        chars=(np.array([0, 0, 0, 0, 0, 1]), np.array([0, 0, 0, 0, 1, 1])),
+        scalars=np.array([1, 8]),
+        columns=np.arange(6).reshape(2, 3),
+    )
+    rows = (np.arange(6), np.arange(6))
+    assert _char_bounds(blocks, rows).tolist() == [3, 1]
+    assert _char_bounds(blocks, (np.arange(2), np.arange(6))).tolist() == [2, 0]
 
 
 def test_every_codeword_meets_designed_distance(golden_code, tower_code):
