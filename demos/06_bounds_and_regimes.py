@@ -7,17 +7,15 @@ from lrctower import (
     gs_line,
     regimes,
     rpdv_bound,
-    singleton_lrc,
-    tb_bound,
-    wz_bound,
 )
 
 n, k, t, r = 18, 8, 2, 2
 print(f"upper bounds on d for an [n={n}, k={k}] code with availability {t}, "
       f"localities ({r},{r}):")
-print(f"  singleton  {singleton_lrc(n, k, r)}")
-print(f"  tb         {tb_bound(n, k, r, t)}")
-print(f"  wz         {wz_bound(n, k, r, t)}")
+# singleton is bmq at one locality; tb and wz are bt and bmq at t equal ones
+print(f"  singleton  {bmq_bound(n, k, [r])}")
+print(f"  tb         {bt_bound(n, k, [r] * t)}")
+print(f"  wz         {bmq_bound(n, k, [r] * t)}")
 print(f"  rpdv       {rpdv_bound(n, k, r, t)}")
 print(f"  bt         {bt_bound(n, k, [r, r])}")
 print(f"  bmq        {bmq_bound(n, k, [r, r])}")

@@ -9,9 +9,6 @@ from .bounds import (
     gs_line,
     regimes,
     rpdv_bound,
-    singleton_lrc,
-    tb_bound,
-    wz_bound,
 )
 from .construct import (
     LrcCode,
@@ -28,7 +25,6 @@ from .field import (
     subfield_units,
 )
 from .groups import (
-    Automorphism,
     RecoveryGroup,
     build_recovery_group,
     combine,
@@ -51,7 +47,6 @@ from .tower import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Automorphism",
     "ErasurePattern",
     "FiniteField",
     "LocalityReport",
@@ -80,12 +75,9 @@ __all__ = [
     "regimes",
     "repair",
     "rpdv_bound",
-    "singleton_lrc",
     "spanning_set",
     "subfield_units",
-    "tb_bound",
     "verify_code",
     "verify_definition1",
     "write_descriptor",
-    "wz_bound",
 ]

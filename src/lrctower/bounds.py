@@ -10,6 +10,9 @@ availability t and localities (r_1, ..., r_t):
     bt:         d <= n - k + 1 - sum_i floor((k-1)/prod tail)    (sorted r_i)
     bmq:        d <= n - k - ceil(((k-1)t+1)/(1+sum (r_i-1))) + 2
 
+Only rpdv, bt and bmq are functions here: singleton is bmq at t = 1, tb is bt
+at t equal localities and wz is bmq at t equal localities.
+
 Trade-off lines live in the (relative distance, rate) plane; all constants
 are exact fractions.  Lines whose intercept is not positive are returned
 with a ``vacuous`` flag instead of being rejected.
@@ -86,24 +89,6 @@ def _check_nkr(n: int, k: int, r: int, t: int = 1):
         raise ValueError("availability must be >= 1")
 
 
-def singleton_lrc(n: int, k: int, r: int) -> int:
-    """Singleton-type bound for a single recovery set: bmq at t = 1."""
-    _check_nkr(n, k, r)
-    return bmq_bound(n, k, [r])
-
-
-def tb_bound(n: int, k: int, r: int, t: int) -> int:
-    """bt at t equal localities."""
-    _check_nkr(n, k, r, t)
-    return bt_bound(n, k, [r] * t)
-
-
-def wz_bound(n: int, k: int, r: int, t: int) -> int:
-    """bmq at t equal localities."""
-    _check_nkr(n, k, r, t)
-    return bmq_bound(n, k, [r] * t)
-
-
 def rpdv_bound(n: int, k: int, r: int, t: int) -> int:
     _check_nkr(n, k, r, t)
     return n - k - _ceil_div(k * t, r) + t + 1
@@ -164,22 +149,15 @@ TRADEOFF_CSV_HEADER = [
 ]
 
 
-def is_prime_power(n: int) -> tuple[int, int] | None:
-    """(p, w) with n = p^w, or None; an n above MAX_ORDER is refused before
-    it is factored."""
-    if n > MAX_ORDER:
-        raise FieldTooLarge(f"l = {n} exceeds cap {MAX_ORDER}")
-    f = prime_factors(n)
-    return (f[0], len(f)) if f and f[0] == f[-1] else None
-
-
 def prime_power(ell: int) -> tuple[int, int]:
     """(p, w) with l = p^w; NotAPrimePower otherwise, the one refusal of
-    such an l."""
-    pw = is_prime_power(ell)
-    if pw is None:
+    such an l.  An l above MAX_ORDER is refused before it is factored."""
+    if ell > MAX_ORDER:
+        raise FieldTooLarge(f"l = {ell} exceeds cap {MAX_ORDER}")
+    f = prime_factors(ell)
+    if not f or f[0] != f[-1]:
         raise NotAPrimePower(f"l = {ell} is not a prime power")
-    return pw
+    return f[0], len(f)
 
 
 def btv_line(ell: int, r1: int, r2: int, check: bool = True) -> TradeoffLine:

@@ -154,12 +154,12 @@ def cmd_bounds(args) -> int:
         rs = rs * args.t
     if len(rs) != args.t:
         raise ValueError("length of --r must equal --t")
-    r_scalar = max(rs)
+    r = max(rs)
     rows = [
-        ("singleton", bnd.singleton_lrc(args.n, args.k, r_scalar)),
-        ("tb", bnd.tb_bound(args.n, args.k, r_scalar, args.t)),
-        ("wz", bnd.wz_bound(args.n, args.k, r_scalar, args.t)),
-        ("rpdv", bnd.rpdv_bound(args.n, args.k, r_scalar, args.t)),
+        ("singleton", bnd.bmq_bound(args.n, args.k, [r])),
+        ("tb", bnd.bt_bound(args.n, args.k, [r] * args.t)),
+        ("wz", bnd.bmq_bound(args.n, args.k, [r] * args.t)),
+        ("rpdv", bnd.rpdv_bound(args.n, args.k, r, args.t)),
         ("bt", bnd.bt_bound(args.n, args.k, sorted(rs))),
         ("bmq", bnd.bmq_bound(args.n, args.k, rs)),
     ]

@@ -46,24 +46,13 @@ def scaled_generators(variant: str, m: int) -> range:
 
 
 @dataclass(frozen=True)
-class Automorphism:
-    """Group element (scalar, shift) for one tower variant."""
-
-    variant: str
-    scalar: int
-    shift: int
-
-    def __repr__(self):
-        return f"Aut({self.variant}, c={self.scalar}, a={self.shift})"
-
-
-@dataclass(frozen=True)
 class RecoveryGroup:
     """Additive or multiplicative subgroup used to carve recovery sets."""
 
     kind: str
     spec: TowerSpec
-    elements: tuple[Automorphism, ...]
+    scalars: tuple[int, ...]  # element e is (scalars[e], shifts[e])
+    shifts: tuple[int, ...]
 
     @property
     def w_index(self) -> int:
@@ -73,20 +62,12 @@ class RecoveryGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.scalars)
 
     @property
     def r(self) -> int:
         """Locality contributed by this group: orbit size minus one."""
         return self.order - 1
-
-    @property
-    def shifts(self) -> tuple[int, ...]:
-        return tuple(e.shift for e in self.elements)
-
-    @property
-    def scalars(self) -> tuple[int, ...]:
-        return tuple(e.scalar for e in self.elements)
 
     @cached_property
     def _orbits(self) -> np.ndarray:
@@ -128,8 +109,7 @@ def build_recovery_group(spec: TowerSpec, kind: str, *, shifts=None, order: int 
             if bad:
                 raise NotASubgroup(f"shift {bad[0]} is outside the additive kernel")
             w = _additive_closure(f, gens)
-        elems = tuple(Automorphism(spec.variant, 1, a) for a in w)
-        return RecoveryGroup(ADDITIVE, spec, elems)
+        return RecoveryGroup(ADDITIVE, spec, (1,) * len(w), tuple(w))
     if kind == MULTIPLICATIVE:
         if order is None or order < 1:
             raise IllegalOrder("multiplicative group needs a positive order")
@@ -144,8 +124,7 @@ def build_recovery_group(spec: TowerSpec, kind: str, *, shifts=None, order: int 
         scal = sorted(c for c in pool if f.pow(c, order) == 1)
         if len(scal) != order:
             raise NotASubgroup("scalar pool does not contain the requested subgroup")
-        elems = tuple(Automorphism(spec.variant, c, 0) for c in scal)
-        return RecoveryGroup(MULTIPLICATIVE, spec, elems)
+        return RecoveryGroup(MULTIPLICATIVE, spec, tuple(scal), (0,) * order)
     raise ValueError(f"unknown recovery-group kind {kind!r}")
 
 
@@ -201,12 +180,14 @@ def _orbit_table(h: RecoveryGroup) -> np.ndarray:
     off = keys[table] != image_keys
     if off.any():
         e, j = np.argwhere(off)[0]
-        raise NotASubgroup(f"{h.elements[e]!r} maps place {tuple(coords[j].tolist())} off the tower")
+        raise NotASubgroup(f"Aut({spec.variant}, c={h.scalars[e]}, a={h.shifts[e]}) maps place "
+                           f"{tuple(coords[j].tolist())} off the tower")
     ranked = np.sort(table, axis=0)
     repeats = np.argwhere(ranked[1:] == ranked[:-1])
     if len(repeats):
         i, j = repeats[0]
         a, b = np.flatnonzero(table[:, j] == ranked[i, j])[:2]
-        raise NotASubgroup(f"orbit of place {tuple(coords[j].tolist())} collapsed: {h.elements[a]!r} "
-                           f"and {h.elements[b]!r} map it to the same place")
+        raise NotASubgroup(f"orbit of place {tuple(coords[j].tolist())} collapsed: "
+                           f"Aut({spec.variant}, c={h.scalars[a]}, a={h.shifts[a]}) and "
+                           f"Aut({spec.variant}, c={h.scalars[b]}, a={h.shifts[b]}) map it to the same place")
     return table

@@ -38,9 +38,9 @@ a function of the coordinates in I iff generator column g_i lies in the
 span of the columns indexed by I.  The rebuild gathers only through the
 set arrays, so where every generator row rebuilds exactly that is the
 explicit relation g_i = sum_h lambda_h g_{I_h}, checked over all of GF(q),
-and the pair is proven local with no elimination; the rank test runs only
-on the pairs the round trip leaves unproven, the only coordinates visited
-in Python.
+and ``verify_code`` passes the pair to ``verify_definition1`` as proven
+local, with no elimination; the rank test runs only on the pairs the round
+trip leaves unproven, the only coordinates visited in Python.
 
 Exact minimum distance enumerates one codeword per scalar class: Hamming
 weight does not change under multiplication by a nonzero scalar, so the
@@ -227,9 +227,10 @@ def verify_definition1(code: LrcCode, proven: np.ndarray | None = None) -> Local
     """Check that each coordinate is determined by each of its two sets.
 
     ``proven`` is an optional (2, n) mask of (set, coordinate) pairs already
-    proven local (``locality_certificate``); the rank test runs only on the
-    others.  Without it every pair gets the rank test and no repair plan is
-    built.  Only coordinates with a pair left to test are visited, in order.
+    proven local (``verify_code`` passes those its round trip rebuilds
+    exactly); the rank test runs only on the others.  Without it every pair
+    gets the rank test and no repair plan is built.  Only coordinates with a
+    pair left to test are visited, in order.
     """
     fld = code.field
     g = code.generator_matrix
@@ -273,19 +274,6 @@ def repair_roundtrip_wrong(code: LrcCode, codewords: np.ndarray) -> np.ndarray:
 def repair_roundtrip_counts(code: LrcCode, codewords: np.ndarray) -> int:
     """Number of (codeword, coordinate, set) repair mismatches; 0 when exact."""
     return int(np.count_nonzero(repair_roundtrip_wrong(code, codewords)))
-
-
-def locality_certificate(row_wrong: np.ndarray) -> np.ndarray:
-    """(2, n) mask of the (set, coordinate) pairs that the round trip on the
-    generator rows proves local.
-
-    ``row_wrong`` is ``repair_roundtrip_wrong`` of the generator matrix,
-    which gathers only through ``code.recovery_sets``.  A pair rebuilt
-    exactly on every row satisfies g_i = sum_h w_h g_{I_h} as columns, I its
-    recovery set, whatever the plan's weights: the exact round trip proves
-    it by itself.
-    """
-    return ~row_wrong.any(axis=1)
 
 
 def brute_force_distance(code: LrcCode, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -358,11 +346,14 @@ def verify_code(
     under "repair"): by linearity a round trip exact on every row is exact on
     every codeword, and ``repair_mismatches`` counts the wrong row rebuilds.
     Each pair those round trips rebuild exactly through its set is proven
-    local, so the rank test of ``verify_definition1`` runs only on the rest
-    (certificate and rank test timed under "locality").  The
-    verdicts and failure lines are those of the rank test alone.  Distance is
-    enumerated exactly when q^k <= distance_cap; ``exact_distance=True``
-    forces the attempt (raising TooLarge beyond the cap), ``False`` skips it.
+    local: the rebuild gathers only through ``code.recovery_sets``, so a
+    pair exact on every row satisfies g_i = sum_h w_h g_{I_h} as columns, I
+    its recovery set, whatever the plan's weights.  The rank test of
+    ``verify_definition1`` runs only on the rest (both timed under
+    "locality").  The verdicts and failure lines are those of the rank test
+    alone.  Distance is enumerated exactly when q^k <= distance_cap;
+    ``exact_distance=True`` forces the attempt (raising TooLarge beyond the
+    cap), ``False`` skips it.
     """
     runtimes = {}
     failures = []
@@ -380,7 +371,7 @@ def verify_code(
     runtimes["repair"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    loc = verify_definition1(code, locality_certificate(row_wrong))
+    loc = verify_definition1(code, ~row_wrong.any(axis=1))
     runtimes["locality"] = time.perf_counter() - t0
     failures.extend(loc.failures)
     if mismatches:

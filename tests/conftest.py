@@ -1,9 +1,10 @@
+from math import prod
+
 import numpy as np
 import pytest
 
 from lrctower import FiniteField, TowerSpec, build_recovery_group, construct_lrc
 from lrctower.errors import TooLarge
-from lrctower.groups import Automorphism
 from lrctower.repair import span_parts
 
 
@@ -19,19 +20,44 @@ def all_codewords(code, cap: int = 10**4) -> np.ndarray:
     return np.hstack([prefix, *(fld.vec_add(prefix, s[:, None]) for s in suffixes)]).T
 
 
-def compose(f, s, t):
-    """Reference group law, as field maps: (s o t)(z) = s(t(z)).  On the
-    shifted generator t(z) = c_t z + a_t, with c_t = 1 where scalars leave it
-    alone (the xz-tower scales x_1 only), so s o t shifts by c_t a_s + a_t."""
-    lift = t.scalar if s.variant == "gs96" else 1
-    return Automorphism(s.variant, f.mul(s.scalar, t.scalar), f.add(f.mul(lift, s.shift), t.shift))
+def elements(h) -> list[tuple[int, int]]:
+    """The (scalar, shift) pairs of a recovery group, in orbit-table order."""
+    return list(zip(h.scalars, h.shifts))
 
 
-def inverse(f, s):
+def compose(spec, s, t):
+    """Reference group law on (scalar, shift) pairs, as field maps:
+    (s o t)(z) = s(t(z)).  On the shifted generator t(z) = c_t z + a_t, with
+    c_t = 1 where scalars leave it alone (the xz-tower scales x_1 only), so
+    s o t shifts by c_t a_s + a_t."""
+    f = spec.field
+    (cs, a_s), (ct, a_t) = s, t
+    lift = ct if spec.variant == "gs96" else 1
+    return f.mul(cs, ct), f.add(f.mul(lift, a_s), a_t)
+
+
+def inverse(spec, s):
     """Reference inverse under ``compose``."""
-    ci = f.inv(s.scalar)
-    lift = ci if s.variant == "gs96" else 1
-    return Automorphism(s.variant, ci, f.neg(f.mul(lift, s.shift)))
+    f = spec.field
+    ci = f.inv(s[0])
+    lift = ci if spec.variant == "gs96" else 1
+    return ci, f.neg(f.mul(lift, s[1]))
+
+
+def bound_formulas(n: int, k: int, rs: list[int]) -> dict[str, int]:
+    """The six rows of ``lrctower bounds``, each written out in its closed
+    form: singleton, tb, wz and rpdv at r = max(rs), bt on the localities in
+    ascending order, bmq on rs as given.  An oracle that shares no code with
+    ``bounds``."""
+    t, r, asc = len(rs), max(rs), sorted(rs)
+    return {
+        "singleton": n - k - -(-k // r) + 2,
+        "tb": n - sum((k - 1) // r**i for i in range(t + 1)),
+        "wz": n - k - -(-((k - 1) * t + 1) // ((r - 1) * t + 1)) + 2,
+        "rpdv": n - k - -(-k * t // r) + t + 1,
+        "bt": n - k + 1 - sum((k - 1) // prod(asc[t - i:]) for i in range(1, t + 1)),
+        "bmq": n - k - -(-((k - 1) * t + 1) // (1 + sum(x - 1 for x in rs))) + 2,
+    }
 
 
 def primes_upto(n: int) -> list[int]:

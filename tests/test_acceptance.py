@@ -24,17 +24,14 @@ from lrctower import (
     orbit,
     regimes,
     rpdv_bound,
-    singleton_lrc,
-    tb_bound,
     verify_code,
     verify_definition1,
-    wz_bound,
 )
 from lrctower.descriptor import code_from_descriptor, code_to_descriptor
 from lrctower.errors import DenominatorZero
 from lrctower.repair import repair_roundtrip_counts
 
-from conftest import all_codewords, compose, inverse
+from conftest import all_codewords, bound_formulas, compose, elements, inverse
 
 
 def _report(cid: str, ok: bool, detail: str = ""):
@@ -122,11 +119,9 @@ def test_c4_group_structure_suite():
             spec = TowerSpec("gs96", fld, m)
             h1, h2 = _mixed_pair(spec)
             assert combine(h1, h2) == "semidirect"
-            for s in h1.elements:
-                for t in h2.elements:
-                    conj = compose(fld, compose(fld, inverse(fld, t), s), t)
-                    assert conj.scalar == 1
-                    assert conj.shift == fld.mul(t.scalar, s.shift)
+            for s in elements(h1):
+                for t in elements(h2):
+                    assert compose(spec, compose(spec, inverse(spec, t), s), t) == (1, fld.mul(t[0], s[1]))
                     checked_pairs += 1
             # G acts freely: the images t(s(P)) of each place (s in H1, t in
             # H2), read off the two orbit tables, are |H1|*|H2| distinct places
@@ -162,18 +157,21 @@ def test_c5_counting_and_genus_suite():
 
 
 def test_c6a_bound_golden_values():
+    # singleton, tb and wz are bmq at t = 1, bt and bmq at equal localities;
+    # each is also checked against its own closed form
     vals = (
-        singleton_lrc(18, 8, 2),
-        tb_bound(18, 8, 2, 2),
-        wz_bound(18, 8, 2, 2),
+        bmq_bound(18, 8, [2]),
+        bt_bound(18, 8, [2, 2]),
+        bmq_bound(18, 8, [2, 2]),
         rpdv_bound(18, 8, 2, 2),
         bt_bound(18, 8, [2, 2]),
         bmq_bound(18, 8, [2, 2]),
     )
+    closed = tuple(bound_formulas(18, 8, [2, 2]).values())
     intercept = gs_line(8, 3, 1, "thm35").intercept
     # bmq was pinned at 9, a value of the old denominator 1 + sum r_i; at
     # equal localities bmq must equal wz, pinned here at 7
-    ok = vals == (8, 7, 7, 5, 7, 7) and intercept == Fraction(48, 63)
+    ok = vals == closed == (8, 7, 7, 5, 7, 7) and intercept == Fraction(48, 63)
     _report("C6a", ok, f"six bounds {vals}, intercept {intercept}")
     assert ok
 
@@ -185,11 +183,11 @@ def _grid():
 def test_c6b_availability_one_collapse_tb_wz_bt():
     grid = _grid()
     assert len(grid) >= 10**4
+    # tb and wz at t = 1 are bt and bmq at one locality
     bad = [
         (n, k, r)
         for n, k, r in grid
-        if not (tb_bound(n, k, r, 1) == wz_bound(n, k, r, 1)
-                == bt_bound(n, k, [r]) == singleton_lrc(n, k, r))
+        if not (bt_bound(n, k, [r]) == bmq_bound(n, k, [r]) == n - k - -(-k // r) + 2)
     ]
     ok = not bad
     _report("C6b", ok, f"{len(grid)} grid points, {len(bad)} exceptions")
@@ -198,17 +196,17 @@ def test_c6b_availability_one_collapse_tb_wz_bt():
 
 def test_c6c_availability_one_collapse_bmq():
     """The multi-locality bound collapses to the Singleton-type bound at
-    availability 1: bmq_bound(n, k, [r]) == singleton_lrc(n, k, r) exactly at
+    availability 1: bmq_bound(n, k, [r]) == n - k - ceil(k/r) + 2 exactly at
     every point of the C6b grid, since its denominator 1 + sum(r_i - 1) is r
     at t = 1."""
     grid = _grid()
-    bad = [(n, k, r) for n, k, r in grid if bmq_bound(n, k, [r]) != singleton_lrc(n, k, r)]
+    bad = [(n, k, r) for n, k, r in grid if bmq_bound(n, k, [r]) != n - k - -(-k // r) + 2]
     ok = not bad
     detail = ""
     if bad:
         n, k, r = bad[0]
         detail = (f"{len(bad)}/{len(grid)} exceptions; first (n,k,r)={bad[0]}: "
-                  f"bmq={bmq_bound(n, k, [r])} vs singleton={singleton_lrc(n, k, r)}")
+                  f"bmq={bmq_bound(n, k, [r])} vs singleton={n - k - -(-k // r) + 2}")
     _report("C6c", ok, detail)
     assert ok, (
         "availability-1 reduction of the multi-locality bound does not equal the "

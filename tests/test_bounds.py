@@ -9,23 +9,19 @@ from lrctower import (
     gs_line,
     regimes,
     rpdv_bound,
-    singleton_lrc,
-    tb_bound,
-    wz_bound,
 )
-from lrctower.bounds import is_prime_power, regimes_csv, tradeoff_csv
+from lrctower.bounds import prime_power, regimes_csv, tradeoff_csv
 from lrctower.errors import DenominatorZero, FieldTooLarge, NotAPrimePower, RegimeViolation
 
-from conftest import primes_upto
+from conftest import bound_formulas, primes_upto
 
 
 def test_frozen_examples():
-    assert singleton_lrc(18, 8, 2) == 8
-    assert singleton_lrc(6, 2, 2) == 5
-    assert singleton_lrc(10, 4, 7) == 10 - 4 + 1  # r >= k: classical Singleton
-    assert tb_bound(18, 8, 2, 2) == 7
-    assert wz_bound(18, 8, 2, 2) == 7
-    assert wz_bound(6, 3, 1, 1) == 2
+    # the Singleton-type bound is bmq (and bt) at t = 1
+    assert bmq_bound(18, 8, [2]) == bt_bound(18, 8, [2]) == 8
+    assert bmq_bound(6, 2, [2]) == bt_bound(6, 2, [2]) == 5
+    assert bmq_bound(10, 4, [7]) == 10 - 4 + 1  # r >= k: classical Singleton
+    assert bmq_bound(6, 3, [1]) == 2
     assert rpdv_bound(18, 8, 2, 2) == 5
     assert rpdv_bound(120, 40, 2, 2) == 43
     assert bt_bound(18, 8, [2, 2]) == 7
@@ -54,49 +50,46 @@ def grid_points():
 
 def test_availability_one_collapse_identities():
     for n, k, r in grid_points():
-        s = singleton_lrc(n, k, r)
-        assert tb_bound(n, k, r, 1) == s
-        assert wz_bound(n, k, r, 1) == s
+        one = bound_formulas(n, k, [r])
+        s = one["singleton"]
+        # at availability 1 both multi-locality bounds reduce to the
+        # Singleton-type bound, and so do the closed forms of tb and wz
         assert bt_bound(n, k, [r]) == s
-        # the multi-locality bound reduces to the Singleton-type bound at
-        # availability 1 and to wz at equal localities
         assert bmq_bound(n, k, [r]) == s
+        assert one["tb"] == one["wz"] == s
         for t in (2, 3):
-            assert bmq_bound(n, k, [r] * t) == wz_bound(n, k, r, t)
+            assert bmq_bound(n, k, [r] * t) == bound_formulas(n, k, [r] * t)["wz"]
 
 
 def test_equal_locality_bounds_match_their_own_formulas():
-    """singleton, tb and wz are bmq and bt at equal localities; each still
-    gives its own closed form, written out here."""
+    """singleton, tb and wz are bmq and bt at equal localities: bmq and bt
+    give their closed forms, written out in ``bound_formulas``."""
     for n in range(1, 40):
         for k in range(1, n + 1):
             for r in range(1, 12):
-                assert singleton_lrc(n, k, r) == n - k - -(-k // r) + 2
+                want = bound_formulas(n, k, [r])["singleton"]
+                assert bmq_bound(n, k, [r]) == bt_bound(n, k, [r]) == want
                 for t in range(1, 5):
-                    assert tb_bound(n, k, r, t) == n - sum((k - 1) // r**i for i in range(t + 1))
-                    assert wz_bound(n, k, r, t) == n - k - -(-((k - 1) * t + 1) // ((r - 1) * t + 1)) + 2
-    # and each keeps its own input checks, t = 0 included
-    for args, message in [((4, 5, 2, 1), "need 1 <= k <= n"), ((5, 2, 0, 1), "locality must be >= 1"),
-                          ((5, 2, 2, 0), "availability must be >= 1")]:
-        with pytest.raises(ValueError, match=message):
-            tb_bound(*args)
-        with pytest.raises(ValueError, match=message):
-            wz_bound(*args)
-        if args[3]:
+                    want = bound_formulas(n, k, [r] * t)
+                    assert bt_bound(n, k, [r] * t) == want["tb"]
+                    assert bmq_bound(n, k, [r] * t) == want["wz"]
+    # and both keep the input checks: k > n, r = 0 and no locality (t = 0)
+    for (n, k, rs), message in [((4, 5, [2]), "need 1 <= k <= n"), ((5, 2, [0]), "locality must be >= 1"),
+                                ((5, 2, [0, 2]), "locality must be >= 1"),
+                                ((5, 2, []), "need at least one locality")]:
+        for bound in (bt_bound, bmq_bound):
             with pytest.raises(ValueError, match=message):
-                singleton_lrc(*args[:3])
+                bound(n, k, rs)
 
 
 def test_bounds_monotone_in_k():
+    # singleton, tb and wz are the t = 1 and equal-locality cases of bt and bmq
     for n in (12, 18, 30):
         for r in (1, 2, 3):
             for t in (1, 2, 3):
                 prev = None
                 for k in range(1, n):
                     vals = (
-                        singleton_lrc(n, k, r),
-                        tb_bound(n, k, r, t),
-                        wz_bound(n, k, r, t),
                         rpdv_bound(n, k, r, t),
                         bt_bound(n, k, [r] * t),
                         bmq_bound(n, k, [r] * t),
@@ -112,9 +105,10 @@ def test_constructed_code_respects_upper_bounds(golden_code):
     d = brute_force_distance(golden_code)
     n, k = golden_code.params.n, golden_code.params.k
     r1, r2 = golden_code.params.r1, golden_code.params.r2
-    assert d <= singleton_lrc(n, k, max(r1, r2))
-    assert d <= tb_bound(n, k, max(r1, r2), 2)
-    assert d <= wz_bound(n, k, max(r1, r2), 2)
+    closed = bound_formulas(n, k, [r1, r2])
+    assert d <= closed["singleton"]
+    assert d <= closed["tb"]
+    assert d <= closed["wz"]
     assert d <= rpdv_bound(n, k, max(r1, r2), 2)
     assert d <= bt_bound(n, k, sorted([r1, r2]))
     assert d <= bmq_bound(n, k, [r1, r2])
@@ -201,24 +195,29 @@ def test_regime_tables_spot_checks():
 
 
 def test_prime_power_decomposition():
-    assert is_prime_power(8) == (2, 3)
-    assert is_prime_power(9) == (3, 2)
-    assert is_prime_power(7) == (7, 1)
-    assert is_prime_power(6) is None
-    assert is_prime_power(1) is None
-    assert is_prime_power(2**16) == (2, 16)  # the largest l that is factored
+    assert prime_power(8) == (2, 3)
+    assert prime_power(9) == (3, 2)
+    assert prime_power(7) == (7, 1)
+    for n in (6, 1):
+        with pytest.raises(NotAPrimePower, match=f"^l = {n} is not a prime power$"):
+            prime_power(n)
+    assert prime_power(2**16) == (2, 16)  # the largest l that is factored
 
 
 def test_prime_power_against_sieve():
     oracle = {p**w: (p, w) for p in primes_upto(10**4) for w in range(1, 14) if p**w <= 10**4}
     for n in range(-5, 10**4 + 1):
-        assert is_prime_power(n) == oracle.get(n), n
+        if n in oracle:
+            assert prime_power(n) == oracle[n], n
+        else:
+            with pytest.raises(NotAPrimePower):
+                prime_power(n)
 
 
 @pytest.mark.parametrize("n", [2**16 + 1, 2**61 - 1])
 def test_prime_power_refuses_oversized_l_before_factoring(n):
     with pytest.raises(FieldTooLarge, match=f"^l = {n} exceeds cap 65536$"):
-        is_prime_power(n)
+        prime_power(n)
 
 
 def test_csv_emission():

@@ -27,6 +27,8 @@ from lrctower.descriptor import (
 from lrctower.errors import IllegalOrder, NotASubgroup
 from lrctower.field import shared_field
 
+from conftest import bound_formulas
+
 
 GOLDEN_ARGS = [
     "construct", "--variant", "gs96", "--ell", "3", "--m", "1",
@@ -423,6 +425,27 @@ def test_bounds_command(tmp_path, capsys):
     assert out == "singleton 8\ntb 7\nwz 7\nrpdv 5\nbt 7\nbmq 7\n"
     assert (tmp_path / "b.csv").read_text() == (
         "bound,value\nsingleton,8\ntb,7\nwz,7\nrpdv,5\nbt,7\nbmq,7\n")
+
+
+def test_bounds_command_on_unequal_localities(capsys):
+    """On unequal localities the singleton, tb, wz and rpdv rows take
+    r = max(rs), bt the localities in ascending order and bmq rs as given;
+    each printed row equals its closed form."""
+    assert main(["bounds", "--n", "120", "--k", "40", "--t", "3", "--r", "4,1,2"]) == 0
+    assert capsys.readouterr().out == "singleton 72\ntb 70\nwz 70\nrpdv 54\nbt 64\nbmq 58\n"
+    for n, k in ((18, 8), (60, 17), (120, 40)):
+        for rs in ([3, 1], [1, 3], [2, 5], [4, 1, 2], [1, 1, 6], [3, 3, 2]):
+            assert main(["bounds", "--n", str(n), "--k", str(k), "--t", str(len(rs)),
+                         "--r", ",".join(map(str, rs))]) == 0
+            want = "".join(f"{name} {value}\n" for name, value in bound_formulas(n, k, rs).items())
+            assert capsys.readouterr().out == want, (n, k, rs)
+    # the three input refusals of the bounds, through the command: k > n,
+    # a locality of 0 and an availability of 0
+    for argv, message in [(["--k", "19", "--t", "1", "--r", "2"], "need 1 <= k <= n"),
+                          (["--k", "8", "--t", "2", "--r", "3,0"], "locality must be >= 1"),
+                          (["--k", "8", "--t", "0", "--r", "2"], "availability must be >= 1")]:
+        assert main(["bounds", "--n", "18", *argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_regimes_command(capsys):

@@ -26,9 +26,9 @@ from lrctower.errors import (
     VariantMismatch,
 )
 from lrctower import groups
-from lrctower.groups import Automorphism, _additive_closure
+from lrctower.groups import _additive_closure
 
-from conftest import compose, inverse
+from conftest import compose, elements, inverse
 
 
 def test_builders_gf9(gf9):
@@ -61,7 +61,7 @@ def test_w_index_follows_from_kind_and_tower(gf9, gf25, variant, m, kind, want):
     spec = TowerSpec(variant, gf9 if variant == "gs96" else gf25, m)
     h = build_recovery_group(spec, kind, shifts="kernel", order=2 if variant == "gs96" else 3)
     assert h.w_index == want
-    assert [f.name for f in dataclasses.fields(h)] == ["kind", "spec", "elements"]
+    assert [f.name for f in dataclasses.fields(h)] == ["kind", "spec", "scalars", "shifts"]
 
 
 def test_builder_errors(gf9, gf25):
@@ -109,9 +109,7 @@ def test_apply_worked_example(gf9):
     spec = TowerSpec("gs96", gf9, 2)
     places = spec.places().tolist()
     j = next(j for j, x in enumerate(places) if x[0] == 1)
-    sigma = Automorphism("gs96", 2, 3)
-    assert [f.name for f in dataclasses.fields(sigma)] == ["variant", "scalar", "shift"]
-    table = orbit(RecoveryGroup("multiplicative", spec, (Automorphism("gs96", 1, 0), sigma)))
+    table = orbit(RecoveryGroup("multiplicative", spec, (1, 2), (0, 3)))  # the identity, then sigma
     assert places[table[1, j]] == [2, gf9.add(gf9.mul(2, places[j][1]), 3)]
     assert table[0, j] == j
 
@@ -154,11 +152,11 @@ def test_semidirect_conjugation_identity(gf9):
     h2 = build_recovery_group(spec, "multiplicative", order=2)
     assert combine(h1, h2) == "semidirect"
     t1, t2 = orbit(h1), orbit(h2)
-    row_of_shift = {s.shift: row for s, row in zip(h1.elements, t1.tolist())}
-    for s, srow in zip(h1.elements, t1):
-        for t, trow in zip(h2.elements, t2):
+    row_of_shift = dict(zip(h1.shifts, t1.tolist()))
+    for a_s, srow in zip(h1.shifts, t1):
+        for c_t, trow in zip(h2.scalars, t2):
             conj = trow[srow[np.argsort(trow)]]
-            assert conj.tolist() == row_of_shift[gf9.mul(t.scalar, s.shift)]
+            assert conj.tolist() == row_of_shift[gf9.mul(c_t, a_s)]
 
 
 def test_combine_rejects_overlap(gf9):
@@ -199,29 +197,24 @@ def _closure_combine(h1, h2):
     """Reference for ``combine``: sweep all |G|^2 products of G = H1*H2 for
     closure, then survey t^-1 s t over s in H1, t in H2, all by the
     reference group law; returns the structure."""
-    f = h1.spec.field
-    s1 = {(e.scalar, e.shift) for e in h1.elements}
-    if s1 & {(e.scalar, e.shift) for e in h2.elements} != {(1, 0)}:
+    spec = h1.spec
+    s1 = set(elements(h1))
+    if s1 & set(elements(h2)) != {(1, 0)}:
         raise NontrivialIntersection("the groups share more than the identity")
-    products = {}
-    for a in h1.elements:
-        for b in h2.elements:
-            g = compose(f, a, b)
-            products[(g.scalar, g.shift)] = g
+    products = {compose(spec, a, b) for a in elements(h1) for b in elements(h2)}
     if len(products) != h1.order * h2.order:
         raise NontrivialIntersection("product set is smaller than |H1|*|H2|")
-    for x in products.values():
-        for y in products.values():
-            g = compose(f, x, y)
-            if (g.scalar, g.shift) not in products:
+    for x in products:
+        for y in products:
+            if compose(spec, x, y) not in products:
                 raise NotASubgroup("H1*H2 is not closed under composition")
     all_fixed = True
-    for s in h1.elements:
-        for t in h2.elements:
-            conj = compose(f, compose(f, inverse(f, t), s), t)
-            if (conj.scalar, conj.shift) not in s1:
+    for s in elements(h1):
+        for t in elements(h2):
+            conj = compose(spec, compose(spec, inverse(spec, t), s), t)
+            if conj not in s1:
                 raise NotASubgroup("H2 does not normalize H1")
-            all_fixed = all_fixed and (conj.scalar, conj.shift) == (s.scalar, s.shift)
+            all_fixed = all_fixed and conj == s
     return "direct" if all_fixed else "semidirect"
 
 
@@ -298,13 +291,15 @@ def test_orbit_worked_example(gf9):
 
 
 def _image(spec, g, coords):
-    """g(P) by the closed form of the module docstring, one place at a time."""
+    """g(P) for the pair g = (c, a), by the closed form of the module
+    docstring, one place at a time."""
     f = spec.field
+    c, a = g
     if spec.variant == "gs96":
-        return tuple(f.mul(g.scalar, a) for a in coords[:-1]) + (f.add(f.mul(g.scalar, coords[-1]), g.shift),)
+        return tuple(f.mul(c, x) for x in coords[:-1]) + (f.add(f.mul(c, coords[-1]), a),)
     if len(coords) == 1:
-        return (f.mul(g.scalar, coords[0]),)
-    return (f.mul(g.scalar, coords[0]), *coords[1:-1], f.add(coords[-1], g.shift))
+        return (f.mul(c, coords[0]),)
+    return (f.mul(c, coords[0]), *coords[1:-1], f.add(coords[-1], a))
 
 
 def test_every_other_automorphism_moves_every_place():
@@ -318,8 +313,7 @@ def test_every_other_automorphism_moves_every_place():
         places = [tuple(x) for x in spec.places().tolist()]
         for c, a in itertools.product(pool, artin_schreier_kernel(f)):
             if (c, a) != (1, 0):
-                g = Automorphism(variant, c, a)
-                assert all(_image(spec, g, x) != x for x in places), (spec, g)
+                assert all(_image(spec, (c, a), x) != x for x in places), (spec, c, a)
 
 
 def test_orbit_matches_closed_form_action():
@@ -335,7 +329,7 @@ def test_orbit_matches_closed_form_action():
         for h in _canonical_subgroups(spec):
             table = orbit(h)
             assert table.shape == (h.order, len(places))
-            for g, row in zip(h.elements, table.tolist()):
+            for g, row in zip(elements(h), table.tolist()):
                 assert row == [index[_image(spec, g, x)] for x in places], (spec, h, g)
             for j, col in enumerate(table.T.tolist()):
                 assert len(set(col)) == h.order and j in col
@@ -346,20 +340,21 @@ def test_orbit_matches_closed_form_action():
 def test_orbit_refuses_off_tower_images_and_collapsed_orbits(gf9, gf25):
     """An element that maps a place off the tower, or two elements that map
     one place to the same image, raise NotASubgroup naming the elements."""
-    one = Automorphism("gs96", 1, 0)
     y1, y2 = TowerSpec("gs96", gf9, 1), TowerSpec("gs96", gf9, 2)
-    off = [(y1, Automorphism("gs96", 3, 0)),  # 3 is in the kernel, not in GF(3)*
-           (y2, Automorphism("gs96", 4, 0)),  # 4 is outside GF(3)*: y_2 leaves the recursion
-           (y1, Automorphism("gs96", 1, 1))]  # 1 is outside the kernel
-    for spec, g in off:
-        with pytest.raises(NotASubgroup, match=re.escape(f"{g!r} maps place (")):
-            orbit(RecoveryGroup("multiplicative", spec, (one, g)))
-    with pytest.raises(NotASubgroup, match=re.escape(f"collapsed: {one!r} and {one!r} map it")):
-        orbit(RecoveryGroup("multiplicative", y1, (one, one)))
+    off = [(y1, (3, 0), "Aut(gs96, c=3, a=0) maps place ("),  # 3 is in the kernel, not in GF(3)*
+           (y2, (4, 0), "Aut(gs96, c=4, a=0) maps place ("),  # 4 is outside GF(3)*: y_2 leaves the recursion
+           (y1, (1, 1), "Aut(gs96, c=1, a=1) maps place (")]  # 1 is outside the kernel
+    for spec, (c, a), message in off:
+        with pytest.raises(NotASubgroup, match=re.escape(message)):
+            orbit(RecoveryGroup("multiplicative", spec, (1, c), (0, a)))
+    collapsed = "collapsed: Aut(gs96, c=1, a=0) and Aut(gs96, c=1, a=0) map it"
+    with pytest.raises(NotASubgroup, match=re.escape(collapsed)):
+        orbit(RecoveryGroup("multiplicative", y1, (1, 1), (0, 0)))
     spec = TowerSpec("gs95", gf25, 2)
     s = next(c for c in build_recovery_group(spec, "multiplicative", order=3).scalars if c != 1)
-    with pytest.raises(NotASubgroup, match="collapsed"):
-        orbit(RecoveryGroup("multiplicative", spec, (Automorphism("gs95", s, 0),) * 2))
+    collapsed = f"collapsed: Aut(gs95, c={s}, a=0) and Aut(gs95, c={s}, a=0) map it"
+    with pytest.raises(NotASubgroup, match=re.escape(collapsed)):
+        orbit(RecoveryGroup("multiplicative", spec, (s, s), (0, 0)))
 
 
 @pytest.mark.parametrize("variant, ell, m, kinds, d", [

@@ -28,7 +28,7 @@ from lrctower.descriptor import code_from_descriptor, code_to_descriptor
 from lrctower.errors import NotACodeword, TooLarge
 from lrctower.gflinalg import in_span, matmul, rank
 from lrctower.repair import (
-    locality_certificate, random_codewords, repair_roundtrip_counts, repair_roundtrip_wrong, span_parts,
+    random_codewords, repair_roundtrip_counts, repair_roundtrip_wrong, span_parts,
 )
 
 from conftest import all_codewords
@@ -504,7 +504,7 @@ def test_locality_certificate_matches_rank_test(golden_code, tower_code, hermiti
         rep = _assert_locality_matches_rank_test(code, exact_distance=False)
         assert rep.locality_passed and rep.repair_mismatches == 0
         # the round trip proves every pair: no rank test is left to run
-        assert locality_certificate(repair_roundtrip_wrong(code, code.generator_matrix)).all()
+        assert not repair_roundtrip_wrong(code, code.generator_matrix).any()
     for code in _unstructured_codes(golden_code):
         _assert_locality_matches_rank_test(code)
 
@@ -575,7 +575,7 @@ def test_repair_exact_needs_no_sampled_words(hermitian_code):
     # the generator rows see it on each row with a nonzero symbol under that
     # weight.  Locality still holds; that one pair falls back to the rank test
     code = _wrong_weight(hermitian_code)
-    proven = locality_certificate(repair_roundtrip_wrong(code, code.generator_matrix))
+    proven = ~repair_roundtrip_wrong(code, code.generator_matrix).any(axis=1)
     assert proven.sum() == proven.size - 1 and not proven[1, 0]
     rep = _assert_locality_matches_rank_test(code, exact_distance=False)
     wrong_rows = np.count_nonzero(code.generator_matrix[:, code.repair_plan[1].index[0, 0]])
@@ -676,8 +676,7 @@ def _assert_matches_oracles(code):
         assert sets.tolist() == _oracle_sets(code, s)
     _assert_plan_matches_oracle(code)
     row_wrong = repair_roundtrip_wrong(code, code.generator_matrix)
-    proven = locality_certificate(row_wrong)
-    assert proven.dtype == bool and (proven == ~row_wrong.any(axis=1)).all()
+    proven = ~row_wrong.any(axis=1)  # the pairs verify_code passes as proven
     for given_proven in (None, proven):
         got, want = verify_definition1(code, given_proven), _oracle_definition1(code, given_proven)
         assert got.set_checks == want.set_checks
@@ -729,7 +728,7 @@ def test_locality_certificate_allocates_no_n_by_n_mask():
     n = code.params.n
     tracemalloc.start()
     try:
-        assert verify_definition1(code, locality_certificate(row_wrong)).passed
+        assert verify_definition1(code, ~row_wrong.any(axis=1)).passed
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
