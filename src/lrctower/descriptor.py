@@ -256,7 +256,7 @@ def code_from_descriptor(desc: dict) -> LrcCode:
     tower = _block(desc, "tower")
     spec = TowerSpec(tower["variant"], fld, tower["m"])
     if tower["ell"] != fld.ell:
-        raise ValueError("tower ell does not match the field")
+        raise ValueError(f"tower.ell = {tower['ell']} does not match the field's l = {fld.ell}")
     g1, g2 = (_group(desc, spec, e) for e in (0, 1))
     if len(desc["groups"]) != 2:
         raise ValueError(f"groups must hold 2 entries, got {len(desc['groups'])}")

@@ -7,12 +7,15 @@ polynomial of degree k in lexicographic order of coefficient vectors
 (constant term first), t itself when k = 1.  So a field is named by (p, k)
 alone, and the encoding is reproducible everywhere.
 
-Multiplication runs on dense log/antilog tables, the antilog table built in
-blocks of about sqrt(q - 1) powers of the generator.  Every table is
-read-only, and ``shared_field(p, k)`` keeps one field per (p, k) for the
-whole process.  For small fields
-(q <= TABLE_CAP) full q x q add/mul tables back the vectorized numpy paths
-used by the linear-algebra and enumeration layers.  Every table of element
+Multiplication runs on dense log/antilog tables.  They are built on one
+linear map: multiplication by a code a is the k x k GF(p) matrix
+sum_i a_i C^i, C the modulus's companion matrix.  The generator search
+powers these matrices, and the antilog table is built in blocks of about
+sqrt(q - 1) powers of the generator, each block g^B's matrix times the one
+before.  Every table is read-only, and ``shared_field(p, k)`` keeps one
+field per (p, k) for the whole process.  For small fields (q <= TABLE_CAP)
+full q x q add/mul tables back the vectorized numpy paths used by the
+linear-algebra and enumeration layers.  Every table of element
 codes, and so every vectorized result, is stored in ``FiniteField.dtype``:
 the narrowest unsigned type that holds q - 1 (uint8 up to q = 256, uint16
 above).  The fused row update ``vec_axpy`` reads the same two tables raveled,
@@ -52,28 +55,11 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over GF(p); coefficient tuples, constant term first
+# polynomial long division over GF(p); coefficient tuples, constant term first
 # ---------------------------------------------------------------------------
 
-def _poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _poly_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_modred(tuple(out), mod, p)
-
-
 def _poly_modred(a, mod, p):
-    # mod is monic; reduce a in place
+    # mod is monic; the remainder of a, as deg(mod) coefficients
     a = list(a)
     dm = len(mod) - 1
     for i in range(len(a) - 1, dm - 1, -1):
@@ -82,7 +68,7 @@ def _poly_modred(a, mod, p):
             continue
         for j in range(dm + 1):
             a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-    return _poly_trim(tuple(x % p for x in a))
+    return tuple(x % p for x in a[:dm])
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
@@ -96,7 +82,7 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 
     for d in range(1, k // 2 + 1):
         for low in product(range(p), repeat=d):
-            if not _poly_modred(poly, tuple(low) + (1,), p):
+            if not any(_poly_modred(poly, tuple(low) + (1,), p)):
                 return False
     return True
 
@@ -110,6 +96,18 @@ def _first_irreducible(p: int, k: int) -> tuple[int, ...]:
         if _is_irreducible(poly, p):
             return poly
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+def _matrix_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    """m^e mod p by square-and-multiply, on int64 matrices stacked on any
+    leading axes."""
+    out = np.broadcast_to(np.eye(m.shape[-1], dtype=np.int64), m.shape)
+    while e:
+        if e & 1:
+            out = out @ m % p
+        m = m @ m % p
+        e >>= 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -137,85 +135,64 @@ class FiniteField:
         self.dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
         self._build_tables()
 
-    # -- encoding ----------------------------------------------------------
-
-    def to_coeffs(self, a: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.k):
-            a, r = divmod(a, self.p)
-            out.append(r)
-        return tuple(out)
-
-    def from_coeffs(self, coeffs) -> int:
-        a = 0
-        for c in reversed(list(coeffs)):
-            a = a * self.p + (c % self.p)
-        return a
-
     # -- table construction -------------------------------------------------
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        pa = _poly_trim(self.to_coeffs(a))
-        pb = _poly_trim(self.to_coeffs(b))
-        if not pa or not pb:
-            return 0
-        return self.from_coeffs(_poly_mulmod(pa, pb, self.modulus, self.p) + (0,) * self.k)
+    def _generator_powers(self, digits: np.ndarray) -> np.ndarray:
+        """g^0, ..., g^(q-2) as int64 coefficient columns (k, q - 1), g the
+        generator.
 
-    def _find_generator(self) -> int:
-        n = self.q - 1
-        factors = set(prime_factors(n))
-
-        def pow_poly(g, e):
-            acc, base = 1, g
-            while e:
-                if e & 1:
-                    acc = self._mul_poly(acc, base)
-                base = self._mul_poly(base, base)
-                e >>= 1
-            return acc
-
-        for g in range(2, self.q):
-            if all(pow_poly(g, n // f) != 1 for f in factors):
-                return g
-        return 1  # q == 2
-
-    def _generator_powers(self, g: int) -> np.ndarray:
-        """g^0, ..., g^(q-2) as int64 codes, in blocks of B ~ sqrt(q - 1).
-
-        Multiplication by g is GF(p)-linear on coefficient vectors.  The
-        first block is taken one product at a time; each later block is the
-        previous one, as a (k, B) array of coefficient columns, times the
-        k x k matrix of g^B, mod p."""
-        n = max(self.q - 1, 1)
+        Multiplication by a code a is GF(p)-linear on coefficient vectors:
+        its k x k matrix is sum_i a_i C^i, where C is the modulus's
+        companion matrix and a_i = digits[i, a].  g is the least code >= 2
+        with g^((q-1)/r) != 1 for every prime r | q - 1, the powers taken
+        by square-and-multiply on the matrices of a batch of candidates at
+        once.  The first block of B ~ sqrt(q - 1) powers applies g's matrix
+        to 1 again and again; each later block is the previous one, as a
+        (k, B) array of coefficient columns, times the matrix of g^B.  Every
+        product is exact in int64 while k*(p-1)^2 < 2^63, which holds for
+        every q <= MAX_ORDER."""
+        p, k, q = self.p, self.k, self.q
+        n = max(q - 1, 1)
+        companion = np.eye(k, k, -1, dtype=np.int64)  # column j: t * t^j
+        companion[:, -1] = np.negative(self.modulus[:k]) % p
+        basis = [np.eye(k, dtype=np.int64)]
+        for _ in range(k - 1):
+            basis.append(companion @ basis[-1] % p)
+        exponents = [n // r for r in set(prime_factors(n))]
+        g, first = basis[0], 2  # q = 2: the generator is 1
+        while first < q:  # candidates in batches [c, 2c)
+            mats = np.tensordot(digits[:, first:2 * first].T, basis, axes=1) % p
+            primitive = np.ones(len(mats), dtype=bool)
+            for e in exponents:
+                primitive &= (_matrix_pow(mats, e, p) != basis[0]).any(axis=(1, 2))
+            if primitive.any():
+                g = mats[primitive.argmax()]
+                break
+            first *= 2
         b = isqrt(n - 1) + 1  # ceil(sqrt(n))
-        powers = [1]
-        for _ in range(b):
-            powers.append(self._mul_poly(powers[-1], g))
-        g_b = powers.pop()
-        block = np.array([self.to_coeffs(x) for x in powers], dtype=np.int64).T
-        step = np.array([self.to_coeffs(self._mul_poly(g_b, self.p**j)) for j in range(self.k)],
-                        dtype=np.int64).T  # column j: g^B * t^j
-        blocks = [block]
+        block = [digits[:, 1]]
+        for _ in range(b - 1):
+            block.append(g @ block[-1] % p)
+        blocks = [np.array(block).T]
+        step = _matrix_pow(g, b, p)
         for _ in range(-(-n // b) - 1):
-            blocks.append(step @ blocks[-1] % self.p)
-        return self.p ** np.arange(self.k, dtype=np.int64) @ np.hstack(blocks)[:, :n]
+            blocks.append(step @ blocks[-1] % p)
+        return np.hstack(blocks)[:, :n]
 
     def _build_tables(self):
-        q = self.q
-        exp = self._generator_powers(self._find_generator())
+        p, k, q = self.p, self.k, self.q
+        # digits[i, a] = a // p**i % p, the t^i coefficient of code a, read off the index grid
+        digits = np.indices((p,) * k, dtype=self.dtype).reshape(k, q)[::-1]
+        weights = p ** np.arange(k, dtype=np.int64)
+        exp = weights @ self._generator_powers(digits)
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(len(exp))
         self.exp_table = exp.astype(self.dtype)
         self.log_table = log
-        # negation: digitwise p-complement
-        codes = np.arange(q, dtype=np.int64)
-        neg = np.zeros(q, dtype=np.int64)
-        for i in range(self.k):
-            d = (codes // self.p**i) % self.p
-            neg += ((self.p - d) % self.p) * self.p**i
-        self.neg_table = neg.astype(self.dtype)
+        self.neg_table = (weights @ ((p - digits) % p)).astype(self.dtype)  # digitwise p-complement
         self.add_table = self.mul_table = None
         if q <= TABLE_CAP:
+            codes = np.arange(q, dtype=np.int64)
             self.add_table = self._digit_add(codes[:, None], codes[None, :]).astype(self.dtype)
             lg = np.where(log < 0, 0, log)
             mul = exp[(lg[:, None] + lg[None, :]) % (q - 1)] if q > 2 else np.array([[0, 0], [0, 1]])

@@ -54,6 +54,11 @@ class RecoveryGroup:
     scalars: tuple[int, ...]  # element e is (scalars[e], shifts[e])
     shifts: tuple[int, ...]
 
+    def __post_init__(self):
+        if len(self.scalars) != len(self.shifts):
+            raise NotASubgroup(f"scalars has {len(self.scalars)} entries and shifts has {len(self.shifts)}; "
+                               "element e is (scalars[e], shifts[e])")
+
     @property
     def w_index(self) -> int:
         """Index of the repair variable w: the last generator the group moves."""

@@ -60,6 +60,23 @@ def bound_formulas(n: int, k: int, rs: list[int]) -> dict[str, int]:
     }
 
 
+def field_mul(f, a: int, b: int) -> int:
+    """a*b in f: the schoolbook product of the two coefficient tuples
+    (constant term first), then long division by the monic ``f.modulus``.
+    An oracle that shares no code with ``field``."""
+    p, k = f.p, f.k
+    da, db = ([x // p**i % p for i in range(k)] for x in (a, b))
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for i in range(2 * k - 2, k - 1, -1):
+        c = prod[i]
+        for j, m in enumerate(f.modulus):
+            prod[i - k + j] = (prod[i - k + j] - c * m) % p
+    return sum(c * p**i for i, c in enumerate(prod[:k]))
+
+
 def primes_upto(n: int) -> list[int]:
     """Every prime <= n, by the sieve of Eratosthenes: an oracle that does
     not trial-divide."""

@@ -687,6 +687,8 @@ def test_non_canonical_places_are_refused_on_load(tmp_path, capsys, golden_code,
     ("recovery_sets[0].set3", [1, 2], "recovery_sets[0] has unknown key 'set3'"),
     # an irreducible modulus other than the first one: GF(9) is named by (p, k) alone
     ("field.modulus", [2, 1, 1], "field.modulus = [2, 1, 1] is not the modulus [1, 0, 1] of GF(9)"),
+    # the tower's l is the field's
+    ("tower.ell", 5, "tower.ell = 5 does not match the field's l = 3"),
 ])
 def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path, value, message):
     """A place coordinate outside [0, q), a coord that is not an integer, and
@@ -701,7 +703,7 @@ def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path
     is at level m = 1, so its caps, when not null, hold one integer.  A
     third group, or a key the format does not name (in a recovery_sets
     entry too), is refused by path, and so is a field.modulus other than the
-    one (p, k) fix."""
+    one (p, k) fix, or a tower.ell other than the field's l."""
     desc = code_to_descriptor(golden_code)
     _edit(desc, path, value)
     bad = tmp_path / "bad.json"

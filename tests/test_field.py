@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import pickle
 import random
@@ -13,7 +14,7 @@ from lrctower.descriptor import code_from_descriptor, code_to_descriptor
 from lrctower.errors import FieldTooLarge, NonPrimeCharacteristic, NotASquareField
 from lrctower.field import _first_irreducible, prime_factors, shared_field
 
-from conftest import primes_upto
+from conftest import field_mul, primes_upto
 
 
 def naive_irreducible(poly, p):
@@ -197,9 +198,9 @@ def test_generator_is_smallest_primitive_code(p, k):
     f = FiniteField(p, k)
 
     def order(g):
-        x, n = f._mul_poly(1, g), 1
+        x, n = g, 1
         while x != 1:
-            x, n = f._mul_poly(x, g), n + 1
+            x, n = field_mul(f, x, g), n + 1
         return n
 
     if f.q == 2:
@@ -210,13 +211,25 @@ def test_generator_is_smallest_primitive_code(p, k):
 
 
 def _powers_by_products(f):
-    """Oracle: g^0, ..., g^(q-2) by the per-unit product loop, one
-    polynomial product per unit."""
-    g = f._find_generator()
+    """Oracle: g^0, ..., g^(q-2), one polynomial product per unit, where g
+    is the least code >= 2 with g^((q-1)/r) != 1 for every prime r | q - 1,
+    its powers taken by square-and-multiply on the same products."""
+    n = f.q - 1
+
+    def power(x, e):
+        acc = 1
+        while e:
+            if e & 1:
+                acc = field_mul(f, acc, x)
+            x, e = field_mul(f, x, x), e >> 1
+        return acc
+
+    rs = [r for r in primes_upto(n) if n % r == 0]
+    g = next((g for g in range(2, f.q) if all(power(g, n // r) != 1 for r in rs)), 1)
     out, x = [], 1
-    for _ in range(max(f.q - 1, 1)):
+    for _ in range(max(n, 1)):
         out.append(x)
-        x = f._mul_poly(x, g)
+        x = field_mul(f, x, g)
     return out
 
 
@@ -241,6 +254,21 @@ def test_exp_table_in_blocks_matches_products_up_to_5000():
 @pytest.mark.parametrize("p, k", [(2, 13), (3, 8), (5, 6), (13, 4), (251, 2), (4099, 1), (65521, 1)])
 def test_exp_table_in_blocks_matches_products_on_large_fields(p, k):
     _assert_tables_match_products(FiniteField(p, k))
+
+
+@pytest.mark.parametrize("p, k, g, digest", [
+    (2, 16, 6, "aeb296a85af891df55353f4cc00c33dbeb17572b64415a1e54871009630d8d89"),
+    (3, 10, 34, "f208c6ab3070f7ed3aeb9d1cabea5dc233a25d2e0d6003f29cb622bc4086cfc6"),
+    (251, 2, 256, "22a397e70915d10fb0335a30f9e52f65f579ccb5ec35b345d8f2af53deb2a58f"),
+    (65521, 1, 17, "f7186c42afffc92d2c05e50b1344095bad862b98f2380aa89151dc08505090f3"),
+    (5, 6, 6, "943938b0a841487f38187805042af6742ff1f3509a0d4255bef52ed32a1467df"),
+])
+def test_exp_table_pinned_above_5000(p, k, g, digest):
+    """Above the exhaustive check's cap, the generator and the sha256 of
+    the exp table as little-endian uint32 are pinned."""
+    f = FiniteField(p, k)
+    assert f.exp_table[1] == g
+    assert hashlib.sha256(np.asarray(f.exp_table, dtype="<u4").tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("p, k", [(3, 2), (2, 11)])

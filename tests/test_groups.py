@@ -357,6 +357,17 @@ def test_orbit_refuses_off_tower_images_and_collapsed_orbits(gf9, gf25):
         orbit(RecoveryGroup("multiplicative", spec, (s, s), (0, 0)))
 
 
+def test_recovery_group_refuses_unequal_lengths(gf9):
+    """Element e is (scalars[e], shifts[e]): fewer or more shifts than
+    scalars are refused where the group is made, naming both lengths, not
+    broadcast by ``orbit`` or left to a raw IndexError."""
+    spec = TowerSpec("gs96", gf9, 1)
+    for shifts in ((0,), (0, 0, 0)):
+        message = f"scalars has 2 entries and shifts has {len(shifts)}; element e is (scalars[e], shifts[e])"
+        with pytest.raises(NotASubgroup, match=re.escape(message)):
+            RecoveryGroup("multiplicative", spec, (1, 2), shifts)
+
+
 @pytest.mark.parametrize("variant, ell, m, kinds, d", [
     ("gs96", 3, 2, ({"shifts": "kernel"}, {"order": 2}), 6),
     ("gs95", 5, 2, ({"order": 2}, {"order": 3}), 100),
