@@ -34,9 +34,9 @@ print(evaluation_matrix(v1, spec.places(), f9, h1))
 print("V2 evaluations:")
 print(evaluation_matrix(v2, spec.places(), f9, h2))
 
-code = construct_lrc(spec, h1, h2, d_target=2)
+code = construct_lrc(spec, (h1, h2), d_target=2)
 print(f"\ncode parameters: n={code.params.n} k={code.params.k} "
-      f"designed d={code.params.d_designed} localities=({code.params.r1},{code.params.r2})")
+      f"designed d={code.params.d_designed} localities=({','.join(map(str, code.params.r))})")
 print("generator matrix (canonical echelon):")
 print(code.generator_matrix)
 print("true minimum distance:", brute_force_distance(code))

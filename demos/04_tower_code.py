@@ -16,12 +16,12 @@ spec = TowerSpec("gs96", f9, 2)
 h1 = build_recovery_group(spec, "additive", shifts="kernel")
 h2 = build_recovery_group(spec, "multiplicative", order=2)
 
-code = construct_lrc(spec, h1, h2, d_target=6)
+code = construct_lrc(spec, (h1, h2), d_target=6)
 p = code.params
-print(f"n={p.n} k={p.k} designed d={p.d_designed} localities=({p.r1},{p.r2})")
+print(f"n={p.n} k={p.k} designed d={p.d_designed} localities=({','.join(map(str, p.r))})")
 print(f"degree budget {code.dims.budget}, per-generator caps {code.dims.caps}")
-print(f"dim V1={code.dims.dim_v1} dim V2={code.dims.dim_v2} "
-      f"dim(V1+V2)={code.dims.dim_sum}")
+dim_v1, dim_v2 = code.dims.dim_v
+print(f"dim V1={dim_v1} dim V2={dim_v2} dim(V1+V2)={code.dims.dim_sum}")
 
 # orbit(h)[:, j] lists the indices of place j's images, one per element of h
 places = [tuple(row) for row in spec.places().tolist()]

@@ -23,9 +23,9 @@ h1 = build_recovery_group(spec, "multiplicative", order=2)
 h2 = build_recovery_group(spec, "multiplicative", order=3)
 print(f"H1 scalars {h1.scalars}, H2 scalars {h2.scalars} (norm-one subgroups)")
 
-code = construct_lrc(spec, h1, h2, d_target=100)
+code = construct_lrc(spec, (h1, h2), d_target=100)
 p = code.params
-print(f"n={p.n} k={p.k} designed d={p.d_designed} localities=({p.r1},{p.r2})")
+print(f"n={p.n} k={p.k} designed d={p.d_designed} localities=({','.join(map(str, p.r))})")
 print("intersection functions are spanned by {1, z, z^2, z^3, x^4}:")
 print(code.generator_matrix[:, :12], "... (first 12 of 120 columns)")
 

@@ -81,7 +81,7 @@ def validate_regime(spec: TowerSpec, g1: RecoveryGroup, g2: RecoveryGroup) -> st
         token = bnd.THM33
     else:
         token = f"{family}.1" if kinds == {MULTIPLICATIVE} else f"{family}.2"
-    bnd.check_regime(token, spec.ell, g1.r, g2.r)
+    bnd.check_regime(token, spec.field.ell, g1.r, g2.r)
     return token
 
 
@@ -95,16 +95,16 @@ def _enum_cap() -> int:
 def cmd_construct(args) -> int:
     fld = _field_for_ell(args.ell)
     spec = TowerSpec(args.variant, fld, args.m)
-    g1 = _flagged("--group1", args.group1, lambda text: parse_group_spec(spec, text))
-    g2 = _flagged("--group2", args.group2, lambda text: parse_group_spec(spec, text))
-    regime = validate_regime(spec, g1, g2)
-    code = construct_lrc(spec, g1, g2, args.distance)
+    groups = tuple(_flagged(flag, text, lambda text: parse_group_spec(spec, text))
+                   for flag, text in (("--group1", args.group1), ("--group2", args.group2)))
+    regime = validate_regime(spec, *groups)
+    code = construct_lrc(spec, groups, args.distance)
     write_descriptor(code, args.out, seed=args.seed)
-    p = code.params
-    print(f"{p.n} {p.k} {p.d_designed} {p.r1} {p.r2}")
+    p, dims = code.params, code.dims
+    print(p.n, p.k, p.d_designed, *p.r)
     if args.verbose:
-        print(f"regime {regime}; dims V1={code.dims.dim_v1} V2={code.dims.dim_v2} "
-              f"sum={code.dims.dim_sum} budget={code.dims.budget}")
+        print(f"regime {regime}; dims", *(f"V{s}={v}" for s, v in enumerate(dims.dim_v, 1)),
+              f"sum={dims.dim_sum} budget={dims.budget}")
     return 0
 
 
@@ -135,9 +135,7 @@ def cmd_repair_demo(args) -> int:
     truth = word[i]
     print(f"codeword: {word}")
     print(f"erasing coordinate {i} (symbol {truth})")
-    for j in (1, 2):
-        if args.set and j != args.set:
-            continue
+    for j in [args.set] if args.set else range(1, len(code.recovery_sets) + 1):
         got = repair(code, ErasurePattern(tuple(word), i, j))
         status = "ok" if got == truth else "MISMATCH"
         print(f"set {j} {code.recovery_sets[j - 1][i].tolist()} -> repaired symbol {got} [{status}]")

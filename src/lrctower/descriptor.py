@@ -4,9 +4,10 @@ The descriptor is self-contained: field modulus, tower spec, group element
 lists, places, generator matrix, recovery sets and parameters.  Reading one
 back rebuilds a working code object without any in-memory state from the
 construction run.  ``FIELDS`` states the format: each fixed JSON path and
-the kind of value it holds.  An object key it does not name (the unread
-``seed`` apart) is refused, as is a third group or a recovery set entry's key
-other than ``coord``, ``set1`` and ``set2``.  The long lists (places,
+the kind of value it holds, with the code's tuples indexed by s written as
+``r{s}``, ``dim_v{s}`` and ``set{s}`` (``groups[s - 1]``).  An object key it
+does not name (the unread ``seed`` apart) is refused, as is a group or a
+recovery set entry's key beyond the ones it names.  The long lists (places,
 generator, recovery sets) are checked whole; their entries are walked only
 to name a failure.  The checks here name the JSON path at fault.  The field
 is rebuilt from ``field.p`` and ``field.k`` alone; ``field.modulus`` stays in
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 from json.encoder import encode_basestring_ascii
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .construct import CodeDims, LrcCode, _cap_profiles
 from .field import shared_field
-from .groups import ADDITIVE, MULTIPLICATIVE, build_recovery_group, combine
+from .groups import ADDITIVE, MULTIPLICATIVE, build_recovery_group
 from .tower import GS95, GS96, TowerSpec
 
 FORMAT = "lrc-descriptor/1"
@@ -58,6 +59,7 @@ FIELDS = {
 }
 MEMBERS = {ADDITIVE: "shifts", MULTIPLICATIVE: "scalars"}  # a group's element list, by its kind
 TOP_KEYS = {re.match(r"\w+", path)[0] for path in FIELDS} | {"seed"}  # seed is written, never read
+GROUPS = [path.removesuffix(".kind") for path in FIELDS if path.startswith("groups[")]  # "groups[0]", ...
 
 
 def _check(value, path: str, kind, m: int | None = None):
@@ -116,11 +118,11 @@ def _ints_below(values: list, bound: int) -> bool:
     return set(map(type, values)) <= {int} and (not values or 0 <= min(values) and max(values) < bound)
 
 
-def _group(desc, spec: TowerSpec, e: int):
-    kind = _read(desc, f"groups[{e}].kind")
-    path = f"groups[{e}].{MEMBERS[kind]}"
+def _group(desc, spec: TowerSpec, at: str):
+    kind = _read(desc, f"{at}.kind")
+    path = f"{at}.{MEMBERS[kind]}"
     members = _read(desc, path, Ints())
-    _known(_read(desc, f"groups[{e}]", dict), f"groups[{e}]", ("kind", MEMBERS[kind]))
+    _known(_read(desc, at, dict), at, ("kind", MEMBERS[kind]))
     g = build_recovery_group(spec, kind, shifts=members, order=len(members))
     if sorted(members) != list(getattr(g, MEMBERS[kind])):
         raise ValueError(f"{path} does not match the canonical subgroup")
@@ -131,10 +133,10 @@ def _places(raw: list, spec: TowerSpec) -> None:
     """Refuse ``raw`` unless it is the spec's canonical place list: each
     entry m integer coordinates in [0, q), then entry by entry equal."""
     if not (all(type(co) is list and len(co) == spec.m for co in raw)
-            and _ints_below(list(chain.from_iterable(raw)), spec.q)):
+            and _ints_below(list(chain.from_iterable(raw)), spec.field.q)):
         for i, co in enumerate(raw):
             for c, x in enumerate(_check(co, f"places[{i}]", Ints(levels=True), spec.m)):
-                _in_range(x, f"places[{i}][{c}]", spec.q, "q")
+                _in_range(x, f"places[{i}][{c}]", spec.field.q, "q")
     canonical = spec.places().tolist()
     if raw != canonical:
         for i, (co, want) in enumerate(zip(raw, canonical)):
@@ -161,19 +163,27 @@ def _generator(raw: list, q: int) -> np.ndarray:
     raise ValueError(f"generator_matrix must be a non-empty list of integer rows, got {raw!r}")
 
 
+def _by_s(name: str, values) -> dict:
+    """The s-indexed tuple ``values`` as the keys name1, name2, ..."""
+    return {f"{name}{s}": v for s, v in enumerate(values, 1)}
+
+
 def _recovery_entries(code: LrcCode) -> list[dict]:
     """The ``recovery_sets`` list of ``code``: entry i holds coordinate i's row of each set array."""
-    sets1, sets2 = (sets.tolist() for sets in code.recovery_sets)
-    return [{"coord": i, "set1": s1, "set2": s2} for i, (s1, s2) in enumerate(zip(sets1, sets2))]
+    entries = [{"coord": i} for i in range(code.params.n)]
+    for key, sets in _by_s("set", code.recovery_sets).items():  # key by key: a dict(zip()) per entry is slower
+        for entry, row in zip(entries, sets.tolist()):
+            entry[key] = row
+    return entries
 
 
 def _recovery(desc, code: LrcCode) -> None:
     """Refuse ``recovery_sets`` unless it is ``code``'s own layout, entry by
     entry, with every value an int (JSON true and 1.0 equal 1 in Python);
     else name the first entry that differs, or the count."""
-    raw, want = _read(desc, "recovery_sets"), _recovery_entries(code)
+    raw, want, keys = _read(desc, "recovery_sets"), _recovery_entries(code), _by_s("set", code.recovery_sets)
     if raw == want and ({type(e["coord"]) for e in raw}
-                        | set(map(type, chain.from_iterable(e["set1"] + e["set2"] for e in raw)))) <= {int}:
+                        | set(map(type, chain.from_iterable(e[key] for e in raw for key in keys)))) <= {int}:
         return
     for e, entry in enumerate(want[:len(raw)]):
         path = f"recovery_sets[{e}]"
@@ -181,7 +191,7 @@ def _recovery(desc, code: LrcCode) -> None:
         coord = _read(desc, f"{path}.coord", int)
         if coord != e:
             raise ValueError(f"{path}.coord = {coord} is not {e}")
-        for key in ("set1", "set2"):
+        for key in keys:
             got = list(_read(desc, f"{path}.{key}", Ints()))
             if got != entry[key]:
                 raise ValueError(f"{path}.{key} = {got} is not the orbit set {entry[key]}")
@@ -189,18 +199,19 @@ def _recovery(desc, code: LrcCode) -> None:
 
 
 def code_to_descriptor(code: LrcCode, seed: int = 0) -> dict:
-    fld, spec, dims = code.field, code.spec, code.dims
+    fld, spec, p, dims = code.field, code.spec, code.params, code.dims
     return {
         "format": FORMAT,
         "field": {"p": fld.p, "k": fld.k, "modulus": list(fld.modulus)},
-        "tower": {"variant": spec.variant, "ell": spec.ell, "m": spec.m},
+        "tower": {"variant": spec.variant, "ell": fld.ell, "m": spec.m},
         "groups": [{"kind": g.kind, MEMBERS[g.kind]: [int(x) for x in getattr(g, MEMBERS[g.kind])]}
-                   for g in (code.group1, code.group2)],
+                   for g in code.groups],
         "places": spec.places().tolist(),
         "generator_matrix": code.generator_matrix.tolist(),
         "recovery_sets": _recovery_entries(code),
-        "params": asdict(code.params),
-        "dims": {**asdict(dims), "caps": None if dims.caps is None else list(dims.caps)},
+        "params": {"n": p.n, "k": p.k, "d_designed": p.d_designed, **_by_s("r", p.r)},
+        "dims": {**_by_s("dim_v", dims.dim_v), "dim_sum": dims.dim_sum, "budget": dims.budget,
+                 "caps": None if dims.caps is None else list(dims.caps)},
         "seed": seed,
     }
 
@@ -238,12 +249,8 @@ def _json(value, pad: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
-def descriptor_bytes(desc: dict) -> bytes:
-    return json_text(desc).encode()
-
-
 def write_descriptor(code: LrcCode, path, seed: int = 0) -> None:
-    Path(path).write_bytes(descriptor_bytes(code_to_descriptor(code, seed)))
+    Path(path).write_bytes(json_text(code_to_descriptor(code, seed)).encode())
 
 
 def code_from_descriptor(desc: dict) -> LrcCode:
@@ -257,29 +264,29 @@ def code_from_descriptor(desc: dict) -> LrcCode:
     spec = TowerSpec(tower["variant"], fld, tower["m"])
     if tower["ell"] != fld.ell:
         raise ValueError(f"tower.ell = {tower['ell']} does not match the field's l = {fld.ell}")
-    g1, g2 = (_group(desc, spec, e) for e in (0, 1))
-    if len(desc["groups"]) != 2:
-        raise ValueError(f"groups must hold 2 entries, got {len(desc['groups'])}")
+    groups = tuple(_group(desc, spec, at) for at in GROUPS)
+    if len(desc["groups"]) != len(groups):
+        raise ValueError(f"groups must hold {len(groups)} entries, got {len(desc['groups'])}")
     _places(_read(desc, "places"), spec)
     gen = _generator(_read(desc, "generator_matrix"), fld.q)
-    dims = CodeDims(**_block(desc, "dims", spec.m))
+    d = _block(desc, "dims", spec.m)
+    dims = CodeDims(tuple(d.pop(key) for key in list(d) if key.startswith("dim_v")), **d)
     p = _block(desc, "params")
-    combine(g1, g2)  # validates the pair: trivial intersection, H2 normalizes H1
-    code = LrcCode(spec=spec, group1=g1, group2=g2, generator_matrix=gen, d_designed=p["d_designed"], dims=dims)
+    code = LrcCode(spec=spec, groups=groups, generator_matrix=gen, d_designed=p["d_designed"], dims=dims)
     _recovery(desc, code)
     # the block must state what the code derives
     n, k = code.params.n, code.params.k
-    for key, source in (("n", "the {} places"), ("k", "the row count {} of generator_matrix"),
-                        ("r1", "the locality {} of groups[0]"), ("r2", "the locality {} of groups[1]")):
-        value = getattr(code.params, key)
+    derived = {"n": (n, "the {} places"), "k": (k, "the row count {} of generator_matrix"),
+               **_by_s("r", [(r, f"the locality {{}} of {at}") for r, at in zip(code.params.r, GROUPS)])}
+    for key, (value, source) in derived.items():
         if p[key] != value:
             raise ValueError(f"params.{key} = {p[key]} does not match {source.format(value)}")
-    # the rank identity of V1 and V2, whose sum holds both and lies in GF(q)^n
-    v1, v2, total = dims.dim_v1, dims.dim_v2, dims.dim_sum
-    if v1 + v2 - total != k:
-        raise ValueError(f"dims.dim_v1 + dims.dim_v2 - dims.dim_sum = {v1 + v2 - total} does not match k = {k}")
-    if not max(v1, v2) <= total <= n:
-        raise ValueError(f"dims.dim_sum = {total} is not in [max(dim_v1, dim_v2), n] = [{max(v1, v2)}, {n}]")
+    # the rank identity (t = 2): V_1 + V_2 holds both spaces and lies in GF(q)^n
+    names, v, total = list(_by_s("dim_v", dims.dim_v)), dims.dim_v, dims.dim_sum
+    if sum(v) - total != k:
+        raise ValueError(f"dims.{' + dims.'.join(names)} - dims.dim_sum = {sum(v) - total} does not match k = {k}")
+    if not max(v) <= total <= n:
+        raise ValueError(f"dims.dim_sum = {total} is not in [max({', '.join(names)}), n] = [{max(v)}, {n}]")
     if dims.caps not in _cap_profiles(spec, dims.budget):
         caps = "null" if dims.caps is None else list(dims.caps)
         raise ValueError(f"dims.caps = {caps} is not a cap split of budget {dims.budget}")

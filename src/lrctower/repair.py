@@ -17,8 +17,8 @@ for all coordinates and codewords at once.
 
 The recovery sets are the groups' orbits (``LrcCode.recovery_sets``, one
 (n, r) array per set), so their geometry holds by construction: each set has
-|H| - 1 members and omits its coordinate (the action is free), the two sets
-of a coordinate are disjoint (H1 and H2 meet only in the identity), and the
+|H| - 1 members and omits its coordinate (the action is free), the sets of
+a coordinate are disjoint (the groups meet only in the identity), and the
 repair-variable values of a set and its coordinate are pairwise distinct.
 Nothing here checks an arbitrary layout; the loader refuses any other.
 
@@ -71,15 +71,11 @@ BLOCK_ROWS = 1 << 14  # words (columns) per enumeration block; bounds its memory
 
 @dataclass(frozen=True)
 class ErasurePattern:
-    """Codeword with one erased coordinate and the recovery set to use."""
+    """Codeword with one erased coordinate and the recovery set to use (``repair`` checks it)."""
 
     codeword: tuple[int, ...]
     coord: int
-    set_choice: int  # 1 or 2
-
-    def __post_init__(self):
-        if self.set_choice not in (1, 2):
-            raise ValueError("set_choice must be 1 or 2")
+    set_choice: int  # s in [1, t]
 
 
 def check_coord(code: LrcCode, i: int) -> None:
@@ -107,8 +103,8 @@ class RepairPlan:
                 for idx, lam in zip(self.index.tolist(), self.weights.tolist())]
 
 
-def build_repair_plan(code: LrcCode) -> tuple[RepairPlan, RepairPlan]:
-    """The plans of set 1 and set 2, vectorized over the coordinates.
+def build_repair_plan(code: LrcCode) -> tuple[RepairPlan, ...]:
+    """The plan of each recovery set s, vectorized over the coordinates.
 
     With nodes x_h (the set's repair-variable values) and x0 (the erased
     place's), lambda_h = prod_{h' != h} (x0 - x_h') / (x_h - x_h'): one
@@ -120,7 +116,7 @@ def build_repair_plan(code: LrcCode) -> tuple[RepairPlan, RepairPlan]:
     fld = code.field
     coords = code.spec.places()
     plans = []
-    for index, group in zip(code.recovery_sets, (code.group1, code.group2)):
+    for index, group in zip(code.recovery_sets, code.groups):
         r = index.shape[1]
         w = coords[:, group.w_index]
         xs = w[index]
@@ -138,13 +134,15 @@ def build_repair_plan(code: LrcCode) -> tuple[RepairPlan, RepairPlan]:
 def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> int:
     """Recover the erased symbol through the chosen recovery set.
 
-    A word whose length is not n, or a symbol on the set that is not an
-    integer (a Python int other than bool, or a numpy integer) in [0, q),
-    raises ValueError naming its coordinate; the erased symbol itself is
-    never read.
+    A set choice outside [1, t], a word whose length is not n, or a symbol
+    on the set that is not an integer (a Python int other than bool, or a
+    numpy integer) in [0, q), raises ValueError naming it; the erased
+    symbol itself is never read.
     """
     fld = code.field
     i, s, word = pattern.coord, pattern.set_choice, pattern.codeword
+    if not 1 <= s <= len(code.recovery_sets):
+        raise ValueError(f"set_choice {s} is outside [1, {len(code.recovery_sets)}]")
     check_coord(code, i)
     if len(word) != code.params.n:
         raise ValueError(f"word has {len(word)} symbols, expected n={code.params.n}")
@@ -215,18 +213,18 @@ def random_codewords(code: LrcCode, count: int, seed: int = 0) -> np.ndarray:
 class LocalityReport:
     """Per-coordinate, per-set verdicts of the determination property."""
 
-    set_checks: list[tuple[bool, bool]] = dc_field(default_factory=list)
+    set_checks: list[tuple[bool, ...]] = dc_field(default_factory=list)
     failures: list[str] = dc_field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return all(a and b for a, b in self.set_checks)
+        return all(map(all, self.set_checks))
 
 
 def verify_definition1(code: LrcCode, proven: np.ndarray | None = None) -> LocalityReport:
-    """Check that each coordinate is determined by each of its two sets.
+    """Check that each coordinate is determined by each of its sets.
 
-    ``proven`` is an optional (2, n) mask of (set, coordinate) pairs already
+    ``proven`` is an optional (t, n) mask of (set, coordinate) pairs already
     proven local (``verify_code`` passes those its round trip rebuilds
     exactly); the rank test runs only on the others.  Without it every pair
     gets the rank test and no repair plan is built.  Only coordinates with a
@@ -235,8 +233,8 @@ def verify_definition1(code: LrcCode, proven: np.ndarray | None = None) -> Local
     fld = code.field
     g = code.generator_matrix
     n = code.params.n
-    proven = np.zeros((2, n), dtype=bool) if proven is None else proven
-    report = LocalityReport(set_checks=[(True, True)] * n)
+    proven = np.zeros((len(code.recovery_sets), n), dtype=bool) if proven is None else proven
+    report = LocalityReport(set_checks=[(True,) * len(proven)] * n)
     for i in np.flatnonzero(~proven.all(axis=0)).tolist():
         report.set_checks[i] = verdicts = tuple(
             bool(proven[s, i]) or gflinalg.in_span(fld, g[:, sets[i]].T, g[:, i])
@@ -247,7 +245,7 @@ def verify_definition1(code: LrcCode, proven: np.ndarray | None = None) -> Local
 
 
 def repair_roundtrip_wrong(code: LrcCode, codewords: np.ndarray) -> np.ndarray:
-    """(2, B, n) mask of wrong rebuilds: [s, b, i] is True when repairing
+    """(t, B, n) mask of wrong rebuilds: [s, b, i] is True when repairing
     coordinate i of word b through set s + 1 does not give back its symbol.
 
     Per set, every coordinate of every codeword is rebuilt at once, in
@@ -262,7 +260,7 @@ def repair_roundtrip_wrong(code: LrcCode, codewords: np.ndarray) -> np.ndarray:
     n = code.params.n
     if words.shape[1] != n:
         raise ValueError(f"words have {words.shape[1]} symbols, expected n={n}")
-    wrong = np.empty((2, *words.shape), dtype=bool)
+    wrong = np.empty((len(code.recovery_sets), *words.shape), dtype=bool)
     for s, (sets, plan) in enumerate(zip(code.recovery_sets, code.repair_plan)):
         rebuilt = np.zeros(words.shape, dtype=fld.dtype)
         for h, col in enumerate(sets.T):
@@ -318,7 +316,7 @@ class VerificationReport:
 
     ok: bool
     locality_passed: bool
-    locality_checks: list[tuple[bool, bool]]
+    locality_checks: list[tuple[bool, ...]]
     repair_mismatches: int
     distance: int | None
     d_designed: int

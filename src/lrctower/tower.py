@@ -50,21 +50,14 @@ class TowerSpec:
                 f"{self.variant} supports 1 <= m <= {_DEPTH_CAP[self.variant]}, got {self.m}"
             )
 
-    @property
-    def ell(self) -> int:
-        return self.field.ell
-
-    @property
-    def q(self) -> int:
-        return self.field.q
-
     def pole_weights(self) -> tuple[int, ...]:
         """Pole-divisor degree of each generator as a function on the tower."""
+        ell = self.field.ell
         if self.variant == GS96:
-            return (self.ell ** (self.m - 1),) * self.m
+            return (ell ** (self.m - 1),) * self.m
         if self.m == 1:
             return (1,)
-        return (self.ell, self.ell + 1)
+        return (ell, ell + 1)
 
     def places(self) -> np.ndarray:
         """All completely-splitting places as one read-only (n, m) int64
@@ -122,7 +115,7 @@ def check_place(spec: TowerSpec, coords) -> tuple[bool, str]:
     The tuple's prefix at each level i is looked up by key among the
     i-column prefixes of ``spec.places()``; the first level whose prefix is
     absent names the failure."""
-    q = spec.q
+    q = spec.field.q
     coords = tuple(int(c) for c in coords)
     if len(coords) != spec.m:
         return False, f"expected {spec.m} coordinates, got {len(coords)}"
@@ -140,7 +133,7 @@ def check_place(spec: TowerSpec, coords) -> tuple[bool, str]:
 
 def genus(spec: TowerSpec) -> int:
     """Genus of the level-m function field."""
-    ell, m = spec.ell, spec.m
+    ell, m = spec.field.ell, spec.m
     if spec.variant == GS95:
         return 0 if m == 1 else ell * (ell - 1) // 2
     if m % 2 == 0:

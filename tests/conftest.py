@@ -114,7 +114,7 @@ def golden_code(gf9):
     spec = TowerSpec("gs96", gf9, 1)
     h1 = build_recovery_group(spec, "additive", shifts="kernel")
     h2 = build_recovery_group(spec, "multiplicative", order=2)
-    return construct_lrc(spec, h1, h2, 2)
+    return construct_lrc(spec, (h1, h2), 2)
 
 
 @pytest.fixture(scope="session")
@@ -123,7 +123,7 @@ def tower_code(gf9):
     spec = TowerSpec("gs96", gf9, 2)
     h1 = build_recovery_group(spec, "additive", shifts="kernel")
     h2 = build_recovery_group(spec, "multiplicative", order=2)
-    return construct_lrc(spec, h1, h2, 6)
+    return construct_lrc(spec, (h1, h2), 6)
 
 
 @pytest.fixture(scope="session")
@@ -132,4 +132,4 @@ def hermitian_code(gf25):
     spec = TowerSpec("gs95", gf25, 2)
     h1 = build_recovery_group(spec, "multiplicative", order=2)
     h2 = build_recovery_group(spec, "multiplicative", order=3)
-    return construct_lrc(spec, h1, h2, 100)
+    return construct_lrc(spec, (h1, h2), 100)

@@ -40,7 +40,7 @@ def _report(cid: str, ok: bool, detail: str = ""):
 
 def _mixed_pair(spec):
     return (build_recovery_group(spec, "additive", shifts="kernel"),
-            build_recovery_group(spec, "multiplicative", order={3: 2, 4: 3, 5: 4}[spec.ell]))
+            build_recovery_group(spec, "multiplicative", order={3: 2, 4: 3, 5: 4}[spec.field.ell]))
 
 
 def test_c1_golden_rational_code():
@@ -48,7 +48,7 @@ def test_c1_golden_rational_code():
     f9 = FiniteField(3, 2)
     spec = TowerSpec("gs96", f9, 1)
     h1, h2 = _mixed_pair(spec)
-    code = construct_lrc(spec, h1, h2, 2)
+    code = construct_lrc(spec, (h1, h2), 2)
     d = brute_force_distance(code)
     loc = verify_definition1(code)
     elapsed = time.perf_counter() - t0
@@ -56,7 +56,7 @@ def test_c1_golden_rational_code():
         code.params.n == 6
         and code.params.k == 2
         and d == 4
-        and (code.params.r1, code.params.r2) == (2, 1)
+        and code.params.r == (2, 1)
         and loc.passed
         and all(len(s1) and len(s2) and not set(s1) & set(s2)
                 for s1, s2 in zip(*(sets.tolist() for sets in code.recovery_sets)))
@@ -71,7 +71,7 @@ def test_c2_tower_level_code():
     f9 = FiniteField(3, 2)
     spec = TowerSpec("gs96", f9, 2)
     h1, h2 = _mixed_pair(spec)
-    code = construct_lrc(spec, h1, h2, 6)
+    code = construct_lrc(spec, (h1, h2), 6)
     d = brute_force_distance(code)
     words = all_codewords(code)  # 9^k <= 10^4: every codeword
     mismatches = repair_roundtrip_counts(code, words)
@@ -97,7 +97,7 @@ def test_c3_hermitian_code(hermitian_code):
     d = report.distance
     ok = (
         code.params.n == 120
-        and (code.params.r1, code.params.r2) == (1, 2)
+        and code.params.r == (1, 2)
         and report.locality_passed
         and report.repair_mismatches == 0
         and code.dims.budget == code.params.n - code.params.d_designed

@@ -104,7 +104,7 @@ def test_constructed_code_respects_upper_bounds(golden_code):
 
     d = brute_force_distance(golden_code)
     n, k = golden_code.params.n, golden_code.params.k
-    r1, r2 = golden_code.params.r1, golden_code.params.r2
+    r1, r2 = golden_code.params.r
     closed = bound_formulas(n, k, [r1, r2])
     assert d <= closed["singleton"]
     assert d <= closed["tb"]

@@ -20,7 +20,6 @@ from lrctower.descriptor import (
     FIELDS,
     code_from_descriptor,
     code_to_descriptor,
-    descriptor_bytes,
     json_text,
     load_code,
 )
@@ -54,7 +53,7 @@ def test_construct_is_byte_deterministic(tmp_path):
 
 def test_descriptor_round_trip_no_shared_state(tmp_path, golden_code):
     out = tmp_path / "c.json"
-    out.write_bytes(descriptor_bytes(code_to_descriptor(golden_code)))
+    out.write_bytes(json_text(code_to_descriptor(golden_code)).encode())
     loaded = load_code(out)
     assert loaded.params == golden_code.params
     assert (loaded.generator_matrix == golden_code.generator_matrix).all()
@@ -174,7 +173,7 @@ def test_json_text_writes_what_json_dumps_writes(name, tmp_path, capsys):
     args, _ = DESCRIPTOR_PINS[name]
     out, report = tmp_path / f"{name}.json", tmp_path / "report.json"
     assert main(["construct", *args, "--out", str(out)]) == 0
-    assert descriptor_bytes(code_to_descriptor(load_code(out))) == out.read_bytes()
+    assert json_text(code_to_descriptor(load_code(out))).encode() == out.read_bytes()
     files = [out]
     if name == "golden":
         assert main(["verify", "--in", str(out), "--report", str(report)]) == 0
@@ -357,7 +356,7 @@ def test_construct_refuses_multiplicative_first_y_tower_pair(tmp_path, capsys, g
     spec = TowerSpec("gs96", gf9, 1)
     mul, add = parse_group_spec(spec, "mul:2"), parse_group_spec(spec, "add:kernel")
     with pytest.raises(NotASubgroup, match="H2 does not normalize H1"):
-        construct_lrc(spec, mul, add, 2)
+        construct_lrc(spec, (mul, add), 2)
 
 
 def test_construct_refuses_mixed_xz_tower_pair(tmp_path, capsys):
@@ -715,11 +714,11 @@ def test_verify_rejects_bad_descriptor_entry(tmp_path, capsys, golden_code, path
 
 def test_descriptor_seed_is_unread(golden_code):
     """``seed`` records the construct run: the loader takes any value, or none."""
-    want = descriptor_bytes(code_to_descriptor(golden_code))
+    want = json_text(code_to_descriptor(golden_code)).encode()
     for seed in ("x", DELETE):
         desc = code_to_descriptor(golden_code)
         _edit(desc, "seed", seed)
-        assert descriptor_bytes(code_to_descriptor(code_from_descriptor(desc))) == want
+        assert json_text(code_to_descriptor(code_from_descriptor(desc))).encode() == want
 
 
 @pytest.mark.parametrize("edits, message", [
@@ -788,11 +787,11 @@ def test_descriptor_round_trip_is_byte_exact(data):
     h1, h2 = parse_group_spec(spec, g1), parse_group_spec(spec, g2)
     distance, seed = data.draw(st.integers(1, len(spec.places()))), data.draw(st.integers(0, 99))
     try:
-        code = construct_lrc(spec, h1, h2, distance)
+        code = construct_lrc(spec, (h1, h2), distance)
     except LrcError:  # the budget cannot host the groups, or the code is empty
         assume(False)
-    blob = descriptor_bytes(code_to_descriptor(code, seed))
-    assert descriptor_bytes(code_to_descriptor(code_from_descriptor(json.loads(blob)), seed)) == blob
+    blob = json_text(code_to_descriptor(code, seed)).encode()
+    assert json_text(code_to_descriptor(code_from_descriptor(json.loads(blob)), seed)).encode() == blob
 
 
 def test_descriptor_reports_dims_before_params(tmp_path, capsys, golden_code):

@@ -481,7 +481,7 @@ def test_construct_reduces_to_rref_only_e_and_the_intersection_tail(fixture, req
 
     monkeypatch.setattr(gflinalg, "rref", counted)
     monkeypatch.setattr(gflinalg, "matmul", forbidden)
-    rebuilt = construct_lrc(code.spec, code.group1, code.group2, code.d_designed)
+    rebuilt = construct_lrc(code.spec, code.groups, code.d_designed)
     assert (rebuilt.generator_matrix == code.generator_matrix).all()
     assert shapes == [(code.params.k, code.params.n)]
 
@@ -509,7 +509,7 @@ def _check_split_against_full_width(spec, groups, budget, blocks, rows):
     dim_v1, dim_v2, dim_sum = _full_width_dims(spec, groups, budget, rows)[0]
     assert score == dim_v1 + dim_v2 - dim_sum
     assert bounds.sum() >= score
-    ranks = [sum(gflinalg.rank(fld, entry[g]) for entry in per_char) for g in (1, 2)]
+    ranks = [sum(gflinalg.rank(fld, raws[g]) for _, raws, _ in per_char) for g in (0, 1)]
     assert ranks == [dim_v1, dim_v2]
     return per_char
 
@@ -522,8 +522,8 @@ def test_projected_split_dims_equal_full_width_ranks(fixture, request):
     place and of their stack, under its per-character bound."""
     code = request.getfixturevalue(fixture)
     spec, budget = code.spec, code.dims.budget
-    groups = (code.group1, code.group2)
-    splits, blocks = _split_rows(*groups, budget)
+    groups = code.groups
+    splits, blocks = _split_rows(groups, budget)
     assert [caps for caps, _ in splits] == _cap_profiles(spec, budget)
     for caps, rows in splits:
         for h, r in zip(groups, rows):
@@ -546,12 +546,12 @@ def test_construct_refuses_groups_of_another_spec(gf9, monkeypatch, spec_m, grou
 
     monkeypatch.setattr(construct, "spanning_set", forbidden)
     with pytest.raises(VariantMismatch) as err:
-        construct_lrc(spec, h1, h2, d)
+        construct_lrc(spec, (h1, h2), d)
     assert repr(spec) in str(err.value) and repr(other) in str(err.value)
     n = len(spec.places())
     with pytest.raises(VariantMismatch, match="recovery group built on"):
-        construct.LrcCode(spec=spec, group1=h1, group2=h2, generator_matrix=np.ones((1, n), dtype=np.int64),
-                          d_designed=n, dims=CodeDims(1, 1, 1, 0, None))
+        construct.LrcCode(spec=spec, groups=(h1, h2), generator_matrix=np.ones((1, n), dtype=np.int64),
+                          d_designed=n, dims=CodeDims((1, 1), 1, 0, None))
 
 
 def test_spanning_set_runs_once_per_group(tower_code, monkeypatch):
@@ -565,7 +565,7 @@ def test_spanning_set_runs_once_per_group(tower_code, monkeypatch):
         return spanning_set(*args, **kwargs)
 
     monkeypatch.setattr(construct, "spanning_set", counted)
-    rebuilt = construct_lrc(code.spec, code.group1, code.group2, code.params.d_designed)
+    rebuilt = construct_lrc(code.spec, code.groups, code.params.d_designed)
     assert len(seen) == 2
     assert rebuilt.dims == code.dims and (rebuilt.generator_matrix == code.generator_matrix).all()
 
@@ -578,7 +578,7 @@ def test_cap_profile_choice_matches_per_profile_zassenhaus(tower_code):
 
     def matrices(caps):
         return [evaluation_matrix(_capped(h, budget, caps), spec.places(), fld, h)
-                for h in (tower_code.group1, tower_code.group2)]
+                for h in tower_code.groups]
 
     profiles = _cap_profiles(spec, budget)
     sizes = [_doubled_block_intersection(fld, *matrices(caps)).shape[0] for caps in profiles]
@@ -588,7 +588,7 @@ def test_cap_profile_choice_matches_per_profile_zassenhaus(tower_code):
     assert (tower_code.generator_matrix == _doubled_block_intersection(fld, m1, m2)).all()
     d = tower_code.dims
     ranks = (gflinalg.rank(fld, m1), gflinalg.rank(fld, m2), gflinalg.rank(fld, np.vstack([m1, m2])))
-    assert (d.dim_v1, d.dim_v2, d.dim_sum) == ranks == (8, 4, 8)
+    assert (*d.dim_v, d.dim_sum) == ranks == (8, 4, 8)
     assert tower_code.params.k == max(sizes) == 4
 
 
@@ -598,7 +598,7 @@ def _kernel_scalar_pair(p, e, m):
     spec = TowerSpec("gs96", FiniteField(p, e), m)
     return (spec,
             build_recovery_group(spec, "additive", shifts="kernel"),
-            build_recovery_group(spec, "multiplicative", order=spec.ell - 1))
+            build_recovery_group(spec, "multiplicative", order=spec.field.ell - 1))
 
 
 def _exhaustive_choice(spec, h1, h2, d_target):
@@ -608,20 +608,20 @@ def _exhaustive_choice(spec, h1, h2, d_target):
     Reads the splits through the module, so a patched ``_split_rows`` applies
     here too."""
     budget = len(spec.places()) - d_target
-    splits, _ = construct._split_rows(h1, h2, budget)
+    splits, _ = construct._split_rows((h1, h2), budget)
     scored = []
     for caps, rows in splits:
         dims, mats = _full_width_dims(spec, (h1, h2), budget, rows)
         scored.append((dims[0] + dims[1] - dims[2], caps, mats, dims))
     _, caps, mats, dims = max(scored, key=lambda s: s[0])  # max keeps the first maximum
-    return CodeDims(*dims, budget=budget, caps=caps), _doubled_block_intersection(spec.field, *mats)
+    return CodeDims(dims[:2], dims[2], budget=budget, caps=caps), _doubled_block_intersection(spec.field, *mats)
 
 
 @pytest.mark.parametrize("p, e, m, d", [(3, 2, 2, 6), (2, 4, 2, 20), (5, 2, 2, 40), (2, 4, 3, 77)],
                          ids=["ytower18", "l4-m2-d20", "l5-m2-d40", "l4-m3-d77"])
 def test_pruned_choice_matches_exhaustive_scoring(p, e, m, d):
     spec, h1, h2 = _kernel_scalar_pair(p, e, m)
-    code = construct_lrc(spec, h1, h2, d)
+    code = construct_lrc(spec, (h1, h2), d)
     dims, gen = _exhaustive_choice(spec, h1, h2, d)
     assert code.dims == dims
     assert code.generator_matrix.shape == gen.shape and (code.generator_matrix == gen).all()
@@ -643,7 +643,7 @@ def test_equal_scores_go_to_the_lower_index(monkeypatch, layout):
         return [splits[0], ("first", rows), ("second", later)], evals
 
     monkeypatch.setattr(construct, "_split_rows", tied)
-    code = construct_lrc(spec, h1, h2, 6)
+    code = construct_lrc(spec, (h1, h2), 6)
     dims, gen = _exhaustive_choice(spec, h1, h2, 6)
     assert code.dims.caps == dims.caps == "first" and code.params.k == 4
     assert code.dims == dims and (code.generator_matrix == gen).all()
@@ -680,7 +680,7 @@ def test_a_split_that_cannot_win_stops_after_one_character(monkeypatch):
     monkeypatch.setattr(construct, "_split_rows", with_decoy)
     monkeypatch.setattr(construct, "_split_intersection", tracked)
     monkeypatch.setattr(gflinalg, "zassenhaus", counted)
-    code = construct_lrc(spec, h1, h2, 20)
+    code = construct_lrc(spec, (h1, h2), 20)
     visits = [next(i for i, (rows, *_) in enumerate(scored) if rows is made[name]) for name in ("winner", "decoy")]
     assert visits[0] < visits[1]
     _, bound, zassenhaus_calls, result = scored[visits[1]]
@@ -705,7 +705,7 @@ def test_bound_pruning_scores_few_splits(monkeypatch, p, e, m, d, profiles, scor
         return _split_intersection(*args)
 
     monkeypatch.setattr(construct, "_split_intersection", counted)
-    code = construct_lrc(spec, h1, h2, d)
+    code = construct_lrc(spec, (h1, h2), d)
     assert len(_cap_profiles(spec, code.dims.budget)) == profiles
     assert len(calls) == scored
 
@@ -743,7 +743,7 @@ def test_representatives_are_one_place_per_orbit(name):
     representatives, each the least place of its orbit."""
     spec, h1, h2 = _character_case(name)
     n, u = len(spec.places()), CHARACTER_CASES[name][-1]
-    _, blocks = _split_rows(h1, h2, 0)
+    _, blocks = _split_rows((h1, h2), 0)
     assert blocks.columns.shape == (u, n // u) and len(blocks.scalars) == u
     assert sorted(blocks.columns.ravel().tolist()) == list(range(n))
     assert blocks.scalars[0] == 1 and (np.diff(blocks.columns[0]) > 0).all()
@@ -758,7 +758,7 @@ def test_additive_pair_is_one_block_of_every_place(name):
     full-width one."""
     spec, h1, h2 = _character_case(name)
     n = len(spec.places())
-    splits, blocks = _split_rows(h1, h2, n // 2)
+    splits, blocks = _split_rows((h1, h2), n // 2)
     assert blocks.scalars.tolist() == [1] and blocks.columns.tolist() == [list(range(n))]
     assert not any(c.any() for c in blocks.chars)
     for _, rows in splits:
@@ -776,8 +776,8 @@ def test_character_dims_sum_to_full_width_ranks(data):
     name = data.draw(st.sampled_from(sorted(CHARACTER_CASES)), label="case")
     spec, h1, h2 = _character_case(name)
     n = len(spec.places())
-    budget = data.draw(st.integers(0, DIGIT_LOOP_BUDGET if spec.q > 1024 else n), label="budget")
-    splits, blocks = _split_rows(h1, h2, budget)
+    budget = data.draw(st.integers(0, DIGIT_LOOP_BUDGET if spec.field.q > 1024 else n), label="budget")
+    splits, blocks = _split_rows((h1, h2), budget)
     for _, rows in splits:
         _check_split_against_full_width(spec, (h1, h2), budget, blocks, rows)
 
@@ -789,7 +789,7 @@ def test_digit_loop_generator_matches_full_width_reference():
     spec, h1, h2 = _character_case("gs96-l37-m1")
     assert spec.field.mul_table is None  # the digit-loop path
     d = len(spec.places()) - DIGIT_LOOP_BUDGET
-    code = construct_lrc(spec, h1, h2, d)
+    code = construct_lrc(spec, (h1, h2), d)
     dims, gen = _exhaustive_choice(spec, h1, h2, d)
     assert code.dims == dims and code.params.k == 59
     assert code.generator_matrix.tolist() == gen.tolist()
@@ -811,31 +811,31 @@ def test_golden_intersection_matches_coefficient_model(gf9, golden_code):
 
 def test_golden_code_parameters(gf9, golden_code):
     p = golden_code.params
-    assert (p.n, p.k, p.d_designed, p.r1, p.r2) == (6, 2, 2, 2, 1)
+    assert (p.n, p.k, p.d_designed, *p.r) == (6, 2, 2, 2, 1)
     d = golden_code.dims
-    assert (d.dim_v1, d.dim_v2, d.dim_sum, d.budget) == (4, 3, 5, 4)
-    assert p.k == d.dim_v1 + d.dim_v2 - d.dim_sum
+    assert (*d.dim_v, d.dim_sum, d.budget) == (4, 3, 5, 4)
+    assert p.k == sum(d.dim_v) - d.dim_sum
 
 
 def test_tower_code_parameters(tower_code):
     p = tower_code.params
-    assert p.n == 18 and p.k == 4 and (p.r1, p.r2) == (2, 1)
+    assert p.n == 18 and p.k == 4 and p.r == (2, 1)
     assert tower_code.dims.caps is not None
     assert sum(tower_code.dims.caps) * 3 <= tower_code.dims.budget
 
 
 def test_hermitian_code_parameters(hermitian_code):
     p = hermitian_code.params
-    assert p.n == 120 and p.k == 5 and (p.r1, p.r2) == (1, 2)
+    assert p.n == 120 and p.k == 5 and p.r == (1, 2)
     d = hermitian_code.dims
-    assert p.k == d.dim_v1 + d.dim_v2 - d.dim_sum == 7 + 9 - 11
+    assert p.k == sum(d.dim_v) - d.dim_sum == 7 + 9 - 11
 
 
 def test_generator_rows_live_in_both_spaces(golden_code, tower_code):
     for code in (golden_code, tower_code):
         fld = code.field
-        for h, caps in ((code.group1, code.dims.caps), (code.group2, code.dims.caps)):
-            v = _capped(h, code.dims.budget, caps)
+        for h in code.groups:
+            v = _capped(h, code.dims.budget, code.dims.caps)
             mat = evaluation_matrix(v, code.spec.places(), fld, h)
             for row in code.generator_matrix:
                 assert gflinalg.in_span(fld, mat, row)
@@ -881,7 +881,7 @@ def _regime_codes():
             n = len(spec.places())
             for d in range(n // 2, 0, -1):
                 try:
-                    codes[row] = construct_lrc(spec, g1, g2, d)
+                    codes[row] = construct_lrc(spec, (g1, g2), d)
                     break
                 except LrcError:
                     continue
@@ -896,9 +896,9 @@ def _assert_orbit_geometry(code):
     n = code.params.n
     own = np.arange(n)[:, None]
     sets1, sets2 = code.recovery_sets
-    assert sets1.shape == (n, code.params.r1) and sets2.shape == (n, code.params.r2)
+    assert (sets1.shape, sets2.shape) == ((n, code.params.r[0]), (n, code.params.r[1]))
     assert not (sets1[:, :, None] == sets2[:, None, :]).any()
-    for sets, g in zip(code.recovery_sets, (code.group1, code.group2)):
+    for sets, g in zip(code.recovery_sets, code.groups):
         assert sets.dtype == np.intp and ((0 <= sets) & (sets < n)).all()
         assert not (sets == own).any()
         nodes = np.sort(code.spec.places()[np.hstack([sets, own]), g.w_index], axis=1)
@@ -926,7 +926,7 @@ def test_recovery_set_geometry(golden_code, tower_code):
     codes = [*codes.values(), golden_code, tower_code]
     for variant, ell, m, flag1, flag2, d in _GEOMETRY_FLAGS:
         spec = TowerSpec(variant, _field_for_ell(ell), m)
-        codes.append(construct_lrc(spec, parse_group_spec(spec, flag1), parse_group_spec(spec, flag2), d))
+        codes.append(construct_lrc(spec, (parse_group_spec(spec, flag1), parse_group_spec(spec, flag2)), d))
     for code in codes:
         _assert_orbit_geometry(code)
 
@@ -956,15 +956,35 @@ def test_every_codeword_meets_designed_distance(golden_code, tower_code):
 def test_construct_errors(gf9):
     spec, h1, h2 = _groups_m1(gf9)
     with pytest.raises(ValueError):
-        construct_lrc(spec, h1, h2, 0)
+        construct_lrc(spec, (h1, h2), 0)
     with pytest.raises(ValueError):
-        construct_lrc(spec, h1, h2, 7)
+        construct_lrc(spec, (h1, h2), 7)
     # d = n leaves budget 0 < (r1 - 1) * pole degree of w
     with pytest.raises(BudgetTooSmall):
-        construct_lrc(spec, h1, h2, 6)
+        construct_lrc(spec, (h1, h2), 6)
     trivial = build_recovery_group(spec, "multiplicative", order=1)
     with pytest.raises(IllegalOrder):
-        construct_lrc(spec, h1, trivial, 2)
+        construct_lrc(spec, (h1, trivial), 2)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_construct_and_code_refuse_other_than_two_groups(gf9, golden_code, monkeypatch, count):
+    """t = 2 is one check, ``check_groups``: construct_lrc and LrcCode
+    refuse one group and three groups by name, and construct_lrc does so
+    before any spanning set is enumerated."""
+    spec, h1, h2 = _groups_m1(gf9)
+    groups = (h1, h2, h1)[:count]
+
+    def forbidden(*args):
+        raise AssertionError("construct_lrc started work on a group count other than 2")
+
+    monkeypatch.setattr(construct, "spanning_set", forbidden)
+    message = f"groups must hold 2 entries, got {count}"
+    with pytest.raises(ValueError, match=message):
+        construct_lrc(spec, groups, 2)
+    with pytest.raises(ValueError, match=message):
+        construct.LrcCode(spec=spec, groups=groups, generator_matrix=golden_code.generator_matrix,
+                          d_designed=2, dims=golden_code.dims)
 
 
 def test_full_distance_target_gives_repetition_code(gf16):
@@ -974,7 +994,7 @@ def test_full_distance_target_gives_repetition_code(gf16):
     h1 = build_recovery_group(spec, "additive", shifts=ker[:1])
     h2 = build_recovery_group(spec, "additive", shifts=ker[1:2])
     n = len(spec.places())
-    code = construct_lrc(spec, h1, h2, n)
+    code = construct_lrc(spec, (h1, h2), n)
     assert code.params.k == 1
     from lrctower import brute_force_distance
 
@@ -987,8 +1007,8 @@ def test_xz_tower_additive_pair_code(gf16):
     ker = [a for a in artin_schreier_kernel(gf16) if a]
     h1 = build_recovery_group(spec, "additive", shifts=ker[:1])
     h2 = build_recovery_group(spec, "additive", shifts=ker[1:2])
-    code = construct_lrc(spec, h1, h2, 40)
-    assert code.params.n == 60 and (code.params.r1, code.params.r2) == (1, 1)
+    code = construct_lrc(spec, (h1, h2), 40)
+    assert code.params.n == 60 and code.params.r == (1, 1)
     assert code.params.k >= 2
     from lrctower import verify_code
 
@@ -1023,8 +1043,8 @@ def test_scalar_pair_on_y_tower_gf49():
     from lrctower import combine, verify_code
 
     assert combine(h1, h2) == "direct"
-    code = construct_lrc(spec, h1, h2, 30)
-    assert code.params.n == 42 and (code.params.r1, code.params.r2) == (1, 2)
+    code = construct_lrc(spec, (h1, h2), 30)
+    assert code.params.n == 42 and code.params.r == (1, 2)
     assert code.params.k >= 2
     assert verify_code(code).ok
 
@@ -1033,7 +1053,7 @@ def test_level_three_code(gf9):
     spec = TowerSpec("gs96", gf9, 3)
     h1 = build_recovery_group(spec, "additive", shifts="kernel")
     h2 = build_recovery_group(spec, "multiplicative", order=2)
-    code = construct_lrc(spec, h1, h2, 18)
+    code = construct_lrc(spec, (h1, h2), 18)
     assert code.params.n == 54 and code.params.k >= 2
     assert sum(code.dims.caps) * 9 <= code.dims.budget
     from lrctower import verify_code
@@ -1046,8 +1066,8 @@ def test_mixed_pair_on_y_tower_gf16(gf16):
     spec = TowerSpec("gs96", gf16, 2)
     h1 = build_recovery_group(spec, "additive", shifts="kernel")
     h2 = build_recovery_group(spec, "multiplicative", order=3)
-    code = construct_lrc(spec, h1, h2, 12)
-    assert code.params.n == 48 and (code.params.r1, code.params.r2) == (3, 2)
+    code = construct_lrc(spec, (h1, h2), 12)
+    assert code.params.n == 48 and code.params.r == (3, 2)
     from lrctower import verify_code
 
     assert verify_code(code).ok

@@ -227,7 +227,7 @@ def _canonical_subgroups(spec):
         for gens in itertools.combinations(kernel, size):
             h = build_recovery_group(spec, "additive", shifts=gens)
             groups.setdefault(h.shifts, h)
-    ambient = spec.ell - 1 if spec.variant == "gs96" else spec.ell + 1
+    ambient = spec.field.ell - 1 if spec.variant == "gs96" else spec.field.ell + 1
     return list(groups.values()) + [build_recovery_group(spec, "multiplicative", order=d)
                                     for d in range(1, ambient + 1) if ambient % d == 0]
 
@@ -386,11 +386,11 @@ def test_orbit_table_is_built_once_per_group(monkeypatch, variant, ell, m, kinds
     spec = TowerSpec(variant, FiniteField(ell, 2), m)
     h1, h2 = (build_recovery_group(spec, "additive" if "shifts" in kw else "multiplicative", **kw)
               for kw in kinds)
-    construct_lrc(spec, h1, h2, d)
+    construct_lrc(spec, (h1, h2), d)
     assert calls == [h1, h2]
     assert orbit(h1) is orbit(h1)
     for h in (h1, h2):
         with pytest.raises(ValueError, match="read-only"):
             orbit(h)[0, 0] = 1
-    construct_lrc(spec, h1, h2, d)
+    construct_lrc(spec, (h1, h2), d)
     assert len(calls) == 2

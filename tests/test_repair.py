@@ -256,8 +256,8 @@ def test_repair_duplicate_w_values_detected(golden_code):
     sets1, sets2 = golden_code.recovery_sets
     bad = sets1.copy()
     bad[0] = [2, 2]
-    stand_in = SimpleNamespace(field=golden_code.field, spec=golden_code.spec, group1=golden_code.group1,
-                               group2=golden_code.group2, recovery_sets=(bad, sets2))
+    stand_in = SimpleNamespace(field=golden_code.field, spec=golden_code.spec, groups=golden_code.groups,
+                               recovery_sets=(bad, sets2))
     with pytest.raises(ZeroDivisionError):
         repair_module.build_repair_plan(stand_in)
     stand_in.recovery_sets = (sets1, sets2)
@@ -269,7 +269,7 @@ def oracle_weights(code, i, s):
     """The scalar Lagrange loop: set s's indices for coordinate i and the
     weights lambda_h with c_i = sum_h lambda_h c_h."""
     fld = code.field
-    widx = (code.group1, code.group2)[s - 1].w_index
+    widx = code.groups[s - 1].w_index
     idx = code.recovery_sets[s - 1][i].tolist()
     ws = code.spec.places()[:, widx].tolist()
     xs = [ws[h] for h in idx]
@@ -287,7 +287,7 @@ def oracle_weights(code, i, s):
 def _assert_plan_matches_oracle(code):
     n = code.params.n
     for s, plan in zip((1, 2), code.repair_plan):
-        r = (code.params.r1, code.params.r2)[s - 1]
+        r = code.params.r[s - 1]
         assert plan.index is code.recovery_sets[s - 1]  # the plan reads the set array itself
         assert plan.index.shape == plan.weights.shape == (n, r)
         assert plan.index.dtype == np.intp and plan.weights.dtype == code.field.dtype
@@ -348,6 +348,17 @@ def test_repair_rejects_out_of_range_coord(golden_code):
     for i in (-1, 6):
         with pytest.raises(ValueError, match=f"coordinate {i} out of range for n=6"):
             repair(golden_code, ErasurePattern(zero, i, 1))
+
+
+def test_repair_refuses_set_choice_outside_range(golden_code):
+    """The golden code has two recovery sets: ``repair`` refuses set 0 and
+    set 3 with a ValueError naming the range [1, 2]; the pattern itself
+    is made, as it does not know the code."""
+    word = tuple(int(x) for x in golden_code.encode([1, 2]))
+    for s in (0, 3):
+        pattern = ErasurePattern(word, 0, s)
+        with pytest.raises(ValueError, match=re.escape(f"set_choice {s} is outside [1, 2]")):
+            repair(golden_code, pattern)
 
 
 def test_repair_rejects_bad_words(golden_code, tower_code):
@@ -422,7 +433,7 @@ def test_repair_reads_only_terms_and_table_views(golden_code, hermitian_code):
         for name in ("add_table", "mul_table", "exp_table", "log_table", "neg_table",
                      "_add_flat", "_mul_flat"):
             setattr(fld, name, None)
-        bare = SimpleNamespace(field=fld, params=code.params,
+        bare = SimpleNamespace(field=fld, params=code.params, recovery_sets=code.recovery_sets,
                                repair_plan=[SimpleNamespace(terms=plan.terms) for plan in code.repair_plan])
         for row in random_codewords(code, 3, seed=5):
             word = tuple(int(x) for x in row)
@@ -462,12 +473,12 @@ def test_definition1_repetition_code(golden_code):
     # repetition code on golden's 6 places and derived layout: every
     # coordinate is recoverable from any other, so from either of its sets
     code = LrcCode(
-        spec=golden_code.spec, group1=golden_code.group1, group2=golden_code.group2,
+        spec=golden_code.spec, groups=golden_code.groups,
         generator_matrix=np.ones((1, 6), dtype=np.int64),
         d_designed=6,
-        dims=CodeDims(1, 1, 1, 0, None),
+        dims=CodeDims((1, 1), 1, 0, None),
     )
-    assert code.params == CodeParams(n=6, k=1, d_designed=6, r1=2, r2=1)
+    assert code.params == CodeParams(n=6, k=1, d_designed=6, r=(2, 1))
     assert all((a == b).all() for a, b in zip(code.recovery_sets, golden_code.recovery_sets))
     assert verify_definition1(code).passed
     assert verify_code(code).ok
@@ -531,16 +542,16 @@ def test_dimension_report_golden(golden_code):
     # the code's dimension accounting, with the rational-level (m = 1) bound
     # k >= dim V1 + dim V2 - (budget + 1)
     d, k = golden_code.dims, golden_code.params.k
-    assert (d.dim_v1, d.dim_v2, d.dim_sum, d.budget, k) == (4, 3, 5, 4, 2)
-    assert k == d.dim_v1 + d.dim_v2 - d.dim_sum
-    assert k >= d.dim_v1 + d.dim_v2 - (d.budget + 1) == 2
-    assert k <= min(d.dim_v1, d.dim_v2)
+    assert (*d.dim_v, d.dim_sum, d.budget, k) == (4, 3, 5, 4, 2)
+    assert k == sum(d.dim_v) - d.dim_sum
+    assert k >= sum(d.dim_v) - (d.budget + 1) == 2
+    assert k <= min(d.dim_v)
 
 
 def test_dimension_report_tower(tower_code):
     d, k = tower_code.dims, tower_code.params.k
-    assert k == d.dim_v1 + d.dim_v2 - d.dim_sum
-    assert k <= min(d.dim_v1, d.dim_v2)
+    assert k == sum(d.dim_v) - d.dim_sum
+    assert k <= min(d.dim_v)
 
 
 def test_verify_code_reports(golden_code, tower_code):
@@ -646,7 +657,7 @@ def test_generator_rows_see_what_codewords_see(fixture, fault, request):
 def _oracle_sets(code, s):
     """Set s + 1 of every coordinate, one place at a time: column i of the
     group's orbit table, less i, in element order."""
-    table = orbit((code.group1, code.group2)[s]).tolist()
+    table = orbit(code.groups[s]).tolist()
     return [[row[i] for row in table if row[i] != i] for i in range(code.params.n)]
 
 
@@ -722,8 +733,8 @@ def test_locality_certificate_allocates_no_n_by_n_mask():
     # peaked at about 2 n^2 bytes; the certificate and the locality check
     # that reads it now stay far below
     spec = TowerSpec("gs96", FiniteField(5, 2), 3)
-    code = construct_lrc(spec, build_recovery_group(spec, "additive", shifts="kernel"),
-                         build_recovery_group(spec, "multiplicative", order=4), 250)
+    code = construct_lrc(spec, (build_recovery_group(spec, "additive", shifts="kernel"),
+                                build_recovery_group(spec, "multiplicative", order=4)), 250)
     row_wrong = repair_roundtrip_wrong(code, code.generator_matrix)  # builds the plan and the arrays
     n = code.params.n
     tracemalloc.start()

@@ -26,7 +26,7 @@ def _scalar_check_place(spec, coords):
     Artin-Schreier kernel, x_1 nonzero); level i > 1 tests a_i^l + a_i
     against y_{i-1}^l / (y_{i-1}^(l-1) + 1) on the y-tower and x_1^(l+1) on
     the xz-tower, which is exact to its Hermitian level."""
-    f, ell = spec.field, spec.ell
+    f, ell = spec.field, spec.field.ell
     trace = [f.add(f.pow(a, ell), a) for a in coords]
     if spec.variant == "gs96":
         for i in range(spec.m):
@@ -133,7 +133,7 @@ def test_check_place_matches_scalar_oracle_on_the_whole_box(variant, pk, m):
     message; the one difference is a y-tower coordinate in the kernel above
     level 1, which check_place names as that level's recursion failing."""
     spec = TowerSpec(variant, FiniteField(*pk), m)
-    box = list(itertools.product(range(spec.q), repeat=m))
+    box = list(itertools.product(range(spec.field.q), repeat=m))
     oracle = [_scalar_check_place(spec, coords) for coords in box]
     assert [list(c) for c, (ok, _) in zip(box, oracle) if ok] == spec.places().tolist()
     for coords, (ok, why) in zip(box, oracle):
