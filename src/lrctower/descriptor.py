@@ -178,13 +178,18 @@ def _recovery_entries(code: LrcCode) -> list[dict]:
 
 
 def _recovery(desc, code: LrcCode) -> None:
-    """Refuse ``recovery_sets`` unless it is ``code``'s own layout, entry by
-    entry, with every value an int (JSON true and 1.0 equal 1 in Python);
-    else name the first entry that differs, or the count."""
-    raw, want, keys = _read(desc, "recovery_sets"), _recovery_entries(code), _by_s("set", code.recovery_sets)
-    if raw == want and ({type(e["coord"]) for e in raw}
-                        | set(map(type, chain.from_iterable(e[key] for e in raw for key in keys)))) <= {int}:
+    """Refuse ``recovery_sets`` unless it is ``code``'s own layout, compared
+    with the set arrays key by key over the entries, with every value an int
+    (JSON true and 1.0 equal 1 in Python); else name the first entry that
+    differs, or the count.  The entries as dicts are built only to name it."""
+    raw, keys = _read(desc, "recovery_sets"), _by_s("set", code.recovery_sets)
+    cols = {"coord": list(range(code.params.n)), **{key: sets.tolist() for key, sets in keys.items()}}
+    if (all(isinstance(e, dict) and len(e) == len(cols) for e in raw)
+            and all([e.get(key) for e in raw] == col for key, col in cols.items())
+            and ({type(e["coord"]) for e in raw}
+                 | set(map(type, chain.from_iterable(e[key] for e in raw for key in keys)))) <= {int}):
         return
+    want = _recovery_entries(code)
     for e, entry in enumerate(want[:len(raw)]):
         path = f"recovery_sets[{e}]"
         _known(_read(desc, path, dict), path, entry)

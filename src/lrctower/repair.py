@@ -25,9 +25,12 @@ Nothing here checks an arbitrary layout; the loader refuses any other.
 ``repair`` serves one degraded read, so it runs on Python ints throughout:
 ``RepairPlan.terms`` holds each coordinate's (index, weight) pairs of
 nonzero weight, made from the arrays on the first single-symbol repair (so
-``verify_code`` never pays for them), and the sum of products uses the
-scalar field ops, which read the field's tables through memoryviews.  No
-numpy scalar is formed unless the caller's word is itself a numpy array.
+``verify_code`` never pays for them).  For q <= TABLE_CAP each term of the
+sum is one inline lookup, ``add[out, mul[l, c]]``, in the field's 2-D table
+memoryviews, with no field method called; above TABLE_CAP the sum runs on
+the scalar field ops.  No numpy scalar is formed unless the caller's word is
+itself a numpy array.  A set choice or coordinate that is not an integer is
+refused by name, never used as an index or read as 0 or 1.
 
 ``verify_code`` checks repair once, on the k generator rows: a rebuild is
 linear in the word, so a round trip exact on every row is exact on every
@@ -78,8 +81,17 @@ class ErasurePattern:
     set_choice: int  # s in [1, t]
 
 
+def _check_integer(name: str, x) -> None:
+    """Refuse ``x`` unless it is a Python int other than bool, or a numpy
+    integer, with a ValueError naming it."""
+    if type(x) is not int and not isinstance(x, np.integer):
+        raise ValueError(f"{name} {x!r} is not an integer")
+
+
 def check_coord(code: LrcCode, i: int) -> None:
-    """Reject a coordinate outside [0, n) rather than letting it wrap."""
+    """Reject a coordinate that is not an integer, or is outside [0, n)
+    rather than letting it wrap."""
+    _check_integer("coordinate", i)
     if not 0 <= i < code.params.n:
         raise ValueError(f"coordinate {i} out of range for n={code.params.n}")
 
@@ -134,13 +146,15 @@ def build_repair_plan(code: LrcCode) -> tuple[RepairPlan, ...]:
 def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> int:
     """Recover the erased symbol through the chosen recovery set.
 
-    A set choice outside [1, t], a word whose length is not n, or a symbol
-    on the set that is not an integer (a Python int other than bool, or a
-    numpy integer) in [0, q), raises ValueError naming it; the erased
-    symbol itself is never read.
+    A set choice or coordinate that is not an integer (a Python int other
+    than bool, or a numpy integer), a set choice outside [1, t], a word
+    whose length is not n, or a symbol on the set that is not an integer in
+    [0, q), raises ValueError naming it; the erased symbol itself is never
+    read.
     """
     fld = code.field
     i, s, word = pattern.coord, pattern.set_choice, pattern.codeword
+    _check_integer("set_choice", s)
     if not 1 <= s <= len(code.recovery_sets):
         raise ValueError(f"set_choice {s} is outside [1, {len(code.recovery_sets)}]")
     check_coord(code, i)
@@ -152,7 +166,7 @@ def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> int:
         rhs = np.array([word[h] for h in known], dtype=np.int64)
         if not gflinalg.in_span(fld, code.generator_matrix[:, known], rhs):
             raise NotACodeword("unerased symbols are not consistent with the code")
-    q, add, mul = fld.q, fld.add, fld.mul
+    q, add, mul = fld.q, fld._add, fld._mul  # the 2-D table views; None above TABLE_CAP
     out = 0
     for h, l in terms:
         c = word[h]
@@ -160,7 +174,7 @@ def repair(code: LrcCode, pattern: ErasurePattern, strict: bool = False) -> int:
             raise ValueError(f"symbol {c!r} at coordinate {h} is not an integer")
         if not 0 <= c < q:
             raise ValueError(f"symbol {c} at coordinate {h} is outside [0, {q})")
-        out = add(out, mul(l, c))
+        out = add[out, mul[l, c]] if add is not None else fld.add(out, fld.mul(l, c))
     return out
 
 

@@ -7,6 +7,8 @@ from lrctower import FiniteField, TowerSpec, build_recovery_group, construct_lrc
 from lrctower.errors import TooLarge
 from lrctower.repair import span_parts
 
+DIGIT_LOOP_BUDGET = 60  # keeps a q = 1369 (digit-loop) build under about a second
+
 
 def all_codewords(code, cap: int = 10**4) -> np.ndarray:
     """Every codeword, the all-zero one first; a test oracle for the round

@@ -22,6 +22,8 @@ from lrctower.groups import scaled_generators
 from lrctower import construct, gflinalg
 from lrctower.cli import _field_for_ell, parse_group_spec, validate_regime
 
+from conftest import DIGIT_LOOP_BUDGET
+
 
 def _capped(h, budget, caps):
     """A cap split's spanning set: the expanded exponent vectors that are
@@ -725,7 +727,6 @@ CHARACTER_CASES = {
     "gs95-l5-m2": ("gs95", (5, 2), 2, "norm1:2", "norm1:3", 3),
     "gs96-l37-m1": ("gs96", (37, 2), 1, "add:kernel", "mul:36", 36),
 }
-DIGIT_LOOP_BUDGET = 60  # keeps the q = 1369 case under about a second
 
 
 @cache

@@ -31,7 +31,7 @@ from lrctower.repair import (
     random_codewords, repair_roundtrip_counts, repair_roundtrip_wrong, span_parts,
 )
 
-from conftest import all_codewords
+from conftest import DIGIT_LOOP_BUDGET, all_codewords
 
 repair_module = importlib.import_module("lrctower.repair")  # the name `repair` is the function
 
@@ -350,6 +350,23 @@ def test_repair_rejects_out_of_range_coord(golden_code):
             repair(golden_code, ErasurePattern(zero, i, 1))
 
 
+@pytest.mark.parametrize("bad", [2.0, np.float64(2.0), "2", True, np.bool_(True)],
+                         ids=["float", "float64", "str", "bool", "bool_"])
+def test_repair_refuses_non_integer_coord_and_set_choice(golden_code, bad):
+    """A coordinate or set choice that is not an integer is named, not read
+    as an index: a float or a string would escape as a TypeError from the
+    plan's list, and True would be read as 1.  Numpy integers are read as
+    they are."""
+    word = tuple(int(x) for x in golden_code.encode([1, 2]))
+    for name, pattern in (("coordinate", ErasurePattern(word, bad, 1)),
+                          ("set_choice", ErasurePattern(word, 0, bad))):
+        with pytest.raises(ValueError, match=f"{name} {re.escape(repr(bad))} is not an integer"):
+            repair(golden_code, pattern)
+    for i, s in ((np.int64(1), np.int64(1)), (np.uint8(5), np.int64(2)), (1, np.uint16(2))):
+        got = repair(golden_code, ErasurePattern(word, i, s))
+        assert type(got) is int and got == word[i]
+
+
 def test_repair_refuses_set_choice_outside_range(golden_code):
     """The golden code has two recovery sets: ``repair`` refuses set 0 and
     set 3 with a ValueError naming the range [1, 2]; the pattern itself
@@ -439,6 +456,55 @@ def test_repair_reads_only_terms_and_table_views(golden_code, hermitian_code):
             word = tuple(int(x) for x in row)
             for i in range(code.params.n):
                 assert repair(bare, ErasurePattern(word, i, 1 + i % 2)) == word[i]
+
+
+def test_repair_table_path_calls_no_field_op(golden_code, tower_code, hermitian_code):
+    """Below TABLE_CAP each term is one lookup in each of the field's 2-D
+    table views: on a stand-in code whose field copy's ``add`` and ``mul``
+    raise, every coordinate still repairs through both sets."""
+    def refuse(*args):
+        raise AssertionError(f"scalar field op called on {args}")
+
+    for code in (golden_code, tower_code, hermitian_code):
+        fld = copy.copy(code.field)
+        fld.add = fld.mul = refuse
+        bare = SimpleNamespace(field=fld, params=code.params, recovery_sets=code.recovery_sets,
+                               repair_plan=code.repair_plan)
+        word = tuple(int(x) for x in random_codewords(code, 1, seed=13)[0])
+        for i in range(code.params.n):
+            for s in (1, 2):
+                assert repair(bare, ErasurePattern(word, i, s)) == word[i]
+
+
+def test_scalar_repair_above_table_cap():
+    """GF(37^2) = GF(1369) has no q x q tables, so ``repair`` runs the scalar
+    field ops (log/antilog products, digit-loop sums).  On a small-budget
+    build with localities (36, 35), clean and error-planted words, as tuples
+    and as int64 and uint16 arrays, repair gives back the symbol exactly
+    where repair_roundtrip_wrong marks the (word, coordinate, set) correct,
+    always as a Python int."""
+    spec = TowerSpec("gs96", FiniteField(37, 2), 1)
+    assert spec.field._add is None and spec.field.dtype == np.uint16
+    h1 = build_recovery_group(spec, "additive", shifts="kernel")
+    h2 = build_recovery_group(spec, "multiplicative", order=36)
+    code = construct_lrc(spec, (h1, h2), len(spec.places()) - DIGIT_LOOP_BUDGET)
+    fld, n = code.field, code.params.n
+    assert code.params.r == (36, 35)
+    words = random_codewords(code, 1, seed=19)
+    bad = words.copy()
+    hit = np.random.default_rng(37).random(n) < 1 / 400
+    bad[0, hit] = fld.vec_add(bad[0, hit], np.arange(1, hit.sum() + 1))
+    both = np.vstack([words, bad])
+    wrong = repair_roundtrip_wrong(code, both)
+    assert not wrong[:, 0].any() and wrong[:, 1].any() and not wrong[:, 1].all()
+    for b, row in enumerate(both):
+        word = tuple(int(x) for x in row)
+        sample = range(b, n, 11)
+        for w, coords in ((word, range(n)), (row.astype(np.int64), sample), (row.astype(np.uint16), sample)):
+            for i in coords:
+                for s in (1, 2):
+                    got = repair(code, ErasurePattern(w, i, s))
+                    assert type(got) is int and (got != word[i]) == wrong[s - 1, b, i]
 
 
 def test_bulk_rebuild_rejects_wrong_width(golden_code):
