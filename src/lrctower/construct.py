@@ -190,7 +190,7 @@ class LrcCode:
         return build_repair_plan(self)
 
     def encode(self, message) -> np.ndarray:
-        msg = np.asarray(message, dtype=np.int64).reshape(1, -1)
+        msg = np.asarray(gflinalg.integer_array(message), dtype=np.int64).reshape(1, -1)
         if msg.shape[1] != self.params.k:
             raise ValueError(f"message length must be k={self.params.k}")
         return gflinalg.matmul(self.field, msg, self.generator_matrix)[0]

@@ -27,11 +27,22 @@ The scalar ops (``add``, ``neg``, ``mul``, ``inv``, ``pow``) read the same
 tables through ``memoryview``s, 2-D for the add/mul tables: indexing a view
 returns a Python int and checks bounds as numpy does (an out-of-range code
 raises IndexError), but builds no numpy scalar.
+
+``vec_dot``, the sum of products under bulk rebuilds, adds in packed
+lanes.  A code is spread into a uint16 with its digit i in bits
+[L i, L (i + 1)), L = 16 // k, so a plain uint16 sum adds digit by digit
+with no carry while no lane holds more than G = (2^L - 1) // (p - 1) digits
+(``lane_capacity``), and one lookup in a 2^16-entry table takes every lane
+mod p back to a code.  The lanes apply where q <= TABLE_CAP and G >= 2, so
+that a lane holds two products: every such field but GF(512), GF(729) and
+GF(1024).  Their two tables (``lane_tables``: the mul table spread into
+lanes, and the reduction) are built on the first ``vec_dot``, never by the
+constructor; elsewhere ``vec_dot`` runs one ``vec_axpy`` per term.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 from math import isqrt
 
 import numpy as np
@@ -133,6 +144,8 @@ class FiniteField:
         self.ell = p ** (k // 2) if k % 2 == 0 else None
         self.modulus = (0, 1) if k == 1 else _first_irreducible(p, k)
         self.dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
+        # digits of at most p - 1 that one 16 // k-bit lane sums without overflow
+        self.lane_capacity = (2 ** (16 // k) - 1) // (p - 1)
         self._build_tables()
 
     # -- table construction -------------------------------------------------
@@ -211,6 +224,32 @@ class FiniteField:
             # q as an index-typed numpy scalar: a Python int costs every call a scalar conversion
             self._flat_q = self._flat_index.type(q)
             self._add, self._mul = memoryview(self.add_table), memoryview(self.mul_table)
+
+    @cached_property
+    def lane_tables(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(products, reduce)``, read-only, built on first use; None unless
+        q <= TABLE_CAP and ``lane_capacity`` >= 2.  ``products`` (q x q,
+        uint16) is the mul table spread into lanes, row 1 the codes
+        themselves; ``reduce`` (2^16 entries, ``dtype``) takes every lane
+        mod p back to a code.  Built in uint16 a lane at a time, with no
+        int64 temporary."""
+        if self.q > TABLE_CAP or self.lane_capacity < 2:
+            return None
+        p, bits = np.uint16(self.p), 16 // self.k
+        codes = np.arange(self.q, dtype=np.uint16)
+        spread = np.zeros(self.q, dtype=np.uint16)
+        packed = np.arange(1 << 16, dtype=np.uint16)
+        reduce = np.zeros(1 << 16, dtype=np.uint16)
+        for i in range(self.k):
+            spread |= codes // np.uint16(self.p**i) % p << np.uint16(bits * i)
+            lane = packed >> np.uint16(bits * i)
+            lane &= np.uint16((1 << bits) - 1)
+            lane %= p
+            lane *= np.uint16(self.p**i)
+            reduce += lane
+        products, reduce = spread[self.mul_table], reduce.astype(self.dtype)
+        products.flags.writeable = reduce.flags.writeable = False
+        return products, reduce
 
     def _digit_add(self, a, b):
         """Digit-wise sum mod p of codes: Python ints, or int64 arrays that
@@ -301,6 +340,33 @@ class FiniteField:
         flat *= q
         flat += prod
         return self._add_flat.take(flat)
+
+    def vec_dot(self, a, xs, shape):
+        """sum_h a[:, h, None] * x_h, in ``dtype``, over the code arrays x_h
+        (in ``dtype``) that ``xs`` yields, one per column of the (m, r) array
+        ``a``; each product broadcasts to ``shape``.  With ``lane_tables`` a
+        product is one gather in the raveled product table at a*q + x, and
+        the lanes are reduced once at the end, and whenever one would pass
+        ``lane_capacity`` values (the reduced carry then counts as one);
+        without, each term is one ``vec_axpy``."""
+        lanes = self.lane_tables
+        if lanes is None:
+            out = np.zeros(shape, dtype=self.dtype)
+            for h, x in enumerate(xs):
+                out = self.vec_axpy(out, a[:, h, None], x)
+            return out
+        products, reduce = lanes
+        flat = products.ravel()
+        rows = np.asarray(a).astype(self._flat_index) * self._flat_q  # row a starts at a*q
+        index = np.empty(shape, dtype=self._flat_index)
+        acc, held = np.zeros(shape, dtype=np.uint16), 0
+        for h, x in enumerate(xs):
+            if held == self.lane_capacity:
+                acc, held = products[1].take(reduce.take(acc)), 1
+            np.add(rows[:, h, None], x, out=index)
+            acc += flat.take(index)
+            held += 1
+        return reduce.take(acc)
 
     def vec_pow(self, a, e: int):
         a = np.asarray(a, dtype=np.int64)

@@ -26,10 +26,21 @@ from .field import FiniteField
 ROW_BLOCK = 128
 
 
+def integer_array(rows) -> np.ndarray:
+    """``np.asarray(rows)``, refused with a ValueError naming its dtype when
+    it is non-empty and not of a signed or unsigned integer type: a float,
+    bool, string or object entry is never truncated or parsed to an int."""
+    m = np.asarray(rows)
+    if m.size and m.dtype.kind not in "iu":
+        raise ValueError(f"entries of dtype {m.dtype} are not integers")
+    return m
+
+
 def as_matrix(field: FiniteField, rows) -> np.ndarray:
     """Two-dimensional array of element codes: ``field.dtype`` input is kept,
-    anything else becomes int64; entries are range-checked."""
-    m = np.asarray(rows)
+    any other integer type becomes int64; entries are range-checked, and a
+    non-integer input is refused by ``integer_array``."""
+    m = integer_array(rows)
     if m.dtype != field.dtype:
         m = np.asarray(m, dtype=np.int64)
     if m.ndim == 1:

@@ -12,8 +12,18 @@ of the set's symbols, whose Lagrange weights depend on the code alone.
 and ``LrcCode.repair_plan`` builds that plan on first use and keeps it on
 the code, so construction and loading never pay for it.  A code is treated
 as immutable after construction: its plan is not rebuilt if its groups are
-changed in place.  A bulk rebuild is one gather and one reduction per set
-for all coordinates and codewords at once.
+changed in place.
+
+A bulk rebuild (``repair_roundtrip_wrong``) transposes the words once into
+a coordinate-major (n, B) array, so each set member's symbols are one
+contiguous row gather, and rebuilds every coordinate of every word set by
+set with one ``FiniteField.vec_dot`` over the members.  Where the field's
+lanes apply (q <= TABLE_CAP and a lane holds G >= 2 products; see
+``field``), that sums the set's products in uint16 lanes and reduces them
+to codes once per set, or sooner whenever a lane would pass G values;
+GF(512), GF(729), GF(1024) and every q > TABLE_CAP run one ``vec_axpy``
+per member instead.  The field builds its lane tables on its first bulk
+rebuild.
 
 The recovery sets are the groups' orbits (``LrcCode.recovery_sets``, one
 (n, r) array per set), so their geometry holds by construction: each set has
@@ -262,25 +272,28 @@ def repair_roundtrip_wrong(code: LrcCode, codewords: np.ndarray) -> np.ndarray:
     """(t, B, n) mask of wrong rebuilds: [s, b, i] is True when repairing
     coordinate i of word b through set s + 1 does not give back its symbol.
 
-    Per set, every coordinate of every codeword is rebuilt at once, in
-    ``field.dtype``: for each of the r columns of the set array, one (B, n)
-    gather of the symbols and one ``vec_axpy`` with the plan's weights for
-    that column.  Column by column keeps the temporaries at (B, n); a
-    (B, n, r) gather would widen to intp and raise the peak memory of a
-    128-word rebuild by about 2 MB.
+    The words are transposed once into a coordinate-major (n, B) array in
+    ``field.dtype``, so the symbols of one member of every coordinate's set
+    are one row gather, and each set rebuilds every coordinate of every
+    word at once, one ``FiniteField.vec_dot`` over its members (packed
+    lanes, or one ``vec_axpy`` per member).  Every temporary is (n, B): a
+    128-word rebuild of gs96-294 peaks at about 17 n B bytes beyond its
+    input (the transposed words, the mask, the gather index, the lane sum
+    and one product, and the 8 n B intp copy of the index that numpy's
+    ``take`` makes), where a (B, n, r) gather alone would take 8 n B r.
+    The mask is a transposed view of a (t, n, B) array.
     """
     fld = code.field
-    words = gflinalg.as_matrix(fld, codewords).astype(fld.dtype, copy=False)
+    words = gflinalg.as_matrix(fld, codewords)
     n = code.params.n
     if words.shape[1] != n:
         raise ValueError(f"words have {words.shape[1]} symbols, expected n={n}")
-    wrong = np.empty((len(code.recovery_sets), *words.shape), dtype=bool)
+    columns = np.ascontiguousarray(words.T, dtype=fld.dtype)
+    wrong = np.empty((len(code.recovery_sets), *columns.shape), dtype=bool)
     for s, (sets, plan) in enumerate(zip(code.recovery_sets, code.repair_plan)):
-        rebuilt = np.zeros(words.shape, dtype=fld.dtype)
-        for h, col in enumerate(sets.T):
-            rebuilt = fld.vec_axpy(rebuilt, plan.weights[:, h], words[:, col])
-        np.not_equal(rebuilt, words, out=wrong[s])
-    return wrong
+        members = (columns.take(col, axis=0) for col in sets.T)
+        np.not_equal(fld.vec_dot(plan.weights, members, columns.shape), columns, out=wrong[s])
+    return wrong.transpose(0, 2, 1)
 
 
 def repair_roundtrip_counts(code: LrcCode, codewords: np.ndarray) -> int:

@@ -128,6 +128,27 @@ def tower_code(gf9):
     return construct_lrc(spec, (h1, h2), 6)
 
 
+def rational_code(fld, d: int):
+    """gs96 at m = 1 over GF(l^2): the additive kernel and the scalars of
+    order l - 1, so localities (l - 1, l - 2)."""
+    spec = TowerSpec("gs96", fld, 1)
+    h1 = build_recovery_group(spec, "additive", shifts="kernel")
+    h2 = build_recovery_group(spec, "multiplicative", order=fld.ell - 1)
+    return construct_lrc(spec, (h1, h2), d)
+
+
+@pytest.fixture(scope="session")
+def gf81_code():
+    """[72, 26] over GF(81), localities (8, 7): a lane holds 7 products."""
+    return rational_code(FiniteField(3, 4), 40)
+
+
+@pytest.fixture(scope="session")
+def gf625_code():
+    """[600, 93] over GF(625), localities (24, 23): a lane holds 3 products."""
+    return rational_code(FiniteField(5, 4), 500)
+
+
 @pytest.fixture(scope="session")
 def hermitian_code(gf25):
     """Level-2 xz-tower code on 120 places with norm-one groups (2, 3)."""

@@ -3,6 +3,7 @@ import hashlib
 import math
 import pickle
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -11,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from lrctower import FiniteField, artin_schreier_kernel, norm_one_group, subfield_units
 from lrctower.descriptor import code_from_descriptor, code_to_descriptor
+from lrctower.repair import ErasurePattern, repair, repair_roundtrip_counts
 from lrctower.errors import FieldTooLarge, NonPrimeCharacteristic, NotASquareField
 from lrctower.field import _first_irreducible, prime_factors, shared_field
 
-from conftest import field_mul, primes_upto
+from conftest import field_mul, primes_upto, rational_code
 
 
 def naive_irreducible(poly, p):
@@ -294,6 +296,69 @@ def test_field_pickles_and_copies(p, k):
         assert g.mul(3, g.inv(3)) == 1 and g.add(f.q - 1, 1) == f.add(f.q - 1, 1)
         assert hash(g) == hash(f) and g.modulus == f.modulus
     assert f.__reduce__() == (FiniteField, (p, k))  # (p, k) name the field
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 2), (7, 2), (2, 8), (3, 5), (5, 4), (31, 2), (1021, 1),
+                                  (2, 9), (3, 6), (2, 10), (1031, 1), (37, 2)])
+def test_lane_tables_spread_digits_and_reduce_mod_p(p, k):
+    """Exactly GF(512), GF(729), GF(1024) and the fields above TABLE_CAP
+    have no lane tables.  Elsewhere digit i of ``products[a, b]`` is digit i
+    of a*b, in bits [L i, L (i + 1)) with L = 16 // k, and ``reduce`` takes
+    a sum of up to ``lane_capacity`` spread codes back to their field sum
+    (checked on sums of up to 64 random codes, and of ``lane_capacity``
+    copies of q - 1)."""
+    f = FiniteField(p, k)
+    bits, q = 16 // k, f.q
+    assert f.lane_capacity == (2**bits - 1) // (p - 1)
+    if q > 1024 or q in (512, 729, 1024):
+        assert f.lane_tables is None
+        return
+    products, reduce = f.lane_tables
+    assert products.shape == (q, q) and products.dtype == np.uint16
+    assert reduce.shape == (1 << 16,) and reduce.dtype == f.dtype
+    for table in (products, reduce):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0
+    rng = np.random.default_rng(q)
+    for a, b in rng.integers(0, q, size=(200, 2)).tolist() + [(q - 1, 1), (1, q - 1)]:
+        got = int(products[a, b])
+        assert [got >> bits * i & (1 << bits) - 1 for i in range(k)] == [f.mul(a, b) // p**i % p for i in range(k)]
+        assert reduce[got] == f.mul(a, b)
+    for _ in range(20):
+        codes = rng.integers(0, q, size=min(f.lane_capacity, 64)).tolist()
+        want = 0
+        for c in codes:
+            want = f.add(want, c)
+        assert reduce[products[1, codes].sum(dtype=np.uint16)] == want
+    assert reduce[products[1, q - 1] * np.uint16(f.lane_capacity)] == f.mul(q - 1, f.lane_capacity % p)
+
+
+def test_lane_tables_are_built_on_the_first_bulk_rebuild():
+    """Neither ``FiniteField(p, k)`` nor construction, encoding or a
+    single-symbol repair builds the lane tables; the first bulk rebuild
+    does, once, and the field keeps them."""
+    code = rational_code(FiniteField(3, 2), 2)
+    f = code.field
+    word = tuple(int(x) for x in code.encode([1, 2]))
+    assert repair(code, ErasurePattern(word, 0, 1)) == word[0]
+    assert "lane_tables" not in vars(f)
+    assert repair_roundtrip_counts(code, code.generator_matrix) == 0
+    tables = vars(f)["lane_tables"]
+    assert repair_roundtrip_counts(code, [word]) == 0 and f.lane_tables is tables
+
+
+def test_lane_tables_build_lean():
+    """GF(49)'s lane tables are built in uint16 a lane at a time: the build
+    peaks under 1 MB, where int64 temporaries of 2^16 x k entries would
+    take 1 MB each."""
+    f = FiniteField(7, 2)
+    tracemalloc.start()
+    try:
+        tables = f.lane_tables
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tables is not None and peak < 1 << 20
 
 
 def test_json_round_trip(golden_code):

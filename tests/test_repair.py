@@ -26,6 +26,7 @@ from lrctower import (
 from lrctower.construct import CodeDims, CodeParams, LrcCode
 from lrctower.descriptor import code_from_descriptor, code_to_descriptor
 from lrctower.errors import NotACodeword, TooLarge
+from lrctower.field import shared_field
 from lrctower.gflinalg import in_span, matmul, rank
 from lrctower.repair import (
     random_codewords, repair_roundtrip_counts, repair_roundtrip_wrong, span_parts,
@@ -413,12 +414,13 @@ def test_repair_rejects_bad_words(golden_code, tower_code):
                     repair(tower_code, ErasurePattern(tuple(hit), i, s))
 
 
-@pytest.mark.parametrize("fixture", ["golden_code", "tower_code", "hermitian_code"])
+@pytest.mark.parametrize("fixture", ["golden_code", "tower_code", "hermitian_code", "gf81_code", "gf625_code"])
 def test_scalar_repair_agrees_with_bulk_rebuild(fixture, request):
     """Pointwise parity on seeded codewords, clean and with planted symbol
     errors: repair() gives back the symbol exactly where
     repair_roundtrip_wrong marks the (word, coordinate, set) correct, and
-    returns a Python int from a tuple, an int64 array or a ``dtype`` array."""
+    returns a Python int from a tuple, an int64 array or a ``dtype`` array.
+    The GF(81) and GF(625) codes reduce their lanes inside a set."""
     code = request.getfixturevalue(fixture)
     fld, n = code.field, code.params.n
     words = random_codewords(code, 6, seed=17)
@@ -439,6 +441,128 @@ def test_scalar_repair_agrees_with_bulk_rebuild(fixture, request):
             i = b % n
             got = repair(code, ErasurePattern(row.astype(cast), i, 1 + b % 2))
             assert type(got) is int and (got != word[i]) == wrong[b % 2, b, i]
+
+
+def test_lane_codes_reduce_inside_a_set(gf81_code, gf625_code):
+    """Both codes' sets hold more products than a lane does, so their bulk
+    rebuilds reduce and carry inside a set."""
+    for code, shape, r, capacity in ((gf81_code, (72, 26), (8, 7), 7), (gf625_code, (600, 93), (24, 23), 3)):
+        assert (code.params.n, code.params.k, code.params.r) == (*shape, r)
+        assert code.field.lane_tables is not None and code.field.lane_capacity == capacity < max(r)
+
+
+def _stand_in(fld, sets, weights):
+    """A code with one recovery set per coordinate: the rows of ``sets``,
+    with ``weights`` as its plan."""
+    return SimpleNamespace(field=fld, params=SimpleNamespace(n=len(sets)), recovery_sets=(sets,),
+                           repair_plan=(SimpleNamespace(weights=weights),))
+
+
+LANE_FIELDS = [(2, 4), (3, 2), (3, 4), (3, 5), (5, 4), (31, 2), (1021, 1)]
+FALLBACK_FIELDS = [(3, 6), (2, 10), (37, 2)]  # a lane holds one product, or q > TABLE_CAP
+
+
+@pytest.mark.parametrize("p, k", LANE_FIELDS + FALLBACK_FIELDS)
+def test_bulk_sums_match_scalar_oracle(p, k):
+    """On a stand-in code with random sets and weights, for set sizes 1, 2,
+    G, G + 1, 3G and 40 (G the field's lane capacity), every rebuilt symbol
+    is the scalar ``add``/``mul`` sum.  The sets draw only on the first half
+    of the coordinates, whose words are random, and the second half's words
+    are their scalar sums, so each of those cells must rebuild exactly;
+    weight 1 on all-(q - 1) symbols fills every lane to its largest digits."""
+    fld = shared_field(p, k)
+    q, capacity = fld.q, fld.lane_capacity
+    assert (fld.lane_tables is None) == ((p, k) in FALLBACK_FIELDS)
+    n, B = 16, 4
+    for r in sorted({1, 2, capacity, capacity + 1, 3 * capacity, 40}):
+        rng = np.random.default_rng([q, r])
+        sets = rng.integers(0, n // 2, size=(n, r))
+        weights = rng.integers(0, q, size=(n, r)).astype(fld.dtype)
+        weights[n // 2] = 1
+        words = rng.integers(0, q, size=(B, n))
+        words[0, :n // 2] = q - 1
+        sums = np.zeros((B, n), dtype=np.int64)
+        for b, i in product(range(B), range(n)):
+            for h, l in zip(sets[i].tolist(), weights[i].tolist()):
+                sums[b, i] = fld.add(int(sums[b, i]), fld.mul(l, int(words[b, h])))
+        words[:, n // 2:] = sums[:, n // 2:]
+        wrong = repair_roundtrip_wrong(_stand_in(fld, sets, weights), words)
+        assert wrong.shape == (1, B, n)
+        assert np.array_equal(wrong[0], sums != words) and not wrong[0, :, n // 2:].any(), r
+
+
+@pytest.mark.parametrize("p, k, lanes", [(3, 4, True), (7, 2, True), (3, 6, False), (2, 10, False), (37, 2, False)])
+def test_lane_path_calls_no_vec_axpy(p, k, lanes, monkeypatch):
+    """A field whose lanes hold two products rebuilds with no ``vec_axpy``;
+    any other runs one per set member."""
+    fld = FiniteField(p, k)
+    calls, axpy = [], fld.vec_axpy
+
+    def counted(*args):
+        calls.append(1)
+        return axpy(*args)
+
+    monkeypatch.setattr(fld, "vec_axpy", counted)
+    rng = np.random.default_rng(p)
+    sets = rng.integers(0, 10, size=(10, 5))
+    weights = rng.integers(0, fld.q, size=(10, 5)).astype(fld.dtype)
+    repair_roundtrip_wrong(_stand_in(fld, sets, weights), rng.integers(0, fld.q, size=(3, 10)))
+    assert len(calls) == (0 if lanes else 5)
+
+
+def test_bulk_rebuild_peak_memory():
+    """A 128-word rebuild of gs96-294, its plan and lane tables built, peaks
+    under 20 n B bytes: the (n, B) words, mask, index, lane sum and product,
+    and the intp copy of the index that numpy's ``take`` makes (8 n B).  A
+    (B, n, r) gather would widen to 8 n B r alone."""
+    spec = TowerSpec("gs96", FiniteField(7, 2), 2)
+    code = construct_lrc(spec, (build_recovery_group(spec, "additive", shifts="kernel"),
+                                build_recovery_group(spec, "multiplicative", order=6)), 150)
+    words = random_codewords(code, 128, seed=3).astype(np.int64)
+    assert repair_roundtrip_counts(code, words) == 0  # builds the plan and the lane tables
+    n, B = code.params.n, len(words)
+    tracemalloc.start()
+    try:
+        wrong = repair_roundtrip_wrong(code, words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (n, code.params.r) == (294, (6, 5)) and not wrong.any()
+    assert peak < 20 * n * B
+
+
+@pytest.mark.parametrize("kind", ["float", "np.float64", "bool", "np.bool_", "str", "object"])
+def test_non_integer_input_is_refused(golden_code, kind):
+    """Float, bool, string and object inputs are refused with a ValueError
+    naming their dtype, by every entry point that reads element codes; none
+    is truncated, parsed or read as 0 and 1.  Integer types and an empty
+    list are still read."""
+    def bad(rows):
+        rows = [[int(x) for x in row] for row in np.atleast_2d(rows)]
+        if kind == "object":  # an int numpy holds only as an object
+            return np.array([[2**63 + 1, *rows[0][1:]], *rows[1:]], dtype=object)
+        cast = {"float": lambda x: x + 0.5, "np.float64": lambda x: np.float64(x + 0.5),
+                "bool": lambda x: bool(x % 2), "np.bool_": lambda x: np.bool_(x % 2), "str": str}[kind]
+        return [[cast(x) for x in row] for row in rows]
+
+    fld, g = golden_code.field, golden_code.generator_matrix
+    words = random_codewords(golden_code, 3, seed=1)
+    calls = [lambda: rank(fld, bad(g)),
+             lambda: matmul(fld, bad([[1, 2]]), g),
+             lambda: matmul(fld, [[1, 2]], bad(g)),
+             lambda: repair_roundtrip_counts(golden_code, bad(words)),
+             lambda: span_parts(fld, bad(g)),
+             lambda: span_parts(fld, g, offset=bad(words[:1])[0]),
+             lambda: golden_code.encode(bad([[1, 2]])[0])]
+    dtype = np.asarray(bad(g)).dtype
+    assert dtype.kind not in "iu"
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^entries of dtype {re.escape(str(dtype))} are not integers$"):
+            call()
+    assert rank(fld, []) == rank(fld, [[]]) == 0
+    for cast in (np.uint8, np.int32, np.uint64):
+        assert rank(fld, g.astype(cast)) == 2 and repair_roundtrip_counts(golden_code, words.astype(cast)) == 0
+        assert np.array_equal(golden_code.encode(np.array([1, 2], dtype=cast)), matmul(fld, [[1, 2]], g)[0])
 
 
 def test_repair_reads_only_terms_and_table_views(golden_code, hermitian_code):
