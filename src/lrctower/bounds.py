@@ -102,12 +102,11 @@ def bt_bound(n: int, k: int, localities: list[int]) -> int:
     if rs != sorted(rs):
         raise ValueError("localities must be sorted ascending")
     _check_nkr(n, k, rs[0], len(rs))
-    t = len(rs)
-    total = 0
-    for i in range(1, t + 1):
-        prod = 1
-        for j in range(t - i, t):
-            prod *= rs[j]
+    total, prod = 0, 1
+    for r in reversed(rs):  # prod: the largest localities so far; past k - 1 every term is 0
+        prod *= r
+        if prod > k - 1:
+            break
         total += (k - 1) // prod
     return n - k + 1 - total
 

@@ -128,6 +128,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_repair_demo(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed {args.seed} must be >= 0")
     code = load_code(args.path)
     word = [int(x) for x in random_codewords(code, 1, seed=args.seed)[0]]
     i = args.coord if args.coord is not None else args.seed % code.params.n
@@ -147,6 +149,9 @@ def cmd_repair_demo(args) -> int:
 def cmd_bounds(args) -> int:
     if args.t < 1:
         raise ValueError("availability must be >= 1")
+    if args.t >= args.n:  # before any list of t localities is built
+        raise ValueError(f"--t {args.t}: t disjoint non-empty recovery sets that omit their "
+                         f"coordinate need t <= n - 1 = {args.n - 1}")
     rs = _flagged("--r", args.r, lambda text: [_integer("locality", x) for x in text.split(",") if x])
     if len(rs) == 1 and args.t > 1:
         rs = rs * args.t

@@ -144,8 +144,9 @@ class LrcCode:
 
     ``params`` is derived, not given: n is the spec's place count, k the
     generator's row count and ``r`` the groups' localities.  ``groups`` must
-    pass ``check_groups``; a generator without one column per place, a
-    ``d_designed`` outside [1, n] or a ``dims.budget`` other than
+    pass ``check_groups``.  The generator is read by ``gflinalg.as_matrix``
+    into a read-only copy in ``field.dtype``; one without one column per
+    place, a ``d_designed`` outside [1, n] or a ``dims.budget`` other than
     n - d_designed raises ValueError.
 
     ``recovery_sets`` is derived too: per group H_s, a read-only (n, r_s)
@@ -166,7 +167,9 @@ class LrcCode:
 
     def __post_init__(self):
         check_groups(self.spec, self.groups)
-        n, (k, cols) = len(self.spec.places()), self.generator_matrix.shape
+        self.generator_matrix = gen = gflinalg.as_matrix(self.field, self.generator_matrix).astype(self.field.dtype)
+        gen.flags.writeable = False
+        n, (k, cols) = len(self.spec.places()), gen.shape
         if cols != n:
             raise ValueError(f"params.n = {n} does not match the column count {cols} of generator_matrix")
         if not 1 <= self.d_designed <= n:
@@ -183,8 +186,8 @@ class LrcCode:
 
     @cached_property
     def repair_plan(self):
-        """Lagrange repair weights of every (coordinate, set), built on first
-        use and kept; see ``repair.RepairPlan``."""
+        """Lagrange repair weights of every recovery set, built on first use
+        and kept; see ``repair.RepairPlan``."""
         from .repair import build_repair_plan  # repair imports this module
 
         return build_repair_plan(self)

@@ -342,29 +342,26 @@ class FiniteField:
         return self._add_flat.take(flat)
 
     def vec_dot(self, a, xs, shape):
-        """sum_h a[:, h, None] * x_h, in ``dtype``, over the code arrays x_h
-        (in ``dtype``) that ``xs`` yields, one per column of the (m, r) array
+        """sum_h a[h] * x_h, in ``dtype``, over the code arrays x_h (in
+        ``dtype``) that ``xs`` yields, one per weight a[h] of the sequence
         ``a``; each product broadcasts to ``shape``.  With ``lane_tables`` a
-        product is one gather in the raveled product table at a*q + x, and
-        the lanes are reduced once at the end, and whenever one would pass
+        product is one gather in row a[h] of the lanes' product table, and the
+        lanes are reduced once at the end, and whenever one would pass
         ``lane_capacity`` values (the reduced carry then counts as one);
         without, each term is one ``vec_axpy``."""
         lanes = self.lane_tables
         if lanes is None:
             out = np.zeros(shape, dtype=self.dtype)
-            for h, x in enumerate(xs):
-                out = self.vec_axpy(out, a[:, h, None], x)
+            # each weight as a (1,) array: numpy < 2 would narrow a 0-d one's flat index to x's type
+            for a_h, x in zip(np.asarray(a)[:, None], xs):
+                out = self.vec_axpy(out, a_h, x)
             return out
         products, reduce = lanes
-        flat = products.ravel()
-        rows = np.asarray(a).astype(self._flat_index) * self._flat_q  # row a starts at a*q
-        index = np.empty(shape, dtype=self._flat_index)
         acc, held = np.zeros(shape, dtype=np.uint16), 0
-        for h, x in enumerate(xs):
+        for a_h, x in zip(a, xs):
             if held == self.lane_capacity:
                 acc, held = products[1].take(reduce.take(acc)), 1
-            np.add(rows[:, h, None], x, out=index)
-            acc += flat.take(index)
+            acc += products[a_h].take(x)
             held += 1
         return reduce.take(acc)
 

@@ -7,23 +7,24 @@ functions restrict to exactly such polynomials on every orbit, so the
 round trip is exact.
 
 The erased symbol is therefore a fixed linear combination sum_h lambda_h c_h
-of the set's symbols, whose Lagrange weights depend on the code alone.
-``build_repair_plan`` computes them for every (coordinate, set) at once,
-and ``LrcCode.repair_plan`` builds that plan on first use and keeps it on
-the code, so construction and loading never pay for it.  A code is treated
-as immutable after construction: its plan is not rebuilt if its groups are
-changed in place.
+of the set's symbols, whose Lagrange weights depend on the group alone: each
+element moves the repair variable by w -> c w or w -> w + a, and Lagrange
+weights do not change when all nodes are scaled or shifted together.
+``build_repair_plan`` computes one weight vector per set, and
+``LrcCode.repair_plan`` builds that plan on first use and keeps it on the
+code, so construction and loading never pay for it.  A code is treated as
+immutable after construction: its plan is not rebuilt if its groups change.
 
 A bulk rebuild (``repair_roundtrip_wrong``) transposes the words once into
 a coordinate-major (n, B) array, so each set member's symbols are one
 contiguous row gather, and rebuilds every coordinate of every word set by
-set with one ``FiniteField.vec_dot`` over the members.  Where the field's
-lanes apply (q <= TABLE_CAP and a lane holds G >= 2 products; see
-``field``), that sums the set's products in uint16 lanes and reduces them
-to codes once per set, or sooner whenever a lane would pass G values;
-GF(512), GF(729), GF(1024) and every q > TABLE_CAP run one ``vec_axpy``
-per member instead.  The field builds its lane tables on its first bulk
-rebuild.
+set with one ``FiniteField.vec_dot`` over the members and the set's
+weights.  Where the field's lanes apply (q <= TABLE_CAP and a lane holds
+G >= 2 products; see ``field``), that sums the set's products in uint16
+lanes and reduces them to codes once per set, or sooner whenever a lane
+would pass G values; GF(512), GF(729), GF(1024) and every q > TABLE_CAP run
+one ``vec_axpy`` per member instead.  The field builds its lane tables on
+its first bulk rebuild.
 
 The recovery sets are the groups' orbits (``LrcCode.recovery_sets``, one
 (n, r) array per set), so their geometry holds by construction: each set has
@@ -33,14 +34,14 @@ repair-variable values of a set and its coordinate are pairwise distinct.
 Nothing here checks an arbitrary layout; the loader refuses any other.
 
 ``repair`` serves one degraded read, so it runs on Python ints throughout:
-``RepairPlan.terms`` holds each coordinate's (index, weight) pairs of
-nonzero weight, made from the arrays on the first single-symbol repair (so
-``verify_code`` never pays for them).  For q <= TABLE_CAP each term of the
-sum is one inline lookup, ``add[out, mul[l, c]]``, in the field's 2-D table
-memoryviews, with no field method called; above TABLE_CAP the sum runs on
-the scalar field ops.  No numpy scalar is formed unless the caller's word is
-itself a numpy array.  A set choice or coordinate that is not an integer is
-refused by name, never used as an index or read as 0 or 1.
+``RepairPlan.terms`` holds each coordinate's (index, weight) pairs, made
+on the first single-symbol repair (so ``verify_code`` never pays for them).
+For q <= TABLE_CAP each term of the sum is one inline lookup,
+``add[out, mul[l, c]]``, in the field's 2-D table memoryviews, with no field
+method called; above TABLE_CAP the sum runs on the scalar field ops.  No
+numpy scalar is formed unless the caller's word is itself a numpy array.  A
+set choice or coordinate that is not an integer is refused by name, never
+used as an index or read as 0 or 1.
 
 ``verify_code`` checks repair once, on the k generator rows: a rebuild is
 linear in the word, so a round trip exact on every row is exact on every
@@ -70,7 +71,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field as dc_field, fields
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -110,45 +111,39 @@ def check_coord(code: LrcCode, i: int) -> None:
 class RepairPlan:
     """Lagrange repair of every coordinate through one of its recovery sets.
 
-    Row i holds the set (the code's read-only set array itself) and weights
-    with symbol i = sum_h weights[i, h] * c[index[i, h]].
+    ``index`` is the code's read-only set array itself, and the set's one
+    read-only ``weights`` give symbol i = sum_h weights[h] * c[index[i, h]].
     """
 
     index: np.ndarray    # (n, r) intp
-    weights: np.ndarray  # (n, r) field.dtype
+    weights: np.ndarray  # (r,) field.dtype
 
     @cached_property
     def terms(self) -> list[list[tuple[int, int]]]:
-        """Per coordinate, its (index, weight) pairs of nonzero weight as
-        Python ints; made on first use."""
-        return [[(h, l) for h, l in zip(idx, lam) if l]
-                for idx, lam in zip(self.index.tolist(), self.weights.tolist())]
+        """Per coordinate, its (index, weight) pairs as Python ints; made on
+        first use."""
+        lam = self.weights.tolist()
+        return [list(zip(idx, lam)) for idx in self.index.tolist()]
 
 
 def build_repair_plan(code: LrcCode) -> tuple[RepairPlan, ...]:
-    """The plan of each recovery set s, vectorized over the coordinates.
+    """The plan of each recovery set s, from its group's elements alone.
 
-    With nodes x_h (the set's repair-variable values) and x0 (the erased
-    place's), lambda_h = prod_{h' != h} (x0 - x_h') / (x_h - x_h'): one
-    (n, r) array of numerators, one (n, r, r) array of denominators, one
-    batched inverse and r products.  The nodes of an orbit are distinct, so
-    only the diagonal h = h' is masked; a collision would raise
+    Element e moves w0 to c_e w0 + a_e, so with x_e = c_e + a_e over the
+    non-identity elements, in element order (that of every set row),
+    lambda_e = prod_{e' != e} (1 - x_e') / (x_e - x_e') on every coordinate.
+    Only the diagonal e = e' is masked: a repeated element raises
     ZeroDivisionError in the inverse rather than give a wrong weight.
     """
     fld = code.field
-    coords = code.spec.places()
     plans = []
     for index, group in zip(code.recovery_sets, code.groups):
-        r = index.shape[1]
-        w = coords[:, group.w_index]
-        xs = w[index]
-        num = fld.vec_sub(w[:, None], xs)                   # [i, h'] = x0 - x_h'
-        den = fld.vec_sub(xs[:, :, None], xs[:, None, :])  # [i, h, h'] = x_h - x_h'
-        off = ~np.eye(r, dtype=bool)
-        factor = np.where(off, fld.vec_mul(num[:, None, :], fld.vec_inv(np.where(off, den, 1))), 1)
-        weights = np.ones(index.shape, dtype=fld.dtype)
-        for h in range(r):
-            weights = fld.vec_mul(weights, factor[:, :, h])
+        xs = np.array([x for x in map(fld.add, group.scalars, group.shifts) if x != 1], dtype=fld.dtype)
+        off = ~np.eye(len(xs), dtype=bool)
+        den = fld.vec_inv(np.where(off, fld.vec_sub(xs[:, None], xs[None, :]), 1))  # [e, e'] = x_e - x_e'
+        factor = np.where(off, fld.vec_mul(fld.vec_sub(1, xs)[None, :], den), 1)
+        weights = reduce(fld.vec_mul, factor.T, np.ones(len(xs), dtype=fld.dtype))
+        weights.flags.writeable = False
         plans.append(RepairPlan(index, weights))
     return tuple(plans)
 
@@ -277,10 +272,10 @@ def repair_roundtrip_wrong(code: LrcCode, codewords: np.ndarray) -> np.ndarray:
     are one row gather, and each set rebuilds every coordinate of every
     word at once, one ``FiniteField.vec_dot`` over its members (packed
     lanes, or one ``vec_axpy`` per member).  Every temporary is (n, B): a
-    128-word rebuild of gs96-294 peaks at about 17 n B bytes beyond its
-    input (the transposed words, the mask, the gather index, the lane sum
-    and one product, and the 8 n B intp copy of the index that numpy's
-    ``take`` makes), where a (B, n, r) gather alone would take 8 n B r.
+    128-word rebuild of gs96-294 peaks at about 16 n B bytes beyond its
+    input (the transposed words, the mask, one member's symbols, the lane
+    sum and one product, and the 8 n B intp copy of the member's symbols
+    that numpy's ``take`` makes), where a (B, n, r) gather takes 8 n B r.
     The mask is a transposed view of a (t, n, B) array.
     """
     fld = code.field

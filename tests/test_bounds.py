@@ -114,6 +114,20 @@ def test_constructed_code_respects_upper_bounds(golden_code):
     assert d <= bmq_bound(n, k, [r1, r2])
 
 
+def test_bt_bound_stops_once_the_product_passes_k():
+    """bt multiplies the localities from the largest down and stops once the
+    product passes k - 1, where every later term is 0: unequal localities
+    agree with the closed form, and a long list costs no more than its
+    nonzero terms (t = 20,000 took seconds when each term re-multiplied its
+    tail)."""
+    for rs in ([1, 1, 1], [1, 2, 3, 7], [2, 2, 2, 2, 2, 2], [1, 1, 4, 4], [5]):
+        for k in (1, 2, 9, 40, 120):
+            assert bt_bound(200, k, rs) == bound_formulas(200, k, rs)["bt"], (rs, k)
+    # (k - 1) // 2^i for i = 1..10 sums to 1023, and every later term is 0
+    assert bt_bound(10**6, 1025, [2] * 20_000) == 10**6 - 1025 + 1 - 1023
+    assert bt_bound(10**6, 1025, [1] * 20_000) == 10**6 - 1025 + 1 - 1024 * 20_000
+
+
 def test_bt_requires_sorted_localities():
     with pytest.raises(ValueError):
         bt_bound(18, 8, [2, 1])

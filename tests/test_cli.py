@@ -322,6 +322,8 @@ def test_group_builder_error_is_refused_by_flag_in_its_class(tmp_path, capsys, t
     ("0", ",", "availability must be >= 1"),
     ("-1", "2", "availability must be >= 1"),
     ("1", ",", "length of --r must equal --t"),
+    # t disjoint non-empty sets that omit their coordinate need t <= n - 1
+    ("18", "2", "--t 18: t disjoint non-empty recovery sets that omit their coordinate need t <= n - 1 = 17"),
 ])
 def test_bounds_refuses_bad_localities_by_flag(capsys, t, r, message):
     assert main(["bounds", "--n", "18", "--k", "8", "--t", t, "--r", r]) == 1
@@ -413,6 +415,15 @@ def test_repair_demo(tmp_path, capsys):
     assert main(["repair-demo", "--in", str(out), "--seed", "5"]) == 0
     text = capsys.readouterr().out
     assert "set 1" in text and "set 2" in text and "MISMATCH" not in text
+
+
+def test_repair_demo_refuses_negative_seed_by_flag(tmp_path, capsys):
+    """A negative --seed is refused by name, with no traceback and no output."""
+    out = tmp_path / "code.json"
+    main(GOLDEN_ARGS + ["--out", str(out)])
+    capsys.readouterr()
+    assert main(["repair-demo", "--in", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: --seed -1 must be >= 0\n")
 
 
 def test_bounds_command(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 from functools import cache
 from itertools import product
 
@@ -16,6 +17,7 @@ from lrctower import (
     spanning_set,
 )
 from lrctower.construct import CodeDims, _cap_profiles, _char_bounds, _split_intersection, _split_rows
+from lrctower.descriptor import code_from_descriptor, code_to_descriptor, json_text
 from lrctower.errors import BudgetTooSmall, IllegalOrder, LrcError, VariantMismatch
 from lrctower.field import shared_field
 from lrctower.groups import scaled_generators
@@ -554,6 +556,27 @@ def test_construct_refuses_groups_of_another_spec(gf9, monkeypatch, spec_m, grou
     with pytest.raises(VariantMismatch, match="recovery group built on"):
         construct.LrcCode(spec=spec, groups=(h1, h2), generator_matrix=np.ones((1, n), dtype=np.int64),
                           d_designed=n, dims=CodeDims((1, 1), 1, 0, None))
+
+
+def test_lrc_code_reads_its_generator_once(golden_code):
+    """LrcCode reads its generator through ``gflinalg.as_matrix``: a list is
+    read, a float or out-of-range entry is refused by name, and the code
+    keeps a read-only copy in ``field.dtype``, constructed or loaded alike,
+    with the same descriptor bytes."""
+    code, fld = golden_code, golden_code.field
+    gen = code.generator_matrix.tolist()
+    for given_gen in (gen, np.array(gen, dtype=np.int64)):
+        rebuilt = dataclasses.replace(code, generator_matrix=given_gen)
+        held = rebuilt.generator_matrix
+        assert held.dtype == fld.dtype and not held.flags.writeable and held.tolist() == gen
+        assert held is not given_gen
+    with pytest.raises(ValueError, match="^entries of dtype float64 are not integers$"):
+        dataclasses.replace(code, generator_matrix=np.array(gen) + 0.5)
+    with pytest.raises(ValueError, match="^matrix entries outside field range$"):
+        dataclasses.replace(code, generator_matrix=[[9] * 6, gen[1]])
+    loaded = code_from_descriptor(code_to_descriptor(code))
+    assert loaded.generator_matrix.dtype == fld.dtype and not loaded.generator_matrix.flags.writeable
+    assert json_text(code_to_descriptor(loaded)) == json_text(code_to_descriptor(code))
 
 
 def test_spanning_set_runs_once_per_group(tower_code, monkeypatch):

@@ -250,18 +250,18 @@ def test_repair_strict_mode(golden_code):
 
 
 def test_repair_duplicate_w_values_detected(golden_code):
-    """An orbit's repair-variable values never collide (see
-    test_recovery_set_geometry).  Were two of a set's nodes to collide, the
-    plan's batched inverse would raise ZeroDivisionError rather than give a
-    wrong weight: here on a stand-in whose set 1 of coordinate 0 is [2, 2]."""
-    sets1, sets2 = golden_code.recovery_sets
-    bad = sets1.copy()
-    bad[0] = [2, 2]
-    stand_in = SimpleNamespace(field=golden_code.field, spec=golden_code.spec, groups=golden_code.groups,
-                               recovery_sets=(bad, sets2))
+    """A group's elements are distinct, so an orbit's repair-variable values
+    never collide (see test_recovery_set_geometry).  Were two elements
+    equal, two nodes of every set would collide, and the plan's inverse
+    would raise ZeroDivisionError rather than give a wrong weight: here on
+    a stand-in whose group 1 holds one shift twice."""
+    h1, h2 = golden_code.groups
+    twice = dataclasses.replace(h1, shifts=(h1.shifts[0], h1.shifts[1], h1.shifts[1]))
+    stand_in = SimpleNamespace(field=golden_code.field, groups=(twice, h2),
+                               recovery_sets=golden_code.recovery_sets)
     with pytest.raises(ZeroDivisionError):
         repair_module.build_repair_plan(stand_in)
-    stand_in.recovery_sets = (sets1, sets2)
+    stand_in.groups = (h1, h2)
     plans = repair_module.build_repair_plan(stand_in)
     assert all((a.weights == b.weights).all() for a, b in zip(plans, golden_code.repair_plan))
 
@@ -286,23 +286,33 @@ def oracle_weights(code, i, s):
 
 
 def _assert_plan_matches_oracle(code):
+    """The set's one weight vector is the scalar Lagrange loop's weights on
+    every coordinate: the weights depend on the group alone."""
     n = code.params.n
     for s, plan in zip((1, 2), code.repair_plan):
         r = code.params.r[s - 1]
         assert plan.index is code.recovery_sets[s - 1]  # the plan reads the set array itself
-        assert plan.index.shape == plan.weights.shape == (n, r)
+        assert plan.index.shape == (n, r) and plan.weights.shape == (r,)
         assert plan.index.dtype == np.intp and plan.weights.dtype == code.field.dtype
+        assert not plan.weights.flags.writeable and plan.weights.all()
         for i in range(n):
             idx, lam = oracle_weights(code, i, s)
             assert plan.index[i].tolist() == idx
-            assert plan.weights[i].tolist() == lam
-            # the scalar repair's terms: the nonzero weights, as Python ints
-            assert plan.terms[i] == [(h, l) for h, l in zip(idx, lam) if l]
+            assert plan.weights.tolist() == lam
+            # the scalar repair's terms: the set's row with the weights, as Python ints
+            assert plan.terms[i] == list(zip(idx, lam))
             assert all(type(x) is int for term in plan.terms[i] for x in term)
 
 
-def test_repair_plan_matches_scalar_oracle(golden_code, tower_code, hermitian_code):
-    for code in (golden_code, tower_code, hermitian_code):
+def _additive_pair_code(variant, d):
+    """The l = 4, m = 2 code of the shift groups add:gens=1 and add:gens=10."""
+    spec = TowerSpec(variant, shared_field(2, 4), 2)
+    return construct_lrc(spec, tuple(build_recovery_group(spec, "additive", shifts=[a]) for a in (1, 10)), d)
+
+
+def test_repair_plan_matches_scalar_oracle(golden_code, tower_code, hermitian_code, gf81_code):
+    for code in (golden_code, tower_code, hermitian_code, gf81_code,
+                 _additive_pair_code("gs96", 24), _additive_pair_code("gs95", 30)):
         _assert_plan_matches_oracle(code)
 
 
@@ -453,7 +463,7 @@ def test_lane_codes_reduce_inside_a_set(gf81_code, gf625_code):
 
 def _stand_in(fld, sets, weights):
     """A code with one recovery set per coordinate: the rows of ``sets``,
-    with ``weights`` as its plan."""
+    with the (r,) ``weights`` as its plan."""
     return SimpleNamespace(field=fld, params=SimpleNamespace(n=len(sets)), recovery_sets=(sets,),
                            repair_plan=(SimpleNamespace(weights=weights),))
 
@@ -464,12 +474,13 @@ FALLBACK_FIELDS = [(3, 6), (2, 10), (37, 2)]  # a lane holds one product, or q >
 
 @pytest.mark.parametrize("p, k", LANE_FIELDS + FALLBACK_FIELDS)
 def test_bulk_sums_match_scalar_oracle(p, k):
-    """On a stand-in code with random sets and weights, for set sizes 1, 2,
-    G, G + 1, 3G and 40 (G the field's lane capacity), every rebuilt symbol
-    is the scalar ``add``/``mul`` sum.  The sets draw only on the first half
-    of the coordinates, whose words are random, and the second half's words
-    are their scalar sums, so each of those cells must rebuild exactly;
-    weight 1 on all-(q - 1) symbols fills every lane to its largest digits."""
+    """On a stand-in code with random sets and random (r,) weights, then
+    all-1 weights, for set sizes 1, 2, G, G + 1, 3G and 40 (G the field's
+    lane capacity), every rebuilt symbol is the scalar ``add``/``mul`` sum.
+    The sets draw only on the first half of the coordinates, whose words
+    are random, and the second half's words are their scalar sums, so each
+    of those cells must rebuild exactly; weight 1 on word 0's all-(q - 1)
+    symbols fills every lane to its largest digits."""
     fld = shared_field(p, k)
     q, capacity = fld.q, fld.lane_capacity
     assert (fld.lane_tables is None) == ((p, k) in FALLBACK_FIELDS)
@@ -477,18 +488,17 @@ def test_bulk_sums_match_scalar_oracle(p, k):
     for r in sorted({1, 2, capacity, capacity + 1, 3 * capacity, 40}):
         rng = np.random.default_rng([q, r])
         sets = rng.integers(0, n // 2, size=(n, r))
-        weights = rng.integers(0, q, size=(n, r)).astype(fld.dtype)
-        weights[n // 2] = 1
-        words = rng.integers(0, q, size=(B, n))
-        words[0, :n // 2] = q - 1
-        sums = np.zeros((B, n), dtype=np.int64)
-        for b, i in product(range(B), range(n)):
-            for h, l in zip(sets[i].tolist(), weights[i].tolist()):
-                sums[b, i] = fld.add(int(sums[b, i]), fld.mul(l, int(words[b, h])))
-        words[:, n // 2:] = sums[:, n // 2:]
-        wrong = repair_roundtrip_wrong(_stand_in(fld, sets, weights), words)
-        assert wrong.shape == (1, B, n)
-        assert np.array_equal(wrong[0], sums != words) and not wrong[0, :, n // 2:].any(), r
+        for weights in (rng.integers(0, q, size=r).astype(fld.dtype), np.ones(r, dtype=fld.dtype)):
+            words = rng.integers(0, q, size=(B, n))
+            words[0, :n // 2] = q - 1
+            sums = np.zeros((B, n), dtype=np.int64)
+            for b, i in product(range(B), range(n)):
+                for h, l in zip(sets[i].tolist(), weights.tolist()):
+                    sums[b, i] = fld.add(int(sums[b, i]), fld.mul(l, int(words[b, h])))
+            words[:, n // 2:] = sums[:, n // 2:]
+            wrong = repair_roundtrip_wrong(_stand_in(fld, sets, weights), words)
+            assert wrong.shape == (1, B, n)
+            assert np.array_equal(wrong[0], sums != words) and not wrong[0, :, n // 2:].any(), r
 
 
 @pytest.mark.parametrize("p, k, lanes", [(3, 4, True), (7, 2, True), (3, 6, False), (2, 10, False), (37, 2, False)])
@@ -505,16 +515,17 @@ def test_lane_path_calls_no_vec_axpy(p, k, lanes, monkeypatch):
     monkeypatch.setattr(fld, "vec_axpy", counted)
     rng = np.random.default_rng(p)
     sets = rng.integers(0, 10, size=(10, 5))
-    weights = rng.integers(0, fld.q, size=(10, 5)).astype(fld.dtype)
+    weights = rng.integers(0, fld.q, size=5).astype(fld.dtype)
     repair_roundtrip_wrong(_stand_in(fld, sets, weights), rng.integers(0, fld.q, size=(3, 10)))
     assert len(calls) == (0 if lanes else 5)
 
 
 def test_bulk_rebuild_peak_memory():
     """A 128-word rebuild of gs96-294, its plan and lane tables built, peaks
-    under 20 n B bytes: the (n, B) words, mask, index, lane sum and product,
-    and the intp copy of the index that numpy's ``take`` makes (8 n B).  A
-    (B, n, r) gather would widen to 8 n B r alone."""
+    under 20 n B bytes: the (n, B) words, mask, one member's symbols, lane
+    sum and product, and the intp copy of the member's symbols that numpy's
+    ``take`` makes (8 n B).  A (B, n, r) gather would widen to 8 n B r
+    alone."""
     spec = TowerSpec("gs96", FiniteField(7, 2), 2)
     code = construct_lrc(spec, (build_recovery_group(spec, "additive", shifts="kernel"),
                                 build_recovery_group(spec, "multiplicative", order=6)), 150)
@@ -772,14 +783,16 @@ def test_report_json_matches_asdict_form(fixture, request):
 
 
 def test_repair_exact_needs_no_sampled_words(hermitian_code):
-    # a wrong weight in the plan and an intact generator: the round trips on
-    # the generator rows see it on each row with a nonzero symbol under that
-    # weight.  Locality still holds; that one pair falls back to the rank test
+    # a wrong weight in the plan and an intact generator: set 2's member 0
+    # of every coordinate reads it, so the round trips on the generator rows
+    # see it on each (row, coordinate) whose member-0 symbol is nonzero.
+    # Locality still holds; those pairs fall back to the rank test
     code = _wrong_weight(hermitian_code)
     proven = ~repair_roundtrip_wrong(code, code.generator_matrix).any(axis=1)
-    assert proven.sum() == proven.size - 1 and not proven[1, 0]
+    member0 = code.generator_matrix[:, code.recovery_sets[1][:, 0]]  # [row, i]: coordinate i's member 0
+    assert proven[0].all() and np.array_equal(proven[1], ~member0.any(axis=0)) and not proven[1].all()
     rep = _assert_locality_matches_rank_test(code, exact_distance=False)
-    wrong_rows = np.count_nonzero(code.generator_matrix[:, code.repair_plan[1].index[0, 0]])
+    wrong_rows = np.count_nonzero(member0)
     assert rep.locality_passed and rep.repair_mismatches == wrong_rows > 0 and rep.ok is False
     assert len(rep.failures) == 1 and rep.failures[0].startswith("repair is not exact: ")
     assert verify_code(hermitian_code, exact_distance=False).repair_mismatches == 0
@@ -799,10 +812,14 @@ def test_verify_code_flags_bad_recovery_set(golden_code):
 
 
 def _wrong_weight(code):
-    """A copy with its own plan, one of whose set-2 weights is wrong."""
+    """A copy with its own plan, whose set-2 weight of member 0 is wrong: it
+    breaks every coordinate of set 2 whose member-0 column is nonzero on
+    some generator row."""
     code = dataclasses.replace(code)
-    weights = code.repair_plan[1].weights
-    weights[0, 0] = (int(weights[0, 0]) + 1) % code.field.q
+    plan1, plan2 = code.repair_plan
+    weights = plan2.weights.copy()
+    weights[0] = (int(weights[0]) + 1) % code.field.q
+    code.repair_plan = (plan1, dataclasses.replace(plan2, weights=weights))
     return code
 
 
