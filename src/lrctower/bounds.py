@@ -10,8 +10,8 @@ availability t and localities (r_1, ..., r_t):
     bt:         d <= n - k + 1 - sum_i floor((k-1)/prod tail)    (sorted r_i)
     bmq:        d <= n - k - ceil(((k-1)t+1)/(1+sum (r_i-1))) + 2
 
-Only rpdv, bt and bmq are functions here: singleton is bmq at t = 1, tb is bt
-at t equal localities and wz is bmq at t equal localities.
+Only rpdv, bt and bmq are functions here; ``bound_rows`` gives all six, with
+singleton as bmq at t = 1 and tb and wz as bt and bmq at t equal localities.
 
 Trade-off lines live in the (relative distance, rate) plane; all constants
 are exact fractions.  Lines whose intercept is not positive are returned
@@ -24,6 +24,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 from .errors import DenominatorZero, FieldTooLarge, NotAPrimePower, RegimeViolation
@@ -94,6 +95,19 @@ def rpdv_bound(n: int, k: int, r: int, t: int) -> int:
     return n - k - _ceil_div(k * t, r) + t + 1
 
 
+def _bt_sum(k: int, largest_first, t: int) -> int:
+    """sum_i (k - 1) // (product of the i largest of t localities); from a first 1 on every term is equal."""
+    total, prod = 0, 1
+    for i, r in enumerate(largest_first):
+        if r == 1:
+            return total + (t - i) * ((k - 1) // prod)
+        prod *= r
+        if prod > k - 1:
+            break
+        total += (k - 1) // prod
+    return total
+
+
 def bt_bound(n: int, k: int, localities: list[int]) -> int:
     """Bound for ascending localities r_1 <= ... <= r_t."""
     rs = list(localities)
@@ -102,13 +116,12 @@ def bt_bound(n: int, k: int, localities: list[int]) -> int:
     if rs != sorted(rs):
         raise ValueError("localities must be sorted ascending")
     _check_nkr(n, k, rs[0], len(rs))
-    total, prod = 0, 1
-    for r in reversed(rs):  # prod: the largest localities so far; past k - 1 every term is 0
-        prod *= r
-        if prod > k - 1:
-            break
-        total += (k - 1) // prod
-    return n - k + 1 - total
+    return n - k + 1 - _bt_sum(k, reversed(rs), len(rs))
+
+
+def _bmq(n: int, k: int, t: int, excess: int) -> int:
+    """bmq of t localities whose r_i - 1 sum to ``excess``."""
+    return n - k - _ceil_div((k - 1) * t + 1, 1 + excess) + 2
 
 
 def bmq_bound(n: int, k: int, localities: list[int]) -> int:
@@ -117,8 +130,17 @@ def bmq_bound(n: int, k: int, localities: list[int]) -> int:
     if not rs:
         raise ValueError("need at least one locality")
     _check_nkr(n, k, min(rs), len(rs))
-    t = len(rs)
-    return n - k - _ceil_div((k - 1) * t + 1, 1 + sum(r - 1 for r in rs)) + 2
+    return _bmq(n, k, len(rs), sum(r - 1 for r in rs))
+
+
+def bound_rows(n: int, k: int, rs: list[int], t: int) -> list[tuple[str, int]]:
+    """The six (name, value) rows at availability t: bt on rs ascending, bmq on rs as given, the rest at
+    r = max(rs).  One locality stands for t equal ones, which are never listed: tb and wz read r and t."""
+    _check_nkr(n, k, min(rs), t)
+    r, equal = max(rs), len(rs) == 1
+    tb, wz = n - k + 1 - _bt_sum(k, repeat(r, t), t), _bmq(n, k, t, t * (r - 1))
+    return [("singleton", _bmq(n, k, 1, r - 1)), ("tb", tb), ("wz", wz), ("rpdv", rpdv_bound(n, k, r, t)),
+            ("bt", tb if equal else bt_bound(n, k, sorted(rs))), ("bmq", wz if equal else bmq_bound(n, k, rs))]
 
 
 @dataclass(frozen=True)

@@ -149,23 +149,13 @@ def cmd_repair_demo(args) -> int:
 def cmd_bounds(args) -> int:
     if args.t < 1:
         raise ValueError("availability must be >= 1")
-    if args.t >= args.n:  # before any list of t localities is built
+    if args.t >= args.n:
         raise ValueError(f"--t {args.t}: t disjoint non-empty recovery sets that omit their "
                          f"coordinate need t <= n - 1 = {args.n - 1}")
     rs = _flagged("--r", args.r, lambda text: [_integer("locality", x) for x in text.split(",") if x])
-    if len(rs) == 1 and args.t > 1:
-        rs = rs * args.t
-    if len(rs) != args.t:
+    if len(rs) not in (1, args.t):
         raise ValueError("length of --r must equal --t")
-    r = max(rs)
-    rows = [
-        ("singleton", bnd.bmq_bound(args.n, args.k, [r])),
-        ("tb", bnd.bt_bound(args.n, args.k, [r] * args.t)),
-        ("wz", bnd.bmq_bound(args.n, args.k, [r] * args.t)),
-        ("rpdv", bnd.rpdv_bound(args.n, args.k, r, args.t)),
-        ("bt", bnd.bt_bound(args.n, args.k, sorted(rs))),
-        ("bmq", bnd.bmq_bound(args.n, args.k, rs)),
-    ]
+    rows = bnd.bound_rows(args.n, args.k, rs, args.t)
     for name, val in rows:
         print(f"{name} {val}")
     if args.csv:

@@ -24,7 +24,7 @@ import json
 import re
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -223,9 +223,10 @@ def code_to_descriptor(code: LrcCode, seed: int = 0) -> dict:
 
 def json_text(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2) + "\\n"``, the one writer
-    of descriptors and reports.  It walks objects (str keys), lists and
-    tuples itself and joins a list of plain ints once; ``json.dumps`` with
-    ``indent`` would run its pure-Python encoder on every value."""
+    of descriptors and reports.  ``json.dumps`` runs a pure-Python encoder per
+    value with ``indent``; here a list whose items share one kind is written a
+    column at a time: ints by one ``str`` per distinct value, bools as literals,
+    lists as one column of all their items, objects with one key set by key."""
     return _json(value, "\n") + "\n"
 
 
@@ -243,15 +244,33 @@ def _json(value, pad: str) -> str:
         return json.dumps(value)
     inner = pad + "  "
     if kind is dict:
-        items = [f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)]
-    elif all(type(x) is int for x in value):
-        items = list(map(str, value))
-    else:
-        items = [_json(x, inner) for x in value]
-    brackets = "{}" if kind is dict else "[]"
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+        return _wrap([f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)], pad, "{}")
+    return _wrap(_column(value, inner), pad, "[]")
+
+
+def _wrap(items: list[str], pad: str, brackets: str) -> str:
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1] if items else brackets
+
+
+def _column(values: list, pad: str) -> list[str]:
+    """``_json`` of each item of ``values``, as one column where the items share one kind."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is int:  # one str per distinct value
+        distinct = set(values)
+        return list(map(dict(zip(distinct, map(str, distinct))).__getitem__, values))
+    if kind is bool:
+        return list(map(_LITERALS.__getitem__, values))
+    if kind in (list, tuple):
+        flat, ends = _column(list(chain.from_iterable(values)), pad + "  "), list(accumulate(map(len, values)))
+        return [_wrap(flat[a:b], pad, "[]") for a, b in zip([0] + ends, ends)]
+    if kind is dict and all(x.keys() == values[0].keys() for x in values):
+        names = [encode_basestring_ascii(key) + ": " for key in sorted(values[0])]
+        columns = [_column([x[key] for x in values], pad + "  ") for key in sorted(values[0])]
+        rows = zip(*columns) if names else [()] * len(values)
+        return [_wrap(list(map(str.__add__, names, row)), pad, "{}") for row in rows]
+    return [_json(x, pad) for x in values]
 
 
 def write_descriptor(code: LrcCode, path, seed: int = 0) -> None:

@@ -20,8 +20,8 @@ codes, and so every vectorized result, is stored in ``FiniteField.dtype``:
 the narrowest unsigned type that holds q - 1 (uint8 up to q = 256, uint16
 above).  The fused row update ``vec_axpy`` reads the same two tables raveled,
 through a flat index a*q + b held in the narrowest unsigned type that holds
-q^2 - 1 (uint16 up to q = 256, uint32 above); the add half of elimination's
-table step in ``gflinalg`` reads the raveled add table the same way.
+q^2 - 1 (uint16 up to q = 256, uint32 above); elimination's table step in
+``gflinalg`` reads both raveled tables the same way.
 
 The scalar ops (``add``, ``neg``, ``mul``, ``inv``, ``pow``) read the same
 tables through ``memoryview``s, 2-D for the add/mul tables: indexing a view

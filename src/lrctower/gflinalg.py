@@ -6,13 +6,14 @@ eliminates at two depths: ``rref`` clears every other row of each pivot
 column (the canonical form), ``echelon`` only the rows below it, which is
 all a rank, a span test or a Zassenhaus split needs.  The loop works on a
 copy in ``field.dtype``, and each pivot step updates the rows it clears
-from the pivot column rightward.  A step that updates at least q rows, on
-the table path, builds the (q x w) table of the negated pivot row's
-multiples once and needs one row gather and one add-table gather per row;
-smaller steps, and every step above ``TABLE_CAP``, run the fused
+from the pivot column rightward.  On the table path (q <= ``TABLE_CAP``)
+every step runs one rule on the raveled q x q tables: the pivot row is
+scaled by one gather in the mul table's row of its lead's inverse (none for
+a lead of 1), and each block of cleared rows x, f their entries in the
+pivot column, becomes add[x q + mul[(-f) q + pivot]], two flat-index
+gathers.  Above ``TABLE_CAP`` each block runs the fused
 ``FiniteField.vec_axpy``.  ``matmul`` keeps one ``vec_axpy`` per inner
-index, accumulating in ``field.dtype``: its hot caller, ``encode``,
-multiplies one row, for which a table of multiples would serve one row.
+index, accumulating in ``field.dtype``.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ def _eliminate(field: FiniteField, mat, full: bool) -> tuple[np.ndarray, list[in
     every row update runs from that column rightward."""
     m = np.array(as_matrix(field, mat), dtype=field.dtype)
     rows, cols = m.shape
+    negq = None if field.mul_table is None else field.neg_table.astype(field._flat_index) * field._flat_q
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -70,28 +72,25 @@ def _eliminate(field: FiniteField, mat, full: bool) -> tuple[np.ndarray, list[in
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
         pivot = m[r, c:]
-        pivot[:] = field.vec_mul(pivot, field.inv(int(pivot[0])))
+        inv = field.inv(int(pivot[0]))
+        if inv != 1:
+            pivot[:] = field.vec_mul(pivot, inv) if negq is None else field.mul_table[inv].take(pivot)
         if full:
             pivot[0] = 0  # hide the pivot row from the row search
             others = m[:, c].nonzero()[0]
             pivot[0] = 1
         else:
-            others = r + 1 + m[r + 1:, c].nonzero()[0]
-        if others.size >= field.q and field.mul_table is not None:
-            # f * (-pivot) for every f: one row gather per row, one add gather
-            multiples = field.mul_table[:, field.neg_table[pivot]]
-            for lo in range(0, others.size, ROW_BLOCK):
-                block = others[lo:lo + ROW_BLOCK]
-                flat = m[block, c:].astype(field._flat_index)
+            others = r + nz[1:]  # a row swapped down to pr is zero in column c
+        for lo in range(0, others.size, ROW_BLOCK):
+            block = others[lo:lo + ROW_BLOCK]
+            cleared = m[block, c:]
+            if negq is None:  # -(f * x) = (-f) * x: negate the factors, not the product
+                m[block, c:] = field.vec_axpy(cleared, field.vec_neg(cleared[:, :1]), pivot)
+            else:
+                flat = cleared.astype(field._flat_index)
                 flat *= field._flat_q
-                flat += multiples[m[block, c]]
+                flat += field._mul_flat.take(negq.take(cleared[:, :1]) + pivot)
                 m[block, c:] = field._add_flat.take(flat)
-        elif others.size:
-            # -(f * x) = (-f) * x: negate the factors, not the product
-            neg_factors = field.vec_neg(m[others, c])[:, None]
-            for lo in range(0, others.size, ROW_BLOCK):
-                block = others[lo:lo + ROW_BLOCK]
-                m[block, c:] = field.vec_axpy(m[block, c:], neg_factors[lo:lo + ROW_BLOCK], pivot)
         pivots.append(c)
         r += 1
     return m, pivots

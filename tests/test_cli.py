@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -167,18 +168,15 @@ def test_descriptor_bytes_pinned(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(DESCRIPTOR_PINS))
 def test_json_text_writes_what_json_dumps_writes(name, tmp_path, capsys):
     """The one writer matches json.dumps(sort_keys=True, indent=2) byte for
-    byte on each ladder descriptor and on the golden code's verify report.
+    byte on each ladder descriptor and on its verify report.
     Each descriptor also passes the loader's recovery-set and cap checks
     and writes back its own bytes."""
     args, _ = DESCRIPTOR_PINS[name]
     out, report = tmp_path / f"{name}.json", tmp_path / "report.json"
     assert main(["construct", *args, "--out", str(out)]) == 0
     assert json_text(code_to_descriptor(load_code(out))).encode() == out.read_bytes()
-    files = [out]
-    if name == "golden":
-        assert main(["verify", "--in", str(out), "--report", str(report)]) == 0
-        files.append(report)
-    for path in files:
+    assert main(["verify", "--in", str(out), "--report", str(report)]) == 0
+    for path in (out, report):
         value = json.loads(path.read_text())
         assert path.read_text() == json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
@@ -199,6 +197,31 @@ def test_json_text_matches_json_dumps_on_any_value(value):
     assert json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
     if isinstance(value, list):
         assert json_text(tuple(value)) == json_text(value)
+
+
+# leaves and containers shaped like descriptor and report columns: long int
+# lists (negatives, 2^63 and above, sparse large values), bool lists and
+# lists mixing ints and bools, ragged and empty inner lists, lists of objects
+# that share one key set and objects whose keys differ, and tuples
+_INTS = st.integers(-3, 40) | st.integers(2**63 - 2, 2**64 + 2) | st.integers(-10**20, 10**20)
+_COLUMNS = st.recursive(
+    st.lists(_INTS, max_size=60) | st.lists(st.booleans(), max_size=8)
+    | st.lists(st.booleans() | st.integers(0, 2), max_size=8) | _INTS | st.booleans() | st.none(),
+    lambda inner: (st.lists(inner, max_size=6) | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(st.text(max_size=2), max_size=3, unique=True).flatmap(
+                       lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, inner)), max_size=4))
+                   | st.lists(st.dictionaries(st.sampled_from("abc"), inner, max_size=3), max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COLUMNS)
+def test_json_text_matches_json_dumps_on_regular_columns(value):
+    """The column writer, whose lists share one kind of item more often than
+    random JSON's: each list of ints, bools, lists or objects is written at
+    once, and everything else item by item, to the bytes json.dumps writes."""
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def test_verify_caps_count_generator_rows(tmp_path, capsys, monkeypatch):
@@ -435,6 +458,34 @@ def test_bounds_command(tmp_path, capsys):
     assert out == "singleton 8\ntb 7\nwz 7\nrpdv 5\nbt 7\nbmq 7\n"
     assert (tmp_path / "b.csv").read_text() == (
         "bound,value\nsingleton,8\ntb,7\nwz,7\nrpdv,5\nbt,7\nbmq,7\n")
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_bounds_on_equal_localities_list_none_of_them(capsys, r):
+    """One --r value stands for t equal localities, and bounds never lists
+    them: at t = 10^6 the traced peak stays under 1 MB, where a list of the
+    localities alone takes 8 MB.  tb reads log_r(k) factors at r >= 2 and
+    one term for all t at r = 1; wz reads t and t (r - 1).  At small t every
+    row equals its closed form on the listed localities."""
+    n, k, t = 2 * 10**9, 8, 10**6
+    tracemalloc.start()
+    try:
+        assert main(["bounds", "--n", str(n), "--k", str(k), "--t", str(t), "--r", str(r)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the closed forms at t = 10^6: sum_i 7 // r^i is 7 + 3 + 1 at r = 2 and 7 (t + 1) at r = 1
+    tb = n - (11 if r == 2 else 7 * (t + 1))
+    wz = n - k - -(-(7 * t + 1) // ((r - 1) * t + 1)) + 2
+    rows = {"singleton": n - k - -(-k // r) + 2, "tb": tb, "wz": wz, "rpdv": n - k - -(-k * t // r) + t + 1,
+            "bt": tb, "bmq": wz}
+    assert capsys.readouterr().out == "".join(f"{name} {value}\n" for name, value in rows.items())
+    for n, k in ((18, 8), (60, 17), (120, 40)):
+        for t in (1, 2, 3, 7):
+            assert main(["bounds", "--n", str(n), "--k", str(k), "--t", str(t), "--r", str(r)]) == 0
+            want = "".join(f"{name} {value}\n" for name, value in bound_formulas(n, k, [r] * t).items())
+            assert capsys.readouterr().out == want, (n, k, t)
 
 
 def test_bounds_command_on_unequal_localities(capsys):

@@ -361,28 +361,40 @@ def test_echelon_rank_span_intersection_match_oracle(p, e, block, data):
 
 @pytest.mark.parametrize("full", [True, False])
 def test_pivot_steps_of_q_rows_or_more_use_the_multiples_table(monkeypatch, full):
-    """The row-update rule reads only the step's row count and q: over GF(9)
-    a step that updates at least 9 rows gathers from its table of pivot
-    multiples and never calls ``vec_axpy``; every smaller nonempty step calls
-    it once (one row block).  16 rows of rank 3 over 3 random rows give
-    steps on both sides of the rule, in both depths."""
-    fld = FiniteField(3, 2)
-    rng = np.random.default_rng(9)
-    low = gflinalg.matmul(fld, rng.integers(0, fld.q, size=(16, 3)), rng.integers(0, fld.q, size=(3, 6)))
-    m = np.vstack([low, rng.integers(0, fld.q, size=(3, 6))]).astype(np.int64)
-    calls, axpy = [], fld.vec_axpy
+    """One row-update rule per field, whatever a step's row count: over
+    GF(9) (table path) no step calls ``vec_axpy``, ``vec_mul`` or
+    ``vec_neg``, the steps of q rows or more included, since each gathers
+    its multiples of the pivot row from the mul table; over GF(1031) each
+    step calls ``vec_axpy`` once per row block.  16 rows of rank 3 over 3
+    random rows give steps on both sides of q = 9, in both depths and in
+    blocks of 3 rows, and the output matches the oracle's, the
+    non-canonical echelon rows included."""
+    monkeypatch.setattr(gflinalg, "ROW_BLOCK", 3)
+    for fld in (FiniteField(3, 2), FiniteField(1031, 1)):
+        rng = np.random.default_rng(9)
+        low = gflinalg.matmul(fld, rng.integers(0, fld.q, size=(16, 3)), rng.integers(0, fld.q, size=(3, 6)))
+        m = np.vstack([low, rng.integers(0, fld.q, size=(3, 6))]).astype(np.int64)
+        steps = []
+        expect, _ = _rref_oracle(fld, m, full, steps)
+        calls = {name: [] for name in ("vec_axpy", "vec_mul", "vec_neg")}
 
-    def counted(y, a, x):
-        calls.append(len(y))
-        return axpy(y, a, x)
+        def counted(real, log):
+            def op(y, *rest):
+                log.append(len(y))
+                return real(y, *rest)
+            return op
 
-    monkeypatch.setattr(fld, "vec_axpy", counted)
-    got, pivots = (gflinalg.rref if full else gflinalg.echelon)(fld, m)
-    steps = []
-    expect, _ = _rref_oracle(fld, m, full, steps)
-    assert (got == expect[: len(got)]).all() and len(steps) == len(pivots)
-    assert min(steps) < fld.q <= max(steps)
-    assert calls == [s for s in steps if 0 < s < fld.q]
+        with monkeypatch.context() as mp:
+            for name, log in calls.items():
+                mp.setattr(fld, name, counted(getattr(fld, name), log))
+            got, pivots = (gflinalg.rref if full else gflinalg.echelon)(fld, m)
+        assert (got == expect[: len(got)]).all() and len(steps) == len(pivots)
+        if fld.mul_table is not None:
+            assert min(steps) < fld.q <= max(steps)
+            assert calls == {name: [] for name in calls}
+        else:
+            assert max(steps) > 3
+            assert calls["vec_axpy"] == [min(3, s - lo) for s in steps for lo in range(0, s, 3)]
 
 
 def _matmul_oracle(fld, a, b):
